@@ -28,7 +28,7 @@ from .colorings import (
     residue_splitting,
     zdensity_coloring,
 )
-from .errors import GameProtocolError, HlbenchError, ParseError
+from .errors import GameProtocolError, HlbenchError, ParseError, RangeError
 from .game import parse_strategy_id, play, transcript_to_json
 from .ideals import (
     NatSet,
@@ -162,17 +162,16 @@ def _search_coloring(args):
         return coloring
     if args.depth is None:
         raise ParseError("--depth is required with --seed")
+    if args.seed is None:
+        args.seed = 0  # resolved here so that the report states the seed used
     return random_coloring(args.depth, args.seed)
 
 
 def cmd_search(args, mode: str) -> int:
+    if args.min_levels < 1:
+        raise RangeError(f"min_levels {args.min_levels} must be >= 1")
     coloring = _search_coloring(args)
-    budget = SearchBudget(
-        height=args.height,
-        min_levels=args.min_levels,
-        node_budget=args.budget,
-        workers=args.workers,
-    )
+    budget = SearchBudget(height=args.height, node_budget=args.budget, workers=args.workers)
     result = search_best(coloring, budget, mode)
     verified = verify_certificate(coloring, result.certificate)
     body = {
@@ -264,7 +263,7 @@ def cmd_levels(args) -> int:
 
 def cmd_profile(args) -> int:
     text = _read(args.input)
-    head = text.split(None, 1)[0] if text.split() else ""
+    head = (text.split(None, 1) or [""])[0]
     lines: list[str] = []
     code = 0
     if head == "natset":
@@ -411,8 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"best {mode} certificate search")
         p.add_argument("--depth", type=int, help="tree depth (required with --seed)")
         p.add_argument("--height", type=int, required=True, help="embedding height")
-        p.add_argument("--seed", type=int, default=0, help="seed for a random coloring")
-        p.add_argument("--coloring", help="coloring file instead of a seeded coloring")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--seed", type=int, help="seed for a random coloring (default 0)")
+        source.add_argument("--coloring", help="coloring file instead of a seeded coloring")
         p.add_argument("--budget", type=int, default=1_000_000, help="node budget")
         p.add_argument("--min-levels", type=int, default=1, dest="min_levels")
         p.add_argument("--workers", type=int, default=1)

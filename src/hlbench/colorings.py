@@ -23,11 +23,13 @@ from .treecore import (
     check_depth,
     extensions,
     format_node,
+    header_int,
     is_node,
     lenlex_key,
     level_nodes,
     node_index,
-    parse_node,
+    read_format,
+    read_node,
 )
 
 # Dense tables and full serialisation are capped well below D_MAX: a table
@@ -579,28 +581,14 @@ def coloring_to_text(c: Coloring) -> str:
 
 def coloring_from_text(text: str) -> Coloring:
     """Parse a coloring; unlisted nodes default to 0, duplicates are rejected."""
-    from .treecore import _parse_header
-
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input", 1)
-    depth = _parse_header(lines[0], "coloring", "depth")
-    if not 1 <= depth <= D_MAX:
-        raise ParseError(f"depth {depth} outside [1, {D_MAX}]", 1)
+    (value,), body = read_format(text, "coloring v1 depth=<n>")
+    depth = header_int(value, "depth", D_MAX)
     overrides: dict[str, int] = {}
-    for i, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
+    for i, line in body:
+        parts = line.split()
         if len(parts) != 2:
-            raise ParseError(f"expected '<node> <bit>', got {stripped!r}", i)
-        try:
-            node = parse_node(parts[0])
-        except ValueError:
-            raise ParseError(f"not a node: {parts[0]!r}", i) from None
-        if len(node) >= depth:
-            raise ParseError(f"node {parts[0]!r} too long for depth {depth}", i)
+            raise ParseError(f"expected '<node> <bit>', got {line!r}", i)
+        node = read_node(parts[0], depth, i)
         if parts[1] not in ("0", "1"):
             raise ParseError(f"color must be 0 or 1, got {parts[1]!r}", i)
         if node in overrides:

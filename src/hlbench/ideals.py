@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import ParseError, RangeError
-from .treecore import D_MAX, _parse_header, check_node, format_node, lenlex_key, parse_node
+from .treecore import D_MAX, check_node, format_node, header_int, lenlex_key, read_format, read_node
 
 DENSITY_MODES = ("dyadic", "natural")
 CMP_OPS = ("ge", "gt")
@@ -253,26 +253,10 @@ def phi_bar_profile(a: NodeSet, depth: int | None = None) -> tuple[Fraction, ...
 # ---------------------------------------------------------------------------
 
 
-def _parse_lines(text: str, kind: str, field: str) -> tuple[int, list[tuple[int, str]]]:
-    # Shared body reader: header value plus (line number, payload) pairs.
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input", 1)
-    value = _parse_header(lines[0], kind, field)
-    body = []
-    for i, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        body.append((i, stripped))
-    return value, body
-
-
 def natset_from_text(text: str) -> NatSet:
     """Parse `natset v1 bound=<N>` followed by one integer per line."""
-    bound, body = _parse_lines(text, "natset", "bound")
-    if bound < 1:
-        raise ParseError(f"bound {bound} must be >= 1", 1)
+    (value,), body = read_format(text, "natset v1 bound=<n>")
+    bound = header_int(value, "bound")
     members: set[int] = set()
     for i, token in body:
         try:
@@ -295,9 +279,8 @@ def natset_to_text(a: NatSet) -> str:
 
 def gridset_from_text(text: str) -> GridSet:
     """Parse `gridset v1 bound=<N>` followed by `<col> <row>` lines."""
-    bound, body = _parse_lines(text, "gridset", "bound")
-    if bound < 1:
-        raise ParseError(f"bound {bound} must be >= 1", 1)
+    (value,), body = read_format(text, "gridset v1 bound=<n>")
+    bound = header_int(value, "bound")
     cells: set[tuple[int, int]] = set()
     for i, token in body:
         parts = token.split()
@@ -323,17 +306,11 @@ def gridset_to_text(e: GridSet) -> str:
 
 def nodeset_from_text(text: str) -> NodeSet:
     """Parse `nodeset v1 depth=<D>` followed by one node per line ('-' = root)."""
-    depth, body = _parse_lines(text, "nodeset", "depth")
-    if not 1 <= depth <= D_MAX:
-        raise ParseError(f"depth {depth} outside [1, {D_MAX}]", 1)
+    (value,), body = read_format(text, "nodeset v1 depth=<n>")
+    depth = header_int(value, "depth", D_MAX)
     nodes: set[str] = set()
     for i, token in body:
-        try:
-            s = parse_node(token)
-        except ValueError:
-            raise ParseError(f"not a node: {token!r}", i) from None
-        if len(s) >= depth:
-            raise ParseError(f"node {token!r} too long for depth {depth}", i)
+        s = read_node(token, depth, i)
         if s in nodes:
             raise ParseError(f"duplicate node {token!r}", i)
         nodes.add(s)

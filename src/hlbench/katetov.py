@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import MorphismDomainError, NotFoundError, ParseError, RangeError, ShapeError
-from .treecore import format_node, is_node, lenlex_key, level_nodes, parse_node
+from .ideals import NatSet, density_profile, summable_weight
+from .treecore import format_node, header_int, is_node, lenlex_key, level_nodes, parse_node, read_format
 
 SCOPE_SENTENCE = (
     "This verdict certifies only the finite-scale surrogate statement at the "
@@ -154,19 +155,13 @@ class DensityWindowSurrogate(Surrogate):
         if presentation.ground.kind != "interval":
             raise ShapeError("dyadic-density surrogate needs an interval ground")
         bound = presentation.ground.size
-        worst = Fraction(0)
-        worst_window = -1
-        n = 0
-        while (1 << (n + 1)) <= bound:
-            if n >= self.floor:
-                hits = sum(1 for m in elements if (1 << n) <= m < (1 << (n + 1)))
-                density = Fraction(hits, 1 << n)
-                if density > worst:
-                    worst, worst_window = density, n
-            n += 1
-        if worst_window < 0:
+        floor = max(self.floor, 0)
+        profile = density_profile(NatSet.of(elements, bound), "dyadic")[floor:] if bound >= 2 else ()
+        worst = max(profile, default=0)
+        if worst == 0:
             return SurrogateVerdict(True, "no constrained window")
-        return SurrogateVerdict(worst <= self.eps, f"max density {worst} at window {worst_window}")
+        window = floor + profile.index(worst)  # ties name the first window reaching the maximum
+        return SurrogateVerdict(worst <= self.eps, f"max density {worst} at window {window}")
 
 
 @dataclass(frozen=True)
@@ -240,7 +235,7 @@ class SummableBoundSurrogate(Surrogate):
     def accepts(self, elements, presentation):
         if presentation.ground.kind != "interval":
             raise ShapeError("summable-bound surrogate needs an interval ground")
-        weight = sum((Fraction(1, n + 1) for n in elements), Fraction(0))
+        weight = summable_weight(NatSet.of(elements, presentation.ground.size))
         return SurrogateVerdict(weight <= self.max_weight, f"weight {weight}")
 
 
@@ -560,33 +555,17 @@ def _parse_surrogate(tokens: list[str], line: int) -> Surrogate:
 
 def parse_ideal_text(text: str) -> FiniteIdealPresentation:
     """Parse: `ideal v1 ground=<kind> params=<size>` then name/surrogate/generator lines."""
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input", 1)
-    head = lines[0].split()
-    if (
-        len(head) != 4
-        or head[0] != "ideal"
-        or head[1] != "v1"
-        or not head[2].startswith("ground=")
-        or not head[3].startswith("params=")
-    ):
-        raise ParseError(f"expected header 'ideal v1 ground=<kind> params=<size>', got {lines[0]!r}", 1)
-    kind = head[2][len("ground=") :]
+    (kind, size), body = read_format(text, "ideal v1 ground=<kind> params=<size>")
     try:
-        size = int(head[3][len("params=") :])
-        ground = Ground(kind, size)
+        ground = Ground(kind, header_int(size, "params"))
     except (ValueError, RangeError) as exc:
         raise ParseError(str(exc), 1) from None
     name = "ideal"
     surrogate: Surrogate | None = None
     generators: list[Generator] = []
     seen_names: set[str] = set()
-    for i, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
+    for i, line in body:
+        tokens = line.split()
         if tokens[0] == "name":
             if len(tokens) != 2:
                 raise ParseError("name line needs exactly one value", i)
@@ -625,15 +604,10 @@ def ideal_to_text(p: FiniteIdealPresentation) -> str:
 
 def parse_morphism_text(text: str, domain: Ground, codomain: Ground) -> MorphismSpec:
     """Parse: `morphism v1` then `formula=<name>` or `y -> x` lines."""
-    lines = text.splitlines()
-    if not lines or lines[0].split() != ["morphism", "v1"]:
-        raise ParseError("expected header 'morphism v1'", 1)
+    _, body = read_format(text, "morphism v1")
     formula: str | None = None
     table: dict = {}
-    for i, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for i, stripped in body:
         if stripped.startswith("formula="):
             if formula is not None or table:
                 raise ParseError("formula line must be the only content", i)

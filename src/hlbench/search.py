@@ -45,15 +45,12 @@ def _check_mode(mode: str) -> str:
 @dataclass(frozen=True)
 class SearchBudget:
     height: int
-    min_levels: int = 1
     node_budget: int = 1_000_000
     workers: int = 1
 
     def __post_init__(self):
         if self.height < 0:
             raise RangeError(f"height {self.height} negative")
-        if self.min_levels < 1:
-            raise RangeError(f"min_levels {self.min_levels} must be >= 1")
         if self.node_budget < 1:
             raise RangeError(f"node_budget {self.node_budget} must be >= 1")
         if self.workers < 1:
@@ -159,30 +156,6 @@ def _score(value: Callable[[str], int], tops: tuple[str, ...], depth: int, mode:
     # Equal counts prefer color 0.
     col = 0 if len(mono[0]) >= len(mono[1]) else 1
     return len(mono[col]), tuple(mono[col]), col
-
-
-def _partial_bound(value: Callable[[str], int], tops: tuple[str, ...], depth: int, mode: str) -> int:
-    # Optimistic score: levels already bichromatic on a half-built embedding
-    # stay bichromatic, so counting the still-monochromatic ones bounds m.
-    if mode == "by_levels":
-        bound = 0
-        for n in range(depth):
-            col = value(tops[0][:n])
-            for t in tops[1:]:
-                if value(t[:n]) != col:
-                    break
-            else:
-                bound += 1
-        return bound
-    counts = [0, 0]
-    for n in range(depth):
-        col = value(tops[0][:n])
-        for t in tops[1:]:
-            if value(t[:n]) != col:
-                break
-        else:
-            counts[col] += 1
-    return max(counts)
 
 
 def _value_lookup(c: Coloring) -> Callable[[str], int]:
@@ -303,7 +276,9 @@ def _search_partition(value, depth: int, height: int, w: str, node_budget: int, 
             break
         explored += 1
         left_tops = _ordered_tops(left, height - 1)
-        if best is not None and _partial_bound(value, left_tops, depth, mode) < best[0]:
+        # Levels already bichromatic on the left half stay bichromatic, so
+        # its own score bounds the score of every completion.
+        if best is not None and _score(value, left_tops, depth, mode)[0] < best[0]:
             continue
         stop = False
         for right in _region_embeddings(w + "1", height - 1, depth):

@@ -358,35 +358,60 @@ def tree_to_text(tree: LevelTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_header(line: str, kind: str, field: str) -> int:
-    parts = line.split()
-    if len(parts) != 3 or parts[0] != kind or parts[1] != "v1" or not parts[2].startswith(field + "="):
-        raise ParseError(f"expected header '{kind} v1 {field}=<n>', got {line!r}", 1)
+def read_format(text: str, header: str) -> tuple[list[str], list[tuple[int, str]]]:
+    """Split a text file into its header field values and its body lines.
+
+    `header` spells the format's first line, e.g. 'tree v1 depth=<n>'.  The
+    file's first line must have the same kind, version tag and field names
+    in the same order; the values are returned in that order.  The body is a
+    list of (1-based line number, stripped line) pairs with blank lines and
+    whole-line '#' comments dropped.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty input", 1)
+    want, got = header.split(), lines[0].split()
+    names = [field.partition("=")[0] + "=" for field in want[2:]]
+    if len(got) != len(want) or got[:2] != want[:2] or not all(map(str.startswith, got[2:], names)):
+        raise ParseError(f"expected header {header!r}, got {lines[0]!r}", 1)
+    body = []
+    for i, raw in enumerate(lines[1:], start=2):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            body.append((i, stripped))
+    return [value[len(name) :] for value, name in zip(got[2:], names)], body
+
+
+def header_int(value: str, field: str, hi: int | None = None) -> int:
+    """A header field's integer value, checked against [1, hi] (no upper end when hi is None)."""
     try:
-        return int(parts[2][len(field) + 1 :])
+        n = int(value)
     except ValueError:
-        raise ParseError(f"bad {field} in header: {line!r}", 1) from None
+        raise ParseError(f"bad {field} in header: {value!r}", 1) from None
+    if n < 1 or (hi is not None and n > hi):
+        allowed = "must be >= 1" if hi is None else f"outside [1, {hi}]"
+        raise ParseError(f"{field} {n} {allowed}", 1)
+    return n
+
+
+def read_node(token: str, depth: int, line: int) -> str:
+    """The node a body token spells, rejected unless it fits below `depth`."""
+    try:
+        node = parse_node(token)
+    except ValueError:
+        raise ParseError(f"not a node: {token!r}", line) from None
+    if len(node) >= depth:
+        raise ParseError(f"node {token!r} too long for depth {depth}", line)
+    return node
 
 
 def tree_from_text(text: str) -> LevelTree:
     """Parse and validate a tree; malformed lines and invalid trees are rejected."""
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input", 1)
-    depth = _parse_header(lines[0], "tree", "depth")
-    if not 1 <= depth <= D_MAX:
-        raise ParseError(f"depth {depth} outside [1, {D_MAX}]", 1)
+    (value,), body = read_format(text, "tree v1 depth=<n>")
+    depth = header_int(value, "depth", D_MAX)
     levels: list[set[str]] = [set() for _ in range(depth)]
-    for i, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        try:
-            node = parse_node(stripped)
-        except ValueError:
-            raise ParseError(f"not a node: {stripped!r}", i) from None
-        if len(node) >= depth:
-            raise ParseError(f"node {stripped!r} too long for depth {depth}", i)
+    for i, token in body:
+        node = read_node(token, depth, i)
         levels[len(node)].add(node)
     tree = LevelTree(depth, tuple(frozenset(level) for level in levels))
     report = validate(tree)

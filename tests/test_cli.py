@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,24 @@ class TestSubcommands:
         code, body, _ = run_json(["search", "--height", "1", "--coloring", coloring_file], capsys)
         assert code == 0
         assert body["depth"] == 4
+        assert body["seed"] is None and body["config"]["seed"] is None
+        for seed in ("0", "3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["search", "--height", "1", "--coloring", coloring_file, "--seed", seed])
+            assert exc.value.code == 2
+        code, body, _ = run_json(["search", "--depth", "4", "--height", "1"], capsys)
+        assert code == 0
+        assert body["seed"] == 0 and body["config"]["seed"] == 0
+
+    def test_hset_skips_comments_and_blank_lines(self, coloring_file, tree_file, capsys):
+        _, plain, _ = run_json(["hset", "--coloring", coloring_file, "--tree", tree_file], capsys)
+        for path in (coloring_file, tree_file):
+            head, *body = Path(path).read_text().splitlines()
+            noisy = [head, "# comment", *body[:3], "", "   # indented comment", *body[3:], "#"]
+            Path(path).write_text("\n".join(noisy) + "\n")
+        code, commented, _ = run_json(["hset", "--coloring", coloring_file, "--tree", tree_file], capsys)
+        assert code == 0
+        assert commented["levels"] == plain["levels"]
 
     def test_pairing(self, capsys):
         argv = ["pairing", "--base-levels", "1,2", "--cap", "2", "--depth", "6"]
@@ -223,6 +242,11 @@ class TestErrorPaths:
         code, _, err = run(argv, capsys)
         assert code == 2
         assert "contradicts" in err
+
+    def test_min_levels_must_be_positive(self, capsys):
+        code, _, err = run(["search", "--depth", "4", "--height", "1", "--min-levels", "0"], capsys)
+        assert code == 2
+        assert "min_levels" in err
 
     def test_search_needs_depth_without_coloring(self, capsys):
         code, _, err = run(["search", "--height", "1"], capsys)

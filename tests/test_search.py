@@ -56,8 +56,6 @@ class TestBudget:
         with pytest.raises(RangeError):
             SearchBudget(height=-1)
         with pytest.raises(RangeError):
-            SearchBudget(height=1, min_levels=0)
-        with pytest.raises(RangeError):
             SearchBudget(height=1, node_budget=0)
         with pytest.raises(RangeError):
             SearchBudget(height=1, workers=0)
