@@ -415,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--coloring", help="coloring file instead of a seeded coloring")
         p.add_argument("--budget", type=int, default=1_000_000, help="node budget")
         p.add_argument("--min-levels", type=int, default=1, dest="min_levels")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument(
+            "--workers", type=int, default=1, help="accepted; results and speed are the same for every count"
+        )
         p.add_argument("--oracle", action="store_true", help="cross-check against the exhaustive oracle")
         common(p)
         p.set_defaults(func=lambda a, m=mode: cmd_search(a, m))

@@ -13,7 +13,6 @@ counts the largest level family monochromatic in one shared color, and
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
@@ -247,106 +246,201 @@ def brute_force_max(c: Coloring, budget: SearchBudget, mode: str) -> SearchResul
     return SearchResult(best[0], cert, explored, True)
 
 
-def _search_leaves(value, depth: int, node_budget: int, mode: str):
-    best = None
-    explored = 0
-    complete = True
-    for images in _region_embeddings("", 0, depth):
-        if explored + 1 > node_budget:
-            complete = False
-            break
-        explored += 1
-        tops = _ordered_tops(images, 0)
-        m, levels, witness = _score(value, tops, depth, mode)
-        key = _tie_key(images, 0)
-        if best is None or m > best[0] or (m == best[0] and key < best[1]):
-            best = (m, key, images, levels, witness)
-    return best, explored, complete
+# A sub-embedding is a tuple (and0, and1, node): `node` is a leaf image or a
+# nested (split, left, right), and bit n of and0 (and1) is set when every
+# leaf's length-n prefix is 0-colored (1-colored).  Joining two halves ANDs
+# their masks, so levels bichromatic on a half stay bichromatic in every
+# embedding built from it.
 
 
-def _search_partition(value, depth: int, height: int, w: str, node_budget: int, mode: str):
-    # Explore every embedding whose first split is w, pruning right halves
-    # whose optimistic bound is strictly below the partition's best.
-    best = None
-    explored = 0
-    complete = True
-    for left in _region_embeddings(w + "0", height - 1, depth):
-        if explored + 1 > node_budget:
-            complete = False
-            break
-        explored += 1
-        left_tops = _ordered_tops(left, height - 1)
-        # Levels already bichromatic on the left half stay bichromatic, so
-        # its own score bounds the score of every completion.
-        if best is not None and _score(value, left_tops, depth, mode)[0] < best[0]:
+def _mask_lookup(value, depth: int) -> Callable[[str], tuple[int, int, str]]:
+    # Masks are computed on first use and cached for one search, so the work
+    # tracks the tops reached rather than all 2^(depth-1) of them.
+    full = (1 << depth) - 1
+    cache: dict[str, tuple[int, int, str]] = {}
+
+    def masks(top: str) -> tuple[int, int, str]:
+        got = cache.get(top)
+        if got is None:
+            zeros = 0
+            for n in range(depth):
+                if not value(top[:n]):
+                    zeros |= 1 << n
+            got = cache[top] = (zeros, full ^ zeros, top)
+        return got
+
+    return masks
+
+
+class _Replay:
+    """Iterate a generator once while recording it; later passes replay the record.
+
+    Only the items a pass has consumed are held, so a budget that stops the
+    first pass also bounds the memory.  Callers never start a pass before the
+    previous one has run to the end.
+    """
+
+    __slots__ = ("_source", "_items")
+
+    def __init__(self, source: Iterator):
+        self._source = source
+        self._items: list = []
+
+    def __iter__(self) -> Iterator:
+        if self._source is None:
+            return iter(self._items)
+        return self._record()
+
+    def _record(self) -> Iterator:
+        items = self._items
+        for item in self._source:
+            items.append(item)
+            yield item
+        self._source = None
+
+
+def _halves(masks, region: str, height: int, depth: int) -> Iterator[tuple]:
+    """Sub-embeddings above `region`, in the order of _region_embeddings."""
+    if height == 0:
+        for top in extensions(region, depth - 1):
+            yield masks(top)
+        return
+    for extra in range(depth - height - len(region)):
+        for suffix in level_nodes(extra):
+            w = region + suffix
+            rights = _Replay(_halves(masks, w + "1", height - 1, depth))
+            for l0, l1, left in _halves(masks, w + "0", height - 1, depth):
+                for r0, r1, right in rights:
+                    yield l0 & r0, l1 & r1, (w, left, right)
+
+
+def _images(node, height: int) -> dict[str, str]:
+    # Pre-order, the insertion order _region_embeddings gives its dicts.
+    images: dict[str, str] = {}
+    stack = [("", node, height)]
+    while stack:
+        arg, node, h = stack.pop()
+        if h == 0:
+            images[arg] = node
             continue
-        stop = False
-        for right in _region_embeddings(w + "1", height - 1, depth):
-            if explored + 1 > node_budget:
-                complete = False
-                stop = True
-                break
+        split, left, right = node
+        images[arg] = split
+        stack.append((arg + "1", right, h - 1))
+        stack.append((arg + "0", left, h - 1))
+    return images
+
+
+def _tie_precedes(node, other, height: int) -> bool:
+    """True when `node`'s _tie_key is smaller than `other`'s.
+
+    Both keys list the images breadth-first in length-lex order, so the
+    walk stops at the first image that differs.
+    """
+    level, other_level = [node], [other]
+    for _ in range(height):
+        below, other_below = [], []
+        for (s, left, right), (t, other_left, other_right) in zip(level, other_level):
+            if s != t:
+                return lenlex_key(s) < lenlex_key(t)
+            below += (left, right)
+            other_below += (other_left, other_right)
+        level, other_level = below, other_below
+    for s, t in zip(level, other_level):
+        if s != t:
+            return lenlex_key(s) < lenlex_key(t)
+    return False
+
+
+def _mask_score(and0: int, and1: int, by_levels: bool) -> int:
+    return (and0 | and1).bit_count() if by_levels else max(and0.bit_count(), and1.bit_count())
+
+
+def _search_partition(masks, split: str | None, height: int, depth: int, node_budget: int, by_levels: bool):
+    # Explore every embedding whose first split is `split` (every top, for
+    # height 0), pruning left halves whose score is strictly below the
+    # partition's best.
+    if split is None:
+        lefts, rights = _halves(masks, "", 0, depth), None
+    else:
+        lefts = _halves(masks, split + "0", height - 1, depth)
+        rights = _Replay(_halves(masks, split + "1", height - 1, depth))
+    best = None  # (m, and0, and1, node)
+    best_m = -1
+    explored = 0
+    for l0, l1, left in lefts:
+        if explored >= node_budget:
+            return best, explored, False
+        explored += 1
+        m = _mask_score(l0, l1, by_levels)
+        if rights is None:
+            # Tops come in tie-key order, so the first of equal scores wins.
+            if m > best_m:
+                best, best_m = (m, l0, l1, left), m
+            continue
+        if m < best_m:
+            continue
+        for r0, r1, right in rights:
+            if explored >= node_budget:
+                return best, explored, False
             explored += 1
-            images = {"": w}
-            for a, img in left.items():
-                images["0" + a] = img
-            for a, img in right.items():
-                images["1" + a] = img
-            tops = _ordered_tops(images, height)
-            m, levels, witness = _score(value, tops, depth, mode)
-            if best is None or m > best[0]:
-                best = (m, _tie_key(images, height), images, levels, witness)
-            elif m == best[0]:
-                key = _tie_key(images, height)
-                if key < best[1]:
-                    best = (m, key, images, levels, witness)
-        if stop:
-            break
-    return best, explored, complete
+            a0 = l0 & r0
+            a1 = l1 & r1
+            m = _mask_score(a0, a1, by_levels)
+            if m < best_m:
+                continue
+            node = (split, left, right)
+            if m > best_m or _tie_precedes(node, best[3], height):
+                best, best_m = (m, a0, a1, node), m
+    return best, explored, True
+
+
+def _mask_levels(mask: int, depth: int) -> tuple[int, ...]:
+    return tuple(n for n in range(depth) if mask >> n & 1)
 
 
 def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
     """Pruned search for the same maximum as brute_force_max.
 
-    The space is partitioned by the first split node; partitions are explored
-    independently (optionally by a worker pool) and merged in partition
-    order, so the result is identical for every worker count.  node_budget
-    caps the states explored in each partition; if any partition stops early
-    the result is flagged incomplete and carries the best certificate so far.
+    The space is partitioned by the first split node (height 0 is a single
+    partition of all tops).  Partitions are explored depth-first in
+    length-lex order in one thread, scoring embeddings by ANDing level masks;
+    budget.workers is accepted but changes neither the result nor the
+    speed.  node_budget caps the states explored in each partition; if any
+    partition stops early the result is flagged incomplete and carries the
+    best certificate so far.
     """
     _check_mode(mode)
     depth, height = c.depth, budget.height
     if height > depth - 1:
         raise RangeError(f"height {height} does not fit below depth {depth}")
-    value = _value_lookup(c)
-    if height == 0:
-        best, explored, complete = _search_leaves(value, depth, budget.node_budget, mode)
-        assert best is not None
-        cert = _make_certificate(mode, best[2], 0, depth, best[3], best[4])
-        return SearchResult(best[0], cert, explored, complete)
-
-    partitions = [w for extra in range(depth - height) for w in level_nodes(extra)]
-    if budget.workers == 1:
-        outcomes = [_search_partition(value, depth, height, w, budget.node_budget, mode) for w in partitions]
-    else:
-        with ThreadPoolExecutor(max_workers=budget.workers) as pool:
-            outcomes = list(
-                pool.map(lambda w: _search_partition(value, depth, height, w, budget.node_budget, mode), partitions)
-            )
-
+    masks = _mask_lookup(_value_lookup(c), depth)
+    by_levels = mode == "by_levels"
+    splits = [None] if height == 0 else (w for extra in range(depth - height) for w in level_nodes(extra))
     best = None
     explored = 0
     complete = True
-    for part_best, part_explored, part_complete in outcomes:
+    for split in splits:
+        part_best, part_explored, part_complete = _search_partition(
+            masks, split, height, depth, budget.node_budget, by_levels
+        )
         explored += part_explored
         complete = complete and part_complete
-        if part_best is None:
-            continue
-        if best is None or part_best[0] > best[0] or (part_best[0] == best[0] and part_best[1] < best[1]):
+        # Partitions come in tie-key order (the split is the key's first
+        # image), so an equal score never displaces an earlier partition's.
+        if part_best is not None and (best is None or part_best[0] > best[0]):
             best = part_best
     assert best is not None
-    cert = _make_certificate(mode, best[2], height, depth, best[3], best[4])
-    return SearchResult(best[0], cert, explored, complete)
+    m, and0, and1, node = best
+    if by_levels:
+        levels = _mask_levels(and0 | and1, depth)
+        witness = tuple(and1 >> n & 1 for n in levels)
+    else:
+        # Equal counts prefer color 0.
+        col = 0 if and0.bit_count() >= and1.bit_count() else 1
+        levels = _mask_levels(and1 if col else and0, depth)
+        witness = col
+    cert = _make_certificate(mode, _images(node, height), height, depth, levels, witness)
+    return SearchResult(m, cert, explored, complete)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,18 @@ from hlbench.search import (
     zdensity_band_check,
 )
 from hlbench.treecore import LevelSet, embed_closure, validate, validate_embedding
+
+# (m, explored, complete, certificate) of search_best on seeded colorings:
+# depths 4-7, heights 0-3, both modes, node_budget 1_000_000, 37 and 500
+# (depth 7 height 3 only truncated), plus one depth-13 run that reads
+# Coloring.value instead of a table.
+GOLDEN = json.loads(Path(__file__).with_name("search_golden.json").read_text())
+
+# Every shape of depth 3-6 whose oracle enumerates at most 20 000 embeddings
+# (all but depth 6, height 3).
+ORACLE_SHAPES = [
+    (d, h) for d in range(3, 7) for h in range(min(3, d - 1) + 1) if enumeration_bound(d, h) <= 20_000
+]
 
 
 class TestEnumeration:
@@ -99,6 +112,28 @@ class TestSolver:
             bf = brute_force_max(c, SearchBudget(height=2), mode)
             sb = search_best(c, SearchBudget(height=2), mode)
             assert certificate_to_json(bf.certificate) == certificate_to_json(sb.certificate)
+
+    @given(st.sampled_from(ORACLE_SHAPES), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_oracle_all_shapes(self, shape, seed):
+        depth, height = shape
+        c = random_coloring(depth, seed)
+        for mode in ("uniform", "by_levels"):
+            bf = brute_force_max(c, SearchBudget(height=height), mode)
+            sb = search_best(c, SearchBudget(height=height), mode)
+            assert (bf.best_levels, certificate_to_json(bf.certificate)) == (
+                sb.best_levels,
+                certificate_to_json(sb.certificate),
+            )
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN, ids=lambda r: f"d{r['depth']}-h{r['height']}-{r['mode']}-b{r['node_budget']}"
+    )
+    def test_matches_recorded(self, case):
+        c = random_coloring(case["depth"], case["seed"])
+        res = search_best(c, SearchBudget(height=case["height"], node_budget=case["node_budget"]), case["mode"])
+        got = (res.best_levels, res.explored, res.complete, certificate_to_json(res.certificate))
+        assert got == (case["m"], case["explored"], case["complete"], case["certificate"])
 
     def test_last_bit_frozen(self):
         lb = last_bit_coloring(5)
