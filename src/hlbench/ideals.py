@@ -8,6 +8,7 @@ assume in-range, duplicate-free data.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -24,6 +25,15 @@ CMP_OPS = ("ge", "gt")
 # ---------------------------------------------------------------------------
 
 
+def _plain_ints_below(values, bound: int) -> bool:
+    """Bulk form of the carriers' member check: exact ints in [0, bound).
+
+    False sends a carrier to its per-member loop, which names the culprit;
+    comparing exact types lets bool and int subclasses fall through to it.
+    """
+    return set(map(type, values)) <= {int} and (not values or (min(values) >= 0 and max(values) < bound))
+
+
 @dataclass(frozen=True)
 class NatSet:
     """A subset of [0, bound)."""
@@ -34,6 +44,8 @@ class NatSet:
     def __post_init__(self):
         if self.bound < 1:
             raise RangeError(f"bound {self.bound} must be >= 1")
+        if _plain_ints_below(self.members, self.bound):
+            return
         for m in self.members:
             if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m < self.bound:
                 raise RangeError(f"member {m!r} outside [0, {self.bound})")
@@ -65,7 +77,14 @@ class GridSet:
     def __post_init__(self):
         if self.bound < 1:
             raise RangeError(f"bound {self.bound} must be >= 1")
-        for cell in self.cells:
+        cells = self.cells
+        if (
+            set(map(type, cells)) <= {tuple}
+            and set(map(len, cells)) <= {2}
+            and _plain_ints_below(list(itertools.chain.from_iterable(cells)), self.bound)
+        ):
+            return
+        for cell in cells:
             if (
                 not isinstance(cell, tuple)
                 or len(cell) != 2
@@ -133,14 +152,11 @@ def density_profile(a: NatSet, mode: str) -> tuple[Fraction, ...]:
     if a.bound < 2:
         raise RangeError(f"bound {a.bound} must be >= 2 for a density profile")
     if mode == "dyadic":
-        out = []
-        n = 0
-        while (2 << n) <= a.bound:
-            width = 1 << n
-            hits = sum(1 for m in a.members if width <= m < 2 * width)
-            out.append(Fraction(hits, width))
-            n += 1
-        return tuple(out)
+        # m lies in [2^n, 2^(n+1)) exactly when m.bit_length() == n + 1.
+        hits = [0] * (a.bound.bit_length() + 1)
+        for m in a.members:
+            hits[m.bit_length()] += 1
+        return tuple(Fraction(hits[n + 1], 1 << n) for n in range(a.bound.bit_length() - 1))
     profile = []
     hits = 0
     for n in range(1, a.bound + 1):
@@ -152,7 +168,16 @@ def density_profile(a: NatSet, mode: str) -> tuple[Fraction, ...]:
 
 def summable_weight(a: NatSet) -> Fraction:
     """Sum of 1/(n+1) over the members, exactly."""
-    return sum((Fraction(1, m + 1) for m in a.members), Fraction(0))
+    # Unreduced (numerator, denominator) pairs added pairwise keep the
+    # operands balanced; one Fraction reduces the result at the end.
+    terms = [(1, m + 1) for m in a.members]
+    while len(terms) > 1:
+        pairs = zip(terms[0::2], terms[1::2])
+        merged = [(p * s + r * q, q * s) for (p, q), (r, s) in pairs]
+        if len(terms) % 2:
+            merged.append(terms[-1])
+        terms = merged
+    return Fraction(*terms[0]) if terms else Fraction(0)
 
 
 def interval_count(a: NatSet, ell: int, threshold: int, cmp: str = "ge") -> int:
@@ -196,17 +221,28 @@ def column_profile(e: GridSet) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _longest_prefixes(a: NodeSet) -> list[tuple[str, int]]:
+    """(s, length of the longest proper prefix of s in `a`, or -1) per node s."""
+    nodes = a.nodes
+    out = []
+    for s in nodes:
+        k = len(s) - 1
+        while k >= 0 and s[:k] not in nodes:
+            k -= 1
+        out.append((s, k))
+    return out
+
+
 def minimal_elements(a: NodeSet) -> NodeSet:
     """Nodes of `a` with no proper prefix in `a`."""
-    mins = frozenset(
-        s for s in a.nodes if not any(s[:k] in a.nodes for k in range(len(s)))
-    )
-    return NodeSet(mins, a.depth)
+    return NodeSet(frozenset(s for s, k in _longest_prefixes(a) if k < 0), a.depth)
 
 
 def phi(a: NodeSet) -> Fraction:
     """Sum of 2^-|s| over the minimal elements of `a`."""
-    return sum((Fraction(1, 1 << len(s)) for s in minimal_elements(a).nodes), Fraction(0))
+    # Every weight is an integer numerator over 2^(depth-1).
+    top = a.depth - 1
+    return Fraction(sum(1 << (top - len(s)) for s, k in _longest_prefixes(a) if k < 0), 1 << top)
 
 
 def max_antichain_weight(a: NodeSet) -> Fraction:
@@ -215,20 +251,22 @@ def max_antichain_weight(a: NodeSet) -> Fraction:
     Dynamic programme over the prefix closure of `a`: a subtree either
     contributes its root (when the root is in `a`) or the best of its two
     child subtrees, whichever weighs more.  Always equals phi(a), which the
-    tests pin down; keeping both gives an independent oracle.
+    tests pin down; keeping both gives an independent oracle.  Weights are
+    integer numerators over 2^(depth-1).
     """
     if not a.nodes:
         return Fraction(0)
+    top = a.depth - 1
     closure: set[str] = set()
     for s in a.nodes:
         for k in range(len(s) + 1):
             closure.add(s[:k])
-    best: dict[str, Fraction] = {}
+    best: dict[str, int] = {}
     for s in sorted(closure, key=lenlex_key, reverse=True):
-        kids = best.get(s + "0", Fraction(0)) + best.get(s + "1", Fraction(0))
-        own = Fraction(1, 1 << len(s)) if s in a.nodes else Fraction(0)
+        kids = best.get(s + "0", 0) + best.get(s + "1", 0)
+        own = 1 << (top - len(s)) if s in a.nodes else 0
         best[s] = max(own, kids)
-    return best[""]
+    return Fraction(best[""], 1 << top)
 
 
 def phi_bar_profile(a: NodeSet, depth: int | None = None) -> tuple[Fraction, ...]:
@@ -241,10 +279,19 @@ def phi_bar_profile(a: NodeSet, depth: int | None = None) -> tuple[Fraction, ...
         depth = a.depth
     if not 1 <= depth <= a.depth:
         raise RangeError(f"profile depth {depth} outside [1, {a.depth}]")
+    # s is minimal in the tail >= n exactly for n in (k, |s|], where k is the
+    # length of its longest proper prefix in `a`: a difference array over n.
+    top = a.depth - 1
+    delta = [0] * (a.depth + 1)
+    for s, k in _longest_prefixes(a):
+        weight = 1 << (top - len(s))
+        delta[k + 1] += weight
+        delta[len(s) + 1] -= weight
     out = []
+    total = 0
     for n in range(depth):
-        tail = NodeSet(frozenset(s for s in a.nodes if len(s) >= n), a.depth)
-        out.append(phi(tail))
+        total += delta[n]
+        out.append(Fraction(total, 1 << top))
     return tuple(out)
 
 

@@ -407,7 +407,7 @@ def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
     budget.workers is accepted but changes neither the result nor the
     speed.  node_budget caps the states explored in each partition; if any
     partition stops early the result is flagged incomplete and carries the
-    best certificate so far.
+    best certificate so far; BudgetError when no partition completed one.
     """
     _check_mode(mode)
     depth, height = c.depth, budget.height
@@ -429,7 +429,8 @@ def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
         # image), so an equal score never displaces an earlier partition's.
         if part_best is not None and (best is None or part_best[0] > best[0]):
             best = part_best
-    assert best is not None
+    if best is None:
+        raise BudgetError(f"node budget {budget.node_budget} completes no embedding")
     m, and0, and1, node = best
     if by_levels:
         levels = _mask_levels(and0 | and1, depth)

@@ -33,7 +33,7 @@ ROOT = ""
 
 def is_node(s: object) -> bool:
     """True when `s` is a (possibly empty) string over {'0','1'}."""
-    return isinstance(s, str) and all(ch in "01" for ch in s)
+    return isinstance(s, str) and not s.strip("01")
 
 
 def check_node(s: str) -> str:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import re
 import subprocess
 import sys
@@ -231,6 +233,45 @@ class TestSubcommands:
         assert body["pass"] is True and body["witness"] is None
 
 
+def _write_profile_inputs(rng: random.Random) -> None:
+    """A seeded natset (bound 4096), gridset (bound 64) and nodeset (depth 12) in the cwd."""
+    members = [m for m in range(4096) if rng.random() < 0.25]
+    cells = [(c, r) for c in range(64) for r in range(64) if rng.random() < 0.3]
+    nodes = [format(i, f"0{n}b") if n else "-" for n in range(12) for i in range(1 << n) if rng.random() < 0.05]
+    Path("a.natset").write_text("\n".join(["natset v1 bound=4096", *map(str, members)]) + "\n")
+    Path("e.gridset").write_text("\n".join(["gridset v1 bound=64", *(f"{c} {r}" for c, r in cells)]) + "\n")
+    Path("s.nodeset").write_text("\n".join(["nodeset v1 depth=12", *nodes]) + "\n")
+
+
+class TestProfileBytes:
+    """`profile` stdout is byte-identical to the reports of the straightforward statistics."""
+
+    # SHA-256 of stdout, recorded with the per-window, per-tail Fraction
+    # implementations the one-pass statistics replaced.  The report carries
+    # the package version, so a version bump changes them.
+    DIGESTS = {
+        "a.natset": "b4804c8e73f04b7fb44af98a8e11b5d1bb0adf4d4ef939ccd094b0b4ad4545a9",
+        "e.gridset": "57fcad362e69b319e44f6ae6a74772d9911f4a519b2c1de1fe0e32c0e6ab698c",
+        "s.nodeset": "1b103bc053d4b0ea79da42161844fa1683cb6877de2cd1206181cf7d6fe59a46",
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "--input", "a.natset", "--ell", "16", "--threshold", "5"],
+            ["profile", "--input", "e.gridset"],
+            ["profile", "--input", "s.nodeset"],
+        ],
+    )
+    def test_stdout_digest(self, argv, tmp_path, monkeypatch, capsys):
+        # Relative paths keep the report's `config.input` the same in every run.
+        monkeypatch.chdir(tmp_path)
+        _write_profile_inputs(random.Random(20211))
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv[2]]
+
+
 class TestErrorPaths:
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(["profile", "--input", "/nonexistent/a.natset"], capsys)
@@ -247,6 +288,12 @@ class TestErrorPaths:
         code, _, err = run(["search", "--depth", "4", "--height", "1", "--min-levels", "0"], capsys)
         assert code == 2
         assert "min_levels" in err
+
+    def test_budget_too_small_is_usage_error(self, capsys):
+        code, out, err = run(["search", "--depth", "5", "--height", "1", "--budget", "1", "--seed", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "hlbench: error: node budget 1 completes no embedding\n"
 
     def test_search_needs_depth_without_coloring(self, capsys):
         code, _, err = run(["search", "--height", "1"], capsys)

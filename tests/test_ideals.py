@@ -67,6 +67,30 @@ class TestCarriers:
         with pytest.raises(ValueError):
             NodeSet.of(["2"], 3)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: NatSet.of([True], 4), "member True outside [0, 4)"),
+            (lambda: NatSet.of([1.5], 4), "member 1.5 outside [0, 4)"),
+            (lambda: NatSet.of([4], 4), "member 4 outside [0, 4)"),
+            (lambda: GridSet.of([(0, 1, 2)], 4), "cell (0, 1, 2) outside [0, 4)^2"),
+            (lambda: GridSet([[0, 1]], 4), "cell [0, 1] outside [0, 4)^2"),
+            (lambda: GridSet.of([(True, 0)], 4), "cell (True, 0) outside [0, 4)^2"),
+            (lambda: GridSet.of([(0, 4)], 4), "cell (0, 4) outside [0, 4)^2"),
+        ],
+    )
+    def test_rejection_messages(self, build, message):
+        with pytest.raises(RangeError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_int_subclass_members_accepted(self):
+        class Int(int):
+            pass
+
+        assert NatSet.of([Int(2)], 4).members == frozenset({2})
+        assert GridSet.of([(Int(1), 2)], 4).cells == frozenset({(1, 2)})
+
     def test_sorted_accessors(self):
         assert NatSet.of([3, 1], 8).sorted_members() == [1, 3]
         assert NodeSet.of(["1", "00", "0"], 3).sorted_nodes() == ["0", "1", "00"]
@@ -266,3 +290,100 @@ class TestTextFormats:
     @settings(max_examples=25)
     def test_natset_round_trip_random(self, a):
         assert natset_from_text(natset_to_text(a)) == a
+
+
+# ---------------------------------------------------------------------------
+# the one-pass statistics against their straightforward definitions
+# ---------------------------------------------------------------------------
+
+
+def _ref_minimal(nodes):
+    return {s for s in nodes if not any(s[:k] in nodes for k in range(len(s)))}
+
+
+def _ref_phi(nodes):
+    return sum((Fraction(1, 1 << len(s)) for s in _ref_minimal(nodes)), Fraction(0))
+
+
+def _ref_phi_bar(a, depth):
+    return tuple(_ref_phi({s for s in a.nodes if len(s) >= n}) for n in range(depth))
+
+
+def _ref_antichain(a):
+    if not a.nodes:
+        return Fraction(0)
+    closure = {s[:k] for s in a.nodes for k in range(len(s) + 1)}
+    best = {}
+    for s in sorted(closure, key=lambda s: (len(s), s), reverse=True):
+        kids = best.get(s + "0", Fraction(0)) + best.get(s + "1", Fraction(0))
+        own = Fraction(1, 1 << len(s)) if s in a.nodes else Fraction(0)
+        best[s] = max(own, kids)
+    return best[""]
+
+
+def _ref_dyadic(a):
+    out = []
+    n = 0
+    while (2 << n) <= a.bound:
+        width = 1 << n
+        out.append(Fraction(sum(1 for m in a.members if width <= m < 2 * width), width))
+        n += 1
+    return tuple(out)
+
+
+def _ref_summable(a):
+    return sum((Fraction(1, m + 1) for m in a.members), Fraction(0))
+
+
+@st.composite
+def deep_nodesets(draw):
+    depth = draw(st.integers(min_value=1, max_value=10))
+    # Lengths are drawn uniformly, so short nodes (and prefixes) are common.
+    nodes = draw(
+        st.sets(
+            st.integers(min_value=0, max_value=depth - 1).flatmap(
+                lambda n: st.integers(min_value=0, max_value=(1 << n) - 1).map(
+                    lambda i: format(i, f"0{n}b") if n else ""
+                )
+            ),
+            max_size=80,
+        )
+    )
+    return NodeSet.of(nodes, depth)
+
+
+wide_natsets = st.integers(min_value=2, max_value=1 << 10).flatmap(
+    lambda bound: st.sets(st.integers(min_value=0, max_value=bound - 1), max_size=400).map(
+        lambda members: NatSet.of(members, bound)
+    )
+)
+
+
+class TestOnePassEquivalence:
+    @given(deep_nodesets(), st.data())
+    @settings(max_examples=150)
+    def test_phi_bar_profile_is_phi_of_tails(self, a, data):
+        depth = data.draw(st.integers(min_value=1, max_value=a.depth))
+        assert phi_bar_profile(a, depth) == _ref_phi_bar(a, depth)
+        assert phi_bar_profile(a) == _ref_phi_bar(a, a.depth)
+
+    @given(deep_nodesets())
+    @settings(max_examples=150)
+    def test_phi_and_minimal_elements(self, a):
+        assert minimal_elements(a).nodes == _ref_minimal(a.nodes)
+        assert phi(a) == _ref_phi(a.nodes)
+
+    @given(deep_nodesets())
+    @settings(max_examples=150)
+    def test_max_antichain_weight_matches_fraction_dp(self, a):
+        assert max_antichain_weight(a) == _ref_antichain(a)
+
+    @given(wide_natsets)
+    @settings(max_examples=100)
+    def test_dyadic_profile_matches_windowed_count(self, a):
+        assert density_profile(a, "dyadic") == _ref_dyadic(a)
+
+    @given(wide_natsets)
+    @settings(max_examples=100)
+    def test_summable_weight_matches_sequential_sum(self, a):
+        assert summable_weight(a) == _ref_summable(a)

@@ -73,6 +73,13 @@ class TestBudget:
         with pytest.raises(RangeError):
             SearchBudget(height=1, workers=0)
 
+    @pytest.mark.parametrize("mode", ["uniform", "by_levels"])
+    def test_budget_too_small_for_any_embedding(self, mode):
+        c = random_coloring(5, 1)
+        with pytest.raises(BudgetError, match="node budget 1 completes no embedding"):
+            search_best(c, SearchBudget(height=1, node_budget=1), mode)
+        assert not search_best(c, SearchBudget(height=1, node_budget=2), mode).complete
+
     def test_brute_force_refuses_over_budget(self):
         c = random_coloring(6, 0)
         with pytest.raises(BudgetError):
