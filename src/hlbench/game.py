@@ -17,7 +17,7 @@ tree and plays the empty set from then on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._rng import SplitMix64
 from .colorings import Coloring, i_set
@@ -87,54 +87,23 @@ class GameTranscript:
 # ---------------------------------------------------------------------------
 
 
-class EmptyStrategy:
-    name = "empty"
+class _Oblivious:
+    """A player I strategy whose moves ignore player II's picks."""
 
-    def __init__(self, window: int):
-        self.window = window
-
-    def move(self, round_index: int) -> frozenset[int]:
-        return frozenset()
+    def __init__(self, name: str, move: Callable[[int], frozenset[int]]):
+        self.name = name
+        self.move = move
 
     def observe(self, pick: int) -> None:
         pass
 
 
-class InitialSegmentStrategy:
-    """Plays the doubling initial segment [0, 2^n) at round n, window-clipped."""
+class TreeBuilderStrategy:
+    """Replayable state machine of the tree-builder strategy."""
 
-    name = "initial-segment"
+    name = "tree-builder"
 
-    def __init__(self, window: int):
-        self.window = window
-
-    def move(self, round_index: int) -> frozenset[int]:
-        return frozenset(range(min(1 << round_index, self.window)))
-
-    def observe(self, pick: int) -> None:
-        pass
-
-
-class RandomSetStrategy:
-    """Includes each window element independently with probability 1/2."""
-
-    name = "random-set"
-
-    def __init__(self, window: int, seed: int):
-        self.window = window
-        self._rng = SplitMix64(seed)
-
-    def move(self, round_index: int) -> frozenset[int]:
-        return frozenset(m for m in range(self.window) if self._rng.next_bit())
-
-    def observe(self, pick: int) -> None:
-        pass
-
-
-class _TreeBuilderCore:
-    """Replayable state machine behind the tree-builder strategy."""
-
-    def __init__(self, coloring: Coloring, window: int | None = None):
+    def __init__(self, window: int | None, coloring: Coloring):
         self.coloring = coloring
         self.window = window
         self.assignments: dict[str, str] = {"": ""}
@@ -144,7 +113,7 @@ class _TreeBuilderCore:
     def _generation_args(self) -> list[str]:
         return sorted(a for a in self.assignments if len(a) == self.generation)
 
-    def current_move(self) -> frozenset[int]:
+    def move(self, round_index: int) -> frozenset[int]:
         if self.stuck:
             return frozenset()
         move: set[int] = set()
@@ -187,26 +156,6 @@ class _TreeBuilderCore:
         }
 
 
-class TreeBuilderStrategy:
-    name = "tree-builder"
-
-    def __init__(self, window: int, coloring: Coloring):
-        self._core = _TreeBuilderCore(coloring, window)
-
-    @property
-    def stuck(self) -> bool:
-        return self._core.stuck
-
-    def snapshot(self) -> dict:
-        return self._core.snapshot()
-
-    def move(self, round_index: int) -> frozenset[int]:
-        return self._core.current_move()
-
-    def observe(self, pick: int) -> None:
-        self._core.observe(pick)
-
-
 def tree_builder_move(
     c: Coloring, history: Sequence[tuple[Iterable[int], int]], window: int | None = None
 ) -> tuple[frozenset[int], dict]:
@@ -216,17 +165,16 @@ def tree_builder_move(
     move_I must equal what the builder itself would have played; anything
     else is an inconsistent history.
     """
-    core = _TreeBuilderCore(c, window)
+    builder = TreeBuilderStrategy(window, c)
     for index, (forbidden, pick) in enumerate(history):
-        expected = core.current_move()
-        if frozenset(forbidden) != expected:
+        if frozenset(forbidden) != builder.move(index):
             raise GameProtocolError(
                 f"history round {index}: recorded move does not match the builder's",
                 strategy="tree-builder",
                 round_index=index,
             )
-        core.observe(pick)
-    return core.current_move(), core.snapshot()
+        builder.observe(pick)
+    return builder.move(len(history)), builder.snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -258,24 +206,20 @@ class MinLegalStrategy:
         self._prev = pick
 
 
-class RandomPickStrategy:
+class RandomPickStrategy(MinLegalStrategy):
     """Uniform choice among the legal picks above the previous one."""
 
     name = "random-pick"
 
     def __init__(self, window: int, seed: int):
-        self.window = window
+        super().__init__(window)
         self._rng = SplitMix64(seed)
-        self._prev = -1
 
     def move(self, round_index: int, forbidden: frozenset[int]) -> int | None:
         pool = [k for k in range(self._prev + 1, self.window) if k not in forbidden]
         if not pool:
             return None
         return pool[self._rng.below(len(pool))]
-
-    def observe(self, pick: int) -> None:
-        self._prev = pick
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +234,12 @@ def _seed_of(sid: StrategyId, default_seed: int) -> int:
 
 def make_player_one(sid: StrategyId, window: int, coloring: Coloring | None = None, default_seed: int = 0):
     if sid.name == "empty":
-        return EmptyStrategy(window)
-    if sid.name == "initial-segment":
-        return InitialSegmentStrategy(window)
-    if sid.name == "random-set":
-        return RandomSetStrategy(window, _seed_of(sid, default_seed))
+        return _Oblivious(sid.name, lambda n: frozenset())
+    if sid.name == "initial-segment":  # the doubling initial segment [0, 2^n), window-clipped
+        return _Oblivious(sid.name, lambda n: frozenset(range(min(1 << n, window))))
+    if sid.name == "random-set":  # each window element independently with probability 1/2
+        rng = SplitMix64(_seed_of(sid, default_seed))
+        return _Oblivious(sid.name, lambda n: frozenset(m for m in range(window) if rng.next_bit()))
     if sid.name == "tree-builder":
         if coloring is None:
             raise ValueError("tree-builder strategy needs a coloring")

@@ -10,7 +10,7 @@ parameters and nothing more; reports say so verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator
 
@@ -89,6 +89,11 @@ class Ground:
             return f"{el[0]},{el[1]}"
         return format_node(el)
 
+    @property
+    def sort_key(self):
+        """`sorted` key of the listing order: length-lex for nodes, natural otherwise."""
+        return lenlex_key if self.kind == "nodes" else None
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -108,8 +113,7 @@ class FiniteIdealPresentation:
             for el in gen.elements:
                 if el not in self.ground:
                     raise RangeError(
-                        f"generator {gen.name!r} has element outside the ground: "
-                        f"{self.ground.format_element(el) if el in self.ground else el!r}"
+                        f"generator {gen.name!r} has element outside the ground: {el!r}"
                     )
 
 
@@ -125,12 +129,17 @@ class SurrogateVerdict:
 
 
 class Surrogate:
-    """Named membership predicate with explicit parameters."""
+    """Named membership predicate with explicit parameters.
+
+    Subclasses are dataclasses whose fields are the parameters; `keys` names
+    them in the text format, in field order.
+    """
 
     name = "surrogate"
+    keys: tuple[str, ...] = ()
 
     def parameters(self) -> dict[str, str]:
-        raise NotImplementedError
+        return {key: str(getattr(self, f.name)) for key, f in zip(self.keys, fields(self))}
 
     def accepts(self, elements: frozenset, presentation: FiniteIdealPresentation) -> SurrogateVerdict:
         raise NotImplementedError
@@ -145,11 +154,9 @@ class DensityWindowSurrogate(Surrogate):
     """Every dyadic window [2^n, 2^(n+1)) with n >= floor has density <= eps."""
 
     name = "dyadic-density"
+    keys = ("eps", "floor")
     eps: Fraction = Fraction(1, 8)
     floor: int = 0
-
-    def parameters(self) -> dict[str, str]:
-        return {"eps": str(self.eps), "floor": str(self.floor)}
 
     def accepts(self, elements, presentation):
         if presentation.ground.kind != "interval":
@@ -169,11 +176,9 @@ class ColumnBoundSurrogate(Surrogate):
     """Per-column count <= per_column except in at most `exceptional` columns."""
 
     name = "column-bound"
+    keys = ("per_column", "exceptional")
     per_column: int = 1
     exceptional: int = 0
-
-    def parameters(self) -> dict[str, str]:
-        return {"per_column": str(self.per_column), "exceptional": str(self.exceptional)}
 
     def accepts(self, elements, presentation):
         if presentation.ground.kind != "grid":
@@ -193,20 +198,19 @@ class GeneratorUnionSurrogate(Surrogate):
     """Membership = covered by a union of at most max_generators listed generators."""
 
     name = "generator-union"
+    keys = ("max",)
     max_generators: int = 1
-
-    def parameters(self) -> dict[str, str]:
-        return {"max": str(self.max_generators)}
 
     def accepts(self, elements, presentation):
         gens = [g.elements for g in presentation.generators]
+        sort_key = presentation.ground.sort_key
 
         def cover(rest: frozenset, allowance: int) -> bool:
             if not rest:
                 return True
             if allowance == 0:
                 return False
-            pivot = min(rest) if presentation.ground.kind != "nodes" else min(rest, key=lenlex_key)
+            pivot = min(rest, key=sort_key)
             for g in gens:
                 if pivot in g and cover(rest - g, allowance - 1):
                     return True
@@ -227,10 +231,8 @@ class SummableBoundSurrogate(Surrogate):
     """Total weight sum(1/(n+1)) at most max_weight."""
 
     name = "summable-bound"
+    keys = ("weight",)
     max_weight: Fraction = Fraction(1)
-
-    def parameters(self) -> dict[str, str]:
-        return {"weight": str(self.max_weight)}
 
     def accepts(self, elements, presentation):
         if presentation.ground.kind != "interval":
@@ -336,10 +338,12 @@ def check_morphism(
     if target.surrogate is None:
         raise ValueError(f"target presentation {target.name!r} has no membership surrogate")
     _check_total(f, source, target)
-    members = list(target.ground.members())
+    fibers: dict = {}  # x -> the target elements y with f(y) = x
+    for y in target.ground.members():
+        fibers.setdefault(f.apply(y), []).append(y)
     checks: list[GeneratorCheck] = []
     for gen in source.generators:
-        preimage = frozenset(y for y in members if f.apply(y) in gen.elements)
+        preimage = frozenset(y for x in gen.elements for y in fibers.get(x, ()))
         verdict = target.surrogate.accepts(preimage, target)
         checks.append(GeneratorCheck(gen.name, verdict.ok, verdict.measure))
     return MorphismReport(
@@ -444,12 +448,10 @@ def _builtin_ed_to_finxfin() -> BuiltinWitness:
 
 
 def _builtin_fin_to_finxfin() -> BuiltinWitness:
-    size = 32
-    gens = tuple(Generator(f"{{{m}}}", frozenset({m})) for m in range(size))
-    source = FiniteIdealPresentation("fin", Ground("interval", size), gens, None)
+    source = _fin_presentation(32, 0, None)
     target = FiniteIdealPresentation(
         "finxfin",
-        Ground("grid", size),
+        Ground("grid", 32),
         (),
         ColumnBoundSurrogate(per_column=0, exceptional=1),
     )
@@ -462,35 +464,13 @@ def _builtin_fin_to_finxfin() -> BuiltinWitness:
     )
 
 
-_BUILTINS = {
-    "fin_to_z_identity": _builtin_fin_to_z,
-    "summable_to_z_identity": _builtin_summable_to_z,
-    "ed_to_finxfin_identity": _builtin_ed_to_finxfin,
-    "fin_to_finxfin_projection": _builtin_fin_to_finxfin,
-}
-
-
-def builtin_names() -> tuple[str, ...]:
-    return tuple(sorted(_BUILTINS))
-
-
-def builtin_witness(name: str) -> BuiltinWitness:
-    try:
-        factory = _BUILTINS[name]
-    except KeyError:
-        raise NotFoundError(f"unknown builtin {name!r} (have {builtin_names()})") from None
-    return factory()
-
-
-def counterexample_witness(name: str = "fin_to_z_one_point") -> BuiltinWitness:
+def _counterexample_fin_to_z() -> BuiltinWitness:
     """One-point mutation of fin_to_z_identity that the checker must reject.
 
     The table is the identity on [0,128) except f(1) = 64.  The preimage of
     the generator {64} becomes {1, 64}, and 1 sits alone in the dyadic window
     [1,2) with density 1 > 1/8, so the check fails naming {64}.
     """
-    if name != "fin_to_z_one_point":
-        raise NotFoundError(f"unknown counterexample {name!r} (have ('fin_to_z_one_point',))")
     base = _builtin_fin_to_z()
     table = {y: y for y in range(128)}
     table[1] = 64
@@ -503,13 +483,50 @@ def counterexample_witness(name: str = "fin_to_z_one_point") -> BuiltinWitness:
     )
 
 
+_BUILTINS = {
+    "fin_to_z_identity": _builtin_fin_to_z,
+    "summable_to_z_identity": _builtin_summable_to_z,
+    "ed_to_finxfin_identity": _builtin_ed_to_finxfin,
+    "fin_to_finxfin_projection": _builtin_fin_to_finxfin,
+}
+
+_COUNTEREXAMPLES = {"fin_to_z_one_point": _counterexample_fin_to_z}
+
+
+def _witness(table: dict, kind: str, name: str) -> BuiltinWitness:
+    try:
+        factory = table[name]
+    except KeyError:
+        raise NotFoundError(f"unknown {kind} {name!r} (have {tuple(sorted(table))})") from None
+    return factory()
+
+
+def builtin_names() -> tuple[str, ...]:
+    return tuple(sorted(_BUILTINS))
+
+
+def builtin_witness(name: str) -> BuiltinWitness:
+    return _witness(_BUILTINS, "builtin", name)
+
+
 def counterexample_names() -> tuple[str, ...]:
-    return ("fin_to_z_one_point",)
+    return tuple(sorted(_COUNTEREXAMPLES))
+
+
+def counterexample_witness(name: str = "fin_to_z_one_point") -> BuiltinWitness:
+    """A builtin mutation of a witness that the checker must reject."""
+    return _witness(_COUNTEREXAMPLES, "counterexample", name)
 
 
 # ---------------------------------------------------------------------------
 # text formats
 # ---------------------------------------------------------------------------
+
+
+_SURROGATES = {
+    cls.name: cls
+    for cls in (DensityWindowSurrogate, ColumnBoundSurrogate, GeneratorUnionSurrogate, SummableBoundSurrogate)
+}
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -529,28 +546,20 @@ def _parse_surrogate(tokens: list[str], line: int) -> Surrogate:
         if not eq or not key:
             raise ParseError(f"bad surrogate parameter {piece!r}", line)
         params[key] = val
-    surrogate: Surrogate | None = None
+    cls = _SURROGATES.get(name)
+    if cls is None:
+        raise ParseError(f"unknown surrogate {name!r}", line)
+    given = {}  # field name -> value; an omitted key keeps the field's default
     try:
-        if name == "dyadic-density":
-            surrogate = DensityWindowSurrogate(
-                eps=_parse_fraction(params.pop("eps", "1/8")), floor=int(params.pop("floor", "0"))
-            )
-        elif name == "column-bound":
-            surrogate = ColumnBoundSurrogate(
-                per_column=int(params.pop("per_column", "1")),
-                exceptional=int(params.pop("exceptional", "0")),
-            )
-        elif name == "generator-union":
-            surrogate = GeneratorUnionSurrogate(max_generators=int(params.pop("max", "1")))
-        elif name == "summable-bound":
-            surrogate = SummableBoundSurrogate(max_weight=_parse_fraction(params.pop("weight", "1")))
+        for key, f in zip(cls.keys, fields(cls)):
+            if key in params:
+                parse = _parse_fraction if isinstance(f.default, Fraction) else int
+                given[f.name] = parse(params.pop(key))
     except ValueError as exc:
         raise ParseError(str(exc), line) from None
-    if surrogate is None:
-        raise ParseError(f"unknown surrogate {name!r}", line)
     if params:
         raise ParseError(f"unknown surrogate parameter(s) {sorted(params)}", line)
-    return surrogate
+    return cls(**given)
 
 
 def parse_ideal_text(text: str) -> FiniteIdealPresentation:
@@ -596,8 +605,7 @@ def ideal_to_text(p: FiniteIdealPresentation) -> str:
     if p.surrogate is not None:
         lines.append(f"surrogate {p.surrogate.stamp()}")
     for gen in p.generators:
-        sort_key = lenlex_key if p.ground.kind == "nodes" else None
-        elements = " ".join(p.ground.format_element(el) for el in sorted(gen.elements, key=sort_key))
+        elements = " ".join(p.ground.format_element(el) for el in sorted(gen.elements, key=p.ground.sort_key))
         lines.append(f"generator {gen.name} {elements}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -641,13 +649,8 @@ def morphism_to_text(f: MorphismSpec, domain: Ground, codomain: Ground) -> str:
         lines.append(f"formula={f.formula}")
     else:
         assert f.table is not None
-        def key(item):
-            y, _ = item
-            if domain.kind == "nodes":
-                return lenlex_key(y)
-            return y
-        for y, x in sorted(f.table.items(), key=key):
-            lines.append(f"{domain.format_element(y)} -> {codomain.format_element(x)}")
+        for y in sorted(f.table, key=domain.sort_key):
+            lines.append(f"{domain.format_element(y)} -> {codomain.format_element(f.table[y])}")
     return "\n".join(lines) + "\n"
 
 

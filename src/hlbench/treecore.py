@@ -148,11 +148,6 @@ class LevelTree:
     levels: tuple[frozenset[str], ...]
 
     @classmethod
-    def from_levels(cls, levels: Iterable[Iterable[str]]) -> "LevelTree":
-        packed = tuple(frozenset(level) for level in levels)
-        return cls(len(packed), packed)
-
-    @classmethod
     def from_branch_set(cls, depth: int, tops: Iterable[str]) -> "LevelTree":
         """Downward closure of a set of length-(depth-1) strings."""
         check_depth(depth)

@@ -329,3 +329,134 @@ class TestErrorPaths:
         code, _, err = run(["pairing", "--base-levels", "1,x", "--depth", "6"], capsys)
         assert code == 2
         assert "comma-separated" in err
+
+
+def _node_token(s: str) -> str:
+    return s if s else "-"
+
+
+def _write_katetov_game_inputs(rng: random.Random) -> None:
+    """Seeded ideal, morphism and coloring files in the cwd, written as plain text.
+
+    Four morphism checks, one per surrogate, each through a table:
+    `z`: interval/1024 -> interval/1024 under dyadic-density;
+    `fxf`: grid/24 -> interval/24 under column-bound;
+    `union`: nodes/6 -> nodes/6 under generator-union (length-lex pivots);
+    `sum`: interval/128 -> interval/128 under summable-bound.
+    """
+
+    def ideal(name, kind, size, surrogate, generators):
+        lines = [f"ideal v1 ground={kind} params={size}", f"name {name}"]
+        if surrogate:
+            lines.append(f"surrogate {surrogate}")
+        lines += [f"generator {g} {' '.join(els)}".rstrip() for g, els in generators]
+        return "\n".join(lines) + "\n"
+
+    def morphism(pairs):
+        return "\n".join(["morphism v1", *(f"{y} -> {x}" for y, x in pairs)]) + "\n"
+
+    n = 1024
+    gens = [(f"g{i}", [str(m) for m in sorted(rng.sample(range(8, n), 3))]) for i in range(32)]
+    Path("z.src.ideal").write_text(ideal("fin", "interval", n, None, gens))
+    Path("z.tgt.ideal").write_text(ideal("density-zero", "interval", n, "dyadic-density eps=1/8 floor=3", ()))
+    image = list(range(n))
+    for _ in range(16):
+        y = rng.randrange(8, n)
+        image[y] = rng.randrange(n)
+    Path("z.morphism").write_text(morphism((y, image[y]) for y in range(n)))
+
+    n = 24
+    cells = [(c, r) for c in range(n) for r in range(n)]
+    gens = [(f"g{i}", [str(m) for m in sorted(rng.sample(range(n), 2))]) for i in range(12)]
+    Path("fxf.src.ideal").write_text(ideal("fin", "interval", n, None, gens))
+    Path("fxf.tgt.ideal").write_text(ideal("finxfin", "grid", n, "column-bound per_column=3 exceptional=2", ()))
+    Path("fxf.morphism").write_text(
+        morphism((f"{c},{r}", c if rng.random() < 0.9 else rng.randrange(n)) for c, r in cells)
+    )
+
+    depth = 6
+    nodes = [format(i, f"0{k}b") if k else "" for k in range(depth) for i in range(1 << k)]
+    gens = [(f"g{i}", [_node_token(s) for s in rng.sample(nodes, 4)]) for i in range(10)]
+    Path("union.src.ideal").write_text(ideal("nodes", "nodes", depth, None, gens))
+    cover = [(f"c{i}", [_node_token(s) for s in rng.sample(nodes, 12)]) for i in range(8)]
+    Path("union.tgt.ideal").write_text(ideal("cover", "nodes", depth, "generator-union max=3", cover))
+    Path("union.morphism").write_text(
+        morphism((_node_token(y), _node_token(rng.choice(nodes))) for y in rng.sample(nodes, len(nodes)))
+    )
+
+    n = 128
+    gens = [(f"g{i}", [str(m) for m in sorted(rng.sample(range(n), 5))]) for i in range(16)]
+    Path("sum.src.ideal").write_text(ideal("fin", "interval", n, None, gens))
+    Path("sum.tgt.ideal").write_text(ideal("summable", "interval", n, "summable-bound weight=1/2", ()))
+    Path("sum.morphism").write_text(morphism((y, rng.randrange(n)) for y in range(n)))
+
+    lines = ["coloring v1 depth=12"]
+    for k in range(12):
+        lines += [f"{_node_token(format(i, f'0{k}b') if k else '')} 1" for i in range(1 << k) if rng.random() < 0.5]
+    Path("g.coloring").write_text("\n".join(lines) + "\n")
+
+
+def _morphism_argv(stem: str) -> list[str]:
+    return ["katetov", "--morphism", f"{stem}.morphism", "--source", f"{stem}.src.ideal", "--target", f"{stem}.tgt.ideal"]
+
+
+class TestKatetovGameBytes:
+    """`katetov` and `game` stdout is byte-identical to the per-variant classes it came from."""
+
+    # SHA-256 of stdout and the exit status, recorded with one hand-written
+    # parser branch and `parameters()` per surrogate, one class per player I
+    # strategy, and one `apply` call per target element per generator.  The
+    # report carries the package version, so a version bump changes them.
+    CASES = {
+        "builtin fin_to_z_identity": (["katetov", "--builtin", "fin_to_z_identity"], 0,
+            "a2cebda77c3b93dd62865ec45bd8bca6dffa061570ea89e82406fd1ac7ba52ca"),
+        "builtin summable_to_z_identity": (["katetov", "--builtin", "summable_to_z_identity"], 0,
+            "07e630c1c119ef5a7f94d6e08e05703d3f31bc48358679a50ea85dcf0181592a"),
+        "builtin ed_to_finxfin_identity": (["katetov", "--builtin", "ed_to_finxfin_identity"], 0,
+            "8407d217e03f23db0df9d5e8bf935cbb08545dbf98fdf352471fc7dc316d79e8"),
+        "builtin fin_to_finxfin_projection": (["katetov", "--builtin", "fin_to_finxfin_projection"], 0,
+            "0e88c1f1dc45db879cedf1ec8f32ab237416dbb0a442e9791c4addb1d9ccdfe7"),
+        "counterexample": (["katetov", "--counterexample", "fin_to_z_one_point"], 1,
+            "b3ca1464358f766f5242a73acb9709a36572d7c202f8ef4fa868ab6816265989"),
+        "morphism z": (_morphism_argv("z"), 0,
+            "7c9f844e8ecf744295866435d4a5d3e0fbf945a74c4b9e26b984d2d988cfa6eb"),
+        "morphism fxf": (_morphism_argv("fxf"), 0,
+            "b986447ca0396062b041d1cbb0a5e109b6bbbac9d969acd131b9b267ed2e569d"),
+        "morphism union": (_morphism_argv("union"), 1,
+            "d8c05181188e9d5ee5258393e90e27d54491f3de43f082b14a53eea6531922d5"),
+        "morphism sum": (_morphism_argv("sum"), 1,
+            "7224c91f9e2e692cacccb0480213b5d04590ac5ebd238f5f64e7ce901cf516be"),
+        "game initial-segment": (
+            ["game", "--p1", "initial-segment", "--p2", "min-legal", "--horizon", "12", "--window", "4096"], 0,
+            "a93d916b206fc333804958f516438d27d1901c4f0f2fe05f7e83fea790b5b219"),
+        "game initial-segment saturates": (
+            ["game", "--p1", "initial-segment", "--p2", "min-legal", "--horizon", "9", "--window", "40"], 0,
+            "699018220b7571fa7cc43b2a00c3f4b2749e464346137f0f1dd7198ca8756879"),
+        "game empty": (
+            ["game", "--p1", "empty", "--p2", "min-legal-increasing", "--horizon", "5", "--window", "64"], 0,
+            "49c87b667dde97328c108c6d06f399b9741d34bfdca1907adfd6b0ebfe6e5c6c"),
+        "game random": (
+            ["game", "--p1", "random-set:seed=41", "--p2", "random-pick:seed=42",
+             "--horizon", "8", "--window", "512"], 0,
+            "a88fb7c1a74f54457845f664d6caf8af4a732d8845a84239ac183ea9f9e24ad2"),
+        "game random default seed": (
+            ["game", "--p1", "random-set", "--p2", "random-pick", "--horizon", "6", "--window", "64", "--seed", "9"], 0,
+            "311c573066d3e4155eed84af1245d027284e83a9ea8b1e42f875cab15eadabb1"),
+        "game tree-builder": (
+            ["game", "--p1", "tree-builder", "--p2", "random-pick:seed=17", "--horizon", "6", "--window", "12",
+             "--coloring", "g.coloring"], 0,
+            "c64a79b4cf6a1346072f170f2861ca7466bdad00f4205d93609719e8aef82d9a"),
+        "game tree-builder stuck": (
+            ["game", "--p1", "tree-builder", "--p2", "min-legal", "--horizon", "4", "--window", "12",
+             "--coloring", "g.coloring"], 0,
+            "aa499ffa11d186a9a05fc575942777b069021b82652d6eaf0e619c82fe25c0a9"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stdout_digest(self, case, tmp_path, monkeypatch, capsys):
+        # Relative paths keep the report's `config` the same in every run.
+        monkeypatch.chdir(tmp_path)
+        _write_katetov_game_inputs(random.Random(20215))
+        argv, want_code, want_digest = self.CASES[case]
+        code, out, _ = run(argv, capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, want_digest)

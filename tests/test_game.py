@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,14 @@ class TestStrategyIds:
         with pytest.raises(NotFoundError):
             play(2, "psychic", "min-legal", 8)
         with pytest.raises(NotFoundError):
+            play(2, "empty", "psychic", 8)
+
+    def test_unknown_names_list_the_known_ones(self):
+        have_one = "('empty', 'initial-segment', 'random-set', 'tree-builder')"
+        have_two = "('min-legal', 'min-legal-increasing', 'random-pick')"
+        with pytest.raises(NotFoundError, match=re.escape(f"unknown player I strategy 'psychic' (have {have_one})")):
+            play(2, "psychic", "min-legal", 8)
+        with pytest.raises(NotFoundError, match=re.escape(f"unknown player II strategy 'psychic' (have {have_two})")):
             play(2, "empty", "psychic", 8)
 
 

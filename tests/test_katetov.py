@@ -72,6 +72,10 @@ class TestGrounds:
         with pytest.raises(RangeError):
             FiniteIdealPresentation("p", g, (Generator("bad", frozenset({9})),), None)
 
+    def test_out_of_ground_message(self):
+        with pytest.raises(RangeError, match=r"^generator 'x' has element outside the ground: 9$"):
+            FiniteIdealPresentation("p", Ground("interval", 4), (Generator("x", frozenset({1, 9})),), None)
+
 
 class TestSurrogates:
     def test_density_window(self):
@@ -256,6 +260,35 @@ class TestTextFormats:
         with pytest.raises(ParseError, match="line 2"):
             parse_ideal_text("ideal v1 ground=interval params=8\nsurrogate dyadic-density eps=zebra\n")
 
+    @pytest.mark.parametrize(
+        "line, default",
+        [
+            ("dyadic-density", DensityWindowSurrogate()),
+            ("column-bound", ColumnBoundSurrogate()),
+            ("generator-union", GeneratorUnionSurrogate()),
+            ("summable-bound", SummableBoundSurrogate()),
+        ],
+    )
+    def test_omitted_parameters_take_the_class_defaults(self, line, default):
+        p = parse_ideal_text(f"ideal v1 ground=interval params=8\nsurrogate {line}\n")
+        assert p.surrogate == default
+        assert p.surrogate.stamp() == default.stamp()
+
+    def test_given_parameters_override_defaults(self):
+        p = parse_ideal_text("ideal v1 ground=grid params=8\nsurrogate column-bound exceptional=3\n")
+        assert p.surrogate == ColumnBoundSurrogate(per_column=1, exceptional=3)
+        p = parse_ideal_text("ideal v1 ground=interval params=8\nsurrogate summable-bound weight=3/2\n")
+        assert p.surrogate == SummableBoundSurrogate(max_weight=Fraction(3, 2))
+        assert p.surrogate.stamp() == "summable-bound weight=3/2"
+        p = parse_ideal_text("ideal v1 ground=interval params=8\nsurrogate generator-union max=4\n")
+        assert p.surrogate.parameters() == {"max": "4"}
+
+    def test_first_bad_parameter_is_reported(self):
+        with pytest.raises(ParseError, match=r"line 2: .*'x'"):
+            parse_ideal_text("ideal v1 ground=grid params=8\nsurrogate column-bound per_column=x exceptional=y\n")
+        with pytest.raises(ParseError, match=r"bad fraction 'zebra'"):
+            parse_ideal_text("ideal v1 ground=interval params=8\nsurrogate summable-bound weight=zebra\n")
+
     def test_morphism_round_trips(self):
         domain = codomain = Ground("interval", 4)
         table = MorphismSpec(table={0: 1, 1: 0, 2: 2, 3: 3})
@@ -264,6 +297,13 @@ class TestTextFormats:
         formula = MorphismSpec(formula="identity")
         text = morphism_to_text(formula, domain, codomain)
         assert parse_morphism_text(text, domain, codomain).formula == "identity"
+
+    def test_nodes_are_listed_in_length_lex_order(self):
+        g = Ground("nodes", 3)
+        p = FiniteIdealPresentation("p", g, (Generator("a", frozenset({"1", "00", ""})),), None)
+        assert ideal_to_text(p).splitlines()[-1] == "generator a - 1 00"
+        f = MorphismSpec(table={"1": "", "00": "0", "": "1"})
+        assert morphism_to_text(f, g, g).splitlines() == ["morphism v1", "- -> 1", "1 -> -", "00 -> 0"]
 
     def test_morphism_errors(self):
         g = Ground("interval", 4)
