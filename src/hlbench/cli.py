@@ -413,7 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
         source = p.add_mutually_exclusive_group()
         source.add_argument("--seed", type=int, help="seed for a random coloring (default 0)")
         source.add_argument("--coloring", help="coloring file instead of a seeded coloring")
-        p.add_argument("--budget", type=int, default=1_000_000, help="node budget")
+        p.add_argument(
+            "--budget",
+            type=int,
+            default=1_000_000,
+            help="work budget for the whole search: DP mask operations plus walk states, at most twice this in all",
+        )
         p.add_argument("--min-levels", type=int, default=1, dest="min_levels")
         p.add_argument(
             "--workers", type=int, default=1, help="accepted; results and speed are the same for every count"

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import ParseError, RangeError
-from .treecore import D_MAX, check_node, format_node, header_int, lenlex_key, read_format, read_node
+from .treecore import D_MAX, ELEMENT_CAP, check_node, format_node, header_int, lenlex_key, read_format, read_node
 
 DENSITY_MODES = ("dyadic", "natural")
 CMP_OPS = ("ge", "gt")
@@ -303,7 +303,7 @@ def phi_bar_profile(a: NodeSet, depth: int | None = None) -> tuple[Fraction, ...
 def natset_from_text(text: str) -> NatSet:
     """Parse `natset v1 bound=<N>` followed by one integer per line."""
     (value,), body = read_format(text, "natset v1 bound=<n>")
-    bound = header_int(value, "bound")
+    bound = header_int(value, "bound", ELEMENT_CAP)
     members: set[int] = set()
     for i, token in body:
         try:
@@ -327,7 +327,7 @@ def natset_to_text(a: NatSet) -> str:
 def gridset_from_text(text: str) -> GridSet:
     """Parse `gridset v1 bound=<N>` followed by `<col> <row>` lines."""
     (value,), body = read_format(text, "gridset v1 bound=<n>")
-    bound = header_int(value, "bound")
+    bound = header_int(value, "bound", ELEMENT_CAP)
     cells: set[tuple[int, int]] = set()
     for i, token in body:
         parts = token.split()

@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .errors import MorphismDomainError, NotFoundError, ParseError, RangeError, ShapeError
 from .ideals import NatSet, density_profile, summable_weight
-from .treecore import format_node, header_int, is_node, lenlex_key, level_nodes, parse_node, read_format
+from .treecore import ELEMENT_CAP, format_node, header_int, is_node, lenlex_key, level_nodes, parse_node, read_format
 
 SCOPE_SENTENCE = (
     "This verdict certifies only the finite-scale surrogate statement at the "
@@ -25,6 +25,9 @@ SCOPE_SENTENCE = (
 
 GROUND_KINDS = ("interval", "grid", "nodes")
 NODES_GROUND_MAX = 16
+# The largest `params` an ideal file may give each ground kind: a grid of side
+# n has n * n cells, and ELEMENT_CAP is a power of four.
+PARAMS_MAX = {"interval": ELEMENT_CAP, "grid": 1 << (ELEMENT_CAP.bit_length() - 1) // 2}
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +569,7 @@ def parse_ideal_text(text: str) -> FiniteIdealPresentation:
     """Parse: `ideal v1 ground=<kind> params=<size>` then name/surrogate/generator lines."""
     (kind, size), body = read_format(text, "ideal v1 ground=<kind> params=<size>")
     try:
-        ground = Ground(kind, header_int(size, "params"))
+        ground = Ground(kind, header_int(size, "params", PARAMS_MAX.get(kind)))
     except (ValueError, RangeError) as exc:
         raise ParseError(str(exc), 1) from None
     name = "ideal"

@@ -1,4 +1,4 @@
-"""Monochromatic-subtree search: certificates, exhaustive oracle, pruned solver.
+"""Monochromatic-subtree search: certificates, exhaustive oracle, level-mask solver.
 
 The search space for (depth D, height h) is the set of level-respecting
 embeddings of the full height-h binary tree whose leaf images all sit on
@@ -246,30 +246,210 @@ def brute_force_max(c: Coloring, budget: SearchBudget, mode: str) -> SearchResul
     return SearchResult(best[0], cert, explored, True)
 
 
-# A sub-embedding is a tuple (and0, and1, node): `node` is a leaf image or a
-# nested (split, left, right), and bit n of and0 (and1) is set when every
-# leaf's length-n prefix is 0-colored (1-colored).  Joining two halves ANDs
-# their masks, so levels bichromatic on a half stay bichromatic in every
-# embedding built from it.
+# A level mask is one int: bit n is set when every leaf's length-n prefix is
+# 0-colored, bit depth + n when every one is 1-colored.  A top's mask has
+# exactly one of the two bits for each level.  Joining two halves ANDs their
+# masks, so a level bichromatic on a half stays bichromatic in every
+# embedding built from it and no join raises a score.  A sub-embedding is a
+# pair (mask, node): `node` is a leaf image or a nested (split, left, right).
 
 
-def _mask_lookup(value, depth: int) -> Callable[[str], tuple[int, int, str]]:
-    # Masks are computed on first use and cached for one search, so the work
-    # tracks the tops reached rather than all 2^(depth-1) of them.
-    full = (1 << depth) - 1
-    cache: dict[str, tuple[int, int, str]] = {}
+class _OutOfBudget(Exception):
+    """The next unit of work would pass the allowance."""
 
-    def masks(top: str) -> tuple[int, int, str]:
+
+def _mask_lookup(value, depth: int) -> Callable[[str], tuple[int, str]]:
+    # A node's prefix mask holds the bits of the levels up to its own, so it
+    # is its parent's plus one color read.  Both are computed on first use
+    # and cached for one search: the work tracks the tops reached rather
+    # than all 2^(depth-1) of them, and each node's color is read once.
+    prefix: dict[str, int] = {}
+    cache: dict[str, tuple[int, str]] = {}
+
+    def prefix_mask(s: str) -> int:
+        got = prefix.get(s)
+        if got is None:
+            bit = 1 << (depth + len(s) if value(s) else len(s))
+            got = prefix[s] = bit | prefix_mask(s[:-1]) if s else bit
+        return got
+
+    def masks(top: str) -> tuple[int, str]:
         got = cache.get(top)
         if got is None:
-            zeros = 0
-            for n in range(depth):
-                if not value(top[:n]):
-                    zeros |= 1 << n
-            got = cache[top] = (zeros, full ^ zeros, top)
+            got = cache[top] = (prefix_mask(top), top)
         return got
 
     return masks
+
+
+def _scorer(depth: int, by_levels: bool) -> Callable[[int], int]:
+    """The score of a level mask: the levels an embedding with that mask counts."""
+    if by_levels:
+        # The 0-colored and 1-colored halves of a mask never share a level.
+        return int.bit_count
+    full = (1 << depth) - 1
+
+    def uniform(mask: int) -> int:
+        zeros, ones = (mask & full).bit_count(), (mask >> depth).bit_count()
+        return zeros if zeros > ones else ones
+
+    return uniform
+
+
+def _dp_max(masks, depth: int, height: int, score, allowance: int):
+    """The maximum score m over height >= 1 embeddings, by dynamic programming.
+
+    A(r, k) holds the maximal masks of the height-k sub-embeddings above
+    region r: those of A(r0, k) and A(r1, k) and, when a split at r fits
+    (|r| <= depth-k-1), every a & b with a in A(r0, k-1) and b in
+    A(r1, k-1); A(top, 0) is the top's mask.  AND is monotone, so a mask
+    contained in another adds nothing; distinct top masks never contain one
+    another.  A mask scoring below the best full-height product so far is
+    dropped, since no embedding built from it reaches that score; masks at
+    the best are kept, so the products at split w reach m exactly when the
+    partition of w holds an m-embedding.  Each kept mask carries the node of
+    one sub-embedding that has it.
+
+    Returns ((m, mask, node), units spent, finished), the node being an
+    m-embedding in the length-lex first partition that holds one.  A unit
+    is a mask formed or re-scored, or one containment test.  The DP gives up
+    rather than pass `allowance` units; it then returns its best full-height
+    product so far (or None) with finished False.
+    """
+    best = None
+    spent = 0
+
+    def pay(units: int) -> None:
+        nonlocal spent
+        if spent + units > allowance:
+            raise _OutOfBudget
+        spent += units
+
+    def maximal(cand: dict) -> dict:
+        nonlocal spent
+        kept: dict = {}
+        tests = spent
+        for mask in sorted(cand, key=int.bit_count, reverse=True):
+            tests += len(kept)
+            if tests > allowance:
+                raise _OutOfBudget
+            for other in kept:
+                if mask & other == mask:
+                    break
+            else:
+                kept[mask] = cand[mask]
+        spent = tests
+        return kept
+
+    def region(r: str) -> tuple[int, list[dict]]:
+        # (the floor the sets were cut at, [A(r, k) as {mask: node} for k in
+        # 0 .. min(height - 1, depth - 1 - |r|)])
+        nonlocal best
+        if len(r) == depth - 2:
+            # The children are tops: A(top, 0) is the top's own mask.
+            pay(2)
+            cut, lo, hi = -1, [dict((masks(r + "0"),))], [dict((masks(r + "1"),))]
+        else:
+            (cut, lo), (_, hi) = region(r + "0"), region(r + "1")
+        floor = -1 if best is None else best[0]
+        sets = []
+        for k in range(min(height, depth - 1 - len(r)) + 1):
+            cand = {**lo[k], **hi[k]} if k < len(lo) else {}
+            if floor > cut:
+                # The floor rose since the sets below were cut.
+                pay(len(cand))
+                cand = {mask: node for mask, node in cand.items() if score(mask) >= floor}
+            if k:
+                a, b = lo[k - 1], hi[k - 1]
+                pay(len(a) * len(b))
+                if k == height:
+                    top = max(map(score, [x & y for x in a for y in b]), default=-1)
+                    if top > floor or (top == floor >= 0 and lenlex_key(r) < lenlex_key(best[2][0])):
+                        x, y = next((x, y) for x in a for y in b if score(x & y) == top)
+                        best = (top, x & y, (r, a[x], b[y]))
+                    break
+                cand.update({mask: (r, a[x], b[y]) for x in a for y in b if score(mask := x & y) >= floor})
+                cand = maximal(cand)
+            sets.append(cand)
+        return floor, sets
+
+    try:
+        region("")
+    except _OutOfBudget:
+        return best, spent, False
+    return best, spent, True
+
+
+def _walk(masks, depth: int, height: int, score, known, exact: bool, allowance: int):
+    """Depth-first walk for the tie-first best embedding.
+
+    Partitions (the embeddings sharing a first split; height 0 is one
+    partition of all tops) come in length-lex order of the split, the tie
+    order's first key.  Halves scoring below the floor are dropped.  When
+    the DP's (m, mask, node) is `known` and `exact`, the floor is m, the
+    walk starts at that node's partition and ends with it; at height 1 a
+    partition yields in tie order, so its first m-embedding ends the walk.
+    Otherwise every partition is walked, and the floor is the best score
+    found so far, starting from the score of `known` when the DP gave one.
+    A unit is a top looked at or a mask product; the walk stops rather than
+    pass `allowance` units.
+
+    Returns (best, units spent, complete), best being (score, mask, node)
+    or None.
+    """
+    target = known[0] if exact else None
+    floor = -1 if known is None else known[0]
+    spent = 0
+
+    def halves(region: str, k: int) -> Iterator[tuple[int, object]]:
+        # Sub-embeddings above `region` scoring at least the floor, in the
+        # order of _region_embeddings.
+        nonlocal spent
+        if k == 0:
+            for top in extensions(region, depth - 1):
+                if spent == allowance:
+                    raise _OutOfBudget
+                spent += 1
+                got = masks(top)
+                if score(got[0]) >= floor:
+                    yield got
+            return
+        for extra in range(depth - k - len(region)):
+            for suffix in level_nodes(extra):
+                yield from joins(region + suffix, k)
+
+    def joins(w: str, k: int) -> Iterator[tuple[int, tuple]]:
+        nonlocal spent
+        rights = _Replay(halves(w + "1", k - 1))
+        for lmask, left in halves(w + "0", k - 1):
+            for rmask, right in rights:
+                if spent == allowance:
+                    raise _OutOfBudget
+                spent += 1
+                mask = lmask & rmask
+                if score(mask) >= floor:
+                    yield mask, (w, left, right)
+
+    if height == 0:
+        partitions: Iterator = iter([halves("", 0)])
+    else:
+        start = known[2][0] if exact else ""
+        splits = (w for extra in range(len(start), depth - height) for w in level_nodes(extra))
+        partitions = (joins(w, height) for w in splits if lenlex_key(w) >= lenlex_key(start))
+    best = None
+    try:
+        for part in partitions:
+            for mask, node in part:
+                s = score(mask)
+                if best is None or s > best[0] or (s == best[0] and _tie_precedes(node, best[2], height)):
+                    best, floor = (s, mask, node), s
+                    if s == target and height == 1:
+                        break
+            if best is not None and best[0] == target:
+                break
+    except _OutOfBudget:
+        return best, spent, False
+    return best, spent, True
 
 
 class _Replay:
@@ -297,21 +477,6 @@ class _Replay:
             items.append(item)
             yield item
         self._source = None
-
-
-def _halves(masks, region: str, height: int, depth: int) -> Iterator[tuple]:
-    """Sub-embeddings above `region`, in the order of _region_embeddings."""
-    if height == 0:
-        for top in extensions(region, depth - 1):
-            yield masks(top)
-        return
-    for extra in range(depth - height - len(region)):
-        for suffix in level_nodes(extra):
-            w = region + suffix
-            rights = _Replay(_halves(masks, w + "1", height - 1, depth))
-            for l0, l1, left in _halves(masks, w + "0", height - 1, depth):
-                for r0, r1, right in rights:
-                    yield l0 & r0, l1 & r1, (w, left, right)
 
 
 def _images(node, height: int) -> dict[str, str]:
@@ -351,88 +516,54 @@ def _tie_precedes(node, other, height: int) -> bool:
     return False
 
 
-def _mask_score(and0: int, and1: int, by_levels: bool) -> int:
-    return (and0 | and1).bit_count() if by_levels else max(and0.bit_count(), and1.bit_count())
-
-
-def _search_partition(masks, split: str | None, height: int, depth: int, node_budget: int, by_levels: bool):
-    # Explore every embedding whose first split is `split` (every top, for
-    # height 0), pruning left halves whose score is strictly below the
-    # partition's best.
-    if split is None:
-        lefts, rights = _halves(masks, "", 0, depth), None
-    else:
-        lefts = _halves(masks, split + "0", height - 1, depth)
-        rights = _Replay(_halves(masks, split + "1", height - 1, depth))
-    best = None  # (m, and0, and1, node)
-    best_m = -1
-    explored = 0
-    for l0, l1, left in lefts:
-        if explored >= node_budget:
-            return best, explored, False
-        explored += 1
-        m = _mask_score(l0, l1, by_levels)
-        if rights is None:
-            # Tops come in tie-key order, so the first of equal scores wins.
-            if m > best_m:
-                best, best_m = (m, l0, l1, left), m
-            continue
-        if m < best_m:
-            continue
-        for r0, r1, right in rights:
-            if explored >= node_budget:
-                return best, explored, False
-            explored += 1
-            a0 = l0 & r0
-            a1 = l1 & r1
-            m = _mask_score(a0, a1, by_levels)
-            if m < best_m:
-                continue
-            node = (split, left, right)
-            if m > best_m or _tie_precedes(node, best[3], height):
-                best, best_m = (m, a0, a1, node), m
-    return best, explored, True
-
-
 def _mask_levels(mask: int, depth: int) -> tuple[int, ...]:
     return tuple(n for n in range(depth) if mask >> n & 1)
 
 
 def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
-    """Pruned search for the same maximum as brute_force_max.
+    """The certificate brute_force_max picks, found in two phases.
 
-    The space is partitioned by the first split node (height 0 is a single
-    partition of all tops).  Partitions are explored depth-first in
-    length-lex order in one thread, scoring embeddings by ANDing level masks;
-    budget.workers is accepted but changes neither the result nor the
-    speed.  node_budget caps the states explored in each partition; if any
-    partition stops early the result is flagged incomplete and carries the
-    best certificate so far; BudgetError when no partition completed one.
+    For height >= 1, a dynamic program over level masks (_dp_max) first
+    finds the maximum m and the first partition holding it; a walk over
+    that partition (_walk) then finds the tie-first m-embedding, scoring
+    embeddings by ANDing level masks and dropping halves below m.  If the
+    walk finds none it raises, which cross-checks the DP.  When the DP does
+    not fit the budget, or at height 0, the walk visits every partition in
+    length-lex order with the best score so far as its floor, starting from
+    the best embedding the DP found before it gave up.
+
+    node_budget bounds the whole search.  `explored` counts the units of
+    work done: the DP's masks formed or re-scored and containment tests,
+    then the walk's tops looked at and mask products.  The DP runs only
+    when the 2^(depth-1) tops fit node_budget and gives up before its units
+    would pass node_budget; the walk stops before `explored` would pass
+    2 * node_budget, so explored <= 2 * node_budget always.  `complete` is
+    True when the walk ran to its end, so that the certificate is the one
+    brute_force_max picks; otherwise it is the best found so far, and m is
+    still exact when the DP finished.  Raises BudgetError when the budget
+    completes no embedding.  budget.workers is accepted but changes neither
+    the result nor the speed.
     """
     _check_mode(mode)
     depth, height = c.depth, budget.height
     if height > depth - 1:
         raise RangeError(f"height {height} does not fit below depth {depth}")
-    masks = _mask_lookup(_value_lookup(c), depth)
-    by_levels = mode == "by_levels"
-    splits = [None] if height == 0 else (w for extra in range(depth - height) for w in level_nodes(extra))
-    best = None
-    explored = 0
-    complete = True
-    for split in splits:
-        part_best, part_explored, part_complete = _search_partition(
-            masks, split, height, depth, budget.node_budget, by_levels
-        )
-        explored += part_explored
-        complete = complete and part_complete
-        # Partitions come in tie-key order (the split is the key's first
-        # image), so an equal score never displaces an earlier partition's.
-        if part_best is not None and (best is None or part_best[0] > best[0]):
-            best = part_best
+    masks = _mask_lookup(c.value, depth)
+    score = _scorer(depth, mode == "by_levels")
+    known, spent, exact = None, 0, False
+    if height and 1 << (depth - 1) <= budget.node_budget:
+        known, spent, exact = _dp_max(masks, depth, height, score, budget.node_budget)
+    best, walked, complete = _walk(masks, depth, height, score, known, exact, 2 * budget.node_budget - spent)
+    explored = spent + walked
+    if best is None:
+        if complete and exact:
+            raise RuntimeError(f"the level-mask DP gives m = {known[0]} but the walk finds no such embedding")
+        best = known
     if best is None:
         raise BudgetError(f"node budget {budget.node_budget} completes no embedding")
-    m, and0, and1, node = best
-    if by_levels:
+    m, mask, node = best
+    and0, and1 = mask & ((1 << depth) - 1), mask >> depth
+    if mode == "by_levels":
         levels = _mask_levels(and0 | and1, depth)
         witness = tuple(and1 >> n & 1 for n in levels)
     else:

@@ -24,6 +24,13 @@ from .errors import (
 
 D_MAX = 64
 
+# The most elements a header may size: a natset or gridset bound, a katetov
+# interval ground, the cells of a katetov grid ground.  Files past it are
+# refused on line 1 before anything is allocated.  A power of four, so a grid
+# side's cap is its exact square root; the node ground's cap, depth 16, holds
+# 2^16 - 1 nodes.
+ELEMENT_CAP = 1 << 16
+
 ROOT = ""
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,22 @@
 import hashlib
 import json
+import os
 import random
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hlbench
 from hlbench import __version__
 from hlbench.cli import main
 from hlbench.colorings import coloring_to_text, random_coloring
 from hlbench.ideals import GridSet, NatSet, NodeSet, gridset_to_text, natset_to_text, nodeset_to_text
-from hlbench.katetov import SCOPE_SENTENCE, builtin_witness, ideal_to_text, morphism_to_text
-from hlbench.treecore import make_full, tree_to_text
+from hlbench.katetov import PARAMS_MAX, SCOPE_SENTENCE, builtin_witness, ideal_to_text, morphism_to_text
+from hlbench.treecore import ELEMENT_CAP, make_full, tree_to_text
 
 RATIONAL = re.compile(r"^\d+/[1-9]\d*$")
 
@@ -270,6 +273,75 @@ class TestProfileBytes:
         code, out, _ = run(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv[2]]
+
+
+def _cap_inputs(cap: int, side: int) -> dict[str, dict[str, str]]:
+    """Per capped header field: files sized at `cap` (a grid side of `side`) with empty bodies."""
+    identity = "morphism v1\nformula=identity\n"
+    surrogate = "surrogate generator-union max=1\n"
+    return {
+        "natset": {"a.natset": f"natset v1 bound={cap}\n"},
+        "gridset": {"a.gridset": f"gridset v1 bound={cap}\n"},
+        "interval": {
+            "f.morphism": identity,
+            "s.ideal": f"ideal v1 ground=interval params={cap}\n",
+            "t.ideal": f"ideal v1 ground=interval params={cap}\n{surrogate}",
+        },
+        "grid": {
+            "f.morphism": identity,
+            "s.ideal": f"ideal v1 ground=grid params={side}\n",
+            "t.ideal": f"ideal v1 ground=grid params={side}\n{surrogate}",
+        },
+    }
+
+
+CAP_ARGV = {
+    "natset": ["profile", "--input", "a.natset"],
+    "gridset": ["profile", "--input", "a.gridset"],
+    "interval": ["katetov", "--morphism", "f.morphism", "--source", "s.ideal", "--target", "t.ideal"],
+    "grid": ["katetov", "--morphism", "f.morphism", "--source", "s.ideal", "--target", "t.ideal"],
+}
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestInputCaps:
+    """Header sizes stop at ELEMENT_CAP elements, refused on line 1 before any allocation."""
+
+    GRID_SIDE = PARAMS_MAX["grid"]
+
+    def run_capped(self, tmp_path, files, argv):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        # The child runs in tmp_path, so it finds the package by absolute path.
+        paths = [str(Path(hlbench.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        return subprocess.run(
+            [sys.executable, "-m", "hlbench.cli", *argv],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=False,
+            preexec_fn=_limit_address_space,
+        )
+
+    @pytest.mark.parametrize("field", sorted(CAP_ARGV))
+    def test_at_cap_runs(self, field, tmp_path):
+        assert self.GRID_SIDE * self.GRID_SIDE == ELEMENT_CAP == PARAMS_MAX["interval"]
+        proc = self.run_capped(tmp_path, _cap_inputs(ELEMENT_CAP, self.GRID_SIDE)[field], CAP_ARGV[field])
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("field", sorted(CAP_ARGV))
+    def test_one_past_cap_is_refused_on_line_1(self, field, tmp_path):
+        proc = self.run_capped(tmp_path, _cap_inputs(ELEMENT_CAP + 1, self.GRID_SIDE + 1)[field], CAP_ARGV[field])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("hlbench: error: line 1: ")
+        assert "outside [1, " in proc.stderr
 
 
 class TestErrorPaths:

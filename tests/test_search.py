@@ -1,11 +1,14 @@
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlbench import search
 from hlbench.colorings import constant_coloring, last_bit_coloring, random_coloring, zdensity_coloring
 from hlbench.errors import BudgetError, EmbeddingInvalidError, ParseError, RangeError
 from hlbench.search import (
@@ -24,8 +27,11 @@ from hlbench.treecore import LevelSet, embed_closure, validate, validate_embeddi
 
 # (m, explored, complete, certificate) of search_best on seeded colorings:
 # depths 4-7, heights 0-3, both modes, node_budget 1_000_000, 37 and 500
-# (depth 7 height 3 only truncated), plus one depth-13 run that reads
-# Coloring.value instead of a table.
+# (depth 7 height 3 only truncated), plus one depth-13 run with a budget too
+# small for the DP.  m and the certificate of every node_budget 1_000_000
+# case come from the per-partition solver before the DP; `explored`, and
+# every field of the budget 37, 500 and 2000 cases, from search_best with
+# its one global budget.
 GOLDEN = json.loads(Path(__file__).with_name("search_golden.json").read_text())
 
 # Every shape of depth 3-6 whose oracle enumerates at most 20 000 embeddings
@@ -95,6 +101,48 @@ class TestBudget:
     def test_height_too_large(self):
         with pytest.raises(RangeError):
             search_best(random_coloring(4, 0), SearchBudget(height=4), "uniform")
+
+    @pytest.mark.parametrize("mode", ["uniform", "by_levels"])
+    @pytest.mark.parametrize("node_budget", [1, 2, 5, 37, 500])
+    def test_explored_bounded_by_twice_the_budget(self, node_budget, mode):
+        for depth in range(4, 8):
+            for height in range(min(3, depth - 1) + 1):
+                c = random_coloring(depth, 10 * depth + height)
+                try:
+                    res = search_best(c, SearchBudget(height=height, node_budget=node_budget), mode)
+                except BudgetError:
+                    continue
+                assert res.explored <= 2 * node_budget, (depth, height)
+                assert verify_certificate(c, res.certificate)
+                if res.complete:
+                    full = search_best(c, SearchBudget(height=height), mode)
+                    assert certificate_to_json(res.certificate) == certificate_to_json(full.certificate)
+
+    def test_deep_budgeted_search_terminates(self):
+        argv = ["search", "--depth", "40", "--height", "2", "--budget", "100", "--seed", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "hlbench.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=False,
+        )
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert report["complete"] is False
+        assert report["verified"] is True
+        assert report["explored"] <= 200
+
+    def test_walk_cross_checks_the_dp(self, monkeypatch):
+        dp_max = search._dp_max
+
+        def overstated(*args):
+            (m, mask, node), spent, finished = dp_max(*args)
+            return (m + 1, mask, node), spent, finished
+
+        monkeypatch.setattr(search, "_dp_max", overstated)
+        with pytest.raises(RuntimeError, match="walk finds no such embedding"):
+            search_best(random_coloring(5, 3), SearchBudget(height=2), "uniform")
 
 
 class TestSolver:
