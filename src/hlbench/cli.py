@@ -266,7 +266,13 @@ def cmd_profile(args) -> int:
     head = (text.split(None, 1) or [""])[0]
     lines: list[str] = []
     code = 0
+    if head in ("gridset", "nodeset"):
+        for flag, value in (("--ell", args.ell), ("--threshold", args.threshold)):
+            if value is not None:
+                raise ParseError(f"{flag} applies only to natset inputs, not {head}")
     if head == "natset":
+        if args.threshold is not None and args.ell is None:
+            raise ParseError("--threshold needs --ell")
         nat = natset_from_text(text)
         body = {
             "kind": "natset",
@@ -319,10 +325,13 @@ def cmd_profile(args) -> int:
 
 
 def cmd_game(args) -> int:
+    p1 = parse_strategy_id(args.p1)
+    if args.coloring is not None and p1.name != "tree-builder":
+        raise ParseError(f"--coloring needs --p1 tree-builder, not {p1.name!r}")
     coloring = coloring_from_text(_read(args.coloring)) if args.coloring else None
     transcript = play(
         args.horizon,
-        parse_strategy_id(args.p1),
+        p1,
         parse_strategy_id(args.p2),
         args.window,
         coloring=coloring,
@@ -345,6 +354,13 @@ def cmd_game(args) -> int:
 
 
 def cmd_katetov(args) -> int:
+    selections = {"--list": args.list, "--builtin": args.builtin, "--counterexample": args.counterexample,
+                  "--morphism": args.morphism}
+    chosen = [flag for flag, value in selections.items() if value]
+    if len(chosen) > 1:
+        raise ParseError(f"{' and '.join(chosen)} are mutually exclusive")
+    if not args.morphism and (args.source or args.target):
+        raise ParseError("--source and --target need --morphism")
     if args.list:
         body = {"builtins": list(builtin_names()), "counterexamples": list(counterexample_names())}
         _emit(_report(args, "katetov", body), [], args.verbose)

@@ -1,20 +1,19 @@
 """Node colorings of finite binary trees and the named constructions on them.
 
-A coloring assigns 0 or 1 to every node of 2^{<D}.  Three storage backends
-cover the range of instances: dense per-level byte tables for small depths,
-a sparse override map with a constant default for deep but thin assignments,
-and a pure function for colorings with a closed form.  All three expose the
-same `value` interface, so the level-set operations never care which one
-they are given.
+A coloring assigns 0 or 1 to every node of 2^{<D}.  Two storage backends
+cover the range of instances: a sparse override map with a constant default
+for deep but thin assignments, and a pure function for colorings with a
+closed form.  Both expose the same `value` interface, so the level-set
+operations never care which one they are given.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ._rng import SplitMix64, _GAMMA, _MASK, _MIX1, _MIX2
+from ._rng import splitmix64_output
 from .errors import ConstructionError, ParseError, RangeError, ShapeError
 from .treecore import (
     D_MAX,
@@ -32,48 +31,31 @@ from .treecore import (
     read_node,
 )
 
-# Dense tables and full serialisation are capped well below D_MAX: a table
-# for depth D holds 2^D - 1 entries.
-MATERIALIZE_MAX = 20
+# Full serialisation lists all 2^D - 1 nodes, so it is capped well below D_MAX.
 SERIALIZE_MAX = 16
 
 
 class Coloring:
     """Total {0,1}-coloring of the nodes of 2^{<depth}."""
 
-    __slots__ = ("depth", "_tables", "_overrides", "_default", "_fn")
+    __slots__ = ("depth", "_overrides", "_default", "_fn")
 
     def __init__(
         self,
         depth: int,
         *,
-        tables: tuple[bytes, ...] | None = None,
         overrides: dict[str, int] | None = None,
         default: int = 0,
         fn: Callable[[str], int] | None = None,
     ):
         check_depth(depth)
         self.depth = depth
-        self._tables = tables
         self._overrides = overrides
         self._default = default
         self._fn = fn
-        assert (tables is not None) + (overrides is not None) + (fn is not None) == 1
+        assert (overrides is not None) + (fn is not None) == 1
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_function(cls, depth: int, fn: Callable[[str], int]) -> "Coloring":
-        """Materialise `fn` into dense per-level tables."""
-        if depth > MATERIALIZE_MAX:
-            raise RangeError(f"depth {depth} too large to materialise (cap {MATERIALIZE_MAX})")
-        tables = []
-        for n in range(depth):
-            row = bytearray(1 << n)
-            for i, s in enumerate(level_nodes(n)):
-                row[i] = _check_bit(fn(s))
-            tables.append(bytes(row))
-        return cls(depth, tables=tuple(tables))
 
     @classmethod
     def computed(cls, depth: int, fn: Callable[[str], int]) -> "Coloring":
@@ -89,45 +71,25 @@ class Coloring:
             checked[s] = _check_bit(v)
         return cls(depth, overrides=checked, default=default)
 
-    @classmethod
-    def constant(cls, depth: int, bit: int) -> "Coloring":
-        return cls.sparse(depth, {}, default=_check_bit(bit))
-
     # -- queries -------------------------------------------------------------
 
     def value(self, s: str) -> int:
         n = len(s)
         if n >= self.depth:
             raise RangeError(f"node of length {n} outside 2^<{self.depth}")
-        if self._tables is not None:
-            return self._tables[n][node_index(s)]
         if self._overrides is not None:
             return self._overrides.get(s, self._default)
         return self._fn(s)
 
-    @property
-    def is_dense(self) -> bool:
-        return self._tables is not None
-
-    def level_table(self, n: int) -> bytes:
-        """Dense row for level n (dense backend only)."""
-        if self._tables is None:
-            raise RangeError("coloring is not materialised")
-        return self._tables[n]
-
     def count_extensions(self, s: str, level: int, color: int, cap: int | None = None) -> int:
         """Number of extensions of `s` at `level` with the given color.
 
-        With `cap`, counting stops early once `cap` hits are seen; dense and
-        sparse backends return exact counts regardless since they are cheap.
+        With `cap`, counting stops early once `cap` hits are seen; the sparse
+        backend returns exact counts regardless since they are cheap.
         """
         _check_bit(color)
         if not len(s) <= level < self.depth:
             raise RangeError(f"level {level} outside [{len(s)}, {self.depth})")
-        total = 1 << (level - len(s))
-        if self._tables is not None:
-            lo = node_index(s) << (level - len(s))
-            return self._tables[level][lo : lo + total].count(color)
         if self._overrides is not None:
             hits = 0
             listed = 0
@@ -137,7 +99,7 @@ class Coloring:
                     if v == color:
                         hits += 1
             if self._default == color:
-                hits += total - listed
+                hits += (1 << (level - len(s))) - listed
             return hits
         hits = 0
         for t in extensions(s, level):
@@ -146,12 +108,6 @@ class Coloring:
                 if cap is not None and hits >= cap:
                     return hits
         return hits
-
-    def materialized(self) -> "Coloring":
-        """Dense copy; rejects depths past the materialisation cap."""
-        if self._tables is not None:
-            return self
-        return Coloring.from_function(self.depth, self.value)
 
 
 def _check_bit(v: int) -> int:
@@ -165,34 +121,25 @@ def _check_bit(v: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _splitmix_output(seed: int, k: int) -> int:
-    # k-th output of the splitmix64 stream, computed by direct state jump.
-    z = (seed + (k + 1) * _GAMMA) & _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
 def random_coloring(depth: int, seed: int) -> Coloring:
     """Seeded coloring: node s gets the low bit of stream output rank(s).
 
     rank is the position of s in length-lex order, so the coloring agrees
     with drawing one splitmix64 output per node in that order.  Same (depth,
     seed) always yields the same coloring; the backend is computed, so any
-    depth up to D_MAX works without materialising 2^depth - 1 entries.
+    depth up to D_MAX works without storing 2^depth - 1 entries.
     """
     check_depth(depth)
-    seed = seed & _MASK
 
     def fn(s: str) -> int:
         rank = (1 << len(s)) - 1 + node_index(s)
-        return _splitmix_output(seed, rank) & 1
+        return splitmix64_output(seed, rank) & 1
 
     return Coloring.computed(depth, fn)
 
 
 def constant_coloring(depth: int, bit: int) -> Coloring:
-    return Coloring.constant(depth, bit)
+    return Coloring.sparse(depth, {}, default=bit)
 
 
 def last_bit_coloring(depth: int) -> Coloring:
@@ -233,11 +180,7 @@ def i_set(c: Coloring, s: str) -> LevelSet:
     """Levels n >= |s|+2 at which s has at most one 0-colored extension."""
     if len(s) >= c.depth:
         raise RangeError(f"node of length {len(s)} outside 2^<{c.depth}")
-    out = []
-    for n in range(len(s) + 2, c.depth):
-        if c.count_extensions(s, n, 0, cap=2) <= 1:
-            out.append(n)
-    return LevelSet.of(out)
+    return LevelSet.of(n for n in range(len(s) + 2, c.depth) if c.count_extensions(s, n, 0, cap=2) <= 1)
 
 
 def color_trace(c: Coloring, x: str) -> tuple[LevelSet, LevelSet]:
@@ -363,6 +306,12 @@ class PairingSystem:
     level_sets: tuple[frozenset[int], ...]
 
 
+def _residue_level_sets(floors: Sequence[int], depth: int) -> tuple[frozenset[int], ...]:
+    """Set i = {k < depth : k = i mod len(floors), k >= floors[i]}; the sets are disjoint."""
+    size = len(floors)
+    return tuple(frozenset(k for k in range(i, depth, size) if k >= floor) for i, floor in enumerate(floors))
+
+
 def pairing_coloring(base_levels: Iterable[int], per_level_cap: int, depth: int) -> tuple[Coloring, PairingSystem]:
     """Coloring that splits every matched pair on that matching's own levels.
 
@@ -392,22 +341,11 @@ def pairing_coloring(base_levels: Iterable[int], per_level_cap: int, depth: int)
     if total == 0:
         raise ConstructionError("no matchings enumerated")
 
-    level_sets = tuple(
-        frozenset(k for k in range(depth) if k % total == i and k >= matching_levels[i])
-        for i in range(total)
-    )
+    level_sets = _residue_level_sets(matching_levels, depth)
 
-    level_to_idx: dict[int, int] = {}
-    for i, ks in enumerate(level_sets):
-        for k in ks:
-            level_to_idx[k] = i
-    side: list[dict[str, int]] = []
-    for matching in matchings:
-        table: dict[str, int] = {}
-        for a, b in matching:
-            table[a] = 0
-            table[b] = 1
-        side.append(table)
+    level_to_idx = {k: i for i, ks in enumerate(level_sets) for k in ks}
+    # side[i][u]: 0 if u comes first in its pair of x_i, 1 if second
+    side = [{u: bit for pair in matching for bit, u in enumerate(pair)} for matching in matchings]
 
     def fn(s: str) -> int:
         i = level_to_idx.get(len(s))
@@ -417,14 +355,6 @@ def pairing_coloring(base_levels: Iterable[int], per_level_cap: int, depth: int)
 
     system = PairingSystem(tuple(lvls), per_level_cap, depth, tuple(matchings), tuple(matching_levels), level_sets)
     return Coloring.computed(depth, fn), system
-
-
-def spanning_trees_for_pair(pair: Pair, depth: int) -> Iterator[LevelTree]:
-    """All two-branch spanning trees through a matched pair, in lex order."""
-    u, v = pair
-    for top_u in extensions(u, depth - 1):
-        for top_v in extensions(v, depth - 1):
-            yield LevelTree.from_branch_set(depth, (top_u, top_v))
 
 
 @dataclass(frozen=True)
@@ -440,22 +370,31 @@ class MatchingCheck:
 
 
 def check_pairing_disjointness(c: Coloring, system: PairingSystem) -> list[MatchingCheck]:
-    """Exhaustively verify A_{x_i} misses H_c(p) for every pair-spanning tree p."""
+    """Exhaustively verify A_{x_i} misses H_c(p) for every pair-spanning tree p.
+
+    A two-branch tree p through a matched pair (u, v) is fixed by its tops x
+    above u and y above v, and c is constant on level k of p exactly when
+    c(x[:k]) == c(y[:k]).  So each branch pair is checked by comparing the
+    two branches' colors on A_{x_i}, without building p.
+    """
     if c.depth != system.depth:
         raise ShapeError(f"coloring depth {c.depth} != system depth {system.depth}")
+    top = system.depth - 1
     out: list[MatchingCheck] = []
     for i, matching in enumerate(system.matchings):
-        level_set = system.level_sets[i]
+        levels = sorted(system.level_sets[i])
         trees = 0
         bad: list[tuple[str, str, int]] = []
-        for pair in matching:
-            for p in spanning_trees_for_pair(pair, system.depth):
-                trees += 1
-                hs = h_set(c, p)
-                overlap = hs.intersection(level_set)
-                if len(overlap):
-                    tops = sorted(p.levels[-1])
-                    bad.append((tops[0], tops[1], min(overlap)))
+        for u, v in matching:
+            ys = [(y, [c.value(y[:k]) for k in levels]) for y in extensions(v, top)]
+            for x in extensions(u, top):
+                x_colors = [c.value(x[:k]) for k in levels]
+                for y, y_colors in ys:
+                    for k, a, b in zip(levels, x_colors, y_colors):
+                        if a == b:
+                            bad.append((min(x, y), max(x, y), k))
+                            break
+                trees += len(ys)
         out.append(MatchingCheck(i, system.matching_levels[i], trees, tuple(bad)))
     return out
 
@@ -481,12 +420,7 @@ def residue_splitting(max_len: int, depth: int) -> SplittingAssignment:
     if max_len < 0 or max_len >= depth:
         raise RangeError(f"max_len {max_len} outside [0, {depth})")
     domain = tuple(s for n in range(max_len + 1) for s in level_nodes(n))
-    size = len(domain)
-    sets = tuple(
-        frozenset(k for k in range(depth) if k % size == i and k >= len(domain[i]) + 1)
-        for i in range(size)
-    )
-    return SplittingAssignment(domain, sets)
+    return SplittingAssignment(domain, _residue_level_sets([len(t) + 1 for t in domain], depth))
 
 
 def levels_coloring(assignment: SplittingAssignment, depth: int) -> Coloring:
@@ -562,8 +496,8 @@ def check_levels_bichromatic(c: Coloring, assignment: SplittingAssignment) -> li
 def coloring_to_text(c: Coloring) -> str:
     """Serialise a coloring; nodes omitted from the body are 0-colored.
 
-    Dense colorings list every node.  Sparse default-0 colorings list just
-    their 1-colored overrides, which keeps deep thin instances writable.
+    Sparse default-0 colorings list just their 1-colored overrides, which
+    keeps deep thin instances writable; every other coloring lists every node.
     """
     lines = [f"coloring v1 depth={c.depth}"]
     if c._overrides is not None and c._default == 0:
@@ -572,10 +506,9 @@ def coloring_to_text(c: Coloring) -> str:
         return "\n".join(lines) + "\n"
     if c.depth > SERIALIZE_MAX:
         raise RangeError(f"depth {c.depth} too large to serialise in full (cap {SERIALIZE_MAX})")
-    dense = c.materialized()
-    for n in range(dense.depth):
+    for n in range(c.depth):
         for s in level_nodes(n):
-            lines.append(f"{format_node(s)} {dense.value(s)}")
+            lines.append(f"{format_node(s)} {_check_bit(c.value(s))}")
     return "\n".join(lines) + "\n"
 
 

@@ -379,6 +379,28 @@ class TestErrorPaths:
         assert code == 2
         assert "--threshold" in err
 
+    @pytest.mark.parametrize(
+        "kind, flags, named",
+        [
+            ("gridset", ["--ell", "2", "--threshold", "1"], "--ell"),
+            ("gridset", ["--threshold", "1"], "--threshold"),
+            ("nodeset", ["--ell", "2"], "--ell"),
+            ("nodeset", ["--threshold", "1"], "--threshold"),
+            ("natset", ["--threshold", "1"], "--threshold needs --ell"),
+        ],
+    )
+    def test_profile_refuses_unused_flags(self, kind, flags, named, tmp_path, capsys):
+        path = tmp_path / f"a.{kind}"
+        path.write_text({
+            "natset": natset_to_text(NatSet.of({1}, 8)),
+            "gridset": gridset_to_text(GridSet.of({(0, 1)}, 4)),
+            "nodeset": nodeset_to_text(NodeSet.of({"01"}, 4)),
+        }[kind])
+        code, out, err = run(["profile", "--input", str(path), *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("hlbench: error: ") and named in err
+
     def test_unknown_profile_kind(self, tmp_path, capsys):
         path = tmp_path / "a.blob"
         path.write_text("blob v1 bound=4\n")
@@ -396,6 +418,34 @@ class TestErrorPaths:
         code, _, err = run(["katetov"], capsys)
         assert code == 2
         assert "--builtin" in err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--builtin", "fin_to_z_identity", "--counterexample", "fin_to_z_one_point"],
+             "--builtin and --counterexample"),
+            (["--list", "--builtin", "fin_to_z_identity"], "--list and --builtin"),
+            (["--list", "--morphism", "f.morphism", "--source", "s.ideal", "--target", "t.ideal"],
+             "--list and --morphism"),
+            (["--counterexample", "fin_to_z_one_point", "--morphism", "f.morphism"],
+             "--counterexample and --morphism"),
+            (["--builtin", "fin_to_z_identity", "--source", "s.ideal"], "--source and --target need --morphism"),
+            (["--list", "--target", "t.ideal"], "--source and --target need --morphism"),
+        ],
+    )
+    def test_katetov_refuses_flag_combinations(self, flags, named, capsys):
+        code, out, err = run(["katetov", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert named in err
+
+    def test_game_coloring_needs_tree_builder(self, coloring_file, capsys):
+        argv = ["game", "--p1", "initial-segment", "--p2", "min-legal", "--horizon", "3", "--window", "16",
+                "--coloring", coloring_file]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "--coloring" in err and "tree-builder" in err
 
     def test_bad_int_list(self, capsys):
         code, _, err = run(["pairing", "--base-levels", "1,x", "--depth", "6"], capsys)
@@ -529,6 +579,57 @@ class TestKatetovGameBytes:
         # Relative paths keep the report's `config` the same in every run.
         monkeypatch.chdir(tmp_path)
         _write_katetov_game_inputs(random.Random(20215))
+        argv, want_code, want_digest = self.CASES[case]
+        code, out, _ = run(argv, capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, want_digest)
+
+
+def _write_hset_inputs(rng: random.Random) -> None:
+    """A seeded coloring of 2^<12, the closure of 6 seeded branches, and commented copies of both."""
+    depth = 12
+    coloring = [f"{_node_token(format(i, f'0{k}b') if k else '')} {rng.getrandbits(1)}"
+                for k in range(depth) for i in range(1 << k)]
+    tops = [format(i, f"0{depth - 1}b") for i in rng.sample(range(1 << (depth - 1)), 6)]
+    tree = [_node_token(s) for k in range(depth) for s in sorted({t[:k] for t in tops})]
+    coloring_head, tree_head = f"coloring v1 depth={depth}", f"tree v1 depth={depth}"
+    Path("plain.coloring").write_text("\n".join([coloring_head, *coloring]) + "\n")
+    Path("plain.tree").write_text("\n".join([tree_head, *tree]) + "\n")
+    half = len(coloring) // 2
+    Path("commented.coloring").write_text(
+        "\n".join([coloring_head, "# first half", *coloring[:half], "", "   # second half", *coloring[half:], "#"]) + "\n"
+    )
+    Path("commented.tree").write_text("\n".join([tree_head, "# closure of the branches", *tree, ""]) + "\n")
+
+
+class TestConstructionBytes:
+    """`hset`, `zdensity`, `pairing` and `levels` stdout and exit status stay byte-identical."""
+
+    # SHA-256 of stdout and the exit status, recorded with the tree-based
+    # pairing check (one two-branch `LevelTree` and one `h_set` call per
+    # branch pair) and the dense coloring backend.  The report carries the
+    # package version, so a version bump changes them.
+    CASES = {
+        "hset plain": (["hset", "--coloring", "plain.coloring", "--tree", "plain.tree"], 0,
+            "e60bee3ecd96b27db82a433e9deb7073e941346509539ae4c2f63a9f50fed9af"),
+        "hset commented": (["hset", "--coloring", "commented.coloring", "--tree", "commented.tree"], 0,
+            "f87c70992be561c93af1969353216bc8f8374641b197b888b4511047c8386a3d"),
+        "zdensity": (["zdensity", "--nmax", "4"], 0,
+            "7c059794dab346563d95b990a18cf76b07120b57da0df01a64e912586c95dcb3"),
+        "pairing 1,2 cap 3 depth 8": (["pairing", "--base-levels", "1,2", "--cap", "3", "--depth", "8"], 0,
+            "f82498bc1512c43051e6a6ec7d8384feab6383e17e5b060b798650c5b4651c31"),
+        "pairing 2,3 cap 2 depth 7": (["pairing", "--base-levels", "2,3", "--cap", "2", "--depth", "7"], 0,
+            "dedb708fb8dd586cdccd8bf1bf9e3dc428d3daec10fd91f9104899c1c9a1e190"),
+        "levels 8 depth 20": (["levels", "--max-len", "8", "--depth", "20"], 0,
+            "918013505ec9387187978238528ad2b60c8ffb8c7540ec22876c43055b43b2cf"),
+        "levels 4 depth 12": (["levels", "--max-len", "4", "--depth", "12"], 0,
+            "e90a373558ce6bee6fbc8fe1f21b209b88cf8f36251a37d03fdc8989fb568f0f"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stdout_digest(self, case, tmp_path, monkeypatch, capsys):
+        # Relative paths keep the report's `config` the same in every run.
+        monkeypatch.chdir(tmp_path)
+        _write_hset_inputs(random.Random(20217))
         argv, want_code, want_digest = self.CASES[case]
         code, out, _ = run(argv, capsys)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, want_digest)

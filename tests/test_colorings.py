@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlbench._rng import SplitMix64
+from hlbench._rng import SplitMix64, splitmix64_output
 from hlbench.colorings import (
-    MATERIALIZE_MAX,
     SERIALIZE_MAX,
     Coloring,
+    MatchingCheck,
     band_range,
     check_levels_bichromatic,
     check_pairing_disjointness,
@@ -26,7 +26,7 @@ from hlbench.colorings import (
     residue_splitting,
     zdensity_coloring,
 )
-from hlbench.colorings import SplittingAssignment, _splitmix_output
+from hlbench.colorings import SplittingAssignment
 from hlbench.errors import ConstructionError, ParseError, RangeError, ShapeError
 from hlbench.treecore import LevelTree, level_nodes, make_full, subtree_at, validate
 
@@ -36,15 +36,6 @@ def all_nodes(depth):
 
 
 class TestBackends:
-    def test_dense_from_function(self):
-        c = Coloring.from_function(3, lambda s: len(s) % 2)
-        assert [c.value(s) for s in all_nodes(3)] == [0, 1, 1, 0, 0, 0, 0]
-        assert c.is_dense
-
-    def test_from_function_depth_cap(self):
-        with pytest.raises(RangeError):
-            Coloring.from_function(MATERIALIZE_MAX + 1, lambda s: 0)
-
     def test_value_range_check(self):
         c = constant_coloring(3, 0)
         with pytest.raises(RangeError):
@@ -53,17 +44,6 @@ class TestBackends:
     def test_sparse_overrides(self):
         c = Coloring.sparse(4, {"01": 1, "011": 1}, default=0)
         assert c.value("01") == 1 and c.value("00") == 0 and c.value("011") == 1
-
-    def test_computed_matches_materialized(self):
-        c = random_coloring(8, 5)
-        dense = c.materialized()
-        assert [c.value(s) for s in all_nodes(8)] == [dense.value(s) for s in all_nodes(8)]
-
-    def test_level_table(self):
-        c = last_bit_coloring(3).materialized()
-        assert list(c.level_table(2)) == [0, 1, 0, 1]
-        with pytest.raises(RangeError):
-            last_bit_coloring(3).level_table(2)
 
     @given(st.integers(min_value=0, max_value=400), st.integers(min_value=2, max_value=6))
     @settings(max_examples=40)
@@ -92,7 +72,17 @@ class TestSplitMix:
     @settings(max_examples=25)
     def test_jump_equals_sequential(self, seed):
         rng = SplitMix64(seed)
-        assert [rng.next_u64() for _ in range(50)] == [_splitmix_output(seed, k) for k in range(50)]
+        assert [rng.next_u64() for _ in range(50)] == [splitmix64_output(seed, k) for k in range(50)]
+
+    def test_published_outputs(self):
+        # The first outputs of the reference splitmix64 for seeds 0 and 1234567,
+        # so the jump function is checked against the stepwise recurrence.
+        for seed, want in (
+            (0, [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]),
+            (1234567, [0x599ED017FB08FC85, 0x2C73F08458540FA5, 0x883EBCE5A3F27C77]),
+        ):
+            rng = SplitMix64(seed)
+            assert [rng.next_u64() for _ in range(3)] == want == [splitmix64_output(seed, k) for k in range(3)]
 
     def test_below_range(self):
         rng = SplitMix64(9)
@@ -227,6 +217,30 @@ class TestPairing:
         coloring, system = pairing_coloring([1], 1, 6)
         checks = check_pairing_disjointness(coloring, system)
         assert checks and all(ch.passed for ch in checks)
+
+    @pytest.mark.parametrize("own_coloring", [True, False])
+    def test_disjointness_matches_tree_h_sets(self, own_coloring):
+        # Reference: one two-branch LevelTree and one h_set per branch pair.
+        coloring, system = pairing_coloring([1, 2], 3, 8)
+        c = coloring if own_coloring else random_coloring(8, 5)
+        want = []
+        for i, matching in enumerate(system.matchings):
+            trees, bad = 0, []
+            for u, v in matching:
+                for x in level_nodes(system.depth - 1):
+                    if not x.startswith(u):
+                        continue
+                    for y in level_nodes(system.depth - 1):
+                        if not y.startswith(v):
+                            continue
+                        trees += 1
+                        overlap = set(h_set(c, LevelTree.from_branch_set(system.depth, (x, y)))) & system.level_sets[i]
+                        if overlap:
+                            bad.append((x, y, min(overlap)))
+            want.append(MatchingCheck(i, system.matching_levels[i], trees, tuple(bad)))
+        got = check_pairing_disjointness(c, system)
+        assert got == want
+        assert sum(len(ch.violations) for ch in got) == (0 if own_coloring else 6416)
 
     def test_base_level_out_of_range(self):
         with pytest.raises(RangeError):
