@@ -39,6 +39,7 @@ from .ideals import (
     max_antichain_weight,
     minimal_elements,
     natset_from_text,
+    natural_density_pairs,
     nodeset_from_text,
     phi,
     phi_bar_profile,
@@ -65,8 +66,25 @@ from .search import (
 from .treecore import format_node, tree_from_text
 
 
+# str() refuses an int of more than sys.get_int_max_str_digits() digits (4300
+# by default, never below 640 unless unlimited), and a summable weight can
+# pass that: the full natset of bound 16384 weighs a 7000-digit fraction.
+_DIGITS = 600
+_CHUNK = 10**_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of a nonnegative int of any length, _DIGITS per str() call."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    return f"{_decimal(f.numerator)}/{_decimal(f.denominator)}"
 
 
 def _read(path: str) -> str:
@@ -279,7 +297,7 @@ def cmd_profile(args) -> int:
             "bound": nat.bound,
             "size": len(nat.members),
             "density_dyadic": [_frac(d) for d in density_profile(nat, "dyadic")],
-            "density_natural": [_frac(d) for d in density_profile(nat, "natural")],
+            "density_natural": [f"{p}/{q}" for p, q in natural_density_pairs(nat)],
             "summable_weight": _frac(summable_weight(nat)),
         }
         if args.ell is not None:

@@ -3,12 +3,14 @@
 All densities and weights are exact `Fraction` values; no floats appear
 anywhere in this module.  The three carrier types are immutable and
 validate their members on construction, so every downstream statistic can
-assume in-range, duplicate-free data.
+assume in-range, duplicate-free data.  The natset and gridset readers check
+each line once and build their carrier without checking it again.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -32,6 +34,14 @@ def _plain_ints_below(values, bound: int) -> bool:
     comparing exact types lets bool and int subclasses fall through to it.
     """
     return set(map(type, values)) <= {int} and (not values or (min(values) >= 0 and max(values) < bound))
+
+
+def _prechecked(cls, **fields):
+    """A carrier built from fields its text reader has already checked, skipping `__post_init__`."""
+    carrier = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(carrier, name, value)
+    return carrier
 
 
 @dataclass(frozen=True)
@@ -140,12 +150,35 @@ class NodeSet:
 # ---------------------------------------------------------------------------
 
 
+def _prefix_counts(a: NatSet) -> list[int]:
+    """counts[n] = the number of members below n, for n in [0, bound]."""
+    marks = [0] * a.bound
+    for m in a.members:
+        marks[m] = 1
+    return [0, *itertools.accumulate(marks)]
+
+
+def natural_density_pairs(a: NatSet) -> list[tuple[int, int]]:
+    """The natural density profile as reduced integer pairs (p, q).
+
+    One pair per n in [1, bound]: h / n reduced, where h counts the members
+    below n, by Euclid's algorithm on the integers themselves.
+    """
+    pairs = []
+    for n, h in enumerate(_prefix_counts(a)[1:], start=1):
+        g, r = n, h
+        while r:
+            g, r = r, g % r
+        pairs.append((h // g, n // g))
+    return pairs
+
+
 def density_profile(a: NatSet, mode: str) -> tuple[Fraction, ...]:
     """Relative density of `a` over a sweep of windows.
 
     "dyadic": windows [2^n, 2^(n+1)) for every n with 2^(n+1) <= bound,
     each divided by its width 2^n.  "natural": initial segments [0, n) for
-    n in [1, bound], divided by n.
+    n in [1, bound], divided by n (`natural_density_pairs` as Fractions).
     """
     if mode not in DENSITY_MODES:
         raise ValueError(f"mode {mode!r} not in {DENSITY_MODES}")
@@ -157,13 +190,7 @@ def density_profile(a: NatSet, mode: str) -> tuple[Fraction, ...]:
         for m in a.members:
             hits[m.bit_length()] += 1
         return tuple(Fraction(hits[n + 1], 1 << n) for n in range(a.bound.bit_length() - 1))
-    profile = []
-    hits = 0
-    for n in range(1, a.bound + 1):
-        if (n - 1) in a.members:
-            hits += 1
-        profile.append(Fraction(hits, n))
-    return tuple(profile)
+    return tuple(Fraction(p, q) for p, q in natural_density_pairs(a))
 
 
 def summable_weight(a: NatSet) -> Fraction:
@@ -192,15 +219,12 @@ def interval_count(a: NatSet, ell: int, threshold: int, cmp: str = "ge") -> int:
         raise RangeError(f"threshold {threshold} must be >= 0")
     if cmp not in CMP_OPS:
         raise ValueError(f"cmp {cmp!r} not in {CMP_OPS}")
-    # Sliding count: O(bound) instead of O(bound * ell).
-    inside = sum(1 for m in a.members if m < ell)
-    count = 0
-    for m in range(a.bound - ell + 1):
-        if m > 0:
-            inside += ((m + ell - 1) in a.members) - ((m - 1) in a.members)
-        hits_ok = inside >= threshold if cmp == "ge" else inside > threshold
-        count += hits_ok
-    return count
+    # Window [m, m + ell) holds counts[m + ell] - counts[m] members, where
+    # counts[k] is the number of members below k: one prefix-sum pass, then
+    # one subtraction and one comparison per window.
+    counts = _prefix_counts(a)
+    hits = map(operator.sub, counts[ell:], counts)
+    return sum(map(operator.ge if cmp == "ge" else operator.gt, hits, itertools.repeat(threshold)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +324,39 @@ def phi_bar_profile(a: NodeSet, depth: int | None = None) -> tuple[Fraction, ...
 # ---------------------------------------------------------------------------
 
 
+def _ints_below(tokens: Iterable[str], bound: int) -> list[int] | None:
+    """int() of every token when each parses and lies in [0, bound), else None.
+
+    The readers' bulk check.  On None a reader runs its per-line loop, which
+    raises the ParseError naming the first bad line.
+    """
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        return None
+    return values if not values or (min(values) >= 0 and max(values) < bound) else None
+
+
 def natset_from_text(text: str) -> NatSet:
     """Parse `natset v1 bound=<N>` followed by one integer per line."""
     (value,), body = read_format(text, "natset v1 bound=<n>")
     bound = header_int(value, "bound", ELEMENT_CAP)
-    members: set[int] = set()
-    for i, token in body:
-        try:
-            m = int(token)
-        except ValueError:
-            raise ParseError(f"not an integer: {token!r}", i) from None
-        if not 0 <= m < bound:
-            raise ParseError(f"member {m} outside [0, {bound})", i)
-        if m in members:
-            raise ParseError(f"duplicate member {m}", i)
-        members.add(m)
-    return NatSet(frozenset(members), bound)
+    members = frozenset(_ints_below([token for _, token in body], bound) or ())
+    if len(members) != len(body):
+        # A token failed the bulk check, or two lines hold the same member.
+        seen: set[int] = set()
+        for i, token in body:
+            try:
+                m = int(token)
+            except ValueError:
+                raise ParseError(f"not an integer: {token!r}", i) from None
+            if not 0 <= m < bound:
+                raise ParseError(f"member {m} outside [0, {bound})", i)
+            if m in seen:
+                raise ParseError(f"duplicate member {m}", i)
+            seen.add(m)
+        members = frozenset(seen)
+    return _prechecked(NatSet, members=members, bound=bound)
 
 
 def natset_to_text(a: NatSet) -> str:
@@ -328,21 +369,31 @@ def gridset_from_text(text: str) -> GridSet:
     """Parse `gridset v1 bound=<N>` followed by `<col> <row>` lines."""
     (value,), body = read_format(text, "gridset v1 bound=<n>")
     bound = header_int(value, "bound", ELEMENT_CAP)
-    cells: set[tuple[int, int]] = set()
-    for i, token in body:
-        parts = token.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected '<col> <row>', got {token!r}", i)
-        try:
-            col, row = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"expected '<col> <row>', got {token!r}", i) from None
-        if not (0 <= col < bound and 0 <= row < bound):
-            raise ParseError(f"cell ({col}, {row}) outside [0, {bound})^2", i)
-        if (col, row) in cells:
-            raise ParseError(f"duplicate cell ({col}, {row})", i)
-        cells.add((col, row))
-    return GridSet(frozenset(cells), bound)
+    # The n lines joined by n - 1 ';' fields, which int() refuses.  When there
+    # are 3n - 1 fields and all but every third one are ints, the joins can
+    # only sit on the n - 1 remaining places, so each line holds two ints.
+    n = len(body)
+    fields = " ; ".join([token for _, token in body]).split()
+    values = _ints_below(fields[0::3] + fields[1::3], bound) if len(fields) == 3 * n - 1 else None
+    cells = frozenset(zip(values[:n], values[n:])) if values else frozenset()
+    if len(cells) != n:
+        # A line failed the bulk check, or two lines hold the same cell.
+        seen: set[tuple[int, int]] = set()
+        for i, token in body:
+            parts = token.split()
+            if len(parts) != 2:
+                raise ParseError(f"expected '<col> <row>', got {token!r}", i)
+            try:
+                col, row = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(f"expected '<col> <row>', got {token!r}", i) from None
+            if not (0 <= col < bound and 0 <= row < bound):
+                raise ParseError(f"cell ({col}, {row}) outside [0, {bound})^2", i)
+            if (col, row) in seen:
+                raise ParseError(f"duplicate cell ({col}, {row})", i)
+            seen.add((col, row))
+        cells = frozenset(seen)
+    return _prechecked(GridSet, cells=cells, bound=bound)
 
 
 def gridset_to_text(e: GridSet) -> str:

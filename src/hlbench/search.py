@@ -34,6 +34,11 @@ from .treecore import (
 
 MODES = ("uniform", "by_levels")
 
+# The largest node_budget.  The search's memory grows with its budget: at
+# this cap the depth-40 height-2 search takes about 500 MiB, and at four
+# times it, past 1 GiB.  It is above the default budget of 1 000 000.
+BUDGET_CAP = 1 << 20
+
 
 def _check_mode(mode: str) -> str:
     if mode not in MODES:
@@ -52,6 +57,8 @@ class SearchBudget:
             raise RangeError(f"height {self.height} negative")
         if self.node_budget < 1:
             raise RangeError(f"node_budget {self.node_budget} must be >= 1")
+        if self.node_budget > BUDGET_CAP:
+            raise RangeError(f"node_budget {self.node_budget} above the cap {BUDGET_CAP}")
         if self.workers < 1:
             raise RangeError(f"workers {self.workers} must be >= 1")
 

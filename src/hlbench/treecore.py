@@ -376,11 +376,7 @@ def read_format(text: str, header: str) -> tuple[list[str], list[tuple[int, str]
     names = [field.partition("=")[0] + "=" for field in want[2:]]
     if len(got) != len(want) or got[:2] != want[:2] or not all(map(str.startswith, got[2:], names)):
         raise ParseError(f"expected header {header!r}, got {lines[0]!r}", 1)
-    body = []
-    for i, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            body.append((i, stripped))
+    body = [(i, s) for i, s in enumerate(map(str.strip, lines[1:]), start=2) if s and s[0] != "#"]
     return [value[len(name) :] for value, name in zip(got[2:], names)], body
 
 

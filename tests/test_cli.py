@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,9 @@ import hlbench
 from hlbench import __version__
 from hlbench.cli import main
 from hlbench.colorings import coloring_to_text, random_coloring
-from hlbench.ideals import GridSet, NatSet, NodeSet, gridset_to_text, natset_to_text, nodeset_to_text
+from hlbench.ideals import GridSet, NatSet, NodeSet, gridset_to_text, natset_to_text, nodeset_to_text, summable_weight
 from hlbench.katetov import PARAMS_MAX, SCOPE_SENTENCE, builtin_witness, ideal_to_text, morphism_to_text
+from hlbench.search import BUDGET_CAP
 from hlbench.treecore import ELEMENT_CAP, make_full, tree_to_text
 
 RATIONAL = re.compile(r"^\d+/[1-9]\d*$")
@@ -343,6 +345,44 @@ class TestInputCaps:
         assert proc.stderr.startswith("hlbench: error: line 1: ")
         assert "outside [1, " in proc.stderr
 
+    def test_full_at_cap_profiles_match_the_reference(self, tmp_path):
+        # Every member and every cell: the largest bodies the capped headers allow.
+        side = self.GRID_SIDE
+        nat = NatSet.of(range(ELEMENT_CAP), ELEMENT_CAP)
+        grid = GridSet.of(((c, r) for c in range(side) for r in range(side)), side)
+        files = {"a.natset": natset_to_text(nat), "a.gridset": gridset_to_text(grid)}
+
+        proc = self.run_capped(tmp_path, files, CAP_ARGV["natset"])
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        hits, natural = 0, []
+        for n in range(1, ELEMENT_CAP + 1):
+            hits += (n - 1) in nat.members
+            natural.append(_str_frac(Fraction(hits, n)))
+        windows = [range(1 << n, 2 << n) for n in range(ELEMENT_CAP.bit_length() - 1)]
+        dyadic = [_str_frac(Fraction(len(nat.members.intersection(w)), len(w))) for w in windows]
+        assert report["size"] == ELEMENT_CAP
+        assert report["density_natural"] == natural
+        assert report["density_dyadic"] == dyadic
+        # The weight is H_65536, a fraction of about 28 000 digits a side.
+        assert report["summable_weight"] == _str_frac(summable_weight(nat))
+
+        proc = self.run_capped(tmp_path, files, CAP_ARGV["gridset"])
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["size"] == ELEMENT_CAP
+        assert report["column_profile"] == [side] * side
+
+
+def _str_frac(q: Fraction) -> str:
+    """"p/q" by plain str(), with the interpreter's int-to-str digit limit lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
 
 class TestErrorPaths:
     def test_missing_file_is_input_error(self, capsys):
@@ -366,6 +406,14 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err == "hlbench: error: node budget 1 completes no embedding\n"
+
+    def test_budget_past_the_cap_is_usage_error(self, capsys):
+        argv = ["search", "--depth", "40", "--height", "2", "--budget", str(BUDGET_CAP + 1), "--seed", "1"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"hlbench: error: node_budget {BUDGET_CAP + 1} above the cap {BUDGET_CAP}\n"
+        assert BUDGET_CAP == 1048576
 
     def test_search_needs_depth_without_coloring(self, capsys):
         code, _, err = run(["search", "--height", "1"], capsys)

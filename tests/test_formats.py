@@ -142,3 +142,76 @@ def test_body_errors_report_their_own_line(kind, data):
         from_text(noisy)
     assert exc.value.line == numbers[-1]
 
+
+
+# ---------------------------------------------------------------------------
+# natset and gridset rejections: the same message and line whether the bad
+# line stands alone, after noise, or at the end of a long valid body
+# ---------------------------------------------------------------------------
+
+NAT_BOUND, GRID_BOUND, LONG_BODY = 16384, 128, 10_000
+
+# name -> (bad lines, index of the line rejected, message); recorded with the
+# per-line readers that the bulk checks now front.
+NATSET_REJECTIONS = {
+    "word": (["x"], 0, "not an integer: 'x'"),
+    "decimal": (["1.5"], 0, "not an integer: '1.5'"),
+    "two tokens": (["1 2"], 0, "not an integer: '1 2'"),
+    "below": (["-1"], 0, "member -1 outside [0, 16384)"),
+    "above": (["16384"], 0, "member 16384 outside [0, 16384)"),
+    "duplicate": (["12345", "12345"], 1, "duplicate member 12345"),
+}
+GRIDSET_REJECTIONS = {
+    "word": (["1 x"], 0, "expected '<col> <row>', got '1 x'"),
+    "one token": (["1"], 0, "expected '<col> <row>', got '1'"),
+    "three tokens": (["1 2 3"], 0, "expected '<col> <row>', got '1 2 3'"),
+    "one then three": (["1", "2 3 4"], 0, "expected '<col> <row>', got '1'"),
+    "semicolons": (["1 ;", "2 3"], 0, "expected '<col> <row>', got '1 ;'"),
+    "column below": (["-1 0"], 0, "cell (-1, 0) outside [0, 128)^2"),
+    "row below": (["0 -1"], 0, "cell (0, -1) outside [0, 128)^2"),
+    "column above": (["128 0"], 0, "cell (128, 0) outside [0, 128)^2"),
+    "row above": (["0 128"], 0, "cell (0, 128) outside [0, 128)^2"),
+    "duplicate": (["127 127", "127 127"], 1, "duplicate cell (127, 127)"),
+}
+READERS = {
+    "natset": (natset_from_text, f"natset v1 bound={NAT_BOUND}", [str(m) for m in range(LONG_BODY)]),
+    "gridset": (
+        gridset_from_text,
+        f"gridset v1 bound={GRID_BOUND}",
+        [f"{c} {r}" for c in range(GRID_BOUND) for r in range(GRID_BOUND)][:LONG_BODY],
+    ),
+}
+# placement -> lines before the bad ones, given the reader's long valid body
+PLACEMENTS = {
+    "alone": lambda body: [],
+    "after noise": lambda body: ["# a comment", "", "   ", "\t# indented"],
+    "after a long body": lambda body: body,
+}
+
+
+@pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+@pytest.mark.parametrize(
+    "kind, case",
+    [("natset", name) for name in NATSET_REJECTIONS] + [("gridset", name) for name in GRIDSET_REJECTIONS],
+)
+def test_rejection_message_and_line(kind, case, placement):
+    from_text, header, body = READERS[kind]
+    bad, index, message = (NATSET_REJECTIONS if kind == "natset" else GRIDSET_REJECTIONS)[case]
+    before = PLACEMENTS[placement](body)
+    with pytest.raises(ParseError) as exc:
+        from_text("\n".join([header, *before, *bad]) + "\n")
+    line = 2 + len(before) + index
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, parsed",
+    [
+        ("natset v1 bound=16\n+3\n05\n  7  \n1_1\n", NatSet.of([3, 5, 7, 11], 16)),
+        ("gridset v1 bound=8\n+1 02\n 3\t4 \n5    6\n", GridSet.of([(1, 2), (3, 4), (5, 6)], 8)),
+    ],
+)
+def test_tokens_int_accepts_parse_as_before(text, parsed):
+    from_text = natset_from_text if text.startswith("natset") else gridset_from_text
+    assert from_text(text) == parsed

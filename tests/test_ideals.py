@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlbench.errors import ParseError, RangeError
@@ -18,6 +18,7 @@ from hlbench.ideals import (
     minimal_elements,
     natset_from_text,
     natset_to_text,
+    natural_density_pairs,
     nodeset_from_text,
     nodeset_to_text,
     phi,
@@ -335,6 +336,16 @@ def _ref_summable(a):
     return sum((Fraction(1, m + 1) for m in a.members), Fraction(0))
 
 
+def _ref_natural_strings(a):
+    out = []
+    hits = 0
+    for n in range(1, a.bound + 1):
+        hits += (n - 1) in a.members
+        q = Fraction(hits, n)
+        out.append(f"{q.numerator}/{q.denominator}")
+    return out
+
+
 @st.composite
 def deep_nodesets(draw):
     depth = draw(st.integers(min_value=1, max_value=10))
@@ -382,6 +393,19 @@ class TestOnePassEquivalence:
     @settings(max_examples=100)
     def test_dyadic_profile_matches_windowed_count(self, a):
         assert density_profile(a, "dyadic") == _ref_dyadic(a)
+
+    @given(wide_natsets)
+    @example(NatSet.of([], 2))
+    @example(NatSet.of([0, 1], 2))
+    @example(NatSet.of([1], 2))
+    @example(NatSet.of([], 1 << 10))
+    @example(NatSet.of(range(1 << 10), 1 << 10))
+    @settings(max_examples=100)
+    def test_natural_profile_matches_fraction_sweep(self, a):
+        # The report's strings and the Fraction API share one integer kernel.
+        want = _ref_natural_strings(a)
+        assert [f"{p}/{q}" for p, q in natural_density_pairs(a)] == want
+        assert [f"{q.numerator}/{q.denominator}" for q in density_profile(a, "natural")] == want
 
     @given(wide_natsets)
     @settings(max_examples=100)

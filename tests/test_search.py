@@ -12,6 +12,7 @@ from hlbench import search
 from hlbench.colorings import constant_coloring, last_bit_coloring, random_coloring, zdensity_coloring
 from hlbench.errors import BudgetError, EmbeddingInvalidError, ParseError, RangeError
 from hlbench.search import (
+    BUDGET_CAP,
     HLCertificate,
     SearchBudget,
     brute_force_max,
@@ -78,6 +79,12 @@ class TestBudget:
             SearchBudget(height=1, node_budget=0)
         with pytest.raises(RangeError):
             SearchBudget(height=1, workers=0)
+
+    def test_budget_cap(self):
+        assert SearchBudget(height=2).node_budget <= BUDGET_CAP
+        assert SearchBudget(height=2, node_budget=BUDGET_CAP).node_budget == BUDGET_CAP
+        with pytest.raises(RangeError, match=f"node_budget {BUDGET_CAP + 1} above the cap {BUDGET_CAP}"):
+            SearchBudget(height=2, node_budget=BUDGET_CAP + 1)
 
     @pytest.mark.parametrize("mode", ["uniform", "by_levels"])
     def test_budget_too_small_for_any_embedding(self, mode):
