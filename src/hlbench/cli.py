@@ -28,7 +28,7 @@ from .colorings import (
     residue_splitting,
     zdensity_coloring,
 )
-from .errors import GameProtocolError, HlbenchError, ParseError, RangeError
+from .errors import GameProtocolError, HlbenchError, ParseError
 from .game import parse_strategy_id, play, transcript_to_json
 from .ideals import (
     NatSet,
@@ -56,6 +56,8 @@ from .katetov import (
     report_to_json,
 )
 from .search import (
+    BUDGET_CAP,
+    DEFAULT_BUDGET,
     SearchBudget,
     brute_force_max,
     certificate_to_json,
@@ -186,8 +188,6 @@ def _search_coloring(args):
 
 
 def cmd_search(args, mode: str) -> int:
-    if args.min_levels < 1:
-        raise RangeError(f"min_levels {args.min_levels} must be >= 1")
     coloring = _search_coloring(args)
     budget = SearchBudget(height=args.height, node_budget=args.budget, workers=args.workers)
     result = search_best(coloring, budget, mode)
@@ -201,7 +201,7 @@ def cmd_search(args, mode: str) -> int:
         "verified": verified,
         "certificate": certificate_to_json(result.certificate),
     }
-    ok = verified and result.complete and result.best_levels >= args.min_levels
+    ok = verified and result.complete
     lines = [f"m = {result.best_levels} (explored {result.explored}, complete={result.complete})"]
     if args.oracle:
         oracle = brute_force_max(coloring, budget, mode)
@@ -450,10 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            default=1_000_000,
-            help="work budget for the whole search: DP mask operations plus walk states, at most twice this in all",
+            default=DEFAULT_BUDGET,
+            help=f"work budget for the whole search, at most {BUDGET_CAP}: DP mask operations plus walk states,"
+            " at most twice this in all",
         )
-        p.add_argument("--min-levels", type=int, default=1, dest="min_levels")
         p.add_argument(
             "--workers", type=int, default=1, help="accepted; results and speed are the same for every count"
         )

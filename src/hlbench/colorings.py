@@ -482,9 +482,7 @@ def check_levels_bichromatic(c: Coloring, assignment: SplittingAssignment) -> li
     out: list[SliceCheck] = []
     for i, t in enumerate(assignment.domain):
         for k in sorted(assignment.sets[i]):
-            zero_bad = sum(1 for s in extensions(t + "0", k) if c.value(s) != 0)
-            one_bad = sum(1 for s in extensions(t + "1", k) if c.value(s) != 1)
-            out.append(SliceCheck(t, k, zero_bad, one_bad))
+            out.append(SliceCheck(t, k, c.count_extensions(t + "0", k, 1), c.count_extensions(t + "1", k, 0)))
     return out
 
 

@@ -28,6 +28,7 @@ WINDOW_MAX = 1 << 20
 
 PLAYER_ONE_NAMES = ("empty", "initial-segment", "random-set", "tree-builder")
 PLAYER_TWO_NAMES = ("min-legal", "min-legal-increasing", "random-pick")
+_SEEDED = ("random-set", "random-pick")  # the only strategies that take a parameter: `seed`
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,18 @@ def _seed_of(sid: StrategyId, default_seed: int) -> int:
     return default_seed if raw is None else int(raw)
 
 
+def _check_id(sid: StrategyId, names: tuple[str, ...], player: str) -> None:
+    if sid.name not in names:
+        raise NotFoundError(f"unknown {player} strategy {sid.name!r} (have {names})")
+    for key, _ in sid.params:
+        if key != "seed" or sid.name not in _SEEDED:
+            raise ValueError(f"strategy {sid.name!r} takes no parameter {key!r}")
+    if len(sid.params) > 1:
+        raise ValueError(f"strategy {sid.name!r} takes parameter 'seed' once")
+
+
 def make_player_one(sid: StrategyId, window: int, coloring: Coloring | None = None, default_seed: int = 0):
+    _check_id(sid, PLAYER_ONE_NAMES, "player I")
     if sid.name == "empty":
         return _Oblivious(sid.name, lambda n: frozenset())
     if sid.name == "initial-segment":  # the doubling initial segment [0, 2^n), window-clipped
@@ -240,19 +252,16 @@ def make_player_one(sid: StrategyId, window: int, coloring: Coloring | None = No
     if sid.name == "random-set":  # each window element independently with probability 1/2
         rng = SplitMix64(_seed_of(sid, default_seed))
         return _Oblivious(sid.name, lambda n: frozenset(m for m in range(window) if rng.next_bit()))
-    if sid.name == "tree-builder":
-        if coloring is None:
-            raise ValueError("tree-builder strategy needs a coloring")
-        return TreeBuilderStrategy(window, coloring)
-    raise NotFoundError(f"unknown player I strategy {sid.name!r} (have {PLAYER_ONE_NAMES})")
+    if coloring is None:  # tree-builder
+        raise ValueError("tree-builder strategy needs a coloring")
+    return TreeBuilderStrategy(window, coloring)
 
 
 def make_player_two(sid: StrategyId, window: int, default_seed: int = 0):
-    if sid.name in ("min-legal", "min-legal-increasing"):
-        return MinLegalStrategy(window)
+    _check_id(sid, PLAYER_TWO_NAMES, "player II")
     if sid.name == "random-pick":
         return RandomPickStrategy(window, _seed_of(sid, default_seed))
-    raise NotFoundError(f"unknown player II strategy {sid.name!r} (have {PLAYER_TWO_NAMES})")
+    return MinLegalStrategy(window)  # min-legal and its alias min-legal-increasing
 
 
 def _resolve(strategy, maker):

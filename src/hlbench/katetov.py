@@ -135,11 +135,18 @@ class Surrogate:
     """Named membership predicate with explicit parameters.
 
     Subclasses are dataclasses whose fields are the parameters; `keys` names
-    them in the text format, in field order.
+    them in the text format, in field order.  Every parameter is a count or
+    a bound, so a negative one is refused.
     """
 
     name = "surrogate"
     keys: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for key, f in zip(self.keys, fields(self)):
+            value = getattr(self, f.name)
+            if value < 0:
+                raise RangeError(f"{self.name} {key} {value} must be >= 0")
 
     def parameters(self) -> dict[str, str]:
         return {key: str(getattr(self, f.name)) for key, f in zip(self.keys, fields(self))}
@@ -165,12 +172,11 @@ class DensityWindowSurrogate(Surrogate):
         if presentation.ground.kind != "interval":
             raise ShapeError("dyadic-density surrogate needs an interval ground")
         bound = presentation.ground.size
-        floor = max(self.floor, 0)
-        profile = density_profile(NatSet.of(elements, bound), "dyadic")[floor:] if bound >= 2 else ()
+        profile = density_profile(NatSet.of(elements, bound), "dyadic")[self.floor :] if bound >= 2 else ()
         worst = max(profile, default=0)
         if worst == 0:
             return SurrogateVerdict(True, "no constrained window")
-        window = floor + profile.index(worst)  # ties name the first window reaching the maximum
+        window = self.floor + profile.index(worst)  # ties name the first window reaching the maximum
         return SurrogateVerdict(worst <= self.eps, f"max density {worst} at window {window}")
 
 
@@ -562,7 +568,10 @@ def _parse_surrogate(tokens: list[str], line: int) -> Surrogate:
         raise ParseError(str(exc), line) from None
     if params:
         raise ParseError(f"unknown surrogate parameter(s) {sorted(params)}", line)
-    return cls(**given)
+    try:
+        return cls(**given)
+    except RangeError as exc:
+        raise ParseError(str(exc), line) from None
 
 
 def parse_ideal_text(text: str) -> FiniteIdealPresentation:

@@ -22,6 +22,7 @@ from .treecore import (
     LevelSet,
     LevelTree,
     TreeEmbedding,
+    arguments,
     compatible,
     embed_closure,
     extensions,
@@ -34,9 +35,11 @@ from .treecore import (
 
 MODES = ("uniform", "by_levels")
 
+DEFAULT_BUDGET = 1_000_000
+
 # The largest node_budget.  The search's memory grows with its budget: at
 # this cap the depth-40 height-2 search takes about 500 MiB, and at four
-# times it, past 1 GiB.  It is above the default budget of 1 000 000.
+# times it, past 1 GiB.  It is above DEFAULT_BUDGET.
 BUDGET_CAP = 1 << 20
 
 
@@ -49,7 +52,7 @@ def _check_mode(mode: str) -> str:
 @dataclass(frozen=True)
 class SearchBudget:
     height: int
-    node_budget: int = 1_000_000
+    node_budget: int = DEFAULT_BUDGET
     workers: int = 1
 
     def __post_init__(self):
@@ -133,11 +136,7 @@ def enumeration_bound(depth: int, height: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ordered_tops(images: dict[str, str], height: int) -> tuple[str, ...]:
-    return tuple(images[a] for a in sorted(images, key=lenlex_key) if len(a) == height)
-
-
-def _score(value: Callable[[str], int], tops: tuple[str, ...], depth: int, mode: str):
+def _score(value: Callable[[str], int], tops: list[str], depth: int, mode: str):
     """(m, levels, witness) for the maximal admissible level set of one embedding."""
     if mode == "by_levels":
         levels: list[int] = []
@@ -173,16 +172,20 @@ def _value_lookup(c: Coloring) -> Callable[[str], int]:
     return table.__getitem__
 
 
-def _tie_key(images: dict[str, str], height: int) -> tuple:
-    args = sorted(images, key=lenlex_key)
-    splits = tuple(lenlex_key(images[a]) for a in args if len(a) < height)
-    leaves = tuple(lenlex_key(images[a]) for a in args if len(a) == height)
-    return (splits, leaves)
+def _tie_key(images: list[str]) -> tuple:
+    """The tie order of embeddings of one height, given their images in argument order.
+
+    The smaller key wins: the split nodes compare first, then the leaves,
+    each image by lenlex_key.
+    """
+    return tuple(map(lenlex_key, images))
 
 
-def _make_certificate(mode: str, images: dict[str, str], height: int, depth: int, levels, witness) -> HLCertificate:
-    embedding = TreeEmbedding(height, dict(images), depth - 1)
-    return HLCertificate(mode, embedding, LevelSet.of(levels), witness)
+def _certificate(value, images: list[str], height: int, depth: int, mode: str) -> tuple[int, HLCertificate]:
+    """(m, certificate) of the embedding with `images` in argument order, levels and witness by _score."""
+    m, levels, witness = _score(value, images[(1 << height) - 1 :], depth, mode)
+    embedding = TreeEmbedding(height, dict(zip(arguments(height), images)), depth - 1)
+    return m, HLCertificate(mode, embedding, LevelSet.of(levels), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +239,20 @@ def brute_force_max(c: Coloring, budget: SearchBudget, mode: str) -> SearchResul
     if bound > budget.node_budget:
         raise BudgetError(f"enumeration bound {bound} exceeds node budget {budget.node_budget}")
     value = _value_lookup(c)
-    best = None  # (m, key, images, levels, witness)
+    args, first_leaf = arguments(height), (1 << height) - 1
+    best = None  # (m, tie key, images in argument order)
     explored = 0
     for images in _region_embeddings("", height, depth):
         explored += 1
-        tops = _ordered_tops(images, height)
-        m, levels, witness = _score(value, tops, depth, mode)
+        listed = [images[a] for a in args]
+        m = _score(value, listed[first_leaf:], depth, mode)[0]
         if best is None or m > best[0]:
-            best = (m, _tie_key(images, height), images, levels, witness)
-        elif m == best[0]:
-            key = _tie_key(images, height)
-            if key < best[1]:
-                best = (m, key, images, levels, witness)
+            best = (m, _tie_key(listed), listed)
+        elif m == best[0] and (key := _tie_key(listed)) < best[1]:
+            best = (m, key, listed)
     assert best is not None
-    cert = _make_certificate(mode, best[2], height, depth, best[3], best[4])
-    return SearchResult(best[0], cert, explored, True)
+    m, cert = _certificate(value, best[2], height, depth, mode)
+    return SearchResult(m, cert, explored, True)
 
 
 # A level mask is one int: bit n is set when every leaf's length-n prefix is
@@ -317,7 +319,7 @@ def _dp_max(masks, depth: int, height: int, score, allowance: int):
     partition of w holds an m-embedding.  Each kept mask carries the node of
     one sub-embedding that has it.
 
-    Returns ((m, mask, node), units spent, finished), the node being an
+    Returns ((m, node), units spent, finished), the node being an
     m-embedding in the length-lex first partition that holds one.  A unit
     is a mask formed or re-scored, or one containment test.  The DP gives up
     rather than pass `allowance` units; it then returns its best full-height
@@ -371,9 +373,9 @@ def _dp_max(masks, depth: int, height: int, score, allowance: int):
                 pay(len(a) * len(b))
                 if k == height:
                     top = max(map(score, [x & y for x in a for y in b]), default=-1)
-                    if top > floor or (top == floor >= 0 and lenlex_key(r) < lenlex_key(best[2][0])):
+                    if top > floor or (top == floor >= 0 and lenlex_key(r) < lenlex_key(best[1][0])):
                         x, y = next((x, y) for x in a for y in b if score(x & y) == top)
-                        best = (top, x & y, (r, a[x], b[y]))
+                        best = (top, (r, a[x], b[y]))
                     break
                 cand.update({mask: (r, a[x], b[y]) for x in a for y in b if score(mask := x & y) >= floor})
                 cand = maximal(cand)
@@ -393,7 +395,7 @@ def _walk(masks, depth: int, height: int, score, known, exact: bool, allowance: 
     Partitions (the embeddings sharing a first split; height 0 is one
     partition of all tops) come in length-lex order of the split, the tie
     order's first key.  Halves scoring below the floor are dropped.  When
-    the DP's (m, mask, node) is `known` and `exact`, the floor is m, the
+    the DP's (m, node) is `known` and `exact`, the floor is m, the
     walk starts at that node's partition and ends with it; at height 1 a
     partition yields in tie order, so its first m-embedding ends the walk.
     Otherwise every partition is walked, and the floor is the best score
@@ -401,8 +403,8 @@ def _walk(masks, depth: int, height: int, score, known, exact: bool, allowance: 
     A unit is a top looked at or a mask product; the walk stops rather than
     pass `allowance` units.
 
-    Returns (best, units spent, complete), best being (score, mask, node)
-    or None.
+    Returns (best, units spent, complete), best being (score, node) or
+    None.  Ties go to the smaller _tie_key of the node's images.
     """
     target = known[0] if exact else None
     floor = -1 if known is None else known[0]
@@ -440,16 +442,18 @@ def _walk(masks, depth: int, height: int, score, known, exact: bool, allowance: 
     if height == 0:
         partitions: Iterator = iter([halves("", 0)])
     else:
-        start = known[2][0] if exact else ""
+        start = known[1][0] if exact else ""
         splits = (w for extra in range(len(start), depth - height) for w in level_nodes(extra))
         partitions = (joins(w, height) for w in splits if lenlex_key(w) >= lenlex_key(start))
-    best = None
+    best = best_key = None
     try:
         for part in partitions:
             for mask, node in part:
-                s = score(mask)
-                if best is None or s > best[0] or (s == best[0] and _tie_precedes(node, best[2], height)):
-                    best, floor = (s, mask, node), s
+                # Past the first, every embedding reaching here scores at least
+                # the best so far, so its tie key is always needed.
+                s, key = score(mask), _tie_key(_bfs(node, height))
+                if best is None or s > best[0] or (s == best[0] and key < best_key):
+                    best, best_key, floor = (s, node), key, s
                     if s == target and height == 1:
                         break
             if best is not None and best[0] == target:
@@ -486,45 +490,14 @@ class _Replay:
         self._source = None
 
 
-def _images(node, height: int) -> dict[str, str]:
-    # Pre-order, the insertion order _region_embeddings gives its dicts.
-    images: dict[str, str] = {}
-    stack = [("", node, height)]
-    while stack:
-        arg, node, h = stack.pop()
-        if h == 0:
-            images[arg] = node
-            continue
-        split, left, right = node
-        images[arg] = split
-        stack.append((arg + "1", right, h - 1))
-        stack.append((arg + "0", left, h - 1))
-    return images
-
-
-def _tie_precedes(node, other, height: int) -> bool:
-    """True when `node`'s _tie_key is smaller than `other`'s.
-
-    Both keys list the images breadth-first in length-lex order, so the
-    walk stops at the first image that differs.
-    """
-    level, other_level = [node], [other]
+def _bfs(node, height: int) -> list[str]:
+    """The images of a nested (split, left, right) node in argument order."""
+    images: list[str] = []
+    level = [node]
     for _ in range(height):
-        below, other_below = [], []
-        for (s, left, right), (t, other_left, other_right) in zip(level, other_level):
-            if s != t:
-                return lenlex_key(s) < lenlex_key(t)
-            below += (left, right)
-            other_below += (other_left, other_right)
-        level, other_level = below, other_below
-    for s, t in zip(level, other_level):
-        if s != t:
-            return lenlex_key(s) < lenlex_key(t)
-    return False
-
-
-def _mask_levels(mask: int, depth: int) -> tuple[int, ...]:
-    return tuple(n for n in range(depth) if mask >> n & 1)
+        images += [split for split, _, _ in level]
+        level = [half for _, left, right in level for half in (left, right)]
+    return images + level
 
 
 def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
@@ -537,7 +510,10 @@ def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
     walk finds none it raises, which cross-checks the DP.  When the DP does
     not fit the budget, or at height 0, the walk visits every partition in
     length-lex order with the best score so far as its floor, starting from
-    the best embedding the DP found before it gave up.
+    the best embedding the DP found before it gave up.  Ties go by _tie_key,
+    as in brute_force_max, and the certificate's levels and witness come
+    from _score on its leaves; a score other than the mask score m raises,
+    which cross-checks the level masks.
 
     node_budget bounds the whole search.  `explored` counts the units of
     work done: the DP's masks formed or re-scored and containment tests,
@@ -568,17 +544,10 @@ def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
         best = known
     if best is None:
         raise BudgetError(f"node budget {budget.node_budget} completes no embedding")
-    m, mask, node = best
-    and0, and1 = mask & ((1 << depth) - 1), mask >> depth
-    if mode == "by_levels":
-        levels = _mask_levels(and0 | and1, depth)
-        witness = tuple(and1 >> n & 1 for n in levels)
-    else:
-        # Equal counts prefer color 0.
-        col = 0 if and0.bit_count() >= and1.bit_count() else 1
-        levels = _mask_levels(and1 if col else and0, depth)
-        witness = col
-    cert = _make_certificate(mode, _images(node, height), height, depth, levels, witness)
+    m, node = best
+    scored, cert = _certificate(c.value, _bfs(node, height), height, depth, mode)
+    if scored != m:
+        raise RuntimeError(f"the level-mask score {m} differs from the certificate's score {scored}")
     return SearchResult(m, cert, explored, complete)
 
 
@@ -639,14 +608,14 @@ def zdensity_band_check(inst: ZDensityInstance, selection: Mapping[int, object])
 
 
 def certificate_to_json(cert: HLCertificate) -> dict:
-    args = sorted(cert.embedding.images, key=lenlex_key)
     h = cert.embedding.height
+    images = [format_node(cert.embedding.images[a]) for a in arguments(h)]
     witness = cert.color_witness if cert.mode == "uniform" else list(cert.color_witness)
     return {
         "mode": cert.mode,
         "height": h,
-        "split_nodes": [format_node(cert.embedding.images[a]) for a in args if len(a) < h],
-        "leaf_images": [format_node(cert.embedding.images[a]) for a in args if len(a) == h],
+        "split_nodes": images[: (1 << h) - 1],
+        "leaf_images": images[(1 << h) - 1 :],
         "levels": list(cert.levels.as_tuple()),
         "color_witness": witness,
     }
@@ -667,13 +636,7 @@ def certificate_from_json(obj: dict) -> HLCertificate:
     lengths = {len(s) for s in leaf_images}
     if len(lengths) != 1:
         raise ParseError("leaf images not level-uniform")
-    args = sorted((a for n in range(height + 1) for a in level_nodes(n)), key=lenlex_key)
-    images: dict[str, str] = {}
-    split_iter = iter(split_nodes)
-    leaf_iter = iter(leaf_images)
-    for a in args:
-        images[a] = next(leaf_iter) if len(a) == height else next(split_iter)
-    embedding = TreeEmbedding(height, images, lengths.pop())
+    embedding = TreeEmbedding(height, dict(zip(arguments(height), split_nodes + leaf_images)), lengths.pop())
     validate_embedding(embedding)
     witness: int | tuple[int, ...]
     if mode == "uniform":

@@ -83,6 +83,11 @@ def level_nodes(n: int) -> Iterator[str]:
         yield "".join(bits)
 
 
+def arguments(height: int) -> list[str]:
+    """The arguments of 2^{<=height} in length-lex order: split arguments, then leaves."""
+    return [a for n in range(height + 1) for a in level_nodes(n)]
+
+
 def extensions(s: str, length: int) -> Iterator[str]:
     """All extensions of `s` of the given total length, in lexicographic order."""
     assert length >= len(s)
@@ -293,7 +298,7 @@ class TreeEmbedding:
 
     def top_images(self) -> tuple[str, ...]:
         """Images of the 2^height full-length arguments, in argument order."""
-        return tuple(self.images[a] for a in sorted(self.images, key=lenlex_key) if len(a) == self.height)
+        return tuple(self.images[a] for a in arguments(self.height)[(1 << self.height) - 1 :])
 
 
 def embedding_problems(e: TreeEmbedding) -> list[str]:
@@ -303,11 +308,11 @@ def embedding_problems(e: TreeEmbedding) -> list[str]:
         return [f"negative height {e.height}"]
     if e.top_level < 0:
         problems.append(f"negative top level {e.top_level}")
-    expected = {a for n in range(e.height + 1) for a in level_nodes(n)}
-    if set(e.images) != expected:
+    args = arguments(e.height)
+    if set(e.images) != set(args):
         problems.append("domain is not exactly the full tree of the stated height")
         return problems
-    for arg in sorted(e.images, key=lenlex_key):
+    for arg in args:
         img = e.images[arg]
         if not is_node(img):
             problems.append(f"image of {format_node(arg)!r} is not a binary string")
@@ -316,9 +321,7 @@ def embedding_problems(e: TreeEmbedding) -> list[str]:
             problems.append(f"top argument {format_node(arg)!r} maps to level {len(img)}, not {e.top_level}")
         if len(img) > e.top_level:
             problems.append(f"image of {format_node(arg)!r} overshoots the top level")
-    for arg in sorted(e.images, key=lenlex_key):
-        if len(arg) >= e.height:
-            continue
+    for arg in args[: (1 << e.height) - 1]:
         parent = e.images[arg]
         left, right = e.images[arg + "0"], e.images[arg + "1"]
         if not left.startswith(parent + "0"):

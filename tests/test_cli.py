@@ -396,11 +396,6 @@ class TestErrorPaths:
         assert code == 2
         assert "contradicts" in err
 
-    def test_min_levels_must_be_positive(self, capsys):
-        code, _, err = run(["search", "--depth", "4", "--height", "1", "--min-levels", "0"], capsys)
-        assert code == 2
-        assert "min_levels" in err
-
     def test_budget_too_small_is_usage_error(self, capsys):
         code, out, err = run(["search", "--depth", "5", "--height", "1", "--budget", "1", "--seed", "1"], capsys)
         assert code == 2
@@ -414,6 +409,20 @@ class TestErrorPaths:
         assert out == ""
         assert err == f"hlbench: error: node_budget {BUDGET_CAP + 1} above the cap {BUDGET_CAP}\n"
         assert BUDGET_CAP == 1048576
+
+    @pytest.mark.parametrize(
+        "p1, p2, named",
+        [
+            ("random-set:sede=3", "min-legal", "'random-set' takes no parameter 'sede'"),
+            ("empty:seed=3", "min-legal", "'empty' takes no parameter 'seed'"),
+            ("empty", "min-legal:foo=1", "'min-legal' takes no parameter 'foo'"),
+        ],
+    )
+    def test_game_refuses_unread_strategy_parameters(self, capsys, p1, p2, named):
+        code, out, err = run(["game", "--p1", p1, "--p2", p2, "--horizon", "3", "--window", "16"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"hlbench: error: strategy {named}\n"
 
     def test_search_needs_depth_without_coloring(self, capsys):
         code, _, err = run(["search", "--height", "1"], capsys)

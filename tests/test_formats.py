@@ -66,7 +66,7 @@ gridsets = st.integers(1, 6).flatmap(
 nodesets = st.integers(1, 8).flatmap(lambda d: st.sets(nodes_below(d)).map(lambda s: NodeSet.of(s, d)))
 surrogates = st.one_of(
     st.none(),
-    st.builds(DensityWindowSurrogate, st.fractions(0, 1), st.integers(-1, 4)),
+    st.builds(DensityWindowSurrogate, st.fractions(0, 1), st.integers(0, 4)),
     st.builds(ColumnBoundSurrogate, st.integers(0, 3), st.integers(0, 3)),
     st.builds(GeneratorUnionSurrogate, st.integers(0, 3)),
     st.builds(SummableBoundSurrogate, st.fractions(0, 3)),

@@ -50,6 +50,26 @@ class TestStrategyIds:
             play(2, "empty", "psychic", 8)
 
 
+    @pytest.mark.parametrize(
+        "p1, p2, named",
+        [
+            ("random-set:sede=3", "min-legal", "'random-set' takes no parameter 'sede'"),
+            ("random-set:seed=3,level=2", "min-legal", "'random-set' takes no parameter 'level'"),
+            ("empty:seed=3", "min-legal", "'empty' takes no parameter 'seed'"),
+            ("initial-segment:seed=3", "min-legal", "'initial-segment' takes no parameter 'seed'"),
+            ("tree-builder:seed=3", "min-legal", "'tree-builder' takes no parameter 'seed'"),
+            ("empty", "min-legal:foo=1", "'min-legal' takes no parameter 'foo'"),
+            ("empty", "min-legal-increasing:seed=1", "'min-legal-increasing' takes no parameter 'seed'"),
+            ("empty", "random-pick:sede=1", "'random-pick' takes no parameter 'sede'"),
+            ("random-set:seed=1,seed=2", "min-legal", "'random-set' takes parameter 'seed' once"),
+            ("empty", "random-pick:seed=1,seed=1", "'random-pick' takes parameter 'seed' once"),
+        ],
+    )
+    def test_unread_parameters_refused(self, p1, p2, named):
+        with pytest.raises(ValueError, match=re.escape(f"strategy {named}")):
+            play(2, p1, p2, 8, coloring=constant_coloring(4, 0))
+
+
 class TestFrozenTraces:
     def test_initial_segment_doubles(self):
         t = play(5, "initial-segment", "min-legal", 64)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,26 @@ class TestTextFormats:
             parse_ideal_text("ideal v1 ground=interval params=8\nsurrogate dyadic-density evil=1\n")
         with pytest.raises(ParseError, match="line 2"):
             parse_ideal_text("ideal v1 ground=interval params=8\nsurrogate dyadic-density eps=zebra\n")
+
+    @pytest.mark.parametrize(
+        "cls, field, value, line",
+        [
+            (DensityWindowSurrogate, "eps", Fraction(-1, 8), "dyadic-density eps=-1/8"),
+            (DensityWindowSurrogate, "floor", -3, "dyadic-density floor=-3"),
+            (ColumnBoundSurrogate, "per_column", -1, "column-bound per_column=-1"),
+            (ColumnBoundSurrogate, "exceptional", -2, "column-bound exceptional=-2"),
+            (GeneratorUnionSurrogate, "max_generators", -1, "generator-union max=-1"),
+            (SummableBoundSurrogate, "max_weight", Fraction(-1, 2), "summable-bound weight=-1/2"),
+        ],
+    )
+    def test_negative_parameters_refused(self, cls, field, value, line):
+        key = line.split()[1].partition("=")[0]
+        message = f"{cls.name} {key} {value} must be >= 0"
+        with pytest.raises(RangeError, match=re.escape(message)):
+            cls(**{field: value})
+        with pytest.raises(ParseError, match=re.escape(f"line 3: {message}")):
+            parse_ideal_text(f"ideal v1 ground=interval params=8\n# comment\nsurrogate {line}\n")
+        assert cls(**{field: 0 * value}).parameters()[key] == "0"
 
     @pytest.mark.parametrize(
         "line, default",

@@ -144,12 +144,25 @@ class TestBudget:
         dp_max = search._dp_max
 
         def overstated(*args):
-            (m, mask, node), spent, finished = dp_max(*args)
-            return (m + 1, mask, node), spent, finished
+            (m, node), spent, finished = dp_max(*args)
+            return (m + 1, node), spent, finished
 
         monkeypatch.setattr(search, "_dp_max", overstated)
         with pytest.raises(RuntimeError, match="walk finds no such embedding"):
             search_best(random_coloring(5, 3), SearchBudget(height=2), "uniform")
+
+    @pytest.mark.parametrize("mode", ["uniform", "by_levels"])
+    @pytest.mark.parametrize("height", [0, 1, 2])
+    def test_certificate_cross_checks_the_mask_score(self, monkeypatch, mode, height):
+        scorer = search._scorer
+
+        def overstated(*args):
+            score = scorer(*args)
+            return lambda mask: score(mask) + 1
+
+        monkeypatch.setattr(search, "_scorer", overstated)
+        with pytest.raises(RuntimeError, match="differs from the certificate's score"):
+            search_best(random_coloring(5, 3), SearchBudget(height=height), mode)
 
 
 class TestSolver:
