@@ -4,7 +4,7 @@ Reports are machine-first: sorted keys, exact rationals as "p/q" strings,
 tool version, the fully resolved configuration, and the seed (null when the
 command has none).  Human-readable tables go to stderr under --verbose.
 Exit status: 0 = success/pass, 1 = property failure, 2 = usage or input
-error (argparse uses 2 on its own).
+error (argparse uses 2 on its own), including a stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -112,8 +113,53 @@ def _report(args: argparse.Namespace, command: str, body: dict) -> dict:
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, indent: str = "") -> str:
+    """The bytes of `json.dumps(value, sort_keys=True, indent=2)`, nested `indent` deep.
+
+    Reports hold only str-keyed dicts, lists, tuples, str, int, bool and None;
+    anything else (a float, a Fraction, a set, a non-str key) raises TypeError
+    rather than being written some other way.  A flat list of str or of int is
+    written with one join, which is most of a large report.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            body = sep.join(map(_encode_str, value))
+        elif kinds == {int}:
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join([_json(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        bad = [k for k in value if not isinstance(k, str)]
+        if bad:
+            raise TypeError(f"report key {bad[0]!r} is not a str")
+        body = sep.join([f"{_encode_str(k)}: {_json(value[k], inner)}" for k in sorted(value)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not allowed in a report")
+
+
 def _emit(report: dict, verbose_lines: list[str], verbose: bool) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(_json(report))
     if verbose:
         for line in verbose_lines:
             print(line, file=sys.stderr)
@@ -284,13 +330,18 @@ def cmd_profile(args) -> int:
     head = (text.split(None, 1) or [""])[0]
     lines: list[str] = []
     code = 0
+    interval_flags = (("--threshold", args.threshold), ("--cmp", args.cmp))
     if head in ("gridset", "nodeset"):
-        for flag, value in (("--ell", args.ell), ("--threshold", args.threshold)):
+        for flag, value in (("--ell", args.ell), *interval_flags):
             if value is not None:
                 raise ParseError(f"{flag} applies only to natset inputs, not {head}")
+    if head == "natset" and args.ell is None:
+        for flag, value in interval_flags:
+            if value is not None:
+                raise ParseError(f"{flag} needs --ell")
+    if args.cmp is None:
+        args.cmp = "ge"  # resolved here so that the report states the comparison used
     if head == "natset":
-        if args.threshold is not None and args.ell is None:
-            raise ParseError("--threshold needs --ell")
         nat = natset_from_text(text)
         body = {
             "kind": "natset",
@@ -478,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--ell", type=int, help="interval length for interval counts")
     p.add_argument("--threshold", type=int)
-    p.add_argument("--cmp", choices=("ge", "gt"), default="ge")
+    p.add_argument("--cmp", choices=("ge", "gt"), help="window comparison for --ell (default ge)")
     common(p)
     p.set_defaults(func=cmd_profile)
 
@@ -509,7 +560,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # The reader closed stdout.  Point it at devnull, so that the flush at
+        # interpreter exit finds nothing to fail on.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"hlbench: error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 2
     except GameProtocolError as exc:
         print(f"hlbench: protocol error: {exc}", file=sys.stderr)
         return 1

@@ -29,6 +29,7 @@ from .treecore import (
     node_index,
     read_format,
     read_node,
+    read_nodes,
 )
 
 # Full serialisation lists all 2^D - 1 nodes, so it is capped well below D_MAX.
@@ -514,15 +515,25 @@ def coloring_from_text(text: str) -> Coloring:
     """Parse a coloring; unlisted nodes default to 0, duplicates are rejected."""
     (value,), body = read_format(text, "coloring v1 depth=<n>")
     depth = header_int(value, "depth", D_MAX)
-    overrides: dict[str, int] = {}
-    for i, line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected '<node> <bit>', got {line!r}", i)
-        node = read_node(parts[0], depth, i)
-        if parts[1] not in ("0", "1"):
-            raise ParseError(f"color must be 0 or 1, got {parts[1]!r}", i)
-        if node in overrides:
-            raise ParseError(f"duplicate node {parts[0]!r}", i)
-        overrides[node] = int(parts[1])
-    return Coloring.sparse(depth, overrides, default=0)
+    # The n lines joined by n - 1 ';' fields, as in the gridset reader: with
+    # 3n - 1 fields, node and bit tokens in all but every third place and no
+    # ';' among them, every line holds exactly one node and one bit.
+    n = len(body)
+    fields = " ; ".join([line for _, line in body]).split()
+    nodes = read_nodes(fields[0::3], depth) if len(fields) == 3 * n - 1 else None
+    bits = fields[1::3]
+    overrides = dict(zip(nodes, map(int, bits))) if nodes is not None and set(bits) <= {"0", "1"} else {}
+    if len(overrides) != n:
+        # A line failed the bulk check, or two lines hold the same node.
+        overrides = {}
+        for i, line in body:
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError(f"expected '<node> <bit>', got {line!r}", i)
+            node = read_node(parts[0], depth, i)
+            if parts[1] not in ("0", "1"):
+                raise ParseError(f"color must be 0 or 1, got {parts[1]!r}", i)
+            if node in overrides:
+                raise ParseError(f"duplicate node {parts[0]!r}", i)
+            overrides[node] = int(parts[1])
+    return Coloring(depth, overrides=overrides)

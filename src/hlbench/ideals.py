@@ -3,8 +3,9 @@
 All densities and weights are exact `Fraction` values; no floats appear
 anywhere in this module.  The three carrier types are immutable and
 validate their members on construction, so every downstream statistic can
-assume in-range, duplicate-free data.  The natset and gridset readers check
-each line once and build their carrier without checking it again.
+assume in-range, duplicate-free data.  The natset, gridset and nodeset
+readers check each line once and build their carrier without checking it
+again.
 """
 
 from __future__ import annotations
@@ -12,11 +13,22 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import ParseError, RangeError
-from .treecore import D_MAX, ELEMENT_CAP, check_node, format_node, header_int, lenlex_key, read_format, read_node
+from .treecore import (
+    D_MAX,
+    ELEMENT_CAP,
+    check_node,
+    format_node,
+    header_int,
+    lenlex_key,
+    read_format,
+    read_node,
+    read_nodes,
+)
 
 DENSITY_MODES = ("dyadic", "natural")
 CMP_OPS = ("ge", "gt")
@@ -144,6 +156,22 @@ class NodeSet:
     def sorted_nodes(self) -> list[str]:
         return sorted(self.nodes, key=lenlex_key)
 
+    @cached_property
+    def longest_prefixes(self) -> tuple[tuple[str, int], ...]:
+        """(s, length of the longest proper prefix of s in the set, or -1) per node s.
+
+        Computed once per set and shared by `minimal_elements`, `phi` and
+        `phi_bar_profile`; not a field, so equality and hashing ignore it.
+        """
+        nodes = self.nodes
+        out = []
+        for s in nodes:
+            k = len(s) - 1
+            while k >= 0 and s[:k] not in nodes:
+                k -= 1
+            out.append((s, k))
+        return tuple(out)
+
 
 # ---------------------------------------------------------------------------
 # density and weight statistics on NatSet
@@ -245,28 +273,16 @@ def column_profile(e: GridSet) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _longest_prefixes(a: NodeSet) -> list[tuple[str, int]]:
-    """(s, length of the longest proper prefix of s in `a`, or -1) per node s."""
-    nodes = a.nodes
-    out = []
-    for s in nodes:
-        k = len(s) - 1
-        while k >= 0 and s[:k] not in nodes:
-            k -= 1
-        out.append((s, k))
-    return out
-
-
 def minimal_elements(a: NodeSet) -> NodeSet:
     """Nodes of `a` with no proper prefix in `a`."""
-    return NodeSet(frozenset(s for s, k in _longest_prefixes(a) if k < 0), a.depth)
+    return _prechecked(NodeSet, nodes=frozenset(s for s, k in a.longest_prefixes if k < 0), depth=a.depth)
 
 
 def phi(a: NodeSet) -> Fraction:
     """Sum of 2^-|s| over the minimal elements of `a`."""
     # Every weight is an integer numerator over 2^(depth-1).
     top = a.depth - 1
-    return Fraction(sum(1 << (top - len(s)) for s, k in _longest_prefixes(a) if k < 0), 1 << top)
+    return Fraction(sum(1 << (top - len(s)) for s, k in a.longest_prefixes if k < 0), 1 << top)
 
 
 def max_antichain_weight(a: NodeSet) -> Fraction:
@@ -286,7 +302,8 @@ def max_antichain_weight(a: NodeSet) -> Fraction:
         for k in range(len(s) + 1):
             closure.add(s[:k])
     best: dict[str, int] = {}
-    for s in sorted(closure, key=lenlex_key, reverse=True):
+    # Longest first puts every child before its parent, all the DP needs.
+    for s in sorted(closure, key=len, reverse=True):
         kids = best.get(s + "0", 0) + best.get(s + "1", 0)
         own = 1 << (top - len(s)) if s in a.nodes else 0
         best[s] = max(own, kids)
@@ -307,7 +324,7 @@ def phi_bar_profile(a: NodeSet, depth: int | None = None) -> tuple[Fraction, ...
     # length of its longest proper prefix in `a`: a difference array over n.
     top = a.depth - 1
     delta = [0] * (a.depth + 1)
-    for s, k in _longest_prefixes(a):
+    for s, k in a.longest_prefixes:
         weight = 1 << (top - len(s))
         delta[k + 1] += weight
         delta[len(s) + 1] -= weight
@@ -406,13 +423,17 @@ def nodeset_from_text(text: str) -> NodeSet:
     """Parse `nodeset v1 depth=<D>` followed by one node per line ('-' = root)."""
     (value,), body = read_format(text, "nodeset v1 depth=<n>")
     depth = header_int(value, "depth", D_MAX)
-    nodes: set[str] = set()
-    for i, token in body:
-        s = read_node(token, depth, i)
-        if s in nodes:
-            raise ParseError(f"duplicate node {token!r}", i)
-        nodes.add(s)
-    return NodeSet(frozenset(nodes), depth)
+    nodes = frozenset(read_nodes([token for _, token in body], depth) or ())
+    if len(nodes) != len(body):
+        # A line failed the bulk check, or two lines hold the same node.
+        seen: set[str] = set()
+        for i, token in body:
+            s = read_node(token, depth, i)
+            if s in seen:
+                raise ParseError(f"duplicate node {token!r}", i)
+            seen.add(s)
+        nodes = frozenset(seen)
+    return _prechecked(NodeSet, nodes=nodes, depth=depth)
 
 
 def nodeset_to_text(a: NodeSet) -> str:

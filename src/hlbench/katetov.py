@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import MorphismDomainError, NotFoundError, ParseError, RangeError, ShapeError
-from .ideals import NatSet, density_profile, summable_weight
+from .ideals import NatSet, _ints_below, _prechecked, density_profile, summable_weight
 from .treecore import ELEMENT_CAP, format_node, header_int, is_node, lenlex_key, level_nodes, parse_node, read_format
 
 SCOPE_SENTENCE = (
@@ -84,6 +84,18 @@ class Ground:
         if el not in self:
             raise ValueError(f"element {text!r} outside the {self.kind} ground of size {self.size}")
         return el
+
+    def parse_elements(self, tokens: list[str]) -> frozenset:
+        """The elements the tokens spell, each checked once; ValueError names the first bad token.
+
+        Interval tokens are checked in bulk, as the natset reader checks its
+        members; any other ground, or a failed bulk check, parses token by token.
+        """
+        if self.kind == "interval":
+            values = _ints_below(tokens, self.size)
+            if values is not None:
+                return frozenset(values)
+        return frozenset(map(self.parse_element, tokens))
 
     def format_element(self, el) -> str:
         if self.kind == "interval":
@@ -603,13 +615,16 @@ def parse_ideal_text(text: str) -> FiniteIdealPresentation:
                 raise ParseError(f"duplicate generator {gen_name!r}", i)
             seen_names.add(gen_name)
             try:
-                elements = frozenset(ground.parse_element(tok) for tok in tokens[2:])
+                elements = ground.parse_elements(tokens[2:])
             except ValueError as exc:
                 raise ParseError(str(exc), i) from None
             generators.append(Generator(gen_name, elements))
         else:
             raise ParseError(f"unknown directive {tokens[0]!r}", i)
-    return FiniteIdealPresentation(name, ground, tuple(generators), surrogate)
+    # parse_elements has checked every element against the ground already.
+    return _prechecked(
+        FiniteIdealPresentation, name=name, ground=ground, generators=tuple(generators), surrogate=surrogate
+    )
 
 
 def ideal_to_text(p: FiniteIdealPresentation) -> str:

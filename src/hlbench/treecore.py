@@ -406,6 +406,21 @@ def read_node(token: str, depth: int, line: int) -> str:
     return node
 
 
+def read_nodes(tokens: list[str], depth: int) -> list[str] | None:
+    """Bulk form of `read_node`: the nodes the tokens spell, or None unless all fit below `depth`.
+
+    One character-set check over the joined tokens, with every '-' a whole
+    token, and one length check; '-' counts as one character there, so a
+    root token at depth 1 gets None too.  On None a reader runs its per-line
+    loop, which raises the ParseError naming the first bad line.
+    """
+    joined = "".join(tokens)
+    if set(joined) <= {"0", "1", "-"} and joined.count("-") == tokens.count("-"):
+        if max(map(len, tokens), default=0) < depth:
+            return list(map({"-": ROOT}.get, tokens, tokens))
+    return None
+
+
 def tree_from_text(text: str) -> LevelTree:
     """Parse and validate a tree; malformed lines and invalid trees are rejected."""
     (value,), body = read_format(text, "tree v1 depth=<n>")

@@ -10,10 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hlbench
 from hlbench import __version__
-from hlbench.cli import main
+from hlbench.cli import _json, main
 from hlbench.colorings import coloring_to_text, random_coloring
 from hlbench.ideals import GridSet, NatSet, NodeSet, gridset_to_text, natset_to_text, nodeset_to_text, summable_weight
 from hlbench.katetov import PARAMS_MAX, SCOPE_SENTENCE, builtin_witness, ideal_to_text, morphism_to_text
@@ -174,6 +176,16 @@ class TestSubcommands:
         assert all(RATIONAL.match(d) for d in body["density_dyadic"])
         assert RATIONAL.match(body["summable_weight"])
         assert body["interval"] == {"ell": 4, "threshold": 1, "cmp": "ge", "count": 13}
+
+    def test_profile_natset_cmp(self, tmp_path, capsys):
+        path = tmp_path / "a.natset"
+        path.write_text(natset_to_text(NatSet.of({1, 2, 5, 6, 7}, 8)))
+        for cmp, count in (("ge", 6), ("gt", 3), (None, 6)):
+            argv = ["profile", "--input", str(path), "--ell", "2", "--threshold", "1"]
+            code, body, _ = run_json(argv + (["--cmp", cmp] if cmp else []), capsys)
+            assert code == 0
+            assert body["config"]["cmp"] == body["interval"]["cmp"] == (cmp or "ge")
+            assert body["interval"]["count"] == count
 
     def test_profile_gridset(self, tmp_path, capsys):
         path = tmp_path / "e.gridset"
@@ -444,6 +456,9 @@ class TestErrorPaths:
             ("nodeset", ["--ell", "2"], "--ell"),
             ("nodeset", ["--threshold", "1"], "--threshold"),
             ("natset", ["--threshold", "1"], "--threshold needs --ell"),
+            ("gridset", ["--cmp", "gt"], "--cmp"),
+            ("nodeset", ["--cmp", "ge"], "--cmp"),
+            ("natset", ["--cmp", "gt"], "--cmp needs --ell"),
         ],
     )
     def test_profile_refuses_unused_flags(self, kind, flags, named, tmp_path, capsys):
@@ -457,6 +472,30 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err.startswith("hlbench: error: ") and named in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["game", "--p1", "initial-segment", "--p2", "min-legal", "--horizon", "16", "--window", "65536"],
+            ["zdensity", "--nmax", "1"],
+        ],
+    )
+    def test_closed_stdout_is_io_error(self, argv):
+        # A large report fails in the write, a small one in the flush.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hlbench.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                check=False,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (2, "hlbench: error: cannot write stdout: Broken pipe\n")
 
     def test_unknown_profile_kind(self, tmp_path, capsys):
         path = tmp_path / "a.blob"
@@ -687,6 +726,98 @@ class TestConstructionBytes:
         # Relative paths keep the report's `config` the same in every run.
         monkeypatch.chdir(tmp_path)
         _write_hset_inputs(random.Random(20217))
+        argv, want_code, want_digest = self.CASES[case]
+        code, out, _ = run(argv, capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, want_digest)
+
+
+# ---------------------------------------------------------------------------
+# the report writer
+# ---------------------------------------------------------------------------
+
+report_text = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['"', "\\", '\\"', "\x00", "\x1f", "\n\t\r", "\x7f", "é", "\u2028", "\U0001f600", "a/b", ""]),
+)
+report_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**60), 10**60), report_text
+)
+report_values = st.recursive(
+    report_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(report_text, inner, max_size=5),
+        st.lists(st.integers(), max_size=8),
+        st.lists(report_text, max_size=8),
+    ),
+    max_leaves=40,
+)
+
+
+class TestWriter:
+    """`_json` writes exactly `json.dumps(value, sort_keys=True, indent=2)` or raises TypeError."""
+
+    @given(report_values)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{}, [], (), {"a": []}, [[], {}], [True, False, None, 0, -1], [1, True], ["x", 1], [[1, 2], ["a"]],
+         {"b": {"c": (1, "d")}, "a": -(10**30)}, "\u00e9\ud800"],
+    )
+    def test_examples(self, value):
+        assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, Fraction(1, 2), {1, 2}, frozenset(), {1: "a"}, {None: 1}, {("a",): 1}, [1, 2.0], {"a": [Fraction(1)]},
+         ["a", {"b": {3}}], {"a": 1, 2: "b"}, b"bytes"],
+    )
+    def test_other_values_raise(self, value):
+        with pytest.raises(TypeError):
+            _json(value)
+
+
+def _write_search_inputs(rng: random.Random) -> None:
+    """A seeded coloring of 2^<6 in the cwd, every node listed."""
+    lines = [f"{_node_token(format(i, f'0{k}b') if k else '')} {rng.getrandbits(1)}"
+             for k in range(6) for i in range(1 << k)]
+    Path("s.coloring").write_text("\n".join(["coloring v1 depth=6", *lines]) + "\n")
+
+
+class TestSearchBytes:
+    """`search` and `search-levels` stdout and exit status stay byte-identical."""
+
+    # SHA-256 of stdout and the exit status, recorded with `json.dumps(...,
+    # indent=2)` as the report writer.  The report carries the package
+    # version, so a version bump changes them.
+    CASES = {
+        "search d5 h2": (["search", "--depth", "5", "--height", "2", "--seed", "3"], 0,
+            "62f205f24ea71886e019c49a23e536b4ce36083f4cb20606e2e382c73d1492a3"),
+        "search-levels d5 h2": (["search-levels", "--depth", "5", "--height", "2", "--seed", "3"], 0,
+            "cf5ff31b0dcc3742f775787a2b6d24f23a2a5a64043c83719b0325408692772c"),
+        "search d5 h2 oracle": (["search", "--depth", "5", "--height", "2", "--seed", "8", "--oracle"], 0,
+            "2ad4c984da4f406a03f5bc354d65d8fe487e8a8593779e9894ea76b063aa693f"),
+        "search-levels d6 h1 oracle": (["search-levels", "--depth", "6", "--height", "1", "--seed", "8", "--oracle"], 0,
+            "4b63d294441019c866f208230d96275e6599b7f2b968c10e7fe2a39c4c260bd6"),
+        "search coloring h2": (["search", "--height", "2", "--coloring", "s.coloring"], 0,
+            "128936ae737e3dd560a8edf5af8de0eedc76df60b0245795f1a41dbd5c2edf5c"),
+        "search-levels coloring h1 oracle": (["search-levels", "--height", "1", "--coloring", "s.coloring", "--oracle"], 0,
+            "e6bc562410d24897db22e9448b9861c10f36b3aad5b8ad0028f72bdde85b0d94"),
+        "search d7 h2 truncated": (["search", "--depth", "7", "--height", "2", "--seed", "1", "--budget", "40"], 1,
+            "d5a4d476588da24f24d19a87d5196eaac30d3584206e3887af67c8a3daa7492f"),
+        "search d4 h0": (["search", "--depth", "4", "--height", "0", "--seed", "2"], 0,
+            "a0aaad1ca830ddaede00cb4b4a6d7f23a55144f9423f3ea4c61e4b89be3aea29"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stdout_digest(self, case, tmp_path, monkeypatch, capsys):
+        # Relative paths keep the report's `config` the same in every run.
+        monkeypatch.chdir(tmp_path)
+        _write_search_inputs(random.Random(20219))
         argv, want_code, want_digest = self.CASES[case]
         code, out, _ = run(argv, capsys)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, want_digest)

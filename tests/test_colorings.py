@@ -45,6 +45,23 @@ class TestBackends:
         c = Coloring.sparse(4, {"01": 1, "011": 1}, default=0)
         assert c.value("01") == 1 and c.value("00") == 0 and c.value("011") == 1
 
+    @pytest.mark.parametrize(
+        "overrides, default, error, message",
+        [
+            ({"012": 1}, 0, RangeError, "override node '012' outside 2^<4"),
+            ({"0000": 1}, 0, RangeError, "override node '0000' outside 2^<4"),
+            ({"-": 1}, 0, RangeError, "override node '-' outside 2^<4"),
+            ({5: 1}, 0, RangeError, "override node 5 outside 2^<4"),
+            ({"01": 2}, 0, ValueError, "color must be 0 or 1, got 2"),
+            ({}, 2, ValueError, "color must be 0 or 1, got 2"),
+        ],
+    )
+    def test_sparse_still_checks(self, overrides, default, error, message):
+        # The reader builds its coloring without this check; Coloring.sparse keeps it.
+        with pytest.raises(error) as exc:
+            Coloring.sparse(4, overrides, default=default)
+        assert str(exc.value) == message
+
     @given(st.integers(min_value=0, max_value=400), st.integers(min_value=2, max_value=6))
     @settings(max_examples=40)
     def test_count_extensions_matches_enumeration(self, seed, depth):

@@ -145,33 +145,78 @@ def test_body_errors_report_their_own_line(kind, data):
 
 
 # ---------------------------------------------------------------------------
-# natset and gridset rejections: the same message and line whether the bad
-# line stands alone, after noise, or at the end of a long valid body
+# reader rejections: the same message and line whether the bad line stands
+# alone, after noise, or at the end of a long valid body
 # ---------------------------------------------------------------------------
 
-NAT_BOUND, GRID_BOUND, LONG_BODY = 16384, 128, 10_000
+NAT_BOUND, GRID_BOUND, NODE_DEPTH, IDEAL_SIZE, LONG_BODY = 16384, 128, 16, 1024, 10_000
+# Nodes of lengths 1 to 13 in length-lex order: the long bodies of the
+# coloring and nodeset readers, clear of the root and of every node below.
+LONG_NODES = [_bits(i, n) for n in range(1, 14) for i in range(1 << n)][:LONG_BODY]
+NODE_15, NODE_16 = "1" * 15, "0" * 16
 
-# name -> (bad lines, index of the line rejected, message); recorded with the
-# per-line readers that the bulk checks now front.
-NATSET_REJECTIONS = {
-    "word": (["x"], 0, "not an integer: 'x'"),
-    "decimal": (["1.5"], 0, "not an integer: '1.5'"),
-    "two tokens": (["1 2"], 0, "not an integer: '1 2'"),
-    "below": (["-1"], 0, "member -1 outside [0, 16384)"),
-    "above": (["16384"], 0, "member 16384 outside [0, 16384)"),
-    "duplicate": (["12345", "12345"], 1, "duplicate member 12345"),
-}
-GRIDSET_REJECTIONS = {
-    "word": (["1 x"], 0, "expected '<col> <row>', got '1 x'"),
-    "one token": (["1"], 0, "expected '<col> <row>', got '1'"),
-    "three tokens": (["1 2 3"], 0, "expected '<col> <row>', got '1 2 3'"),
-    "one then three": (["1", "2 3 4"], 0, "expected '<col> <row>', got '1'"),
-    "semicolons": (["1 ;", "2 3"], 0, "expected '<col> <row>', got '1 ;'"),
-    "column below": (["-1 0"], 0, "cell (-1, 0) outside [0, 128)^2"),
-    "row below": (["0 -1"], 0, "cell (0, -1) outside [0, 128)^2"),
-    "column above": (["128 0"], 0, "cell (128, 0) outside [0, 128)^2"),
-    "row above": (["0 128"], 0, "cell (0, 128) outside [0, 128)^2"),
-    "duplicate": (["127 127", "127 127"], 1, "duplicate cell (127, 127)"),
+# kind -> name -> (bad lines, index of the line rejected, message); recorded
+# with the per-line readers that the bulk checks now front.
+REJECTIONS = {
+    "natset": {
+        "word": (["x"], 0, "not an integer: 'x'"),
+        "decimal": (["1.5"], 0, "not an integer: '1.5'"),
+        "two tokens": (["1 2"], 0, "not an integer: '1 2'"),
+        "below": (["-1"], 0, "member -1 outside [0, 16384)"),
+        "above": (["16384"], 0, "member 16384 outside [0, 16384)"),
+        "duplicate": (["12345", "12345"], 1, "duplicate member 12345"),
+    },
+    "gridset": {
+        "word": (["1 x"], 0, "expected '<col> <row>', got '1 x'"),
+        "one token": (["1"], 0, "expected '<col> <row>', got '1'"),
+        "three tokens": (["1 2 3"], 0, "expected '<col> <row>', got '1 2 3'"),
+        "one then three": (["1", "2 3 4"], 0, "expected '<col> <row>', got '1'"),
+        "semicolons": (["1 ;", "2 3"], 0, "expected '<col> <row>', got '1 ;'"),
+        "column below": (["-1 0"], 0, "cell (-1, 0) outside [0, 128)^2"),
+        "row below": (["0 -1"], 0, "cell (0, -1) outside [0, 128)^2"),
+        "column above": (["128 0"], 0, "cell (128, 0) outside [0, 128)^2"),
+        "row above": (["0 128"], 0, "cell (0, 128) outside [0, 128)^2"),
+        "duplicate": (["127 127", "127 127"], 1, "duplicate cell (127, 127)"),
+    },
+    "coloring": {
+        "word": ([f"{NODE_15}x 1"], 0, f"not a node: '{NODE_15}x'"),
+        "one token": ([NODE_15], 0, f"expected '<node> <bit>', got '{NODE_15}'"),
+        "three tokens": ([f"{NODE_15} 1 1"], 0, f"expected '<node> <bit>', got '{NODE_15} 1 1'"),
+        "one then three": (["0", "1 1 0"], 0, "expected '<node> <bit>', got '0'"),
+        "semicolon bit": (["0 ;", "1 1"], 0, "color must be 0 or 1, got ';'"),
+        "semicolon node": (["1", "; 1"], 0, "expected '<node> <bit>', got '1'"),
+        "semicolon line": (["1 1 ;", "0"], 0, "expected '<node> <bit>', got '1 1 ;'"),
+        "bit first": (["1 -"], 0, "color must be 0 or 1, got '-'"),
+        "bit two": ([f"{NODE_15} 2"], 0, "color must be 0 or 1, got '2'"),
+        "dash inside": (["0-1 1"], 0, "not a node: '0-1'"),
+        "two dashes": (["-- 0"], 0, "not a node: '--'"),
+        "too long": ([f"{NODE_16} 1"], 0, f"node '{NODE_16}' too long for depth 16"),
+        "duplicate": ([f"{NODE_15} 1", f"{NODE_15} 0"], 1, f"duplicate node '{NODE_15}'"),
+        "duplicate root": (["- 1", "- 1"], 1, "duplicate node '-'"),
+    },
+    "nodeset": {
+        "word": ([f"{NODE_15}x"], 0, f"not a node: '{NODE_15}x'"),
+        "two tokens": (["0 1"], 0, "not a node: '0 1'"),
+        "digit two": (["012"], 0, "not a node: '012'"),
+        "dash inside": (["0-1"], 0, "not a node: '0-1'"),
+        "two dashes": (["--"], 0, "not a node: '--'"),
+        "too long": ([NODE_16], 0, f"node '{NODE_16}' too long for depth 16"),
+        "duplicate": ([NODE_15, NODE_15], 1, f"duplicate node '{NODE_15}'"),
+        "duplicate root": (["-", "-"], 1, "duplicate node '-'"),
+    },
+    "ideal": {
+        "outside": (["generator bad 1 1024"], 0, "element '1024' outside the interval ground of size 1024"),
+        "word": (["generator bad 1 x"], 0, "bad interval element 'x'"),
+        "below": (["generator bad -1"], 0, "element '-1' outside the interval ground of size 1024"),
+        "outside then word": (["generator bad 1 2000 x"], 0, "element '2000' outside the interval ground of size 1024"),
+        "word then outside": (["generator bad 1 x 2000"], 0, "bad interval element 'x'"),
+        "no name": (["generator"], 0, "generator line needs a name"),
+        "duplicate": (["generator dup 1", "generator dup 2"], 1, "duplicate generator 'dup'"),
+        "unknown directive": (["frobnicate 1"], 0, "unknown directive 'frobnicate'"),
+        "name line": (["name a b"], 0, "name line needs exactly one value"),
+        "surrogate twice": (["surrogate generator-union max=1", "surrogate generator-union max=2"], 1,
+                            "duplicate surrogate line"),
+    },
 }
 READERS = {
     "natset": (natset_from_text, f"natset v1 bound={NAT_BOUND}", [str(m) for m in range(LONG_BODY)]),
@@ -179,6 +224,17 @@ READERS = {
         gridset_from_text,
         f"gridset v1 bound={GRID_BOUND}",
         [f"{c} {r}" for c in range(GRID_BOUND) for r in range(GRID_BOUND)][:LONG_BODY],
+    ),
+    "coloring": (
+        coloring_from_text,
+        f"coloring v1 depth={NODE_DEPTH}",
+        [f"{s} {i % 2}" for i, s in enumerate(LONG_NODES)],
+    ),
+    "nodeset": (nodeset_from_text, f"nodeset v1 depth={NODE_DEPTH}", LONG_NODES),
+    "ideal": (
+        parse_ideal_text,
+        f"ideal v1 ground=interval params={IDEAL_SIZE}",
+        [f"generator g{i} {i % IDEAL_SIZE} {(7 * i) % IDEAL_SIZE}" for i in range(LONG_BODY)],
     ),
 }
 # placement -> lines before the bad ones, given the reader's long valid body
@@ -190,19 +246,30 @@ PLACEMENTS = {
 
 
 @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
-@pytest.mark.parametrize(
-    "kind, case",
-    [("natset", name) for name in NATSET_REJECTIONS] + [("gridset", name) for name in GRIDSET_REJECTIONS],
-)
+@pytest.mark.parametrize("kind, case", [(kind, name) for kind, cases in REJECTIONS.items() for name in cases])
 def test_rejection_message_and_line(kind, case, placement):
     from_text, header, body = READERS[kind]
-    bad, index, message = (NATSET_REJECTIONS if kind == "natset" else GRIDSET_REJECTIONS)[case]
+    bad, index, message = REJECTIONS[kind][case]
     before = PLACEMENTS[placement](body)
     with pytest.raises(ParseError) as exc:
         from_text("\n".join([header, *before, *bad]) + "\n")
     line = 2 + len(before) + index
     assert exc.value.line == line
     assert str(exc.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("kind", ["coloring", "nodeset", "ideal"])
+def test_long_body_reads_as_listed(kind):
+    from_text, header, body = READERS[kind]
+    parsed = from_text("\n".join([header, *body]) + "\n")
+    if kind == "coloring":
+        assert parsed._overrides == {s: i % 2 for i, s in enumerate(LONG_NODES)}
+    elif kind == "nodeset":
+        assert parsed == NodeSet.of(LONG_NODES, NODE_DEPTH)
+    else:
+        assert [g.elements for g in parsed.generators] == [
+            frozenset({i % IDEAL_SIZE, (7 * i) % IDEAL_SIZE}) for i in range(LONG_BODY)
+        ]
 
 
 @pytest.mark.parametrize(
@@ -215,3 +282,26 @@ def test_rejection_message_and_line(kind, case, placement):
 def test_tokens_int_accepts_parse_as_before(text, parsed):
     from_text = natset_from_text if text.startswith("natset") else gridset_from_text
     assert from_text(text) == parsed
+
+
+def test_interval_elements_parse_as_before():
+    parsed = parse_ideal_text("ideal v1 ground=interval params=16\ngenerator g +3 05 1_1 3\ngenerator h\n")
+    assert [(g.name, g.elements) for g in parsed.generators] == [("g", frozenset({3, 5, 11})), ("h", frozenset())]
+
+
+@pytest.mark.parametrize(
+    "text, parsed",
+    [
+        ("coloring v1 depth=1\n- 1\n", {"": 1}),
+        ("coloring v1 depth=3\n  01\t1 \n-    0\n1 1\n", {"01": 1, "": 0, "1": 1}),
+        ("coloring v1 depth=3\n", {}),
+        ("nodeset v1 depth=1\n-\n", NodeSet.of([""], 1)),
+        ("nodeset v1 depth=3\n 01\t\n-\n1\n", NodeSet.of(["01", "", "1"], 3)),
+        ("nodeset v1 depth=3\n", NodeSet.of([], 3)),
+    ],
+)
+def test_node_tokens_parse_as_before(text, parsed):
+    if text.startswith("coloring"):
+        assert coloring_from_text(text)._overrides == parsed
+    else:
+        assert nodeset_from_text(text) == parsed

@@ -92,6 +92,34 @@ class TestCarriers:
         assert NatSet.of([Int(2)], 4).members == frozenset({2})
         assert GridSet.of([(Int(1), 2)], 4).cells == frozenset({(1, 2)})
 
+    @pytest.mark.parametrize(
+        "nodes, depth, error, message",
+        [
+            (["000"], 3, RangeError, "node '000' too long for depth 3"),
+            (["0", ""], 0, RangeError, "depth 0 outside [1, 64]"),
+            (["0x"], 3, ValueError, "not a binary string: '0x'"),
+            (["-"], 3, ValueError, "not a binary string: '-'"),
+            ([1], 3, ValueError, "not a binary string: 1"),
+        ],
+    )
+    def test_nodeset_constructor_still_checks(self, nodes, depth, error, message):
+        # The reader skips this check; building a NodeSet directly does not.
+        with pytest.raises(error) as exc:
+            NodeSet.of(nodes, depth)
+        assert str(exc.value) == message
+
+    def test_prefix_table_leaves_equality_and_hash(self):
+        direct = NodeSet.of(["0", "00", "011", "1"], 4)
+        read = nodeset_from_text("nodeset v1 depth=4\n1\n011\n00\n0\n")
+        fresh = NodeSet.of(["0", "00", "011", "1"], 4)
+        before = hash(direct)
+        assert sorted(direct.longest_prefixes) == [("0", -1), ("00", 1), ("011", 1), ("1", -1)]
+        assert direct.longest_prefixes is direct.longest_prefixes
+        assert direct == read == fresh and hash(direct) == hash(read) == hash(fresh) == before
+        assert repr(direct) == repr(fresh)
+        assert {read: "x"}[direct] == "x"
+        assert direct != NodeSet.of(["0", "00", "011", "1"], 5)
+
     def test_sorted_accessors(self):
         assert NatSet.of([3, 1], 8).sorted_members() == [1, 3]
         assert NodeSet.of(["1", "00", "0"], 3).sorted_nodes() == ["0", "1", "00"]

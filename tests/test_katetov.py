@@ -73,6 +73,24 @@ class TestGrounds:
         with pytest.raises(RangeError):
             FiniteIdealPresentation("p", g, (Generator("bad", frozenset({9})),), None)
 
+    @pytest.mark.parametrize(
+        "ground, element",
+        [(Ground("interval", 4), 4), (Ground("interval", 4), -1), (Ground("grid", 3), (0, 3)),
+         (Ground("grid", 3), (1,)), (Ground("nodes", 3), "000"), (Ground("nodes", 3), "2")],
+    )
+    def test_presentation_constructor_still_checks(self, ground, element):
+        # The reader skips this check, having checked each element as it parsed it.
+        with pytest.raises(RangeError, match="^generator 'g' has element outside the ground: "):
+            FiniteIdealPresentation("p", ground, (Generator("g", frozenset({element})),), None)
+
+    def test_parsed_presentation_equals_constructed(self):
+        text = "ideal v1 ground=grid params=3\nname e\nsurrogate column-bound\ngenerator a 0,1 2,2\ngenerator b\n"
+        built = FiniteIdealPresentation(
+            "e", Ground("grid", 3), (Generator("a", frozenset({(0, 1), (2, 2)})), Generator("b", frozenset())),
+            ColumnBoundSurrogate(),
+        )
+        assert parse_ideal_text(text) == built
+
     def test_out_of_ground_message(self):
         with pytest.raises(RangeError, match=r"^generator 'x' has element outside the ground: 9$"):
             FiniteIdealPresentation("p", Ground("interval", 4), (Generator("x", frozenset({1, 9})),), None)
