@@ -10,10 +10,13 @@ error (argparse uses 2 on its own), including a stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -469,96 +472,135 @@ def _parse_int_list(text: str) -> list[int]:
         raise ParseError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its name, help, options in --help order, and handler."""
+
+    name: str
+    help: str
+    options: tuple
+    handler: Callable[[argparse.Namespace], int]
+
+
+class _OneOf(tuple):
+    """Options of which a command takes at most one (a mutually exclusive group)."""
+
+
+def _opt(*flags: str, **kwargs) -> tuple:
+    """The arguments of one `add_argument` call."""
+    return flags, kwargs
+
+
+_SEARCH_OPTIONS = (
+    _opt("--depth", type=int, help="tree depth (required with --seed)"),
+    _opt("--height", type=int, required=True, help="embedding height"),
+    _OneOf((
+        _opt("--seed", type=int, help="seed for a random coloring (default 0)"),
+        _opt("--coloring", help="coloring file instead of a seeded coloring"),
+    )),
+    _opt(
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help=f"work budget for the whole search, at most {BUDGET_CAP}: DP mask operations plus walk states,"
+        " at most twice this in all",
+    ),
+    _opt("--workers", type=int, default=1, help="accepted; results and speed are the same for every count"),
+    _opt("--oracle", action="store_true", help="cross-check against the exhaustive oracle"),
+)
+
+# Every command takes --verbose, after its own options.
+_VERBOSE = _opt("--verbose", action="store_true", help="human-readable tables on stderr")
+
+COMMANDS = {
+    command.name: command
+    for command in (
+        Command("hset", "monochromatic level set of a coloring on a tree", (
+            _opt("--coloring", required=True, help="coloring file"),
+            _opt("--tree", required=True, help="tree file"),
+        ), cmd_hset),
+        Command("zdensity", "slowly branching instance with exhaustive band checks", (
+            _opt("--nmax", type=int, required=True, help="largest band index"),
+        ), cmd_zdensity),
+        Command("search", "best uniform certificate search", _SEARCH_OPTIONS,
+                functools.partial(cmd_search, mode="uniform")),
+        Command("search-levels", "best by_levels certificate search", _SEARCH_OPTIONS,
+                functools.partial(cmd_search, mode="by_levels")),
+        Command("pairing", "pairing coloring with exhaustive disjointness checks", (
+            _opt("--base-levels", required=True, dest="base_levels", help="comma-separated levels"),
+            _opt("--cap", type=int, default=3, help="matchings kept per level"),
+            _opt("--depth", type=int, required=True),
+        ), cmd_pairing),
+        Command("levels", "splitting-level coloring with bichromatic slice checks", (
+            _opt("--max-len", type=int, required=True, dest="max_len"),
+            _opt("--depth", type=int, required=True),
+        ), cmd_levels),
+        Command("profile", "ideal statistics of a natset/gridset/nodeset file", (
+            _opt("--input", required=True),
+            _opt("--ell", type=int, help="interval length for interval counts"),
+            _opt("--threshold", type=int),
+            _opt("--cmp", choices=("ge", "gt"), help="window comparison for --ell (default ge)"),
+        ), cmd_profile),
+        Command("game", "play the evasion game and profile the outcome set", (
+            _opt("--p1", required=True, help="player I strategy id"),
+            _opt("--p2", required=True, help="player II strategy id"),
+            _opt("--horizon", type=int, required=True),
+            _opt("--window", type=int, required=True),
+            _opt("--seed", type=int, default=0),
+            _opt("--coloring", help="coloring file for the tree-builder strategy"),
+        ), cmd_game),
+        Command("katetov", "check a morphism file or a builtin witness", (
+            _opt("--builtin", help="builtin witness name"),
+            _opt("--counterexample", help="builtin counterexample name"),
+            _opt("--morphism", help="morphism file"),
+            _opt("--source", help="source ideal presentation file"),
+            _opt("--target", help="target ideal presentation file"),
+            _opt("--list", action="store_true", help="list builtin names"),
+        ), cmd_katetov),
+    )
+}
+
+
+def build_parser(commands: Iterable[Command] = COMMANDS.values()) -> argparse.ArgumentParser:
+    """The top-level parser with a subparser for each of `commands`, by default all of them."""
     parser = argparse.ArgumentParser(
         prog="hlbench",
         description="Finite workbench for tree colorings, subtree search, ideal statistics, and games.",
     )
     parser.add_argument("--version", action="version", version=f"hlbench {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--verbose", action="store_true", help="human-readable tables on stderr")
-
-    p = sub.add_parser("hset", help="monochromatic level set of a coloring on a tree")
-    p.add_argument("--coloring", required=True, help="coloring file")
-    p.add_argument("--tree", required=True, help="tree file")
-    common(p)
-    p.set_defaults(func=cmd_hset)
-
-    p = sub.add_parser("zdensity", help="slowly branching instance with exhaustive band checks")
-    p.add_argument("--nmax", type=int, required=True, help="largest band index")
-    common(p)
-    p.set_defaults(func=cmd_zdensity)
-
-    for name, mode in (("search", "uniform"), ("search-levels", "by_levels")):
-        p = sub.add_parser(name, help=f"best {mode} certificate search")
-        p.add_argument("--depth", type=int, help="tree depth (required with --seed)")
-        p.add_argument("--height", type=int, required=True, help="embedding height")
-        source = p.add_mutually_exclusive_group()
-        source.add_argument("--seed", type=int, help="seed for a random coloring (default 0)")
-        source.add_argument("--coloring", help="coloring file instead of a seeded coloring")
-        p.add_argument(
-            "--budget",
-            type=int,
-            default=DEFAULT_BUDGET,
-            help=f"work budget for the whole search, at most {BUDGET_CAP}: DP mask operations plus walk states,"
-            " at most twice this in all",
-        )
-        p.add_argument(
-            "--workers", type=int, default=1, help="accepted; results and speed are the same for every count"
-        )
-        p.add_argument("--oracle", action="store_true", help="cross-check against the exhaustive oracle")
-        common(p)
-        p.set_defaults(func=lambda a, m=mode: cmd_search(a, m))
-
-    p = sub.add_parser("pairing", help="pairing coloring with exhaustive disjointness checks")
-    p.add_argument("--base-levels", required=True, dest="base_levels", help="comma-separated levels")
-    p.add_argument("--cap", type=int, default=3, help="matchings kept per level")
-    p.add_argument("--depth", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_pairing)
-
-    p = sub.add_parser("levels", help="splitting-level coloring with bichromatic slice checks")
-    p.add_argument("--max-len", type=int, required=True, dest="max_len")
-    p.add_argument("--depth", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_levels)
-
-    p = sub.add_parser("profile", help="ideal statistics of a natset/gridset/nodeset file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--ell", type=int, help="interval length for interval counts")
-    p.add_argument("--threshold", type=int)
-    p.add_argument("--cmp", choices=("ge", "gt"), help="window comparison for --ell (default ge)")
-    common(p)
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("game", help="play the evasion game and profile the outcome set")
-    p.add_argument("--p1", required=True, help="player I strategy id")
-    p.add_argument("--p2", required=True, help="player II strategy id")
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--window", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coloring", help="coloring file for the tree-builder strategy")
-    common(p)
-    p.set_defaults(func=cmd_game)
-
-    p = sub.add_parser("katetov", help="check a morphism file or a builtin witness")
-    p.add_argument("--builtin", help="builtin witness name")
-    p.add_argument("--counterexample", help="builtin counterexample name")
-    p.add_argument("--morphism", help="morphism file")
-    p.add_argument("--source", help="source ideal presentation file")
-    p.add_argument("--target", help="target ideal presentation file")
-    p.add_argument("--list", action="store_true", help="list builtin names")
-    common(p)
-    p.set_defaults(func=cmd_katetov)
-
+    for command in commands:
+        p = sub.add_parser(command.name, help=command.help)
+        for option in (*command.options, _VERBOSE):
+            if isinstance(option, _OneOf):
+                group = p.add_mutually_exclusive_group()
+                for flags, kwargs in option:
+                    group.add_argument(*flags, **kwargs)
+            else:
+                flags, kwargs = option
+                p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=command.handler)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, building only the subcommand `argv` names when it names one.
+
+    Nothing is kept between calls.  Every other argv (help, version, a missing,
+    unknown or abbreviated subcommand, a leading option) goes to the full tree.
+    So does a known subcommand followed by arguments it does not take: argparse
+    refuses those with the top-level usage, which lists every subcommand.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = build_parser([command]).parse_known_args(argv)
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -226,11 +226,15 @@ class ZDensityInstance:
     band_tables: dict[int, dict[int, tuple[int, ...]]]
 
 
+# The largest n_max whose host depth 2^(n_max+1) + 1 is at most D_MAX.
+ZDENSITY_N_MAX = (D_MAX - 1).bit_length() - 2
+
+
 def zdensity_coloring(n_max: int) -> ZDensityInstance:
-    if n_max < 1:
-        raise RangeError(f"n_max {n_max} must be at least 1")
+    # Checked before the depth is formed: 1 << (n_max + 1) is as large as n_max asks.
+    if not 1 <= n_max <= ZDENSITY_N_MAX:
+        raise RangeError(f"n_max {n_max} outside [1, {ZDENSITY_N_MAX}]")
     depth = (1 << (n_max + 1)) + 1
-    check_depth(depth)  # caps n_max at 4
 
     split_levels = {1 << n for n in range(2, n_max + 1)}
     levels: list[frozenset[str]] = [frozenset({""})]

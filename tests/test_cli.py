@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hlbench
+import hlbench.cli as cli
 from hlbench import __version__
 from hlbench.cli import _json, main
 from hlbench.colorings import coloring_to_text, random_coloring
@@ -95,6 +97,95 @@ class TestEnvelope:
         )
         assert proc.returncode == 0
         assert f"hlbench {__version__}" in proc.stdout
+
+
+def _exit(call, capsys):
+    """(exit status, stdout, stderr) of `call()`, which may exit through SystemExit."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_SEARCH = ["search", "--depth", "5", "--height", "2"]
+
+# Every usage error, help and version text a user can reach, by kind.
+USAGE_CORPUS = [
+    [],
+    ["--help"],
+    ["--version"],
+    ["bogus"],
+    ["sea"],
+    ["--verbose", *_SEARCH],
+    *([name, "--help"] for name in cli.COMMANDS),
+    # refused by the subcommand's own parser
+    ["search", "--depth", "5"],
+    ["search", "--depth", "x", "--height", "2"],
+    ["search", "--height", "2", "--seed", "1", "--coloring", "c.coloring"],
+    # arguments left over after a known subcommand, refused with the top-level usage
+    [*_SEARCH, "--bogus"],
+    [*_SEARCH, "extra"],
+    [*_SEARCH, "search-levels"],
+    [*_SEARCH, "--version"],
+    ["katetov", "--list", "extra"],
+]
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The number of `ArgumentParser`s constructed so far, subparsers included."""
+    built = [0]
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return lambda: built[0]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", USAGE_CORPUS, ids=" ".join)
+    def test_usage_bytes_match_the_full_tree(self, argv, capsys):
+        want = _exit(lambda: cli.build_parser().parse_args(argv), capsys)
+        assert isinstance(want[0], int)  # every corpus argv exits inside argparse
+        assert _exit(lambda: main(argv), capsys) == want
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (_SEARCH, 2),  # the top-level parser and the one subparser `search`
+            (["katetov", "--help"], 2),
+            (["search", "--depth", "x", "--height", "2"], 2),
+            ([*_SEARCH, "--bogus"], 2 + 1 + len(cli.COMMANDS)),  # then the full tree, for its usage
+            (["--help"], 1 + len(cli.COMMANDS)),
+            (["sea"], 1 + len(cli.COMMANDS)),
+            (["--verbose", *_SEARCH], 1 + len(cli.COMMANDS)),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_console_script_argv(self, argv, built, monkeypatch, parsers_built, capsys):
+        want = _exit(lambda: main(list(argv)), capsys)
+        before = parsers_built()
+        monkeypatch.setattr(sys, "argv", ["hlbench", *argv])
+        assert _exit(main, capsys) == want
+        assert parsers_built() - before == built
+
+    def test_no_parser_state_between_calls(self, capsys):
+        first = ["zdensity", "--nmax", "2"]
+        second = ["search-levels", "--depth", "6", "--height", "1", "--seed", "3"]
+        together = [_exit(lambda: main(list(argv)), capsys) for argv in (first, second)]
+        separate = []
+        for argv in (first, second):
+            proc = subprocess.run([sys.executable, "-m", "hlbench.cli", *argv], capture_output=True, text=True)
+            separate.append((proc.returncode, proc.stdout, proc.stderr))
+        assert together == separate
+        for name, value in vars(cli).items():
+            assert not isinstance(value, argparse.ArgumentParser), name
+            assert not hasattr(value, "cache_info"), name  # no functools.cache / lru_cache
 
 
 class TestSubcommands:
@@ -435,6 +526,11 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err == f"hlbench: error: strategy {named}\n"
+
+    @pytest.mark.parametrize("n_max", [5, 40, 10**9])
+    def test_zdensity_nmax_out_of_range(self, n_max, capsys):
+        code, out, err = run(["zdensity", "--nmax", str(n_max)], capsys)
+        assert (code, out, err) == (2, "", f"hlbench: error: n_max {n_max} outside [1, 4]\n")
 
     def test_search_needs_depth_without_coloring(self, capsys):
         code, _, err = run(["search", "--height", "1"], capsys)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hlbench._rng import SplitMix64, splitmix64_output
 from hlbench.colorings import (
     SERIALIZE_MAX,
+    ZDENSITY_N_MAX,
     Coloring,
     MatchingCheck,
     band_range,
@@ -28,7 +30,7 @@ from hlbench.colorings import (
 )
 from hlbench.colorings import SplittingAssignment
 from hlbench.errors import ConstructionError, ParseError, RangeError, ShapeError
-from hlbench.treecore import LevelTree, level_nodes, make_full, subtree_at, validate
+from hlbench.treecore import D_MAX, LevelTree, level_nodes, make_full, subtree_at, validate
 
 
 def all_nodes(depth):
@@ -198,9 +200,24 @@ class TestZDensity:
         with pytest.raises(RangeError):
             band_range(-1)
 
+    def test_nmax_cap_is_the_largest_host_within_d_max(self):
+        assert ZDENSITY_N_MAX == 4
+        assert zdensity_coloring(ZDENSITY_N_MAX).depth <= D_MAX < (1 << (ZDENSITY_N_MAX + 2)) + 1
+
     def test_nmax_validation(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match=r"^n_max 0 outside \[1, 4\]$"):
             zdensity_coloring(0)
+
+    @pytest.mark.parametrize("n_max", [5, 40, 10**9])
+    def test_nmax_past_the_cap_refused_before_building(self, n_max):
+        tracemalloc.start()
+        try:
+            with pytest.raises(RangeError, match=rf"^n_max {n_max} outside \[1, 4\]$"):
+                zdensity_coloring(n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16  # refused before 1 << (n_max + 1) is formed
 
 
 class TestPairing:
