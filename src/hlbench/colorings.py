@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._rng import splitmix64_output
-from .errors import ConstructionError, ParseError, RangeError, ShapeError
+from .errors import ConstructionError, ParseError, RangeError, ShapeError, shown
 from .treecore import (
     D_MAX,
     LevelSet,
@@ -27,6 +27,7 @@ from .treecore import (
     lenlex_key,
     level_nodes,
     node_index,
+    numbered_body,
     read_format,
     read_node,
     read_nodes,
@@ -82,6 +83,14 @@ class Coloring:
             return self._overrides.get(s, self._default)
         return self._fn(s)
 
+    def level_values(self, level: int, nodes: Iterable[str]) -> list[int]:
+        """Colors of `nodes`, all of length `level`, in order; the length is checked once, not per node."""
+        if not 0 <= level < self.depth:
+            raise RangeError(f"node of length {shown(level)} outside 2^<{self.depth}")
+        if self._overrides is not None:
+            return list(map(self._overrides.get, nodes, itertools.repeat(self._default)))
+        return list(map(self._fn, nodes))
+
     def count_extensions(self, s: str, level: int, color: int, cap: int | None = None) -> int:
         """Number of extensions of `s` at `level` with the given color.
 
@@ -90,7 +99,7 @@ class Coloring:
         """
         _check_bit(color)
         if not len(s) <= level < self.depth:
-            raise RangeError(f"level {level} outside [{len(s)}, {self.depth})")
+            raise RangeError(f"level {shown(level)} outside [{len(s)}, {self.depth})")
         if self._overrides is not None:
             hits = 0
             listed = 0
@@ -202,7 +211,7 @@ def color_trace(c: Coloring, x: str) -> tuple[LevelSet, LevelSet]:
 def band_range(n: int) -> range:
     """Dyadic level band B_n = (2^n, 2^(n+1)]."""
     if n < 0:
-        raise RangeError(f"band index {n} negative")
+        raise RangeError(f"band index {shown(n)} negative")
     return range((1 << n) + 1, (1 << (n + 1)) + 1)
 
 
@@ -233,7 +242,7 @@ ZDENSITY_N_MAX = (D_MAX - 1).bit_length() - 2
 def zdensity_coloring(n_max: int) -> ZDensityInstance:
     # Checked before the depth is formed: 1 << (n_max + 1) is as large as n_max asks.
     if not 1 <= n_max <= ZDENSITY_N_MAX:
-        raise RangeError(f"n_max {n_max} outside [1, {ZDENSITY_N_MAX}]")
+        raise RangeError(f"n_max {shown(n_max)} outside [1, {ZDENSITY_N_MAX}]")
     depth = (1 << (n_max + 1)) + 1
 
     split_levels = {1 << n for n in range(2, n_max + 1)}
@@ -332,7 +341,7 @@ def pairing_coloring(base_levels: Iterable[int], per_level_cap: int, depth: int)
         raise ConstructionError("no base levels given")
     for n in lvls:
         if n < 1 or n >= depth:
-            raise RangeError(f"base level {n} outside [1, {depth})")
+            raise RangeError(f"base level {shown(n)} outside [1, {depth})")
     if per_level_cap < 1:
         raise ConstructionError(f"per-level cap {per_level_cap} admits no matchings")
 
@@ -423,7 +432,7 @@ def residue_splitting(max_len: int, depth: int) -> SplittingAssignment:
     clear the floor |t_i| + 1."""
     check_depth(depth)
     if max_len < 0 or max_len >= depth:
-        raise RangeError(f"max_len {max_len} outside [0, {depth})")
+        raise RangeError(f"max_len {shown(max_len)} outside [0, {depth})")
     domain = tuple(s for n in range(max_len + 1) for s in level_nodes(n))
     return SplittingAssignment(domain, _residue_level_sets([len(t) + 1 for t in domain], depth))
 
@@ -483,11 +492,21 @@ def check_levels_bichromatic(c: Coloring, assignment: SplittingAssignment) -> li
 
     At each assigned level the extensions through t+0 must all be colored 0
     and those through t+1 all colored 1; both sides are checked exhaustively.
+    The slice's colors are read once, in lexicographic order, so the t+0
+    side is the first half of the list and the t+1 side the second half.
     """
+    tails: dict[int, list[str]] = {}  # length -> all strings of that length, lexicographic
     out: list[SliceCheck] = []
     for i, t in enumerate(assignment.domain):
         for k in sorted(assignment.sets[i]):
-            out.append(SliceCheck(t, k, c.count_extensions(t + "0", k, 1), c.count_extensions(t + "1", k, 0)))
+            if not len(t) < k < c.depth:
+                raise RangeError(f"level {shown(k)} outside [{len(t) + 1}, {c.depth})")
+            m = k - len(t)
+            if m not in tails:
+                tails[m] = list(level_nodes(m))
+            colors = c.level_values(k, map(t.__add__, tails[m]))
+            half = len(colors) // 2
+            out.append(SliceCheck(t, k, colors[:half].count(1), colors[half:].count(0)))
     return out
 
 
@@ -523,14 +542,14 @@ def coloring_from_text(text: str) -> Coloring:
     # 3n - 1 fields, node and bit tokens in all but every third place and no
     # ';' among them, every line holds exactly one node and one bit.
     n = len(body)
-    fields = " ; ".join([line for _, line in body]).split()
+    fields = " ; ".join(body).split()
     nodes = read_nodes(fields[0::3], depth) if len(fields) == 3 * n - 1 else None
     bits = fields[1::3]
     overrides = dict(zip(nodes, map(int, bits))) if nodes is not None and set(bits) <= {"0", "1"} else {}
     if len(overrides) != n:
         # A line failed the bulk check, or two lines hold the same node.
         overrides = {}
-        for i, line in body:
+        for i, line in numbered_body(text):
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(f"expected '<node> <bit>', got {line!r}", i)

@@ -17,11 +17,12 @@ tree and plays the empty set from then on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from ._rng import SplitMix64
 from .colorings import Coloring, i_set
-from .errors import GameProtocolError, NotFoundError, RangeError
+from .errors import GameProtocolError, NotFoundError, RangeError, shown
 from .treecore import extensions, format_node
 
 WINDOW_MAX = 1 << 20
@@ -289,9 +290,9 @@ def play(
     player I's set covers the whole window or player II declines to pick.
     """
     if horizon < 1:
-        raise RangeError(f"horizon {horizon} must be >= 1")
+        raise RangeError(f"horizon {shown(horizon)} must be >= 1")
     if not 1 <= window <= WINDOW_MAX:
-        raise RangeError(f"window {window} outside [1, {WINDOW_MAX}]")
+        raise RangeError(f"window {shown(window)} outside [1, {WINDOW_MAX}]")
     player_one = _resolve(s1, lambda sid: make_player_one(sid, window, coloring, seed))
     player_two = _resolve(s2, lambda sid: make_player_two(sid, window, seed))
 
@@ -300,7 +301,9 @@ def play(
     for n in range(horizon):
         move = player_one.move(n)
         name_one = getattr(player_one, "name", type(player_one).__name__)
-        if not all(isinstance(k, int) and 0 <= k < window for k in move):
+        # Types first, so that min and max compare ints only.
+        in_window = all(map(isinstance, move, repeat(int))) and (not move or 0 <= min(move) and max(move) < window)
+        if not in_window:
             raise GameProtocolError(
                 f"player I move not inside [0, {window})", strategy=name_one, round_index=n
             )

@@ -17,7 +17,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import ParseError, RangeError
+from .errors import ParseError, RangeError, shown
 from .treecore import (
     D_MAX,
     ELEMENT_CAP,
@@ -25,6 +25,7 @@ from .treecore import (
     format_node,
     header_int,
     lenlex_key,
+    numbered_body,
     read_format,
     read_node,
     read_nodes,
@@ -65,12 +66,12 @@ class NatSet:
 
     def __post_init__(self):
         if self.bound < 1:
-            raise RangeError(f"bound {self.bound} must be >= 1")
+            raise RangeError(f"bound {shown(self.bound)} must be >= 1")
         if _plain_ints_below(self.members, self.bound):
             return
         for m in self.members:
             if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m < self.bound:
-                raise RangeError(f"member {m!r} outside [0, {self.bound})")
+                raise RangeError(f"member {shown(m)!r} outside [0, {shown(self.bound)})")
 
     @classmethod
     def of(cls, members: Iterable[int], bound: int) -> "NatSet":
@@ -98,7 +99,7 @@ class GridSet:
 
     def __post_init__(self):
         if self.bound < 1:
-            raise RangeError(f"bound {self.bound} must be >= 1")
+            raise RangeError(f"bound {shown(self.bound)} must be >= 1")
         cells = self.cells
         if (
             set(map(type, cells)) <= {tuple}
@@ -113,7 +114,7 @@ class GridSet:
                 or not all(isinstance(v, int) and not isinstance(v, bool) for v in cell)
                 or not all(0 <= v < self.bound for v in cell)
             ):
-                raise RangeError(f"cell {cell!r} outside [0, {self.bound})^2")
+                raise RangeError(f"cell {shown(cell)!r} outside [0, {shown(self.bound)})^2")
 
     @classmethod
     def of(cls, cells: Iterable[tuple[int, int]], bound: int) -> "GridSet":
@@ -121,7 +122,7 @@ class GridSet:
 
     def column(self, c: int) -> frozenset[int]:
         if not 0 <= c < self.bound:
-            raise RangeError(f"column {c} outside [0, {self.bound})")
+            raise RangeError(f"column {shown(c)} outside [0, {shown(self.bound)})")
         return frozenset(row for col, row in self.cells if col == c)
 
     def __len__(self) -> int:
@@ -137,7 +138,7 @@ class NodeSet:
 
     def __post_init__(self):
         if not 1 <= self.depth <= D_MAX:
-            raise RangeError(f"depth {self.depth} outside [1, {D_MAX}]")
+            raise RangeError(f"depth {shown(self.depth)} outside [1, {D_MAX}]")
         for s in self.nodes:
             check_node(s)
             if len(s) >= self.depth:
@@ -242,9 +243,9 @@ def interval_count(a: NatSet, ell: int, threshold: int, cmp: str = "ge") -> int:
     with at least `threshold` members, "gt" with strictly more.
     """
     if not 1 <= ell <= a.bound:
-        raise RangeError(f"ell {ell} outside [1, {a.bound}]")
+        raise RangeError(f"ell {shown(ell)} outside [1, {shown(a.bound)}]")
     if threshold < 0:
-        raise RangeError(f"threshold {threshold} must be >= 0")
+        raise RangeError(f"threshold {shown(threshold)} must be >= 0")
     if cmp not in CMP_OPS:
         raise ValueError(f"cmp {cmp!r} not in {CMP_OPS}")
     # Window [m, m + ell) holds counts[m + ell] - counts[m] members, where
@@ -319,7 +320,7 @@ def phi_bar_profile(a: NodeSet, depth: int | None = None) -> tuple[Fraction, ...
     if depth is None:
         depth = a.depth
     if not 1 <= depth <= a.depth:
-        raise RangeError(f"profile depth {depth} outside [1, {a.depth}]")
+        raise RangeError(f"profile depth {shown(depth)} outside [1, {a.depth}]")
     # s is minimal in the tail >= n exactly for n in (k, |s|], where k is the
     # length of its longest proper prefix in `a`: a difference array over n.
     top = a.depth - 1
@@ -358,11 +359,11 @@ def natset_from_text(text: str) -> NatSet:
     """Parse `natset v1 bound=<N>` followed by one integer per line."""
     (value,), body = read_format(text, "natset v1 bound=<n>")
     bound = header_int(value, "bound", ELEMENT_CAP)
-    members = frozenset(_ints_below([token for _, token in body], bound) or ())
+    members = frozenset(_ints_below(body, bound) or ())
     if len(members) != len(body):
         # A token failed the bulk check, or two lines hold the same member.
         seen: set[int] = set()
-        for i, token in body:
+        for i, token in numbered_body(text):
             try:
                 m = int(token)
             except ValueError:
@@ -389,14 +390,21 @@ def gridset_from_text(text: str) -> GridSet:
     # The n lines joined by n - 1 ';' fields, which int() refuses.  When there
     # are 3n - 1 fields and all but every third one are ints, the joins can
     # only sit on the n - 1 remaining places, so each line holds two ints.
+    # A grid side has few distinct spellings, so int() runs once per spelling.
     n = len(body)
-    fields = " ; ".join([token for _, token in body]).split()
-    values = _ints_below(fields[0::3] + fields[1::3], bound) if len(fields) == 3 * n - 1 else None
-    cells = frozenset(zip(values[:n], values[n:])) if values else frozenset()
+    fields = " ; ".join(body).split()
+    cols, rows = fields[0::3], fields[1::3]
+    spellings = dict.fromkeys(cols + rows) if len(fields) == 3 * n - 1 else {}
+    values = _ints_below(spellings, bound)
+    if values:
+        value_of = dict(zip(spellings, values)).__getitem__
+        cells = frozenset(zip(map(value_of, cols), map(value_of, rows)))
+    else:
+        cells = frozenset()
     if len(cells) != n:
         # A line failed the bulk check, or two lines hold the same cell.
         seen: set[tuple[int, int]] = set()
-        for i, token in body:
+        for i, token in numbered_body(text):
             parts = token.split()
             if len(parts) != 2:
                 raise ParseError(f"expected '<col> <row>', got {token!r}", i)
@@ -423,11 +431,11 @@ def nodeset_from_text(text: str) -> NodeSet:
     """Parse `nodeset v1 depth=<D>` followed by one node per line ('-' = root)."""
     (value,), body = read_format(text, "nodeset v1 depth=<n>")
     depth = header_int(value, "depth", D_MAX)
-    nodes = frozenset(read_nodes([token for _, token in body], depth) or ())
+    nodes = frozenset(read_nodes(body, depth) or ())
     if len(nodes) != len(body):
         # A line failed the bulk check, or two lines hold the same node.
         seen: set[str] = set()
-        for i, token in body:
+        for i, token in numbered_body(text):
             s = read_node(token, depth, i)
             if s in seen:
                 raise ParseError(f"duplicate node {token!r}", i)

@@ -10,13 +10,24 @@ parameters and nothing more; reports say so verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterator
 
-from .errors import MorphismDomainError, NotFoundError, ParseError, RangeError, ShapeError
+from .errors import MorphismDomainError, NotFoundError, ParseError, RangeError, ShapeError, shown
 from .ideals import NatSet, _ints_below, _prechecked, density_profile, summable_weight
-from .treecore import ELEMENT_CAP, format_node, header_int, is_node, lenlex_key, level_nodes, parse_node, read_format
+from .treecore import (
+    ELEMENT_CAP,
+    format_node,
+    header_int,
+    is_node,
+    lenlex_key,
+    level_nodes,
+    numbered_body,
+    parse_node,
+    read_format,
+)
 
 SCOPE_SENTENCE = (
     "This verdict certifies only the finite-scale surrogate statement at the "
@@ -44,9 +55,17 @@ class Ground:
         if self.kind not in GROUND_KINDS:
             raise ValueError(f"ground kind must be one of {GROUND_KINDS}, got {self.kind!r}")
         if self.size < 1:
-            raise RangeError(f"ground size {self.size} must be >= 1")
+            raise RangeError(f"ground size {shown(self.size)} must be >= 1")
         if self.kind == "nodes" and self.size > NODES_GROUND_MAX:
-            raise RangeError(f"nodes ground depth {self.size} exceeds cap {NODES_GROUND_MAX}")
+            raise RangeError(f"nodes ground depth {shown(self.size)} exceeds cap {NODES_GROUND_MAX}")
+
+    def member_count(self) -> int:
+        """The number of members."""
+        if self.kind == "interval":
+            return self.size
+        if self.kind == "grid":
+            return self.size * self.size
+        return (1 << self.size) - 1
 
     def members(self) -> Iterator:
         if self.kind == "interval":
@@ -128,7 +147,7 @@ class FiniteIdealPresentation:
             for el in gen.elements:
                 if el not in self.ground:
                     raise RangeError(
-                        f"generator {gen.name!r} has element outside the ground: {el!r}"
+                        f"generator {gen.name!r} has element outside the ground: {shown(el)!r}"
                     )
 
 
@@ -158,7 +177,7 @@ class Surrogate:
         for key, f in zip(self.keys, fields(self)):
             value = getattr(self, f.name)
             if value < 0:
-                raise RangeError(f"{self.name} {key} {value} must be >= 0")
+                raise RangeError(f"{self.name} {key} {shown(value)} must be >= 0")
 
     def parameters(self) -> dict[str, str]:
         return {key: str(getattr(self, f.name)) for key, f in zip(self.keys, fields(self))}
@@ -275,6 +294,10 @@ class MorphismSpec:
 
     formula: str | None = None
     table: dict | None = None
+    # (domain, codomain) when a text reader built the table and checked every
+    # key against the domain and every value against the codomain, with no
+    # key twice; None for a spec built directly, such as a builtin witness.
+    grounds: tuple[Ground, Ground] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.formula is None) == (self.table is None):
@@ -308,6 +331,10 @@ def _check_total(f: MorphismSpec, source: FiniteIdealPresentation, target: Finit
             )
         return
     assert f.table is not None
+    if f.grounds == (tgt, src) and len(f.table) == tgt.member_count():
+        # Read from text against these grounds: every key lies in tgt, every
+        # value in src and no key repeats, so the table covers tgt exactly.
+        return
     missing = [y for y in tgt.members() if y not in f.table]
     if missing:
         raise MorphismDomainError(
@@ -359,12 +386,16 @@ def check_morphism(
     if target.surrogate is None:
         raise ValueError(f"target presentation {target.name!r} has no membership surrogate")
     _check_total(f, source, target)
+    if f.table is not None and f.grounds == (target.ground, source.ground):
+        graph = f.table.items()  # read from text: its keys are exactly the target's elements
+    else:
+        graph = ((y, f.apply(y)) for y in target.ground.members())
     fibers: dict = {}  # x -> the target elements y with f(y) = x
-    for y in target.ground.members():
-        fibers.setdefault(f.apply(y), []).append(y)
+    for y, x in graph:
+        fibers.setdefault(x, []).append(y)
     checks: list[GeneratorCheck] = []
     for gen in source.generators:
-        preimage = frozenset(y for x in gen.elements for y in fibers.get(x, ()))
+        preimage = frozenset(chain.from_iterable(map(fibers.get, gen.elements, repeat(()))))
         verdict = target.surrogate.accepts(preimage, target)
         checks.append(GeneratorCheck(gen.name, verdict.ok, verdict.measure))
     return MorphismReport(
@@ -588,7 +619,7 @@ def _parse_surrogate(tokens: list[str], line: int) -> Surrogate:
 
 def parse_ideal_text(text: str) -> FiniteIdealPresentation:
     """Parse: `ideal v1 ground=<kind> params=<size>` then name/surrogate/generator lines."""
-    (kind, size), body = read_format(text, "ideal v1 ground=<kind> params=<size>")
+    (kind, size), _ = read_format(text, "ideal v1 ground=<kind> params=<size>")
     try:
         ground = Ground(kind, header_int(size, "params", PARAMS_MAX.get(kind)))
     except (ValueError, RangeError) as exc:
@@ -597,7 +628,7 @@ def parse_ideal_text(text: str) -> FiniteIdealPresentation:
     surrogate: Surrogate | None = None
     generators: list[Generator] = []
     seen_names: set[str] = set()
-    for i, line in body:
+    for i, line in numbered_body(text):
         tokens = line.split()
         if tokens[0] == "name":
             if len(tokens) != 2:
@@ -637,12 +668,44 @@ def ideal_to_text(p: FiniteIdealPresentation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _interval_table(body: list[str], domain: Ground, codomain: Ground) -> dict | None:
+    """Bulk form of the `y -> x` table loop between interval grounds, or None.
+
+    The n lines joined by n - 1 ';' fields, as in the gridset reader: with
+    4n - 1 fields, '->' in every fourth place from the second and ints in
+    the first and third of each four, the joins can only sit on the n - 1
+    remaining places, so every line is one `<y> -> <x>` entry.  None when
+    that fails, an int lies outside its ground, or two lines share a key;
+    the reader's per-line loop then names the first bad line.
+    """
+    n = len(body)
+    if not (domain.kind == codomain.kind == "interval" and n):
+        return None
+    fields = " ; ".join(body).split()
+    if len(fields) != 4 * n - 1 or set(fields[1::4]) != {"->"}:
+        return None
+    ys = _ints_below(fields[0::4], domain.size)
+    xs = _ints_below(fields[2::4], codomain.size) if ys is not None else None
+    if xs is None:
+        return None
+    table = dict(zip(ys, xs))
+    return table if len(table) == n else None
+
+
 def parse_morphism_text(text: str, domain: Ground, codomain: Ground) -> MorphismSpec:
-    """Parse: `morphism v1` then `formula=<name>` or `y -> x` lines."""
+    """Parse: `morphism v1` then `formula=<name>` or `y -> x` lines.
+
+    A table's keys are checked against `domain` and its values against
+    `codomain`, once; the spec records both grounds, so `check_morphism`
+    does not test the entries again.
+    """
     _, body = read_format(text, "morphism v1")
+    table = _interval_table(body, domain, codomain)
+    if table is not None:
+        return MorphismSpec(table=table, grounds=(domain, codomain))
     formula: str | None = None
-    table: dict = {}
-    for i, stripped in body:
+    table = {}
+    for i, stripped in numbered_body(text):
         if stripped.startswith("formula="):
             if formula is not None or table:
                 raise ParseError("formula line must be the only content", i)
@@ -667,7 +730,7 @@ def parse_morphism_text(text: str, domain: Ground, codomain: Ground) -> Morphism
         return MorphismSpec(formula=formula)
     if not table:
         raise ParseError("morphism has neither formula nor table", 1)
-    return MorphismSpec(table=table)
+    return MorphismSpec(table=table, grounds=(domain, codomain))
 
 
 def morphism_to_text(f: MorphismSpec, domain: Ground, codomain: Ground) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 from .colorings import Coloring, ZDensityInstance, band_range, h_set
-from .errors import BudgetError, ParseError, RangeError, ShapeError
+from .errors import BudgetError, ParseError, RangeError, ShapeError, shown
 from .treecore import (
     LevelSet,
     LevelTree,
@@ -57,13 +57,13 @@ class SearchBudget:
 
     def __post_init__(self):
         if self.height < 0:
-            raise RangeError(f"height {self.height} negative")
+            raise RangeError(f"height {shown(self.height)} negative")
         if self.node_budget < 1:
-            raise RangeError(f"node_budget {self.node_budget} must be >= 1")
+            raise RangeError(f"node_budget {shown(self.node_budget)} must be >= 1")
         if self.node_budget > BUDGET_CAP:
-            raise RangeError(f"node_budget {self.node_budget} above the cap {BUDGET_CAP}")
+            raise RangeError(f"node_budget {shown(self.node_budget)} above the cap {BUDGET_CAP}")
         if self.workers < 1:
-            raise RangeError(f"workers {self.workers} must be >= 1")
+            raise RangeError(f"workers {shown(self.workers)} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def _region_embeddings(region: str, height: int, depth: int) -> Iterator[dict[st
 def enumerate_embeddings(depth: int, height: int) -> Iterator[TreeEmbedding]:
     """All height-h embeddings with tops on level depth-1, in canonical order."""
     if height > depth - 1:
-        raise RangeError(f"height {height} does not fit below depth {depth}")
+        raise RangeError(f"height {shown(height)} does not fit below depth {shown(depth)}")
     for images in _region_embeddings("", height, depth):
         yield TreeEmbedding(height, images, depth - 1)
 
@@ -118,7 +118,7 @@ def enumerate_embeddings(depth: int, height: int) -> Iterator[TreeEmbedding]:
 def enumeration_bound(depth: int, height: int) -> int:
     """Exact number of embeddings enumerate_embeddings(depth, height) yields."""
     if height > depth - 1:
-        raise RangeError(f"height {height} does not fit below depth {depth}")
+        raise RangeError(f"height {shown(height)} does not fit below depth {shown(depth)}")
 
     def count(region_len: int, h: int) -> int:
         if h == 0:
@@ -204,7 +204,7 @@ def verify_certificate(c: Coloring, cert: HLCertificate) -> bool:
     levels = cert.levels.as_tuple()
     for n in levels:
         if not 0 <= n < c.depth:
-            raise RangeError(f"certificate level {n} outside [0, {c.depth})")
+            raise RangeError(f"certificate level {shown(n)} outside [0, {c.depth})")
     if cert.mode == "uniform":
         if cert.color_witness not in (0, 1):
             raise ValueError(f"uniform witness must be a bit, got {cert.color_witness!r}")
@@ -530,7 +530,7 @@ def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
     _check_mode(mode)
     depth, height = c.depth, budget.height
     if height > depth - 1:
-        raise RangeError(f"height {height} does not fit below depth {depth}")
+        raise RangeError(f"height {shown(height)} does not fit below depth {shown(depth)}")
     masks = _mask_lookup(c.value, depth)
     score = _scorer(depth, mode == "by_levels")
     known, spent, exact = None, 0, False
@@ -580,13 +580,13 @@ def zdensity_band_check(inst: ZDensityInstance, selection: Mapping[int, object])
     checks: list[BandCheck] = []
     for n in sorted(selection):
         if not 1 <= n <= inst.n_max:
-            raise RangeError(f"band {n} outside [1, {inst.n_max}]")
+            raise RangeError(f"band {shown(n)} outside [1, {inst.n_max}]")
         chosen = tuple(sorted(set(selection[n])))
         if not chosen:
             raise ValueError(f"empty branch selection for band {n}")
         for j in chosen:
             if not 0 <= j < n:
-                raise RangeError(f"branch index {j} outside [0, {n}) for band {n}")
+                raise RangeError(f"branch index {shown(j)} outside [0, {n}) for band {n}")
         picked = [inst.band_branches[n][j] for j in chosen]
         q = LevelTree(
             inst.depth,

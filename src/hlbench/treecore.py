@@ -20,6 +20,7 @@ from .errors import (
     RangeError,
     ShapeError,
     TreeInvalidError,
+    shown,
 )
 
 D_MAX = 64
@@ -171,7 +172,7 @@ class LevelTree:
 
     def level(self, n: int) -> frozenset[str]:
         if not 0 <= n < self.depth:
-            raise RangeError(f"level {n} outside [0, {self.depth})")
+            raise RangeError(f"level {shown(n)} outside [0, {self.depth})")
         return self.levels[n]
 
     def __contains__(self, s: str) -> bool:
@@ -188,7 +189,7 @@ class LevelTree:
 
 def check_depth(depth: int) -> int:
     if not 1 <= depth <= D_MAX:
-        raise RangeError(f"depth {depth} outside [1, {D_MAX}]")
+        raise RangeError(f"depth {shown(depth)} outside [1, {D_MAX}]")
     return depth
 
 
@@ -363,14 +364,15 @@ def tree_to_text(tree: LevelTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_format(text: str, header: str) -> tuple[list[str], list[tuple[int, str]]]:
+def read_format(text: str, header: str) -> tuple[list[str], list[str]]:
     """Split a text file into its header field values and its body lines.
 
     `header` spells the format's first line, e.g. 'tree v1 depth=<n>'.  The
     file's first line must have the same kind, version tag and field names
-    in the same order; the values are returned in that order.  The body is a
-    list of (1-based line number, stripped line) pairs with blank lines and
-    whole-line '#' comments dropped.
+    in the same order; the values are returned in that order.  The body is
+    the list of stripped lines after the header, with blank lines and
+    whole-line '#' comments dropped.  It carries no line numbers: a reader
+    whose bulk check fails walks `numbered_body(text)` to name the bad line.
     """
     lines = text.splitlines()
     if not lines:
@@ -379,8 +381,19 @@ def read_format(text: str, header: str) -> tuple[list[str], list[tuple[int, str]
     names = [field.partition("=")[0] + "=" for field in want[2:]]
     if len(got) != len(want) or got[:2] != want[:2] or not all(map(str.startswith, got[2:], names)):
         raise ParseError(f"expected header {header!r}, got {lines[0]!r}", 1)
-    body = [(i, s) for i, s in enumerate(map(str.strip, lines[1:]), start=2) if s and s[0] != "#"]
+    body = list(filter(None, map(str.strip, lines[1:])))
+    if "#" in text:
+        body = [s for s in body if s[0] != "#"]
     return [value[len(name) :] for value, name in zip(got[2:], names)], body
+
+
+def numbered_body(text: str) -> list[tuple[int, str]]:
+    """The body lines `read_format` returns, each paired with its 1-based line number in `text`.
+
+    The error path of the readers: it is built only when a bulk check fails
+    and a per-line loop must name the first bad line.
+    """
+    return [(i, s) for i, s in enumerate(map(str.strip, text.splitlines()[1:]), start=2) if s and s[0] != "#"]
 
 
 def header_int(value: str, field: str, hi: int | None = None) -> int:
@@ -425,9 +438,12 @@ def tree_from_text(text: str) -> LevelTree:
     """Parse and validate a tree; malformed lines and invalid trees are rejected."""
     (value,), body = read_format(text, "tree v1 depth=<n>")
     depth = header_int(value, "depth", D_MAX)
+    nodes = read_nodes(body, depth)
+    if nodes is None:
+        # A line failed the bulk check (or is the root at depth 1): read line by line.
+        nodes = [read_node(token, depth, i) for i, token in numbered_body(text)]
     levels: list[set[str]] = [set() for _ in range(depth)]
-    for i, token in body:
-        node = read_node(token, depth, i)
+    for node in nodes:
         levels[len(node)].add(node)
     tree = LevelTree(depth, tuple(frozenset(level) for level in levels))
     report = validate(tree)

@@ -11,6 +11,7 @@ from hlbench.colorings import (
     ZDENSITY_N_MAX,
     Coloring,
     MatchingCheck,
+    SliceCheck,
     band_range,
     check_levels_bichromatic,
     check_pairing_disjointness,
@@ -302,6 +303,56 @@ class TestLevelsColoring:
         c = levels_coloring(assignment, 10)
         checks = check_levels_bichromatic(c, assignment)
         assert checks and all(ch.passed for ch in checks)
+
+    @staticmethod
+    def reference_check(c, assignment):
+        """The per-node form: each side of each slice counted by `count_extensions`."""
+        return [
+            SliceCheck(t, k, c.count_extensions(t + "0", k, 1), c.count_extensions(t + "1", k, 0))
+            for t, ks in zip(assignment.domain, assignment.sets)
+            for k in sorted(ks)
+        ]
+
+    @given(
+        st.integers(1, 11).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d - 1))),
+        st.sets(st.integers(0, 1 << 11), max_size=30),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bichromatic_check_matches_per_node_counts(self, shape, flips, sparse):
+        depth, max_len = shape
+        assignment = residue_splitting(max_len, depth)
+        nodes = all_nodes(depth)
+        flipped = {nodes[r % len(nodes)] for r in flips}
+        base = levels_coloring(assignment, depth)
+        # The coloring with the drawn nodes flipped, on either backend, so bad counts are compared too.
+        if sparse:
+            listed = [s for s in nodes if s in flipped or s[:1] == "1"]
+            c = Coloring.sparse(depth, {s: base.value(s) ^ (s in flipped) for s in listed})
+        else:
+            c = Coloring.computed(depth, lambda s: base.value(s) ^ (s in flipped))
+        checks = check_levels_bichromatic(c, assignment)
+        assert checks == self.reference_check(c, assignment)
+
+    def test_mutated_coloring_counts_bad_nodes(self):
+        assignment = residue_splitting(3, 10)
+        base = levels_coloring(assignment, 10)
+        # Flip the lex-first and lex-last node of every slice: one bad node on each side.
+        flipped = {ch.node + bit * (ch.level - len(ch.node)) for ch in self.reference_check(base, assignment)
+                   for bit in "01"}
+        c = Coloring.computed(10, lambda s: base.value(s) ^ (s in flipped))
+        checks = check_levels_bichromatic(c, assignment)
+        assert checks == self.reference_check(c, assignment)
+        assert checks and all((ch.zero_side_bad, ch.one_side_bad) == (1, 1) for ch in checks)
+
+    def test_slice_level_checked(self):
+        c = Coloring.sparse(6, {})
+        for bad in (SplittingAssignment(("01",), (frozenset({2}),)), SplittingAssignment(("0",), (frozenset({6}),))):
+            with pytest.raises(RangeError) as err:
+                check_levels_bichromatic(c, bad)
+            with pytest.raises(RangeError) as ref:
+                self.reference_check(c, bad)
+            assert str(err.value) == str(ref.value)
 
     def test_overlap_rejected(self):
         bad = SplittingAssignment(("0", "1"), (frozenset({4}), frozenset({4})))

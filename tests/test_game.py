@@ -249,3 +249,61 @@ class TestTranscriptJson:
         assert blob["rounds"][0] == {"I": [0], "k": 1}
         assert set(blob["flags"]) == {"completed", "player_I_stuck", "repeated_pick"}
         json.dumps(blob)
+
+
+class _FixedMoves:
+    """Player I playing the given moves in turn."""
+
+    name = "fixed"
+
+    def __init__(self, *moves):
+        self.moves = moves
+
+    def move(self, n):
+        return self.moves[n]
+
+    def observe(self, pick):
+        pass
+
+
+class TestMoveCheck:
+    """play's bulk move check takes exactly the moves the per-element test took."""
+
+    @staticmethod
+    def reference(move, window):
+        return all(isinstance(k, int) and 0 <= k < window for k in move)
+
+    @pytest.mark.parametrize(
+        "move",
+        [frozenset({-1}), frozenset({0, 8}), frozenset({99}), frozenset({"3"}), frozenset({1, "a"}),
+         frozenset({2, 1.5}), ["7"]],
+        ids=["negative", "window end", "out of window", "str", "int and str", "float", "str list"],
+    )
+    def test_refused_moves_name_strategy_and_round(self, move):
+        assert not self.reference(move, 8)
+        with pytest.raises(GameProtocolError) as err:
+            play(3, _FixedMoves(frozenset({0}), move), "min-legal", 8)
+        assert str(err.value) == "player I move not inside [0, 8)"
+        assert (err.value.strategy, err.value.round_index) == ("fixed", 1)
+
+    @pytest.mark.parametrize(
+        "move, forbidden",
+        [(frozenset({True}), (True,)), (frozenset({False, 3}), (False, 3)), (frozenset(), ()),
+         (range(7), tuple(range(7))), ([0, 7], (0, 7))],
+        ids=["bool", "bool and int", "empty", "range", "list"],
+    )
+    def test_accepted_moves(self, move, forbidden):
+        # bool is an int subclass, so the per-element test took bool moves too.
+        assert self.reference(move, 8)
+        t = play(1, _FixedMoves(move), "min-legal", 8)
+        assert t.rounds[0].forbidden == forbidden
+
+    @given(st.sets(st.integers(-3, 10) | st.booleans() | st.text(max_size=1), max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_element_check(self, move):
+        try:
+            play(1, _FixedMoves(frozenset(move)), "min-legal", 8)
+            refused = False
+        except GameProtocolError as err:
+            refused = str(err) == "player I move not inside [0, 8)"
+        assert refused == (not self.reference(move, 8))

@@ -203,6 +203,32 @@ class TestMorphismSpec:
         with pytest.raises(MorphismDomainError):
             check_morphism(escapes, src, src)
 
+    def test_reader_built_tables_keep_the_totality_check(self):
+        g = Ground("interval", 3)
+        src = FiniteIdealPresentation("a", g, (Generator("g", frozenset({1})),), DensityWindowSurrogate())
+        for table in ({0: 0, 1: 1}, {0: 0, 1: 1, 2: 2}, {0: 2, 1: 2, 2: 2}):
+            text = "morphism v1\n" + "".join(f"{y} -> {x}\n" for y, x in table.items())
+            read, built = parse_morphism_text(text, g, g), MorphismSpec(table=table)
+            assert read.grounds == (g, g) and built.grounds is None
+            try:
+                expected = check_morphism(built, src, src)
+            except MorphismDomainError as exc:
+                with pytest.raises(MorphismDomainError, match=re.escape(str(exc))):
+                    check_morphism(read, src, src)
+            else:
+                assert check_morphism(read, src, src) == expected
+
+    def test_tables_read_against_other_grounds_are_checked_in_full(self):
+        # Read against [0,5) -> [0,5), checked as [0,3) -> [0,3): the mark does not apply.
+        wide, narrow = Ground("interval", 5), Ground("interval", 3)
+        src = FiniteIdealPresentation("a", narrow, (), DensityWindowSurrogate())
+        escapes = parse_morphism_text("morphism v1\n0 -> 0\n1 -> 1\n2 -> 4\n", wide, wide)
+        with pytest.raises(MorphismDomainError, match=r"f\(2\) = 4 lands outside the source ground"):
+            check_morphism(escapes, src, src)
+        extra = parse_morphism_text("morphism v1\n0 -> 0\n1 -> 1\n2 -> 2\n3 -> 0\n", wide, narrow)
+        with pytest.raises(MorphismDomainError, match=r"table key 3 outside the target ground"):
+            check_morphism(extra, src, src)
+
     def test_surrogate_required(self):
         src = FiniteIdealPresentation("a", Ground("interval", 3), (), None)
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlbench.colorings import zdensity_coloring
 from hlbench.errors import (
     EmbeddingInvalidError,
     NotFoundError,
@@ -9,6 +10,10 @@ from hlbench.errors import (
     RangeError,
     TreeInvalidError,
 )
+from hlbench.game import play
+from hlbench.ideals import GridSet, NatSet
+from hlbench.katetov import Ground
+from hlbench.search import SearchBudget
 from hlbench.treecore import (
     D_MAX,
     LevelSet,
@@ -230,3 +235,37 @@ class TestTreeText:
     def test_round_trip_random(self, tops):
         tree = LevelTree.from_branch_set(4, frozenset(format(t, "03b") for t in tops))
         assert tree_from_text(tree_to_text(tree)) == tree
+
+
+# An int whose decimal form is past the interpreter's str() limit (4300 digits).
+HUGE = 10**5000
+
+
+class TestHugeIntMessages:
+    """A RangeError names an int too long for str() by its width, and is still a RangeError."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: check_depth(HUGE), "depth <16610-bit int> outside [1, 64]"),
+            (lambda: zdensity_coloring(HUGE), "n_max <16610-bit int> outside [1, 4]"),
+            (lambda: zdensity_coloring(-HUGE), "n_max -<16610-bit int> outside [1, 4]"),
+            (lambda: play(-HUGE, "empty", "min-legal", 8), "horizon -<16610-bit int> must be >= 1"),
+            (lambda: NatSet(frozenset({HUGE}), 4), "member <16610-bit int> outside [0, 4)"),
+            (lambda: GridSet(frozenset({(1, HUGE)}), 4), "cell (1, <16610-bit int>) outside [0, 4)^2"),
+            (lambda: SearchBudget(1, node_budget=HUGE), "node_budget <16610-bit int> above the cap 1048576"),
+            (lambda: Ground("nodes", HUGE), "nodes ground depth <16610-bit int> exceeds cap 16"),
+        ],
+        ids=["check_depth", "zdensity_coloring", "negative n_max", "horizon", "natset member", "gridset cell",
+             "node_budget", "ground size"],
+    )
+    def test_range_error_names_the_width(self, call, message):
+        with pytest.raises(RangeError) as err:
+            call()
+        assert str(err.value) == message
+
+    def test_ordinary_ints_read_as_before(self):
+        with pytest.raises(RangeError, match=r"^depth 65 outside \[1, 64\]$"):
+            check_depth(65)
+        with pytest.raises(RangeError, match=r"^member -3 outside \[0, 4\)$"):
+            NatSet(frozenset({-3}), 4)
