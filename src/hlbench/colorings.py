@@ -83,10 +83,8 @@ class Coloring:
             return self._overrides.get(s, self._default)
         return self._fn(s)
 
-    def level_values(self, level: int, nodes: Iterable[str]) -> list[int]:
-        """Colors of `nodes`, all of length `level`, in order; the length is checked once, not per node."""
-        if not 0 <= level < self.depth:
-            raise RangeError(f"node of length {shown(level)} outside 2^<{self.depth}")
+    def _colors_of(self, nodes: Iterable[str]) -> list[int]:
+        """Colors of `nodes` in order, unchecked: the caller has checked that each lies below `depth`."""
         if self._overrides is not None:
             return list(map(self._overrides.get, nodes, itertools.repeat(self._default)))
         return list(map(self._fn, nodes))
@@ -504,7 +502,7 @@ def check_levels_bichromatic(c: Coloring, assignment: SplittingAssignment) -> li
             m = k - len(t)
             if m not in tails:
                 tails[m] = list(level_nodes(m))
-            colors = c.level_values(k, map(t.__add__, tails[m]))
+            colors = c._colors_of(map(t.__add__, tails[m]))
             half = len(colors) // 2
             out.append(SliceCheck(t, k, colors[:half].count(1), colors[half:].count(0)))
     return out

@@ -390,17 +390,10 @@ def gridset_from_text(text: str) -> GridSet:
     # The n lines joined by n - 1 ';' fields, which int() refuses.  When there
     # are 3n - 1 fields and all but every third one are ints, the joins can
     # only sit on the n - 1 remaining places, so each line holds two ints.
-    # A grid side has few distinct spellings, so int() runs once per spelling.
     n = len(body)
     fields = " ; ".join(body).split()
-    cols, rows = fields[0::3], fields[1::3]
-    spellings = dict.fromkeys(cols + rows) if len(fields) == 3 * n - 1 else {}
-    values = _ints_below(spellings, bound)
-    if values:
-        value_of = dict(zip(spellings, values)).__getitem__
-        cells = frozenset(zip(map(value_of, cols), map(value_of, rows)))
-    else:
-        cells = frozenset()
+    values = _ints_below(fields[0::3] + fields[1::3], bound) if len(fields) == 3 * n - 1 else None
+    cells = frozenset(zip(values[:n], values[n:])) if values else frozenset()
     if len(cells) != n:
         # A line failed the bulk check, or two lines hold the same cell.
         seen: set[tuple[int, int]] = set()

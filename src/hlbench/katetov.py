@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .errors import MorphismDomainError, NotFoundError, ParseError, RangeError, ShapeError, shown
 from .ideals import NatSet, _ints_below, _prechecked, density_profile, summable_weight
@@ -79,13 +80,14 @@ class Ground:
                 yield from level_nodes(n)
 
     def __contains__(self, el) -> bool:
+        # Bools are ints to isinstance, but not members, as for NatSet and GridSet.
         if self.kind == "interval":
-            return isinstance(el, int) and 0 <= el < self.size
+            return isinstance(el, int) and not isinstance(el, bool) and 0 <= el < self.size
         if self.kind == "grid":
             return (
                 isinstance(el, tuple)
                 and len(el) == 2
-                and all(isinstance(x, int) and 0 <= x < self.size for x in el)
+                and all(isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self.size for x in el)
             )
         return is_node(el) and len(el) < self.size
 
@@ -293,11 +295,12 @@ class MorphismSpec:
     """Total map from the target presentation's ground into the source's."""
 
     formula: str | None = None
-    table: dict | None = None
+    table: Mapping | None = None
     # (domain, codomain) when a text reader built the table and checked every
     # key against the domain and every value against the codomain, with no
-    # key twice; None for a spec built directly, such as a builtin witness.
-    grounds: tuple[Ground, Ground] | None = field(default=None, compare=False, repr=False)
+    # key twice.  Only `_read_table` sets it, on a read-only table; a spec
+    # built directly, or by `dataclasses.replace`, has None and is checked in full.
+    grounds: tuple[Ground, Ground] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.formula is None) == (self.table is None):
@@ -386,10 +389,8 @@ def check_morphism(
     if target.surrogate is None:
         raise ValueError(f"target presentation {target.name!r} has no membership surrogate")
     _check_total(f, source, target)
-    if f.table is not None and f.grounds == (target.ground, source.ground):
-        graph = f.table.items()  # read from text: its keys are exactly the target's elements
-    else:
-        graph = ((y, f.apply(y)) for y in target.ground.members())
+    # Once _check_total has passed, a table's keys are exactly the target's elements.
+    graph = f.table.items() if f.table is not None else ((y, f.apply(y)) for y in target.ground.members())
     fibers: dict = {}  # x -> the target elements y with f(y) = x
     for y, x in graph:
         fibers.setdefault(x, []).append(y)
@@ -692,6 +693,14 @@ def _interval_table(body: list[str], domain: Ground, codomain: Ground) -> dict |
     return table if len(table) == n else None
 
 
+def _read_table(table: dict, domain: Ground, codomain: Ground) -> MorphismSpec:
+    """The spec of a table a text reader has checked against both grounds.
+
+    The table is wrapped read-only, so the grounds mark cannot outlive a change to it.
+    """
+    return _prechecked(MorphismSpec, formula=None, table=MappingProxyType(table), grounds=(domain, codomain))
+
+
 def parse_morphism_text(text: str, domain: Ground, codomain: Ground) -> MorphismSpec:
     """Parse: `morphism v1` then `formula=<name>` or `y -> x` lines.
 
@@ -702,7 +711,7 @@ def parse_morphism_text(text: str, domain: Ground, codomain: Ground) -> Morphism
     _, body = read_format(text, "morphism v1")
     table = _interval_table(body, domain, codomain)
     if table is not None:
-        return MorphismSpec(table=table, grounds=(domain, codomain))
+        return _read_table(table, domain, codomain)
     formula: str | None = None
     table = {}
     for i, stripped in numbered_body(text):
@@ -730,7 +739,7 @@ def parse_morphism_text(text: str, domain: Ground, codomain: Ground) -> Morphism
         return MorphismSpec(formula=formula)
     if not table:
         raise ParseError("morphism has neither formula nor table", 1)
-    return MorphismSpec(table=table, grounds=(domain, codomain))
+    return _read_table(table, domain, codomain)
 
 
 def morphism_to_text(f: MorphismSpec, domain: Ground, codomain: Ground) -> str:

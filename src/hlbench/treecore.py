@@ -381,19 +381,32 @@ def read_format(text: str, header: str) -> tuple[list[str], list[str]]:
     names = [field.partition("=")[0] + "=" for field in want[2:]]
     if len(got) != len(want) or got[:2] != want[:2] or not all(map(str.startswith, got[2:], names)):
         raise ParseError(f"expected header {header!r}, got {lines[0]!r}", 1)
+    return [value[len(name) :] for value, name in zip(got[2:], names)], _body_lines(lines, text)
+
+
+def _body_lines(lines: list[str], text: str) -> list[str]:
+    """The body rule, stated once: the lines after the header, stripped, without blanks and '#' lines."""
     body = list(filter(None, map(str.strip, lines[1:])))
-    if "#" in text:
-        body = [s for s in body if s[0] != "#"]
-    return [value[len(name) :] for value, name in zip(got[2:], names)], body
+    return [s for s in body if s[0] != "#"] if "#" in text else body
 
 
 def numbered_body(text: str) -> list[tuple[int, str]]:
     """The body lines `read_format` returns, each paired with its 1-based line number in `text`.
 
     The error path of the readers: it is built only when a bulk check fails
-    and a per-line loop must name the first bad line.
+    and a per-line loop must name the first bad line.  It walks the stripped
+    lines alongside `_body_lines`, so it keeps exactly the lines that rule
+    keeps: a dropped line is blank or starts with '#', which no kept line does.
     """
-    return [(i, s) for i, s in enumerate(map(str.strip, text.splitlines()[1:]), start=2) if s and s[0] != "#"]
+    lines = text.splitlines()
+    kept = iter(_body_lines(lines, text))
+    want = next(kept, None)
+    numbered = []
+    for i, s in enumerate(map(str.strip, lines[1:]), start=2):
+        if s == want:
+            numbered.append((i, s))
+            want = next(kept, None)
+    return numbered
 
 
 def header_int(value: str, field: str, hi: int | None = None) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -228,6 +229,29 @@ class TestMorphismSpec:
         extra = parse_morphism_text("morphism v1\n0 -> 0\n1 -> 1\n2 -> 2\n3 -> 0\n", wide, narrow)
         with pytest.raises(MorphismDomainError, match=r"table key 3 outside the target ground"):
             check_morphism(extra, src, src)
+
+    def test_only_the_reader_marks_a_table(self):
+        # The mark cannot be given to a table nobody checked, nor outlive a change to the table.
+        g = Ground("interval", 3)
+        src = FiniteIdealPresentation("a", g, (Generator("g", frozenset({1})),), DensityWindowSurrogate())
+        with pytest.raises(TypeError):
+            MorphismSpec(table={0: 0, 1: 1, 5: 0}, grounds=(g, g))
+        read = parse_morphism_text("morphism v1\n0 -> 0\n1 -> 1\n2 -> 0\n", g, g)
+        with pytest.raises(TypeError):
+            read.table[5] = 0
+        swapped = dataclasses.replace(read, table={0: 0, 1: 1, 5: 0})
+        assert swapped.grounds is None
+        with pytest.raises(MorphismDomainError, match=r"undefined at 2"):
+            check_morphism(swapped, src, src)
+
+    def test_bool_keys_and_values_are_not_ground_elements(self):
+        g = Ground("interval", 3)
+        src = FiniteIdealPresentation("a", g, (Generator("g", frozenset({1})),), DensityWindowSurrogate())
+        with pytest.raises(MorphismDomainError, match=r"table key True outside the target ground"):
+            check_morphism(MorphismSpec(table={0: 0, True: 1, 2: 0}), src, src)
+        with pytest.raises(MorphismDomainError, match=r"f\(1\) = False lands outside the source ground"):
+            check_morphism(MorphismSpec(table={0: 0, 1: False, 2: 0}), src, src)
+        assert True not in g and (0, True) not in Ground("grid", 2)
 
     def test_surrogate_required(self):
         src = FiniteIdealPresentation("a", Ground("interval", 3), (), None)

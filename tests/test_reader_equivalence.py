@@ -225,7 +225,7 @@ def natset_bodies(draw):
 def gridset_bodies(draw):
     bound = draw(st.integers(1, 8))
     cells = draw(st.sets(st.tuples(st.integers(0, bound - 1), st.integers(0, bound - 1))))
-    # `007` spells 7 as `7` does: int() is taken once per spelling.
+    # `007` spells 7 as `7` does.
     spell = st.sampled_from(["{}", "{:03d}", "+{}"])
     lines = [f"{draw(spell).format(c)} {draw(spell).format(r)}" for c, r in cells]
     bad = ["1 x", "1", "1 2 3", "1 ;", "; 1", "-1 0", "0 -1", f"{bound} 0", f"0 {bound}", "0 0", "000 00"]
@@ -367,6 +367,13 @@ def test_numbered_body_pairs_the_body_with_its_line_numbers():
     text = "natset v1 bound=9\n\n 3 \n# four\n\t5\n  #\n6\n"
     assert numbered_body(text) == [(3, "3"), (5, "5"), (7, "6")]
     assert read_format(text, "natset v1 bound=<n>")[1] == ["3", "5", "6"]
+
+
+@given(st.lists(st.one_of(NOISE, st.sampled_from(["3", " 3", "3 #", "a b", "x#"])), max_size=12))
+def test_numbered_body_keeps_the_lines_read_format_keeps(lines):
+    text = "\n".join(["natset v1 bound=9", *lines])
+    assert numbered_body(text) == _numbered(text)
+    assert [s for _, s in numbered_body(text)] == read_format(text, "natset v1 bound=<n>")[1]
 
 
 @pytest.mark.parametrize(
