@@ -28,6 +28,7 @@ from .treecore import (
     level_nodes,
     node_index,
     numbered_body,
+    read_columns,
     read_format,
     read_node,
     read_nodes,
@@ -536,15 +537,12 @@ def coloring_from_text(text: str) -> Coloring:
     """Parse a coloring; unlisted nodes default to 0, duplicates are rejected."""
     (value,), body = read_format(text, "coloring v1 depth=<n>")
     depth = header_int(value, "depth", D_MAX)
-    # The n lines joined by n - 1 ';' fields, as in the gridset reader: with
-    # 3n - 1 fields, node and bit tokens in all but every third place and no
-    # ';' among them, every line holds exactly one node and one bit.
-    n = len(body)
-    fields = " ; ".join(body).split()
-    nodes = read_nodes(fields[0::3], depth) if len(fields) == 3 * n - 1 else None
-    bits = fields[1::3]
-    overrides = dict(zip(nodes, map(int, bits))) if nodes is not None and set(bits) <= {"0", "1"} else {}
-    if len(overrides) != n:
+    columns = read_columns(body, 2)
+    nodes = read_nodes(columns[0], depth) if columns else None
+    overrides = {}
+    if nodes is not None and set(columns[1]) <= {"0", "1"}:
+        overrides = dict(zip(nodes, map(int, columns[1])))
+    if len(overrides) != len(body):
         # A line failed the bulk check, or two lines hold the same node.
         overrides = {}
         for i, line in numbered_body(text):

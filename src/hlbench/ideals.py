@@ -26,6 +26,7 @@ from .treecore import (
     header_int,
     lenlex_key,
     numbered_body,
+    read_columns,
     read_format,
     read_node,
     read_nodes,
@@ -100,14 +101,7 @@ class GridSet:
     def __post_init__(self):
         if self.bound < 1:
             raise RangeError(f"bound {shown(self.bound)} must be >= 1")
-        cells = self.cells
-        if (
-            set(map(type, cells)) <= {tuple}
-            and set(map(len, cells)) <= {2}
-            and _plain_ints_below(list(itertools.chain.from_iterable(cells)), self.bound)
-        ):
-            return
-        for cell in cells:
+        for cell in self.cells:
             if (
                 not isinstance(cell, tuple)
                 or len(cell) != 2
@@ -387,12 +381,9 @@ def gridset_from_text(text: str) -> GridSet:
     """Parse `gridset v1 bound=<N>` followed by `<col> <row>` lines."""
     (value,), body = read_format(text, "gridset v1 bound=<n>")
     bound = header_int(value, "bound", ELEMENT_CAP)
-    # The n lines joined by n - 1 ';' fields, which int() refuses.  When there
-    # are 3n - 1 fields and all but every third one are ints, the joins can
-    # only sit on the n - 1 remaining places, so each line holds two ints.
     n = len(body)
-    fields = " ; ".join(body).split()
-    values = _ints_below(fields[0::3] + fields[1::3], bound) if len(fields) == 3 * n - 1 else None
+    columns = read_columns(body, 2)
+    values = _ints_below(columns[0] + columns[1], bound) if columns else None
     cells = frozenset(zip(values[:n], values[n:])) if values else frozenset()
     if len(cells) != n:
         # A line failed the bulk check, or two lines hold the same cell.

@@ -10,10 +10,9 @@ parameters and nothing more; reports say so verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, repeat
-from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import MorphismDomainError, NotFoundError, ParseError, RangeError, ShapeError, shown
@@ -27,6 +26,7 @@ from .treecore import (
     level_nodes,
     numbered_body,
     parse_node,
+    read_columns,
     read_format,
 )
 
@@ -59,14 +59,6 @@ class Ground:
             raise RangeError(f"ground size {shown(self.size)} must be >= 1")
         if self.kind == "nodes" and self.size > NODES_GROUND_MAX:
             raise RangeError(f"nodes ground depth {shown(self.size)} exceeds cap {NODES_GROUND_MAX}")
-
-    def member_count(self) -> int:
-        """The number of members."""
-        if self.kind == "interval":
-            return self.size
-        if self.kind == "grid":
-            return self.size * self.size
-        return (1 << self.size) - 1
 
     def members(self) -> Iterator:
         if self.kind == "interval":
@@ -106,8 +98,8 @@ class Ground:
             raise ValueError(f"element {text!r} outside the {self.kind} ground of size {self.size}")
         return el
 
-    def parse_elements(self, tokens: list[str]) -> frozenset:
-        """The elements the tokens spell, each checked once; ValueError names the first bad token.
+    def parse_elements(self, tokens: list[str]) -> list:
+        """The elements the tokens spell, in order, each checked once; ValueError names the first bad token.
 
         Interval tokens are checked in bulk, as the natset reader checks its
         members; any other ground, or a failed bulk check, parses token by token.
@@ -115,8 +107,8 @@ class Ground:
         if self.kind == "interval":
             values = _ints_below(tokens, self.size)
             if values is not None:
-                return frozenset(values)
-        return frozenset(map(self.parse_element, tokens))
+                return values
+        return list(map(self.parse_element, tokens))
 
     def format_element(self, el) -> str:
         if self.kind == "interval":
@@ -296,11 +288,6 @@ class MorphismSpec:
 
     formula: str | None = None
     table: Mapping | None = None
-    # (domain, codomain) when a text reader built the table and checked every
-    # key against the domain and every value against the codomain, with no
-    # key twice.  Only `_read_table` sets it, on a read-only table; a spec
-    # built directly, or by `dataclasses.replace`, has None and is checked in full.
-    grounds: tuple[Ground, Ground] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.formula is None) == (self.table is None):
@@ -334,10 +321,6 @@ def _check_total(f: MorphismSpec, source: FiniteIdealPresentation, target: Finit
             )
         return
     assert f.table is not None
-    if f.grounds == (tgt, src) and len(f.table) == tgt.member_count():
-        # Read from text against these grounds: every key lies in tgt, every
-        # value in src and no key repeats, so the table covers tgt exactly.
-        return
     missing = [y for y in tgt.members() if y not in f.table]
     if missing:
         raise MorphismDomainError(
@@ -647,7 +630,7 @@ def parse_ideal_text(text: str) -> FiniteIdealPresentation:
                 raise ParseError(f"duplicate generator {gen_name!r}", i)
             seen_names.add(gen_name)
             try:
-                elements = ground.parse_elements(tokens[2:])
+                elements = frozenset(ground.parse_elements(tokens[2:]))
             except ValueError as exc:
                 raise ParseError(str(exc), i) from None
             generators.append(Generator(gen_name, elements))
@@ -669,49 +652,34 @@ def ideal_to_text(p: FiniteIdealPresentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _interval_table(body: list[str], domain: Ground, codomain: Ground) -> dict | None:
-    """Bulk form of the `y -> x` table loop between interval grounds, or None.
+def _bulk_table(body: list[str], domain: Ground, codomain: Ground) -> dict | None:
+    """Bulk form of the `y -> x` table loop, or None.
 
-    The n lines joined by n - 1 ';' fields, as in the gridset reader: with
-    4n - 1 fields, '->' in every fourth place from the second and ints in
-    the first and third of each four, the joins can only sit on the n - 1
-    remaining places, so every line is one `<y> -> <x>` entry.  None when
-    that fails, an int lies outside its ground, or two lines share a key;
-    the reader's per-line loop then names the first bad line.
+    None unless every line is three tokens with '->' in the middle, every
+    key lies in `domain`, every value in `codomain` and no key repeats; the
+    reader's per-line loop then names the first bad line.
     """
-    n = len(body)
-    if not (domain.kind == codomain.kind == "interval" and n):
+    columns = read_columns(body, 3)
+    if columns is None or set(columns[1]) != {"->"}:
         return None
-    fields = " ; ".join(body).split()
-    if len(fields) != 4 * n - 1 or set(fields[1::4]) != {"->"}:
+    try:
+        table = dict(zip(domain.parse_elements(columns[0]), codomain.parse_elements(columns[2])))
+    except ValueError:
         return None
-    ys = _ints_below(fields[0::4], domain.size)
-    xs = _ints_below(fields[2::4], codomain.size) if ys is not None else None
-    if xs is None:
-        return None
-    table = dict(zip(ys, xs))
-    return table if len(table) == n else None
-
-
-def _read_table(table: dict, domain: Ground, codomain: Ground) -> MorphismSpec:
-    """The spec of a table a text reader has checked against both grounds.
-
-    The table is wrapped read-only, so the grounds mark cannot outlive a change to it.
-    """
-    return _prechecked(MorphismSpec, formula=None, table=MappingProxyType(table), grounds=(domain, codomain))
+    return table if len(table) == len(body) else None
 
 
 def parse_morphism_text(text: str, domain: Ground, codomain: Ground) -> MorphismSpec:
     """Parse: `morphism v1` then `formula=<name>` or `y -> x` lines.
 
-    A table's keys are checked against `domain` and its values against
-    `codomain`, once; the spec records both grounds, so `check_morphism`
-    does not test the entries again.
+    A table's keys are read against `domain` and its values against
+    `codomain`; `check_morphism` checks the table against the presentations'
+    grounds, as it checks any table.
     """
     _, body = read_format(text, "morphism v1")
-    table = _interval_table(body, domain, codomain)
+    table = _bulk_table(body, domain, codomain)
     if table is not None:
-        return _read_table(table, domain, codomain)
+        return MorphismSpec(table=table)
     formula: str | None = None
     table = {}
     for i, stripped in numbered_body(text):
@@ -739,7 +707,7 @@ def parse_morphism_text(text: str, domain: Ground, codomain: Ground) -> Morphism
         return MorphismSpec(formula=formula)
     if not table:
         raise ParseError("morphism has neither formula nor table", 1)
-    return _read_table(table, domain, codomain)
+    return MorphismSpec(table=table)
 
 
 def morphism_to_text(f: MorphismSpec, domain: Ground, codomain: Ground) -> str:

@@ -14,6 +14,7 @@ counts the largest level family monochromatic in one shared color, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterator, Mapping
 
 from .colorings import Coloring, ZDensityInstance, band_range, h_set
@@ -87,32 +88,28 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 
 
-def _region_embeddings(region: str, height: int, depth: int) -> Iterator[dict[str, str]]:
-    # Canonical embeddings whose image set lies above `region`; the root
-    # argument maps to the meet of the leaf images.
+def _region_embeddings(region: str, height: int, depth: int) -> Iterator:
+    # Canonical embeddings whose image set lies above `region`, as nested
+    # (split, left, right) nodes with a leaf image at height 0; each split
+    # is the meet of the leaf images below it.
     if height == 0:
-        for leaf in extensions(region, depth - 1):
-            yield {"": leaf}
+        yield from extensions(region, depth - 1)
         return
     for extra in range(depth - height - len(region)):
         for suffix in level_nodes(extra):
             w = region + suffix
             for left in _region_embeddings(w + "0", height - 1, depth):
                 for right in _region_embeddings(w + "1", height - 1, depth):
-                    images = {"": w}
-                    for a, img in left.items():
-                        images["0" + a] = img
-                    for a, img in right.items():
-                        images["1" + a] = img
-                    yield images
+                    yield w, left, right
 
 
 def enumerate_embeddings(depth: int, height: int) -> Iterator[TreeEmbedding]:
     """All height-h embeddings with tops on level depth-1, in canonical order."""
     if height > depth - 1:
         raise RangeError(f"height {shown(height)} does not fit below depth {shown(depth)}")
-    for images in _region_embeddings("", height, depth):
-        yield TreeEmbedding(height, images, depth - 1)
+    args = arguments(height)
+    for node in _region_embeddings("", height, depth):
+        yield TreeEmbedding(height, dict(zip(args, _bfs(node, height))), depth - 1)
 
 
 def enumeration_bound(depth: int, height: int) -> int:
@@ -138,29 +135,22 @@ def enumeration_bound(depth: int, height: int) -> int:
 
 def _score(value: Callable[[str], int], tops: list[str], depth: int, mode: str):
     """(m, levels, witness) for the maximal admissible level set of one embedding."""
-    if mode == "by_levels":
-        levels: list[int] = []
-        bits: list[int] = []
-        for n in range(depth):
-            col = value(tops[0][:n])
-            for t in tops[1:]:
-                if value(t[:n]) != col:
-                    break
-            else:
-                levels.append(n)
-                bits.append(col)
-        return len(levels), tuple(levels), tuple(bits)
-    mono = ([], [])
+    levels: list[int] = []  # the levels on which every top's prefix has one color
+    bits: list[int] = []  # that color, per level
     for n in range(depth):
         col = value(tops[0][:n])
         for t in tops[1:]:
             if value(t[:n]) != col:
                 break
         else:
-            mono[col].append(n)
+            levels.append(n)
+            bits.append(col)
+    if mode == "by_levels":
+        return len(levels), tuple(levels), tuple(bits)
     # Equal counts prefer color 0.
-    col = 0 if len(mono[0]) >= len(mono[1]) else 1
-    return len(mono[col]), tuple(mono[col]), col
+    col = 0 if 2 * bits.count(0) >= len(bits) else 1
+    mono = tuple(compress(levels, map(col.__eq__, bits)))
+    return len(mono), mono, col
 
 
 def _value_lookup(c: Coloring) -> Callable[[str], int]:
@@ -239,12 +229,12 @@ def brute_force_max(c: Coloring, budget: SearchBudget, mode: str) -> SearchResul
     if bound > budget.node_budget:
         raise BudgetError(f"enumeration bound {bound} exceeds node budget {budget.node_budget}")
     value = _value_lookup(c)
-    args, first_leaf = arguments(height), (1 << height) - 1
+    first_leaf = (1 << height) - 1
     best = None  # (m, tie key, images in argument order)
     explored = 0
-    for images in _region_embeddings("", height, depth):
+    for node in _region_embeddings("", height, depth):
         explored += 1
-        listed = [images[a] for a in args]
+        listed = _bfs(node, height)
         m = _score(value, listed[first_leaf:], depth, mode)[0]
         if best is None or m > best[0]:
             best = (m, _tie_key(listed), listed)

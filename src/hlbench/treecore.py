@@ -409,6 +409,23 @@ def numbered_body(text: str) -> list[tuple[int, str]]:
     return numbered
 
 
+def read_columns(body: list[str], width: int) -> list[list[str]] | None:
+    """The body's tokens column by column when every line holds `width` tokens, else None.
+
+    The readers' bulk split.  The n lines are joined by n - 1 ';' fields.
+    When the body holds no other ';', those are the only ';' fields; when they
+    fill every (width + 1)-th place of (width + 1) * n - 1 fields, each line is
+    the `width` fields between two of them.  On None a reader runs its
+    per-line loop, which raises the ParseError naming the first bad line.
+    """
+    n, step = len(body), width + 1
+    joined = " ; ".join(body)
+    fields = joined.split()
+    if len(fields) != step * n - 1 or joined.count(";") != n - 1 or fields[width::step].count(";") != n - 1:
+        return None
+    return [fields[k::step] for k in range(width)]
+
+
 def header_int(value: str, field: str, hi: int | None = None) -> int:
     """A header field's integer value, checked against [1, hi] (no upper end when hi is None)."""
     try:

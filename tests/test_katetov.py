@@ -210,7 +210,6 @@ class TestMorphismSpec:
         for table in ({0: 0, 1: 1}, {0: 0, 1: 1, 2: 2}, {0: 2, 1: 2, 2: 2}):
             text = "morphism v1\n" + "".join(f"{y} -> {x}\n" for y, x in table.items())
             read, built = parse_morphism_text(text, g, g), MorphismSpec(table=table)
-            assert read.grounds == (g, g) and built.grounds is None
             try:
                 expected = check_morphism(built, src, src)
             except MorphismDomainError as exc:
@@ -230,17 +229,12 @@ class TestMorphismSpec:
         with pytest.raises(MorphismDomainError, match=r"table key 3 outside the target ground"):
             check_morphism(extra, src, src)
 
-    def test_only_the_reader_marks_a_table(self):
-        # The mark cannot be given to a table nobody checked, nor outlive a change to the table.
+    def test_a_replaced_table_is_checked_in_full(self):
+        # A table swapped into a read spec is checked in full.
         g = Ground("interval", 3)
         src = FiniteIdealPresentation("a", g, (Generator("g", frozenset({1})),), DensityWindowSurrogate())
-        with pytest.raises(TypeError):
-            MorphismSpec(table={0: 0, 1: 1, 5: 0}, grounds=(g, g))
         read = parse_morphism_text("morphism v1\n0 -> 0\n1 -> 1\n2 -> 0\n", g, g)
-        with pytest.raises(TypeError):
-            read.table[5] = 0
         swapped = dataclasses.replace(read, table={0: 0, 1: 1, 5: 0})
-        assert swapped.grounds is None
         with pytest.raises(MorphismDomainError, match=r"undefined at 2"):
             check_morphism(swapped, src, src)
 
@@ -252,6 +246,46 @@ class TestMorphismSpec:
         with pytest.raises(MorphismDomainError, match=r"f\(1\) = False lands outside the source ground"):
             check_morphism(MorphismSpec(table={0: 0, 1: False, 2: 0}), src, src)
         assert True not in g and (0, True) not in Ground("grid", 2)
+
+    @pytest.mark.parametrize("kind, size", [("interval", 3), ("grid", 2), ("nodes", 3)])
+    def test_the_totality_check_on_every_ground_kind(self, kind, size):
+        class Int(int):
+            pass
+
+        class Str(str):
+            pass
+
+        g = Ground(kind, size)
+        p = FiniteIdealPresentation("a", g, (), GeneratorUnionSurrogate())
+        # One member, and the same member spelled as a bool, a float and a subclass instance.
+        one, as_bool, as_float, as_subclass = {
+            "interval": (1, True, 1.0, Int(1)),
+            "grid": ((1, 0), (True, 0), (1.0, 0), (Int(1), 0)),
+            "nodes": ("1", True, 1.0, Str("1")),
+        }[kind]
+        outside = {"interval": size, "grid": (size, 0), "nodes": "0" * size}[kind]
+        identity = {y: y for y in g.members()}
+
+        def rekeyed(key):
+            return {(key if y == one else y): x for y, x in identity.items()}
+
+        cases = {
+            "identity": identity,
+            "bool key": rekeyed(as_bool),
+            "bool value": {**identity, one: as_bool},
+            "float key": rekeyed(as_float),
+            "missing key": {y: x for y, x in identity.items() if y != one},
+            "extra key": {**identity, outside: one},
+            "value outside": {**identity, one: outside},
+            "subclass key": rekeyed(as_subclass),
+        }
+
+        for name, table in cases.items():
+            if name in ("identity", "subclass key"):
+                assert check_morphism(MorphismSpec(table=table), p, p).passed
+            else:
+                with pytest.raises(MorphismDomainError):
+                    check_morphism(MorphismSpec(table=table), p, p)
 
     def test_surrogate_required(self):
         src = FiniteIdealPresentation("a", Ground("interval", 3), (), None)

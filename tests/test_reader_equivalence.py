@@ -363,6 +363,40 @@ def test_interval_tables_the_bulk_path_refuses(body):
     assert _outcome(lambda t: parse_morphism_text(t, g, h), text) == _outcome(lambda t: ref_morphism(t, g, h), text)
 
 
+GRID, NODES = Ground("grid", 12), Ground("nodes", 3)
+
+
+@pytest.mark.parametrize(
+    "grounds, body",
+    [
+        ((GRID, NODES), ["0,0 -> -", "0,1 x 0"]),
+        ((GRID, NODES), ["0,0 -> -", "0,1 -> 0 ; 1,1 -> 1"]),
+        ((GRID, NODES), ["0,0 -> -", "0,1 -> 0 1"]),
+        ((GRID, NODES), ["0,0 -> -", "0,1 -> 0", "0,0 -> 1"]),
+        ((GRID, NODES), ["0,0 -> -", "1,1->0"]),
+        ((GRID, NODES), ["0,0 -> -", "0, 1 -> 0"]),
+        ((GRID, NODES), ["0,0 -> -", "formula=identity"]),
+        ((GRID, NODES), ["0,0 -> -", "0,1 -> 000"]),
+        ((GRID, NODES), ["0,0 -> -", "12,0 -> 0"]),
+        ((GRID, NODES), ["0,0 -> -", "; -> 1"]),
+        ((GRID, NODES), ["+0,00 -> -", "1,1_0 -> 01"]),
+        ((NODES, GRID), ["- -> 0,0", "0 x 0,1"]),
+        ((NODES, GRID), ["- -> 0,0", "0 -> 0,1 ; 1 -> 1,1"]),
+        ((NODES, GRID), ["- -> 0,0", "0 -> 0,1", "- -> 1,1"]),
+        ((NODES, GRID), ["- -> 0,0", "1->1,1"]),
+        ((NODES, GRID), ["- -> 0,0", "0 -> 0, 1"]),
+        ((NODES, GRID), ["- -> 0,0", "000 -> 0,1"]),
+        ((NODES, GRID), ["- -> 0,0", "0 -> 12,0"]),
+        ((NODES, GRID), ["- -> 0,0", "-0 -> 1,1"]),
+        ((NODES, GRID), ["- -> +0,00", "01 -> 1,1_0"]),
+    ],
+)
+def test_grid_and_node_tables_the_bulk_path_refuses(grounds, body):
+    text = "\n".join(["morphism v1", "# a table", *body]) + "\n"
+    assert _outcome(lambda t: parse_morphism_text(t, *grounds), text) == _outcome(
+        lambda t: ref_morphism(t, *grounds), text)
+
+
 def test_numbered_body_pairs_the_body_with_its_line_numbers():
     text = "natset v1 bound=9\n\n 3 \n# four\n\t5\n  #\n6\n"
     assert numbered_body(text) == [(3, "3"), (5, "5"), (7, "6")]
@@ -381,9 +415,8 @@ def test_numbered_body_keeps_the_lines_read_format_keeps(lines):
     [["0 -> 1", "1 -> 0", "2 -> 2"], ["0->1", "1 -> 0", "2 -> 2"], ["formula=identity"]],
     ids=["bulk table", "per-line table", "formula"],
 )
-def test_reader_built_tables_record_their_grounds(body):
+def test_reader_built_specs_equal_the_per_line_loop(body):
     g = Ground("interval", 3)
     text = "\n".join(["morphism v1", *body]) + "\n"
     spec = parse_morphism_text(text, g, g)
     assert spec == ref_morphism(text, g, g)
-    assert spec.grounds == (None if spec.table is None else (g, g))

@@ -34,6 +34,7 @@ from hlbench.treecore import (
     meet,
     node_index,
     parse_node,
+    read_columns,
     subtree_at,
     tree_from_text,
     tree_to_text,
@@ -235,6 +236,26 @@ class TestTreeText:
     def test_round_trip_random(self, tops):
         tree = LevelTree.from_branch_set(4, frozenset(format(t, "03b") for t in tops))
         assert tree_from_text(tree_to_text(tree)) == tree
+
+
+class TestReadColumns:
+    @given(
+        st.lists(st.lists(st.sampled_from(["1", "x", ";", "1;", "->"]), min_size=1, max_size=4).map(" ".join),
+                 max_size=6),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=300)
+    def test_columns_are_the_tokens_of_lines_of_width_tokens(self, body, width):
+        rows = [line.split() for line in body]
+        ok = body and all(len(row) == width for row in rows) and not any(";" in line for line in body)
+        assert read_columns(body, width) == (list(map(list, zip(*rows))) if ok else None)
+
+    def test_a_line_short_or_long_by_one_is_refused(self):
+        assert read_columns(["1 2", "3 4"], 2) == [["1", "3"], ["2", "4"]]
+        # The right number of fields, but not a line of two tokens each.
+        assert read_columns(["1 2 3", "4"], 2) is None
+        assert read_columns(["1", "; 2 3"], 2) is None
+        assert read_columns([], 2) is None
 
 
 # An int whose decimal form is past the interpreter's str() limit (4300 digits).
