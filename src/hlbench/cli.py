@@ -5,6 +5,11 @@ tool version, the fully resolved configuration, and the seed (null when the
 command has none).  Human-readable tables go to stderr under --verbose.
 Exit status: 0 = success/pass, 1 = property failure, 2 = usage or input
 error (argparse uses 2 on its own), including a stdout closed by its reader.
+
+The module level imports only what every subcommand needs: the error types
+`main` catches, and `search`, whose budget defaults the `--budget` help
+states.  Each handler imports the rest, the library names it calls, at its
+own top, so a command loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -17,59 +22,14 @@ import os
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from fractions import Fraction
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .colorings import (
-    check_levels_bichromatic,
-    check_pairing_disjointness,
-    coloring_from_text,
-    h_set,
-    levels_coloring,
-    pairing_coloring,
-    random_coloring,
-    residue_splitting,
-    zdensity_coloring,
-)
 from .errors import GameProtocolError, HlbenchError, ParseError
-from .game import parse_strategy_id, play, transcript_to_json
-from .ideals import (
-    NatSet,
-    column_profile,
-    density_profile,
-    gridset_from_text,
-    interval_count,
-    max_antichain_weight,
-    minimal_elements,
-    natset_from_text,
-    natural_density_pairs,
-    nodeset_from_text,
-    phi,
-    phi_bar_profile,
-    summable_weight,
-)
-from .katetov import (
-    builtin_names,
-    builtin_witness,
-    check_morphism,
-    counterexample_names,
-    counterexample_witness,
-    parse_ideal_text,
-    parse_morphism_text,
-    report_to_json,
-)
-from .search import (
-    BUDGET_CAP,
-    DEFAULT_BUDGET,
-    SearchBudget,
-    brute_force_max,
-    certificate_to_json,
-    search_best,
-    verify_certificate,
-    zdensity_band_check,
-)
-from .treecore import format_node, tree_from_text
+from .search import BUDGET_CAP, DEFAULT_BUDGET
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # str() refuses an int of more than sys.get_int_max_str_digits() digits (4300
@@ -95,7 +55,8 @@ def _frac(f: Fraction) -> str:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
 
@@ -174,6 +135,9 @@ def _emit(report: dict, verbose_lines: list[str], verbose: bool) -> None:
 
 
 def cmd_hset(args) -> int:
+    from .colorings import coloring_from_text, h_set
+    from .treecore import tree_from_text
+
     coloring = coloring_from_text(_read(args.coloring))
     tree = tree_from_text(_read(args.tree))
     levels = h_set(coloring, tree)
@@ -183,6 +147,9 @@ def cmd_hset(args) -> int:
 
 
 def cmd_zdensity(args) -> int:
+    from .colorings import zdensity_coloring
+    from .search import zdensity_band_check
+
     inst = zdensity_coloring(args.nmax)
     bands = []
     lines = []
@@ -224,6 +191,8 @@ def cmd_zdensity(args) -> int:
 
 
 def _search_coloring(args):
+    from .colorings import coloring_from_text, random_coloring
+
     if args.coloring is not None:
         coloring = coloring_from_text(_read(args.coloring))
         if args.depth is not None and args.depth != coloring.depth:
@@ -237,6 +206,8 @@ def _search_coloring(args):
 
 
 def cmd_search(args, mode: str) -> int:
+    from .search import SearchBudget, brute_force_max, certificate_to_json, search_best, verify_certificate
+
     coloring = _search_coloring(args)
     budget = SearchBudget(height=args.height, node_budget=args.budget, workers=args.workers)
     result = search_best(coloring, budget, mode)
@@ -266,6 +237,8 @@ def cmd_search(args, mode: str) -> int:
 
 
 def cmd_pairing(args) -> int:
+    from .colorings import check_pairing_disjointness, pairing_coloring
+
     base_levels = _parse_int_list(args.base_levels)
     coloring, system = pairing_coloring(base_levels, args.cap, args.depth)
     checks = check_pairing_disjointness(coloring, system)
@@ -297,6 +270,9 @@ def cmd_pairing(args) -> int:
 
 
 def cmd_levels(args) -> int:
+    from .colorings import check_levels_bichromatic, levels_coloring, residue_splitting
+    from .treecore import format_node
+
     assignment = residue_splitting(args.max_len, args.depth)
     coloring = levels_coloring(assignment, args.depth)
     checks = check_levels_bichromatic(coloring, assignment)
@@ -329,6 +305,22 @@ def cmd_levels(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    from .ideals import (
+        column_profile,
+        density_profile,
+        gridset_from_text,
+        interval_count,
+        max_antichain_weight,
+        minimal_elements,
+        natset_from_text,
+        natural_density_pairs,
+        nodeset_from_text,
+        phi,
+        phi_bar_profile,
+        summable_weight,
+    )
+    from .treecore import format_node
+
     text = _read(args.input)
     head = (text.split(None, 1) or [""])[0]
     lines: list[str] = []
@@ -397,6 +389,10 @@ def cmd_profile(args) -> int:
 
 
 def cmd_game(args) -> int:
+    from .colorings import coloring_from_text
+    from .game import parse_strategy_id, play, transcript_to_json
+    from .ideals import NatSet, density_profile, summable_weight
+
     p1 = parse_strategy_id(args.p1)
     if args.coloring is not None and p1.name != "tree-builder":
         raise ParseError(f"--coloring needs --p1 tree-builder, not {p1.name!r}")
@@ -426,6 +422,17 @@ def cmd_game(args) -> int:
 
 
 def cmd_katetov(args) -> int:
+    from .katetov import (
+        builtin_names,
+        builtin_witness,
+        check_morphism,
+        counterexample_names,
+        counterexample_witness,
+        parse_ideal_text,
+        parse_morphism_text,
+        report_to_json,
+    )
+
     selections = {"--list": args.list, "--builtin": args.builtin, "--counterexample": args.counterexample,
                   "--morphism": args.morphism}
     chosen = [flag for flag, value in selections.items() if value]

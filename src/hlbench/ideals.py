@@ -208,12 +208,17 @@ def density_profile(a: NatSet, mode: str) -> tuple[Fraction, ...]:
     if a.bound < 2:
         raise RangeError(f"bound {a.bound} must be >= 2 for a density profile")
     if mode == "dyadic":
-        # m lies in [2^n, 2^(n+1)) exactly when m.bit_length() == n + 1.
-        hits = [0] * (a.bound.bit_length() + 1)
-        for m in a.members:
-            hits[m.bit_length()] += 1
-        return tuple(Fraction(hits[n + 1], 1 << n) for n in range(a.bound.bit_length() - 1))
+        return tuple(Fraction(count, 1 << n) for n, count in enumerate(dyadic_counts(a)))
     return tuple(Fraction(p, q) for p, q in natural_density_pairs(a))
+
+
+def dyadic_counts(a: NatSet) -> list[int]:
+    """The member count of each dyadic window [2^n, 2^(n+1)) with 2^(n+1) <= bound, by n."""
+    # m lies in [2^n, 2^(n+1)) exactly when m.bit_length() == n + 1.
+    hits = [0] * (a.bound.bit_length() + 1)
+    for m in a.members:
+        hits[m.bit_length()] += 1
+    return hits[1 : a.bound.bit_length()]
 
 
 def summable_weight(a: NatSet) -> Fraction:

@@ -16,7 +16,7 @@ from itertools import chain, repeat
 from typing import Iterator, Mapping
 
 from .errors import MorphismDomainError, NotFoundError, ParseError, RangeError, ShapeError, shown
-from .ideals import NatSet, _ints_below, _prechecked, density_profile, summable_weight
+from .ideals import NatSet, _ints_below, _prechecked, dyadic_counts, summable_weight
 from .treecore import (
     ELEMENT_CAP,
     format_node,
@@ -76,10 +76,16 @@ class Ground:
         if self.kind == "interval":
             return isinstance(el, int) and not isinstance(el, bool) and 0 <= el < self.size
         if self.kind == "grid":
+            if not isinstance(el, tuple) or len(el) != 2:
+                return False
+            col, row = el
             return (
-                isinstance(el, tuple)
-                and len(el) == 2
-                and all(isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self.size for x in el)
+                isinstance(col, int)
+                and isinstance(row, int)
+                and not isinstance(col, bool)
+                and not isinstance(row, bool)
+                and 0 <= col < self.size
+                and 0 <= row < self.size
             )
         return is_node(el) and len(el) < self.size
 
@@ -197,12 +203,16 @@ class DensityWindowSurrogate(Surrogate):
         if presentation.ground.kind != "interval":
             raise ShapeError("dyadic-density surrogate needs an interval ground")
         bound = presentation.ground.size
-        profile = density_profile(NatSet.of(elements, bound), "dyadic")[self.floor :] if bound >= 2 else ()
-        worst = max(profile, default=0)
-        if worst == 0:
+        counts = dyadic_counts(NatSet.of(elements, bound))[self.floor :] if bound >= 2 else []
+        # Window n's density is counts[n - floor] / 2^n; over the common
+        # denominator 2^(floor + len(counts)) the densities compare as ints.
+        scaled = [count << (len(counts) - i) for i, count in enumerate(counts)]
+        top = max(scaled, default=0)
+        if top == 0:
             return SurrogateVerdict(True, "no constrained window")
-        window = self.floor + profile.index(worst)  # ties name the first window reaching the maximum
-        return SurrogateVerdict(worst <= self.eps, f"max density {worst} at window {window}")
+        i = scaled.index(top)  # ties name the first window reaching the maximum
+        worst = Fraction(counts[i], 1 << (self.floor + i))
+        return SurrogateVerdict(worst <= self.eps, f"max density {worst} at window {self.floor + i}")
 
 
 @dataclass(frozen=True)

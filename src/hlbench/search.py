@@ -91,15 +91,17 @@ class SearchResult:
 def _region_embeddings(region: str, height: int, depth: int) -> Iterator:
     # Canonical embeddings whose image set lies above `region`, as nested
     # (split, left, right) nodes with a leaf image at height 0; each split
-    # is the meet of the leaf images below it.
+    # is the meet of the leaf images below it.  A split's right halves are
+    # listed once and replayed for every left half.
     if height == 0:
         yield from extensions(region, depth - 1)
         return
     for extra in range(depth - height - len(region)):
         for suffix in level_nodes(extra):
             w = region + suffix
+            rights = _Replay(_region_embeddings(w + "1", height - 1, depth))
             for left in _region_embeddings(w + "0", height - 1, depth):
-                for right in _region_embeddings(w + "1", height - 1, depth):
+                for right in rights:
                     yield w, left, right
 
 

@@ -99,6 +99,70 @@ class TestEnvelope:
         assert f"hlbench {__version__}" in proc.stdout
 
 
+# Run in a fresh interpreter: import hlbench.cli, run main(argv) when argv is
+# not null, with stdout captured, and print the exit status and the loaded
+# hlbench modules and the stdlib modules asked about.
+_LOADED_SCRIPT = """
+import contextlib, io, json, sys
+argv, stdlib = json.loads(sys.argv[1])
+import hlbench.cli
+code = None
+if argv is not None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = hlbench.cli.main(argv)
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "hlbench"),
+                  sorted(m for m in stdlib if m in sys.modules)]))
+"""
+
+_SHARED_MODULES = ["hlbench", "hlbench._rng", "hlbench.cli", "hlbench.colorings", "hlbench.errors",
+                   "hlbench.search", "hlbench.treecore"]
+
+
+class TestImports:
+    """The module level imports what every subcommand needs; each handler imports the rest."""
+
+    @staticmethod
+    def loaded(tmp_path, argv, stdlib=()):
+        paths = [str(Path(hlbench.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        # -S: no site module, which on some installs imports pathlib at start-up.
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _LOADED_SCRIPT, json.dumps([argv, list(stdlib)])],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        return json.loads(proc.stdout)
+
+    def test_import_loads_only_the_shared_modules(self, tmp_path):
+        code, modules, stdlib = self.loaded(tmp_path, None, ["fractions", "decimal", "pathlib"])
+        assert modules == _SHARED_MODULES
+        assert stdlib == []
+
+    def test_search_loads_no_other_library_module(self, tmp_path):
+        for command in ("search", "search-levels"):
+            code, modules, stdlib = self.loaded(
+                tmp_path, [command, "--depth", "5", "--height", "2", "--seed", "7"], ["fractions"])
+            assert code == 0
+            assert modules == _SHARED_MODULES
+            assert stdlib == []
+
+    def test_profile_loads_ideals(self, tmp_path):
+        (tmp_path / "a.natset").write_text(natset_to_text(NatSet.of([1, 2, 4, 8], 16)))
+        code, modules, _ = self.loaded(tmp_path, ["profile", "--input", "a.natset"])
+        assert code == 0
+        assert modules == sorted([*_SHARED_MODULES, "hlbench.ideals"])
+
+    def test_katetov_list_loads_katetov(self, tmp_path):
+        code, modules, _ = self.loaded(tmp_path, ["katetov", "--list"])
+        assert code == 0
+        assert "hlbench.katetov" in modules and "hlbench.game" not in modules
+
+    def test_game_loads_game(self, tmp_path):
+        code, modules, _ = self.loaded(
+            tmp_path, ["game", "--p1", "initial-segment", "--p2", "min-legal", "--horizon", "4", "--window", "64"])
+        assert code == 0
+        assert "hlbench.game" in modules and "hlbench.katetov" not in modules
+
+
 def _exit(call, capsys):
     """(exit status, stdout, stderr) of `call()`, which may exit through SystemExit."""
     try:
@@ -492,6 +556,14 @@ class TestErrorPaths:
         code, _, err = run(["profile", "--input", "/nonexistent/a.natset"], capsys)
         assert code == 2
         assert "cannot read" in err
+
+    def test_unreadable_file_messages(self, tmp_path, capsys):
+        missing = str(tmp_path / "a.natset")
+        (tmp_path / "b.natset").write_text("natset v1 bound=4\n")
+        for path, reason in ((missing, "No such file or directory"), (str(tmp_path), "Is a directory"),
+                             (f"{tmp_path / 'b.natset'}/", "Not a directory")):
+            code, out, err = run(["profile", "--input", path], capsys)
+            assert (code, out, err) == (2, "", f"hlbench: error: cannot read {path}: {reason}\n")
 
     def test_depth_contradicts_coloring(self, coloring_file, capsys):
         argv = ["search", "--height", "1", "--coloring", coloring_file, "--depth", "9"]

@@ -13,6 +13,7 @@ from hlbench.errors import (
     RangeError,
     ShapeError,
 )
+from hlbench.ideals import NatSet, density_profile
 from hlbench.katetov import (
     NODES_GROUND_MAX,
     SCOPE_SENTENCE,
@@ -24,6 +25,7 @@ from hlbench.katetov import (
     Ground,
     MorphismSpec,
     SummableBoundSurrogate,
+    SurrogateVerdict,
     builtin_names,
     builtin_witness,
     check_morphism,
@@ -60,6 +62,22 @@ class TestGrounds:
         assert "01" in g and "000" not in g
         assert g.parse_element("-") == ""
         assert g.format_element("") == "-"
+
+    @pytest.mark.parametrize("element, member", [
+        ((0, 0), True), ((2, 2), True), ((2, 0), True), ((0, 2), True),
+        ((3, 0), False), ((0, 3), False), ((-1, 0), False), ((0, -1), False),
+        ((True, 0), False), ((0, True), False), ((False, False), False),
+        ((0, 0, 0), False), ((0,), False), ((), False), ([0, 0], False),
+        ((1.0, 0), False), ((0, "1"), False), ("00", False), (0, False), (None, False),
+    ])
+    def test_grid_membership(self, element, member):
+        assert (element in Ground("grid", 3)) is member
+
+    def test_grid_membership_takes_int_subclasses(self):
+        class Int(int):
+            pass
+
+        assert (Int(1), Int(2)) in Ground("grid", 3) and (Int(3), 0) not in Ground("grid", 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -112,6 +130,51 @@ class TestSurrogates:
         dense_early = frozenset({1, 2, 3})
         assert DensityWindowSurrogate(Fraction(1, 4), floor=2).accepts(dense_early, p).ok
         assert not DensityWindowSurrogate(Fraction(1, 4), floor=0).accepts(dense_early, p).ok
+
+    @staticmethod
+    def reference_density_accepts(s, elements, presentation):
+        """The Fraction-profile form of DensityWindowSurrogate.accepts on an interval ground."""
+        bound = presentation.ground.size
+        profile = density_profile(NatSet.of(elements, bound), "dyadic")[s.floor :] if bound >= 2 else ()
+        worst = max(profile, default=0)
+        if worst == 0:
+            return SurrogateVerdict(True, "no constrained window")
+        window = s.floor + profile.index(worst)  # ties name the first window reaching the maximum
+        return SurrogateVerdict(worst <= s.eps, f"max density {worst} at window {window}")
+
+    @given(st.data(), st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=10),
+           st.fractions(min_value=0, max_value=2, max_denominator=64))
+    @settings(max_examples=150)
+    def test_density_window_equals_the_fraction_profile(self, data, bound, floor, eps):
+        # Sparse and dense sets, and sets with several windows tied at the maximum.
+        members = data.draw(st.sets(st.integers(min_value=0, max_value=bound - 1)) | st.one_of(
+            st.just(frozenset(range(bound))),
+            st.lists(st.integers(min_value=0, max_value=8), max_size=9).map(
+                lambda ns: frozenset(m for n in ns for m in (1 << n, (1 << n) + 1) if m < bound)),
+        ))
+        s = DensityWindowSurrogate(eps, floor)
+        p = FiniteIdealPresentation("z", Ground("interval", bound), (), s)
+        assert s.accepts(frozenset(members), p) == self.reference_density_accepts(s, frozenset(members), p)
+
+    @pytest.mark.parametrize("elements, measure", [
+        ({2, 4, 5}, "max density 1/2 at window 1"),  # windows 1 and 2 tie at 1/2: the first is named
+        ({8, 9, 10, 11}, "max density 1/2 at window 3"),
+        ({1}, "max density 1 at window 0"),
+        ({0}, "no constrained window"),
+        ({16}, "no constrained window"),  # 16 lies in the partial window [16, 32) of bound 17
+    ])
+    def test_density_window_measures(self, elements, measure):
+        s = DensityWindowSurrogate(Fraction(1, 2))
+        p = FiniteIdealPresentation("z", Ground("interval", 17), (), s)
+        assert s.accepts(frozenset(elements), p).measure == measure
+        assert s.accepts(frozenset(elements), p) == self.reference_density_accepts(s, frozenset(elements), p)
+
+    def test_density_window_checks_its_elements(self):
+        s = DensityWindowSurrogate()
+        p = FiniteIdealPresentation("z", Ground("interval", 8), (), s)
+        for bad in (8, -1, True):
+            with pytest.raises(RangeError, match=r"^member .* outside \[0, 8\)$"):
+                s.accepts(frozenset({2, bad}), p)
 
     def test_density_requires_interval(self):
         p = FiniteIdealPresentation("g", Ground("grid", 4), (), DensityWindowSurrogate())

@@ -24,7 +24,7 @@ from hlbench.search import (
     verify_certificate,
     zdensity_band_check,
 )
-from hlbench.treecore import LevelSet, embed_closure, validate, validate_embedding
+from hlbench.treecore import LevelSet, embed_closure, extensions, level_nodes, validate, validate_embedding
 
 # (m, explored, complete, certificate) of search_best on seeded colorings:
 # depths 4-7, heights 0-3, both modes, node_budget 1_000_000, 37 and 500
@@ -69,6 +69,28 @@ class TestEnumeration:
     def test_leaf_mode(self):
         got = [e.images[""] for e in enumerate_embeddings(3, 0)]
         assert got == ["00", "01", "10", "11"]
+
+    def test_height_one_order(self):
+        got = [(e.images[""], e.images["0"], e.images["1"]) for e in enumerate_embeddings(3, 1)]
+        assert got == [("", "00", "10"), ("", "00", "11"), ("", "01", "10"), ("", "01", "11"),
+                       ("0", "00", "01"), ("1", "10", "11")]
+
+    @pytest.mark.parametrize("depth, height", [(d, h) for d in range(1, 7) for h in range(min(3, d - 1) + 1)
+                                               if enumeration_bound(d, h) <= 20_000])
+    def test_order_equals_the_restarting_enumeration(self, depth, height):
+        def restarting(region, k):
+            # Every right half enumerated again for each left half.
+            if k == 0:
+                yield from extensions(region, depth - 1)
+                return
+            for extra in range(depth - k - len(region)):
+                for suffix in level_nodes(extra):
+                    w = region + suffix
+                    for left in restarting(w + "0", k - 1):
+                        for right in restarting(w + "1", k - 1):
+                            yield w, left, right
+
+        assert list(search._region_embeddings("", height, depth)) == list(restarting("", height))
 
 
 class TestBudget:
