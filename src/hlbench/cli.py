@@ -20,7 +20,7 @@ import itertools
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -568,39 +568,55 @@ COMMANDS = {
 }
 
 
-def build_parser(commands: Iterable[Command] = COMMANDS.values()) -> argparse.ArgumentParser:
-    """The top-level parser with a subparser for each of `commands`, by default all of them."""
+def _add_options(parser: argparse.ArgumentParser, command: Command) -> None:
+    """Give `parser` the options of `command`, then --verbose, and its handler as `func`."""
+    for option in (*command.options, _VERBOSE):
+        if isinstance(option, _OneOf):
+            group = parser.add_mutually_exclusive_group()
+            for flags, kwargs in option:
+                group.add_argument(*flags, **kwargs)
+        else:
+            flags, kwargs = option
+            parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(func=command.handler)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with a subparser for each command of `COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="hlbench",
         description="Finite workbench for tree colorings, subtree search, ideal statistics, and games.",
     )
     parser.add_argument("--version", action="version", version=f"hlbench {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for command in commands:
-        p = sub.add_parser(command.name, help=command.help)
-        for option in (*command.options, _VERBOSE):
-            if isinstance(option, _OneOf):
-                group = p.add_mutually_exclusive_group()
-                for flags, kwargs in option:
-                    group.add_argument(*flags, **kwargs)
-            else:
-                flags, kwargs = option
-                p.add_argument(*flags, **kwargs)
-        p.set_defaults(func=command.handler)
+    for command in COMMANDS.values():
+        _add_options(sub.add_parser(command.name, help=command.help), command)
     return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, building only the subcommand `argv` names when it names one.
+    """`build_parser().parse_args(argv)`, building one `ArgumentParser` when `argv[0]` names a command.
 
-    Nothing is kept between calls.  Every other argv (help, version, a missing,
-    unknown or abbreviated subcommand, a leading option) goes to the full tree.
-    So does a known subcommand followed by arguments it does not take: argparse
-    refuses those with the top-level usage, which lists every subcommand.
+    That parser is the command's own, the one `build_parser` adds for it
+    (`add_parser` makes `ArgumentParser(prog="hlbench <name>")`), and it parses
+    `argv[1:]`, as the top-level parser hands them on.  The top-level parser
+    adds only `subcommand` to the namespace (its `-h` and `--version` store
+    nothing), and it is set here first, where the full tree sets it.  Nothing
+    is kept between calls.
+
+    Every other argv goes to the full tree: help, version, a missing, unknown
+    or abbreviated subcommand, a leading option, and a known subcommand
+    followed by arguments it does not take, which argparse refuses with the
+    top-level usage that lists every subcommand.  So does an argv with a
+    `--=` token: the top-level parser scans every argument before handing
+    them on, and refuses that one itself, as an abbreviation of both `--help`
+    and `--version`.
     """
     command = COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        args, extra = build_parser([command]).parse_known_args(argv)
+    if command is not None and not any(arg.startswith("--=") for arg in argv):
+        parser = argparse.ArgumentParser(prog=f"hlbench {command.name}")
+        _add_options(parser, command)
+        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(subcommand=command.name))
         if not extra:
             return args
     return build_parser().parse_args(argv)

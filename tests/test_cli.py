@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import os
 import random
@@ -9,9 +12,10 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hlbench
@@ -211,6 +215,61 @@ def parsers_built(monkeypatch):
     return lambda: built[0]
 
 
+# The fewest arguments each subcommand takes.
+_REQUIRED = {
+    "hset": ["hset", "--coloring", "c.coloring", "--tree", "t.tree"],
+    "zdensity": ["zdensity", "--nmax", "2"],
+    "search": ["search", "--height", "2"],
+    "search-levels": ["search-levels", "--height", "2"],
+    "pairing": ["pairing", "--base-levels", "1,2", "--depth", "6"],
+    "levels": ["levels", "--max-len", "3", "--depth", "8"],
+    "profile": ["profile", "--input", "a.natset"],
+    "game": ["game", "--p1", "initial-segment", "--p2", "min-legal", "--horizon", "4", "--window", "16"],
+    "katetov": ["katetov"],
+}
+
+# Argvs every parser accepts, for each subcommand with its defaults and with
+# every option given, in `--opt value`, `--opt=value` and abbreviated spellings.
+VALID_CORPUS = [
+    *_REQUIRED.values(),
+    *([*argv, "--verbose"] for argv in _REQUIRED.values()),
+    ["hset", "--tree=t.tree", "--coloring=c.coloring", "--verb"],
+    *([name, "--depth", "5", "--height", "2", "--seed", "3", "--budget", "100", "--workers", "2", "--oracle",
+       "--verbose"] for name in ("search", "search-levels")),
+    *([name, "--height", "1", "--coloring", "c.coloring"] for name in ("search", "search-levels")),
+    ["search", "--depth=5", "--height=2", "--seed=-3", "--budget=7", "--workers=1"],
+    ["search", "--dep", "5", "--hei", "2", "--se", "1", "--bud", "9", "--wor", "3", "--or"],
+    ["search-levels", "--col", "c.coloring", "--height", "1", "--height", "2"],
+    ["pairing", "--base-levels", "1,2", "--cap", "2", "--depth", "6", "--verbose"],
+    ["pairing", "--base=1", "--ca=0", "--dep=4"],
+    ["levels", "--max=3", "--dep=8"],
+    ["profile", "--input", "a.natset", "--ell", "4", "--threshold", "1", "--cmp", "gt", "--verbose"],
+    ["profile", "--inp", "a.natset", "--el", "2", "--th", "-1", "--cm=ge"],
+    [*_REQUIRED["game"], "--seed", "5", "--coloring", "c.coloring", "--verbose"],
+    ["game", "--p1=a", "--p2=b", "--hor=1", "--win=2", "--se=3", "--co=c.coloring"],
+    ["katetov", "--builtin", "a", "--counterexample", "b", "--morphism", "m", "--source", "s", "--target", "t",
+     "--list", "--verbose"],
+    ["katetov", "--li"],
+    ["katetov", "--mor=m", "--sou=s", "--tar=t"],
+]
+
+# Tokens for random argvs: subcommand names, flags, values, and the tokens
+# that the top-level parser or argparse itself treats apart.
+_TOKENS = sorted({
+    *cli.COMMANDS, "sea", "bogus", "extra", "--", "-", "-h", "--help", "--version", "--ver", "--=x", "--h",
+    *(flags[0] for command in cli.COMMANDS.values() for option in command.options
+      for flags, _ in (option if isinstance(option, cli._OneOf) else [option])),
+    "--verbose", "--verb", "--dep", "--se", "--depth=5", "--height=x", "--cmp=gt",
+    "0", "2", "5", "-1", "x", "1,2", "ge",
+})
+
+
+def _echo(args) -> int:
+    """A handler that prints the namespace it was given."""
+    print(sorted((key, repr(value)) for key, value in vars(args).items()))
+    return 0
+
+
 class TestParser:
     @pytest.mark.parametrize("argv", USAGE_CORPUS, ids=" ".join)
     def test_usage_bytes_match_the_full_tree(self, argv, capsys):
@@ -221,10 +280,10 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv, built",
         [
-            (_SEARCH, 2),  # the top-level parser and the one subparser `search`
-            (["katetov", "--help"], 2),
-            (["search", "--depth", "x", "--height", "2"], 2),
-            ([*_SEARCH, "--bogus"], 2 + 1 + len(cli.COMMANDS)),  # then the full tree, for its usage
+            (_SEARCH, 1),  # the parser of `search` alone
+            (["katetov", "--help"], 1),
+            (["search", "--depth", "x", "--height", "2"], 1),
+            ([*_SEARCH, "--bogus"], 1 + 1 + len(cli.COMMANDS)),  # then the full tree, for its usage
             (["--help"], 1 + len(cli.COMMANDS)),
             (["sea"], 1 + len(cli.COMMANDS)),
             (["--verbose", *_SEARCH], 1 + len(cli.COMMANDS)),
@@ -250,6 +309,38 @@ class TestParser:
         for name, value in vars(cli).items():
             assert not isinstance(value, argparse.ArgumentParser), name
             assert not hasattr(value, "cache_info"), name  # no functools.cache / lru_cache
+
+    @pytest.mark.parametrize("argv", VALID_CORPUS, ids=" ".join)
+    def test_valid_argv_matches_the_full_tree(self, argv):
+        args = cli._parse(list(argv))
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))  # func and subcommand included
+        assert args.subcommand == argv[0] and args.func is cli.COMMANDS[argv[0]].handler
+
+    @pytest.mark.parametrize("name", cli.COMMANDS)
+    def test_one_parser_per_subcommand(self, name, parsers_built):
+        before = parsers_built()
+        cli._parse(list(_REQUIRED[name]))
+        assert parsers_built() - before == 1
+
+    @given(st.builds(
+        list.__add__, st.lists(st.sampled_from(list(cli.COMMANDS)), max_size=1),
+        st.lists(st.sampled_from(_TOKENS), max_size=7),
+    ))
+    @example([*_SEARCH, "--=x"])  # refused by the top-level parser, not by `search`
+    @settings(max_examples=400, deadline=None)
+    def test_random_argv_matches_the_full_tree(self, argv):
+        def outcome(call):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = call()
+                except SystemExit as exc:
+                    code = exc.code
+            return code, out.getvalue(), err.getvalue()
+
+        echoing = {name: dataclasses.replace(command, handler=_echo) for name, command in cli.COMMANDS.items()}
+        with mock.patch.dict(cli.COMMANDS, echoing):
+            assert outcome(lambda: main(list(argv))) == outcome(lambda: _echo(cli.build_parser().parse_args(argv)))
 
 
 class TestSubcommands:
