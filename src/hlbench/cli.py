@@ -568,19 +568,6 @@ COMMANDS = {
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, command: Command) -> None:
-    """Give `parser` the options of `command`, then --verbose, and its handler as `func`."""
-    for option in (*command.options, _VERBOSE):
-        if isinstance(option, _OneOf):
-            group = parser.add_mutually_exclusive_group()
-            for flags, kwargs in option:
-                group.add_argument(*flags, **kwargs)
-        else:
-            flags, kwargs = option
-            parser.add_argument(*flags, **kwargs)
-    parser.set_defaults(func=command.handler)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The top-level parser with a subparser for each command of `COMMANDS`."""
     parser = argparse.ArgumentParser(
@@ -590,36 +577,83 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hlbench {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for command in COMMANDS.values():
-        _add_options(sub.add_parser(command.name, help=command.help), command)
+        subparser = sub.add_parser(command.name, help=command.help)
+        for option in (*command.options, _VERBOSE):
+            if isinstance(option, _OneOf):
+                group = subparser.add_mutually_exclusive_group()
+                for flags, kwargs in option:
+                    group.add_argument(*flags, **kwargs)
+            else:
+                flags, kwargs = option
+                subparser.add_argument(*flags, **kwargs)
+        subparser.set_defaults(func=command.handler)
     return parser
 
 
+def _read_exact(command: Command, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace the full tree gives for `[command.name, *tokens]`, or None where `_parse` says.
+
+    Its attributes come in the full tree's order: `subcommand` (the
+    top-level parser sets it first), then every option's default in action
+    order, overwritten by the values given, then `func`.
+    """
+    table = {}  # exact option string -> (dest, add_argument kwargs, group id)
+    args = argparse.Namespace(subcommand=command.name)
+    for group, option in enumerate((*command.options, _VERBOSE)):
+        for flags, kwargs in option if isinstance(option, _OneOf) else (option,):
+            dest = kwargs.get("dest", flags[0].lstrip("-").replace("-", "_"))
+            table[flags[0]] = dest, kwargs, group
+            setattr(args, dest, False if kwargs.get("action") == "store_true" else kwargs.get("default"))
+    args.func = command.handler
+    groups = set()
+    rest = iter(tokens)
+    for token in rest:
+        if token not in table:
+            return None
+        dest, kwargs, group = table[token]
+        if group in groups:
+            return None
+        groups.add(group)
+        if kwargs.get("action") == "store_true":
+            setattr(args, dest, True)
+            continue
+        text = next(rest, "-")  # a missing value is declined as a leading `-` is
+        if text.startswith("-"):
+            return None
+        try:
+            value = kwargs["type"](text) if "type" in kwargs else text
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        setattr(args, dest, value)
+    # A required option is never in a `_OneOf` (argparse refuses that), so it has a group of its own.
+    if any(kwargs.get("required") and group not in groups for _, kwargs, group in table.values()):
+        return None
+    return args
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, building one `ArgumentParser` when `argv[0]` names a command.
+    """`build_parser().parse_args(argv)`, read with no parser when `argv[0]` names a command.
 
-    That parser is the command's own, the one `build_parser` adds for it
-    (`add_parser` makes `ArgumentParser(prog="hlbench <name>")`), and it parses
-    `argv[1:]`, as the top-level parser hands them on.  The top-level parser
-    adds only `subcommand` to the namespace (its `-h` and `--version` store
-    nothing), and it is set here first, where the full tree sets it.  Nothing
-    is kept between calls.
+    Two paths.  When `argv[0]` names a command of `COMMANDS`, `_read_exact`
+    reads `argv[1:]` from that entry alone and builds no `ArgumentParser`.
+    It reads only the plainest spelling: each option as its exact option
+    string, at most once and at most one of each `_OneOf`, a store option's
+    value as the next argument.
 
-    Every other argv goes to the full tree: help, version, a missing, unknown
-    or abbreviated subcommand, a leading option, and a known subcommand
-    followed by arguments it does not take, which argparse refuses with the
-    top-level usage that lists every subcommand.  So does an argv with a
-    `--=` token: the top-level parser scans every argument before handing
-    them on, and refuses that one itself, as an abbreviation of both `--help`
-    and `--version`.
+    Every other argv goes to the full tree, which prints every help text and
+    usage error: help, version, a missing, unknown or abbreviated
+    subcommand, a leading option, and every argv the reader declines.  It
+    declines any argument that is not an exact option string (so
+    `--opt=value`, abbreviations, `--`, `-h`, `--version` and stray words), a
+    repeated option or both options of a `_OneOf`, a missing value or one
+    that starts with `-`, a value that `type` or `choices` refuse, and a
+    missing required option.  Nothing is kept between calls.
     """
     command = COMMANDS.get(argv[0]) if argv else None
-    if command is not None and not any(arg.startswith("--=") for arg in argv):
-        parser = argparse.ArgumentParser(prog=f"hlbench {command.name}")
-        _add_options(parser, command)
-        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(subcommand=command.name))
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
+    args = None if command is None else _read_exact(command, argv[1:])
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -188,10 +189,14 @@ USAGE_CORPUS = [
     ["sea"],
     ["--verbose", *_SEARCH],
     *([name, "--help"] for name in cli.COMMANDS),
-    # refused by the subcommand's own parser
+    # refused by the subcommand's parser
     ["search", "--depth", "5"],
     ["search", "--depth", "x", "--height", "2"],
     ["search", "--height", "2", "--seed", "1", "--coloring", "c.coloring"],
+    ["search", "--height", "--depth", "5"],
+    ["katetov", "--builtin", "--list"],
+    [*_SEARCH, "--seed"],
+    ["profile", "--input", "a.natset", "--cmp", "bad"],
     # arguments left over after a known subcommand, refused with the top-level usage
     [*_SEARCH, "--bogus"],
     [*_SEARCH, "extra"],
@@ -270,6 +275,57 @@ def _echo(args) -> int:
     return 0
 
 
+# Values for `--opt value` pairs: ints, a negative one, words `type` or
+# `choices` refuse, the `--cmp` choices, file names and an option string.
+_VALUES = ["0", "2", "5", "-1", "x", "ge", "gt", "bad", "1,2", "c.coloring", "a.natset", "--verbose"]
+
+
+def _option_argvs(name):
+    """Argvs of `name` made of its own options, each with a value where it takes one.
+
+    Each option appears or not, in any order.  In half the argvs every
+    required option appears, every value is one the option takes and nothing
+    else follows, so the reader reads most of them.  The other half draw any
+    value and up to two more options: refused values, missing required
+    options, repeats and both options of a `_OneOf`.
+    """
+    def tokens(flag, kwargs, values):
+        if kwargs.get("action") == "store_true":
+            return st.just([flag])
+        good = kwargs.get("choices", ("2", "5") if "type" in kwargs else ("c.coloring",))
+        return st.tuples(st.just(flag), st.sampled_from(good) | values).map(list)
+
+    options = [(flag, kwargs) for option in (*cli.COMMANDS[name].options, cli._VERBOSE)
+               for (flag,), kwargs in (option if isinstance(option, cli._OneOf) else [option])]
+
+    def argvs(plain):
+        values = st.nothing() if plain else st.sampled_from(_VALUES)
+        each = st.tuples(*(tokens(flag, kwargs, values) if plain and kwargs.get("required")
+                           else st.just([]) | tokens(flag, kwargs, values) for flag, kwargs in options))
+        more = st.lists(st.one_of(*(tokens(flag, kwargs, values) for flag, kwargs in options)),
+                        max_size=0 if plain else 2)
+        return st.builds(lambda parts, extra: [name, *itertools.chain(*parts, *extra)],
+                         each.flatmap(st.permutations), more)
+
+    return st.booleans().flatmap(argvs)
+
+
+def _assert_main_matches_the_full_tree(argv):
+    """`main(argv)`, every handler printing its namespace, exits and prints as the full tree does."""
+    def outcome(call):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = call()
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    echoing = {name: dataclasses.replace(command, handler=_echo) for name, command in cli.COMMANDS.items()}
+    with mock.patch.dict(cli.COMMANDS, echoing):
+        assert outcome(lambda: main(list(argv))) == outcome(lambda: _echo(cli.build_parser().parse_args(argv)))
+
+
 class TestParser:
     @pytest.mark.parametrize("argv", USAGE_CORPUS, ids=" ".join)
     def test_usage_bytes_match_the_full_tree(self, argv, capsys):
@@ -280,10 +336,12 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv, built",
         [
-            (_SEARCH, 1),  # the parser of `search` alone
-            (["katetov", "--help"], 1),
-            (["search", "--depth", "x", "--height", "2"], 1),
-            ([*_SEARCH, "--bogus"], 1 + 1 + len(cli.COMMANDS)),  # then the full tree, for its usage
+            (_SEARCH, 0),  # read from `cli.COMMANDS`
+            # every other argv: the full tree, one parser per subcommand and the top level
+            (["katetov", "--help"], 1 + len(cli.COMMANDS)),
+            (["search", "--depth", "x", "--height", "2"], 1 + len(cli.COMMANDS)),
+            ([*_SEARCH, "--bogus"], 1 + len(cli.COMMANDS)),
+            (["search", "--dep", "5", "--height", "2"], 1 + len(cli.COMMANDS)),
             (["--help"], 1 + len(cli.COMMANDS)),
             (["sea"], 1 + len(cli.COMMANDS)),
             (["--verbose", *_SEARCH], 1 + len(cli.COMMANDS)),
@@ -317,10 +375,35 @@ class TestParser:
         assert args.subcommand == argv[0] and args.func is cli.COMMANDS[argv[0]].handler
 
     @pytest.mark.parametrize("name", cli.COMMANDS)
-    def test_one_parser_per_subcommand(self, name, parsers_built):
+    def test_no_parser_for_a_valid_argv(self, name, parsers_built):
         before = parsers_built()
         cli._parse(list(_REQUIRED[name]))
-        assert parsers_built() - before == 1
+        assert parsers_built() - before == 0
+
+    @pytest.mark.parametrize("name", cli.COMMANDS)
+    def test_one_parser_per_subcommand(self, name, parsers_built):
+        """A valid argv the reader declines (here an abbreviation) goes to the full tree."""
+        before = parsers_built()
+        cli._parse([*_REQUIRED[name], "--verb"])
+        assert parsers_built() - before == 1 + len(cli.COMMANDS)
+
+    def test_every_option_is_one_the_reader_reads(self):
+        """`cli._read_exact` handles these `add_argument` kwargs and nothing else."""
+        for command in cli.COMMANDS.values():
+            seen = set()
+            for option in (*command.options, cli._VERBOSE):
+                for flags, kwargs in option if isinstance(option, cli._OneOf) else [option]:
+                    # one long option, which the top-level parser never refuses
+                    assert len(flags) == 1 and re.fullmatch(r"--[a-z0-9]+(-[a-z0-9]+)*", flags[0]), flags
+                    assert flags[0] not in seen
+                    seen.add(flags[0])
+                    if "action" in kwargs:
+                        assert kwargs["action"] == "store_true" and set(kwargs) <= {"action", "help"}, flags
+                    else:
+                        assert set(kwargs) <= {"type", "default", "required", "dest", "choices", "help"}, flags
+                        assert kwargs.get("type", int) is int, flags
+                        # argparse would convert a str default with its `type`
+                        assert not (isinstance(kwargs.get("default"), str) and "type" in kwargs), flags
 
     @given(st.builds(
         list.__add__, st.lists(st.sampled_from(list(cli.COMMANDS)), max_size=1),
@@ -329,18 +412,12 @@ class TestParser:
     @example([*_SEARCH, "--=x"])  # refused by the top-level parser, not by `search`
     @settings(max_examples=400, deadline=None)
     def test_random_argv_matches_the_full_tree(self, argv):
-        def outcome(call):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = call()
-                except SystemExit as exc:
-                    code = exc.code
-            return code, out.getvalue(), err.getvalue()
+        _assert_main_matches_the_full_tree(argv)
 
-        echoing = {name: dataclasses.replace(command, handler=_echo) for name, command in cli.COMMANDS.items()}
-        with mock.patch.dict(cli.COMMANDS, echoing):
-            assert outcome(lambda: main(list(argv))) == outcome(lambda: _echo(cli.build_parser().parse_args(argv)))
+    @given(st.sampled_from(list(cli.COMMANDS)).flatmap(_option_argvs))
+    @settings(max_examples=300, deadline=None)
+    def test_random_option_pairs_match_the_full_tree(self, argv):
+        _assert_main_matches_the_full_tree(argv)
 
 
 class TestSubcommands:
