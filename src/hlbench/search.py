@@ -39,8 +39,8 @@ MODES = ("uniform", "by_levels")
 DEFAULT_BUDGET = 1_000_000
 
 # The largest node_budget.  The search's memory grows with its budget: at
-# this cap the depth-40 height-2 search takes about 500 MiB, and at four
-# times it, past 1 GiB.  It is above DEFAULT_BUDGET.
+# this cap the depth-40 height-2 search peaks at 422 MiB resident, at four
+# times it at 1.6 GiB (ru_maxrss, Python 3.11).  It is above DEFAULT_BUDGET.
 BUDGET_CAP = 1 << 20
 
 
@@ -122,10 +122,7 @@ def enumeration_bound(depth: int, height: int) -> int:
     def count(region_len: int, h: int) -> int:
         if h == 0:
             return 1 << (depth - 1 - region_len)
-        total = 0
-        for k in range(region_len, depth - h):
-            total += (1 << (k - region_len)) * count(k + 1, h - 1) ** 2
-        return total
+        return sum((1 << (k - region_len)) * count(k + 1, h - 1) ** 2 for k in range(region_len, depth - h))
 
     return count(0, height)
 
@@ -253,34 +250,40 @@ def brute_force_max(c: Coloring, budget: SearchBudget, mode: str) -> SearchResul
 # masks, so a level bichromatic on a half stays bichromatic in every
 # embedding built from it and no join raises a score.  A sub-embedding is a
 # pair (mask, node): `node` is a leaf image or a nested (split, left, right).
+#
+# The solver names each node by its length-lex rank, so rank order is the
+# tie order's node order: the root is 0, the children of r are 2r + 1 and
+# 2r + 2, its parent is (r - 1) >> 1 and its level (r + 1).bit_length() - 1.
+# _node(r) is the node of rank r; _span(r, e) lists r's extensions e levels down.
 
 
 class _OutOfBudget(Exception):
     """The next unit of work would pass the allowance."""
 
 
-def _mask_lookup(value, depth: int) -> Callable[[str], tuple[int, str]]:
-    # A node's prefix mask holds the bits of the levels up to its own, so it
-    # is its parent's plus one color read.  Both are computed on first use
-    # and cached for one search: the work tracks the tops reached rather
-    # than all 2^(depth-1) of them, and each node's color is read once.
-    prefix: dict[str, int] = {}
-    cache: dict[str, tuple[int, str]] = {}
+def _node(r: int) -> str:
+    return bin(r + 1)[3:]
 
-    def prefix_mask(s: str) -> int:
-        got = prefix.get(s)
+
+def _span(r: int, e: int) -> range:
+    return range(((r + 1) << e) - 1, ((r + 2) << e) - 1)
+
+
+def _mask_lookup(value, depth: int) -> Callable[[int], int]:
+    # A node's prefix mask holds the bits of the levels up to its own: its
+    # parent's plus one color read, computed on first use and cached for one
+    # search, so the work tracks the tops reached and each color is read once.
+    prefix: dict[int, int] = {}
+
+    def prefix_mask(r: int) -> int:
+        got = prefix.get(r)
         if got is None:
-            bit = 1 << (depth + len(s) if value(s) else len(s))
-            got = prefix[s] = bit | prefix_mask(s[:-1]) if s else bit
+            n = (r + 1).bit_length() - 1
+            bit = 1 << (depth + n if value(_node(r)) else n)
+            got = prefix[r] = bit | prefix_mask((r - 1) >> 1) if r else bit
         return got
 
-    def masks(top: str) -> tuple[int, str]:
-        got = cache.get(top)
-        if got is None:
-            got = cache[top] = (prefix_mask(top), top)
-        return got
-
-    return masks
+    return prefix_mask
 
 
 def _scorer(depth: int, by_levels: bool) -> Callable[[int], int]:
@@ -301,18 +304,18 @@ def _dp_max(masks, depth: int, height: int, score, allowance: int):
     """The maximum score m over height >= 1 embeddings, by dynamic programming.
 
     A(r, k) holds the maximal masks of the height-k sub-embeddings above
-    region r: those of A(r0, k) and A(r1, k) and, when a split at r fits
-    (|r| <= depth-k-1), every a & b with a in A(r0, k-1) and b in
-    A(r1, k-1); A(top, 0) is the top's mask.  AND is monotone, so a mask
-    contained in another adds nothing; distinct top masks never contain one
-    another.  A mask scoring below the best full-height product so far is
-    dropped, since no embedding built from it reaches that score; masks at
-    the best are kept, so the products at split w reach m exactly when the
-    partition of w holds an m-embedding.  Each kept mask carries the node of
-    one sub-embedding that has it.
+    region r, on level n: those of A(2r+1, k) and A(2r+2, k) and, when a
+    split at r fits (n <= depth-k-1), every a & b with a in A(2r+1, k-1)
+    and b in A(2r+2, k-1); A(top, 0) is the top's mask.  AND is monotone,
+    so a mask contained in another adds nothing; distinct top masks never
+    contain one another.  A mask scoring below the best full-height product
+    so far is dropped, since no embedding built from it reaches that score;
+    masks at the best are kept, so the products at split w reach m exactly
+    when the partition of w holds an m-embedding.  Each kept mask carries
+    the node of one sub-embedding that has it.
 
     Returns ((m, node), units spent, finished), the node being an
-    m-embedding in the length-lex first partition that holds one.  A unit
+    m-embedding in the rank-first partition that holds one.  A unit
     is a mask formed or re-scored, or one containment test.  The DP gives up
     rather than pass `allowance` units; it then returns its best full-height
     product so far (or None) with finished False.
@@ -342,21 +345,21 @@ def _dp_max(masks, depth: int, height: int, score, allowance: int):
         spent = tests
         return kept
 
-    def region(r: str) -> tuple[int, list[dict]]:
+    def region(r: int, n: int) -> tuple[int, list[dict]]:
         # (the floor the sets were cut at, [A(r, k) as {mask: node} for k in
-        # 0 .. min(height - 1, depth - 1 - |r|)])
+        # 0 .. min(height - 1, depth - 1 - n)]), n being r's level
         nonlocal best
-        if len(r) == depth - 2:
+        if n == depth - 2:
             # The children are tops: A(top, 0) is the top's own mask.
             pay(2)
-            cut, lo, hi = -1, [dict((masks(r + "0"),))], [dict((masks(r + "1"),))]
+            cut, lo, hi = -1, [{masks(2 * r + 1): 2 * r + 1}], [{masks(2 * r + 2): 2 * r + 2}]
         else:
-            (cut, lo), (_, hi) = region(r + "0"), region(r + "1")
+            (cut, lo), (_, hi) = region(2 * r + 1, n + 1), region(2 * r + 2, n + 1)
         floor = -1 if best is None else best[0]
         sets = []
-        for k in range(min(height, depth - 1 - len(r)) + 1):
+        for k in range(min(height, depth - 1 - n) + 1):
             cand = {**lo[k], **hi[k]} if k < len(lo) else {}
-            if floor > cut:
+            if floor > cut and cand:
                 # The floor rose since the sets below were cut.
                 pay(len(cand))
                 cand = {mask: node for mask, node in cand.items() if score(mask) >= floor}
@@ -365,17 +368,17 @@ def _dp_max(masks, depth: int, height: int, score, allowance: int):
                 pay(len(a) * len(b))
                 if k == height:
                     top = max(map(score, [x & y for x in a for y in b]), default=-1)
-                    if top > floor or (top == floor >= 0 and lenlex_key(r) < lenlex_key(best[1][0])):
+                    if top > floor or (top == floor >= 0 and r < best[1][0]):
                         x, y = next((x, y) for x in a for y in b if score(x & y) == top)
                         best = (top, (r, a[x], b[y]))
                     break
                 cand.update({mask: (r, a[x], b[y]) for x in a for y in b if score(mask := x & y) >= floor})
-                cand = maximal(cand)
+                cand = maximal(cand) if len(cand) > 1 else cand
             sets.append(cand)
         return floor, sets
 
     try:
-        region("")
+        region(0, 0)
     except _OutOfBudget:
         return best, spent, False
     return best, spent, True
@@ -385,44 +388,45 @@ def _walk(masks, depth: int, height: int, score, known, exact: bool, allowance: 
     """Depth-first walk for the tie-first best embedding.
 
     Partitions (the embeddings sharing a first split; height 0 is one
-    partition of all tops) come in length-lex order of the split, the tie
-    order's first key.  Halves scoring below the floor are dropped.  When
-    the DP's (m, node) is `known` and `exact`, the floor is m, the
-    walk starts at that node's partition and ends with it; at height 1 a
-    partition yields in tie order, so its first m-embedding ends the walk.
-    Otherwise every partition is walked, and the floor is the best score
-    found so far, starting from the score of `known` when the DP gave one.
-    A unit is a top looked at or a mask product; the walk stops rather than
-    pass `allowance` units.
+    partition of all tops) come in rank order of the split, the tie order's
+    first key.  Halves scoring below the floor are dropped.  When the DP's
+    (m, node) is `known` and `exact`, the floor is m, the walk starts at
+    that node's partition and ends with it; at height 1 a partition yields
+    in tie order, so its first m-embedding ends the walk.  Otherwise every
+    partition is walked, and the floor is the best score found so far,
+    starting from the score of `known` when the DP gave one.  A unit is a
+    top looked at or a mask product; the walk stops rather than pass
+    `allowance` units.
 
-    Returns (best, units spent, complete), best being (score, node) or
-    None.  Ties go to the smaller _tie_key of the node's images.
+    Returns (best, units spent, complete), best being (score, node) or None.
+    Ties go to the smaller tuple of image ranks, the order of _tie_key.
     """
     target = known[0] if exact else None
     floor = -1 if known is None else known[0]
     spent = 0
 
-    def halves(region: str, k: int) -> Iterator[tuple[int, object]]:
+    def halves(region: int, k: int) -> Iterator[tuple[int, object]]:
         # Sub-embeddings above `region` scoring at least the floor, in the
         # order of _region_embeddings.
         nonlocal spent
+        n = (region + 1).bit_length() - 1
         if k == 0:
-            for top in extensions(region, depth - 1):
+            for top in _span(region, depth - 1 - n):
                 if spent == allowance:
                     raise _OutOfBudget
                 spent += 1
-                got = masks(top)
-                if score(got[0]) >= floor:
-                    yield got
+                mask = masks(top)
+                if score(mask) >= floor:
+                    yield mask, top
             return
-        for extra in range(depth - k - len(region)):
-            for suffix in level_nodes(extra):
-                yield from joins(region + suffix, k)
+        for extra in range(depth - k - n):
+            for w in _span(region, extra):
+                yield from joins(w, k)
 
-    def joins(w: str, k: int) -> Iterator[tuple[int, tuple]]:
+    def joins(w: int, k: int) -> Iterator[tuple[int, tuple]]:
         nonlocal spent
-        rights = _Replay(halves(w + "1", k - 1))
-        for lmask, left in halves(w + "0", k - 1):
+        rights = _Replay(halves(2 * w + 2, k - 1))
+        for lmask, left in halves(2 * w + 1, k - 1):
             for rmask, right in rights:
                 if spent == allowance:
                     raise _OutOfBudget
@@ -431,19 +435,16 @@ def _walk(masks, depth: int, height: int, score, known, exact: bool, allowance: 
                 if score(mask) >= floor:
                     yield mask, (w, left, right)
 
-    if height == 0:
-        partitions: Iterator = iter([halves("", 0)])
-    else:
-        start = known[1][0] if exact else ""
-        splits = (w for extra in range(len(start), depth - height) for w in level_nodes(extra))
-        partitions = (joins(w, height) for w in splits if lenlex_key(w) >= lenlex_key(start))
+    start = known[1][0] if exact else 0
+    splits = range(start, (1 << (depth - height)) - 1)  # the ranks above level depth - height
+    partitions = [halves(0, 0)] if height == 0 else (joins(w, height) for w in splits)
     best = best_key = None
     try:
         for part in partitions:
             for mask, node in part:
                 # Past the first, every embedding reaching here scores at least
                 # the best so far, so its tie key is always needed.
-                s, key = score(mask), _tie_key(_bfs(node, height))
+                s, key = score(mask), tuple(_bfs(node, height))
                 if best is None or s > best[0] or (s == best[0] and key < best_key):
                     best, best_key, floor = (s, node), key, s
                     if s == target and height == 1:
@@ -482,9 +483,9 @@ class _Replay:
         self._source = None
 
 
-def _bfs(node, height: int) -> list[str]:
+def _bfs(node, height: int) -> list:
     """The images of a nested (split, left, right) node in argument order."""
-    images: list[str] = []
+    images: list = []
     level = [node]
     for _ in range(height):
         images += [split for split, _, _ in level]
@@ -537,7 +538,7 @@ def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
     if best is None:
         raise BudgetError(f"node budget {budget.node_budget} completes no embedding")
     m, node = best
-    scored, cert = _certificate(c.value, _bfs(node, height), height, depth, mode)
+    scored, cert = _certificate(c.value, list(map(_node, _bfs(node, height))), height, depth, mode)
     if scored != m:
         raise RuntimeError(f"the level-mask score {m} differs from the certificate's score {scored}")
     return SearchResult(m, cert, explored, complete)
@@ -616,13 +617,13 @@ def certificate_to_json(cert: HLCertificate) -> dict:
 def certificate_from_json(obj: dict) -> HLCertificate:
     try:
         mode = _check_mode(obj["mode"])
-        height = int(obj["height"])
+        height, levels, witness_raw = obj["height"], list(obj["levels"]), obj["color_witness"]
         split_nodes = [parse_node(s) for s in obj["split_nodes"]]
         leaf_images = [parse_node(s) for s in obj["leaf_images"]]
-        levels = [int(n) for n in obj["levels"]]
-        witness_raw = obj["color_witness"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from None
+    if any(type(n) is not int for n in [height, *levels]) or len(set(levels)) != len(levels):
+        raise ParseError("certificate height and levels must be plain ints, the levels distinct")
     if height < 0 or len(split_nodes) != (1 << height) - 1 or len(leaf_images) != (1 << height):
         raise ParseError("certificate image counts do not match the height")
     lengths = {len(s) for s in leaf_images}
@@ -632,14 +633,13 @@ def certificate_from_json(obj: dict) -> HLCertificate:
     validate_embedding(embedding)
     witness: int | tuple[int, ...]
     if mode == "uniform":
-        if witness_raw not in (0, 1):
+        if type(witness_raw) is not int or witness_raw not in (0, 1):
             raise ParseError("uniform witness must be 0 or 1")
         witness = witness_raw
     else:
         if not isinstance(witness_raw, list) or len(witness_raw) != len(levels):
             raise ParseError("by_levels witness must align with levels")
-        for b in witness_raw:
-            if b not in (0, 1):
-                raise ParseError("witness entries must be bits")
+        if any(type(b) is not int or b not in (0, 1) for b in witness_raw):
+            raise ParseError("witness entries must be bits")
         witness = tuple(witness_raw)
     return HLCertificate(mode, embedding, LevelSet.of(levels), witness)

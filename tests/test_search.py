@@ -5,10 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlbench import search
+from hlbench._rng import splitmix64_output
 from hlbench.colorings import constant_coloring, last_bit_coloring, random_coloring, zdensity_coloring
 from hlbench.errors import BudgetError, EmbeddingInvalidError, ParseError, RangeError
 from hlbench.search import (
@@ -24,7 +25,16 @@ from hlbench.search import (
     verify_certificate,
     zdensity_band_check,
 )
-from hlbench.treecore import LevelSet, embed_closure, extensions, level_nodes, validate, validate_embedding
+from hlbench.treecore import (
+    LevelSet,
+    embed_closure,
+    extensions,
+    lenlex_key,
+    level_nodes,
+    node_index,
+    validate,
+    validate_embedding,
+)
 
 # (m, explored, complete, certificate) of search_best on seeded colorings:
 # depths 4-7, heights 0-3, both modes, node_budget 1_000_000, 37 and 500
@@ -32,7 +42,10 @@ from hlbench.treecore import LevelSet, embed_closure, extensions, level_nodes, v
 # small for the DP.  m and the certificate of every node_budget 1_000_000
 # case come from the per-partition solver before the DP; `explored`, and
 # every field of the budget 37, 500 and 2000 cases, from search_best with
-# its one global budget.
+# its one global budget.  The last four cases, in both modes, come from the
+# string-keyed solver before it named nodes by rank: depth 40, height 2,
+# budget 4096 (a walk only, over tops read on first use) and depth 12,
+# height 2, budget 2048 (the tops exactly fill the budget, and the DP gives up).
 GOLDEN = json.loads(Path(__file__).with_name("search_golden.json").read_text())
 
 # Every shape of depth 3-6 whose oracle enumerates at most 20 000 embeddings
@@ -353,11 +366,61 @@ class TestCertificateJson:
             lambda d: d.update(split_nodes=[]),
             lambda d: d.update(leaf_images=d["leaf_images"][:1]),
             lambda d: d.update(levels="nope"),
+            # JSON values that int() or `in (0, 1)` would take: bools, floats, strings.
+            lambda d: d.update(height=True),
+            lambda d: d.update(height=1.7),
+            lambda d: d.update(levels=[0.9]),
+            lambda d: d.update(levels=["0"]),
+            lambda d: d.update(levels=[True]),
+            lambda d: d.update(color_witness=False),
+            lambda d: d.update(color_witness=1.0),
+            lambda d: d.update(mode="by_levels", levels=[0, 1], color_witness=[True, 0]),
+            # A repeated level, also with a witness that gives it both colors.
+            lambda d: d.update(levels=[0, 0]),
+            lambda d: d.update(mode="by_levels", levels=[0, 0], color_witness=[0, 1]),
         ):
             bad = json.loads(json.dumps(blob))
             mutilate(bad)
             with pytest.raises(ParseError):
                 certificate_from_json(bad)
+
+
+def _rank(s: str) -> int:
+    # The length-lex rank random_coloring draws a node's color with.
+    return (1 << len(s)) - 1 + node_index(s)
+
+
+class TestRanks:
+    """The solver names nodes by length-lex rank; these pin its rank helpers."""
+
+    NODES = [s for n in range(9) for s in level_nodes(n)]
+
+    def test_rank_order_is_lenlex_order(self):
+        assert [search._node(r) for r in range(len(self.NODES))] == sorted(self.NODES, key=lenlex_key)
+        assert sorted(self.NODES, key=_rank) == sorted(self.NODES, key=lenlex_key)
+
+    @given(st.text(alphabet="01", max_size=63))
+    @example("0" * 63)
+    @example("1" * 63)
+    def test_node_and_rank_round_trip(self, s):
+        r = _rank(s)
+        assert search._node(r) == s
+        assert (r + 1).bit_length() - 1 == len(s)
+        assert search._node(2 * r + 1) == s + "0" and search._node(2 * r + 2) == s + "1"
+        if s:
+            assert search._node((r - 1) >> 1) == s[:-1]
+
+    def test_span_is_extensions(self):
+        for s in [s for s in self.NODES if len(s) <= 7]:
+            for length in range(len(s), 8):
+                got = [search._node(r) for r in search._span(_rank(s), length - len(s))]
+                assert got == list(extensions(s, length))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1])
+    def test_random_coloring_colors_by_rank(self, seed):
+        c = random_coloring(9, seed)
+        for r in range((1 << 9) - 1):
+            assert c.value(search._node(r)) == splitmix64_output(seed, r) & 1
 
 
 class TestZDensityChecks:
