@@ -140,9 +140,9 @@ def cmd_hset(args) -> int:
 
     coloring = coloring_from_text(_read(args.coloring))
     tree = tree_from_text(_read(args.tree))
-    levels = h_set(coloring, tree)
-    body = {"depth": tree.depth, "levels": list(levels.as_tuple())}
-    _emit(_report(args, "hset", body), [f"H = {list(levels.as_tuple())}"], args.verbose)
+    levels = list(h_set(coloring, tree))
+    body = {"depth": tree.depth, "levels": levels}
+    _emit(_report(args, "hset", body), [f"H = {levels}"], args.verbose)
     return 0
 
 

@@ -17,7 +17,6 @@ from ._rng import splitmix64_output
 from .errors import ConstructionError, ParseError, RangeError, ShapeError, shown
 from .treecore import (
     D_MAX,
-    LevelSet,
     LevelTree,
     check_depth,
     extensions,
@@ -161,8 +160,8 @@ def last_bit_coloring(depth: int) -> Coloring:
 # ---------------------------------------------------------------------------
 
 
-def h_set(c: Coloring, p: LevelTree) -> LevelSet:
-    """Levels of p on which c is constant.
+def h_set(c: Coloring, p: LevelTree) -> tuple[int, ...]:
+    """Levels of p on which c is constant, ascending.
 
     Single-branch trees give the full level set [0, depth); adding branches
     can only remove levels.
@@ -182,24 +181,24 @@ def h_set(c: Coloring, p: LevelTree) -> LevelSet:
                 break
         if ok:
             mono.append(n)
-    return LevelSet.of(mono)
+    return tuple(mono)
 
 
-def i_set(c: Coloring, s: str) -> LevelSet:
-    """Levels n >= |s|+2 at which s has at most one 0-colored extension."""
+def i_set(c: Coloring, s: str) -> tuple[int, ...]:
+    """Levels n >= |s|+2 at which s has at most one 0-colored extension, ascending."""
     if len(s) >= c.depth:
         raise RangeError(f"node of length {len(s)} outside 2^<{c.depth}")
-    return LevelSet.of(n for n in range(len(s) + 2, c.depth) if c.count_extensions(s, n, 0, cap=2) <= 1)
+    return tuple(n for n in range(len(s) + 2, c.depth) if c.count_extensions(s, n, 0, cap=2) <= 1)
 
 
-def color_trace(c: Coloring, x: str) -> tuple[LevelSet, LevelSet]:
-    """Per-color partition (K_0, K_1) of the levels along the branch through x."""
+def color_trace(c: Coloring, x: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-color partition (K_0, K_1) of the levels along the branch through x, each ascending."""
     if len(x) >= c.depth:
         raise RangeError(f"node of length {len(x)} outside 2^<{c.depth}")
     parts: tuple[list[int], list[int]] = ([], [])
     for n in range(len(x) + 1):
         parts[c.value(x[:n])].append(n)
-    return LevelSet.of(parts[0]), LevelSet.of(parts[1])
+    return tuple(parts[0]), tuple(parts[1])
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ class TreeBuilderStrategy:
             return frozenset()
         move: set[int] = set()
         for arg in self._generation_args():
-            move |= i_set(self.coloring, self.assignments[arg]).members
+            move.update(i_set(self.coloring, self.assignments[arg]))
         if self.window is not None:
             move = {k for k in move if k < self.window}
         return frozenset(move)

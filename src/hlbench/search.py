@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Mapping
 from .colorings import Coloring, ZDensityInstance, band_range, h_set
 from .errors import BudgetError, ParseError, RangeError, ShapeError, shown
 from .treecore import (
-    LevelSet,
+    D_MAX,
     LevelTree,
     TreeEmbedding,
     arguments,
@@ -42,6 +42,11 @@ DEFAULT_BUDGET = 1_000_000
 # this cap the depth-40 height-2 search peaks at 422 MiB resident, at four
 # times it at 1.6 GiB (ru_maxrss, Python 3.11).  It is above DEFAULT_BUDGET.
 BUDGET_CAP = 1 << 20
+
+
+def _check_fits(depth: int, height: int) -> None:
+    if height > depth - 1:
+        raise RangeError(f"height {shown(height)} does not fit below depth {shown(depth)}")
 
 
 def _check_mode(mode: str) -> str:
@@ -71,7 +76,7 @@ class SearchBudget:
 class HLCertificate:
     mode: str
     embedding: TreeEmbedding
-    levels: LevelSet
+    levels: tuple[int, ...]  # ascending; a by_levels witness pairs with it by position
     color_witness: int | tuple[int, ...]
 
 
@@ -107,8 +112,7 @@ def _region_embeddings(region: str, height: int, depth: int) -> Iterator:
 
 def enumerate_embeddings(depth: int, height: int) -> Iterator[TreeEmbedding]:
     """All height-h embeddings with tops on level depth-1, in canonical order."""
-    if height > depth - 1:
-        raise RangeError(f"height {shown(height)} does not fit below depth {shown(depth)}")
+    _check_fits(depth, height)
     args = arguments(height)
     for node in _region_embeddings("", height, depth):
         yield TreeEmbedding(height, dict(zip(args, _bfs(node, height))), depth - 1)
@@ -116,8 +120,7 @@ def enumerate_embeddings(depth: int, height: int) -> Iterator[TreeEmbedding]:
 
 def enumeration_bound(depth: int, height: int) -> int:
     """Exact number of embeddings enumerate_embeddings(depth, height) yields."""
-    if height > depth - 1:
-        raise RangeError(f"height {shown(height)} does not fit below depth {shown(depth)}")
+    _check_fits(depth, height)
 
     def count(region_len: int, h: int) -> int:
         if h == 0:
@@ -174,7 +177,7 @@ def _certificate(value, images: list[str], height: int, depth: int, mode: str) -
     """(m, certificate) of the embedding with `images` in argument order, levels and witness by _score."""
     m, levels, witness = _score(value, images[(1 << height) - 1 :], depth, mode)
     embedding = TreeEmbedding(height, dict(zip(arguments(height), images)), depth - 1)
-    return m, HLCertificate(mode, embedding, LevelSet.of(levels), witness)
+    return m, HLCertificate(mode, embedding, levels, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +193,19 @@ def verify_certificate(c: Coloring, cert: HLCertificate) -> bool:
     """
     _check_mode(cert.mode)
     closure = embed_closure(cert.embedding, c.depth)
-    levels = cert.levels.as_tuple()
-    for n in levels:
+    for n in cert.levels:
         if not 0 <= n < c.depth:
             raise RangeError(f"certificate level {shown(n)} outside [0, {c.depth})")
     if cert.mode == "uniform":
         if cert.color_witness not in (0, 1):
             raise ValueError(f"uniform witness must be a bit, got {cert.color_witness!r}")
-        want = [cert.color_witness] * len(levels)
+        want = [cert.color_witness] * len(cert.levels)
     else:
         witness = cert.color_witness
-        if not isinstance(witness, tuple) or len(witness) != len(levels):
+        if not isinstance(witness, tuple) or len(witness) != len(cert.levels):
             raise ValueError("by_levels witness must align with the level set")
         want = list(witness)
-    for n, expected in zip(levels, want):
+    for n, expected in zip(cert.levels, want):
         for s in closure.levels[n]:
             if c.value(s) != expected:
                 return False
@@ -522,8 +524,7 @@ def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
     """
     _check_mode(mode)
     depth, height = c.depth, budget.height
-    if height > depth - 1:
-        raise RangeError(f"height {shown(height)} does not fit below depth {shown(depth)}")
+    _check_fits(depth, height)
     masks = _mask_lookup(c.value, depth)
     score = _scorer(depth, mode == "by_levels")
     known, spent, exact = None, 0, False
@@ -588,8 +589,8 @@ def zdensity_band_check(inst: ZDensityInstance, selection: Mapping[int, object])
                 for level in inst.host.levels
             ),
         )
-        hs = h_set(inst.coloring, q)
-        actual = sum(1 for lvl in band_range(n) if lvl in hs)
+        band = band_range(n)
+        actual = sum(lvl in band for lvl in h_set(inst.coloring, q))
         expected = 1 << (n - len(chosen) + 1)
         checks.append(BandCheck(n, chosen, expected, actual))
     return tuple(checks)
@@ -609,7 +610,7 @@ def certificate_to_json(cert: HLCertificate) -> dict:
         "height": h,
         "split_nodes": images[: (1 << h) - 1],
         "leaf_images": images[(1 << h) - 1 :],
-        "levels": list(cert.levels.as_tuple()),
+        "levels": list(cert.levels),
         "color_witness": witness,
     }
 
@@ -624,7 +625,9 @@ def certificate_from_json(obj: dict) -> HLCertificate:
         raise ParseError(f"malformed certificate: {exc}") from None
     if any(type(n) is not int for n in [height, *levels]) or len(set(levels)) != len(levels):
         raise ParseError("certificate height and levels must be plain ints, the levels distinct")
-    if height < 0 or len(split_nodes) != (1 << height) - 1 or len(leaf_images) != (1 << height):
+    if not 0 <= height < D_MAX:
+        raise ParseError(f"certificate height {shown(height)} outside [0, {D_MAX})")
+    if len(split_nodes) != (1 << height) - 1 or len(leaf_images) != (1 << height):
         raise ParseError("certificate image counts do not match the height")
     lengths = {len(s) for s in leaf_images}
     if len(lengths) != 1:
@@ -641,5 +644,6 @@ def certificate_from_json(obj: dict) -> HLCertificate:
             raise ParseError("by_levels witness must align with levels")
         if any(type(b) is not int or b not in (0, 1) for b in witness_raw):
             raise ParseError("witness entries must be bits")
-        witness = tuple(witness_raw)
-    return HLCertificate(mode, embedding, LevelSet.of(levels), witness)
+        bit_at = dict(zip(levels, witness_raw))
+        witness = tuple(bit_at[n] for n in sorted(levels))
+    return HLCertificate(mode, embedding, tuple(sorted(levels)), witness)

@@ -110,40 +110,6 @@ def parse_node(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# level sets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LevelSet:
-    """A finite set of level indices, kept as a frozenset with sorted iteration."""
-
-    members: frozenset[int]
-
-    @classmethod
-    def of(cls, items: Iterable[int]) -> "LevelSet":
-        return cls(frozenset(items))
-
-    def __contains__(self, n: int) -> bool:
-        return n in self.members
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    def intersection(self, other: Iterable[int]) -> "LevelSet":
-        return LevelSet(self.members & frozenset(other))
-
-    def isdisjoint(self, other: Iterable[int]) -> bool:
-        return self.members.isdisjoint(frozenset(other))
-
-
-# ---------------------------------------------------------------------------
 # level trees
 # ---------------------------------------------------------------------------
 
@@ -206,27 +172,17 @@ class Violation:
     level: int
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(tree: LevelTree) -> ValidationReport:
-    """Check the level-tree invariants; each violation names its rule and node.
+def validate(tree: LevelTree) -> tuple[Violation, ...]:
+    """The level-tree invariants the tree breaks, each naming its rule and node; empty when valid.
 
     Rules: "shape" (level list inconsistent with depth, or depth out of range),
     "node-length" (a member sits at the wrong level), "root" (level 0 is not
     exactly the empty string), "prefix-closed" (a node's parent is missing),
     "pruned" (a non-top node has no extension on the next level).
     """
-    bad: list[Violation] = []
     if not 1 <= tree.depth <= D_MAX or len(tree.levels) != tree.depth:
-        bad.append(Violation("shape", ROOT, 0))
-        return ValidationReport(tuple(bad))
+        return (Violation("shape", ROOT, 0),)
+    bad: list[Violation] = []
     for n, level in enumerate(tree.levels):
         for s in sorted(level):
             if not is_node(s) or len(s) != n:
@@ -242,17 +198,17 @@ def validate(tree: LevelTree) -> ValidationReport:
         for s in sorted(tree.levels[n]):
             if s + "0" not in children and s + "1" not in children:
                 bad.append(Violation("pruned", s, n))
-    return ValidationReport(tuple(bad))
+    return tuple(bad)
 
 
 def require_valid(tree: LevelTree) -> LevelTree:
-    report = validate(tree)
-    if not report.ok:
-        first = report.violations[0]
+    violations = validate(tree)
+    if violations:
+        first = violations[0]
         raise TreeInvalidError(
             f"invalid tree: rule {first.rule!r} at node {format_node(first.node)!r}"
-            f" (level {first.level}); {len(report.violations)} violation(s)",
-            report.violations,
+            f" (level {first.level}); {len(violations)} violation(s)",
+            violations,
         )
     return tree
 
@@ -476,9 +432,9 @@ def tree_from_text(text: str) -> LevelTree:
     for node in nodes:
         levels[len(node)].add(node)
     tree = LevelTree(depth, tuple(frozenset(level) for level in levels))
-    report = validate(tree)
-    if not report.ok:
-        first = report.violations[0]
+    violations = validate(tree)
+    if violations:
+        first = violations[0]
         raise ParseError(
             f"tree invalid: rule {first.rule!r} at node {format_node(first.node)!r} (level {first.level})",
             1,

@@ -50,9 +50,9 @@ def ref_tree(text):
         node = read_node(token, depth, i)
         levels[len(node)].add(node)
     tree = LevelTree(depth, tuple(frozenset(level) for level in levels))
-    report = validate(tree)
-    if not report.ok:
-        first = report.violations[0]
+    violations = validate(tree)
+    if violations:
+        first = violations[0]
         raise ParseError(
             f"tree invalid: rule {first.rule!r} at node {format_node(first.node)!r} (level {first.level})", 1
         )

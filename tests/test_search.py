@@ -26,7 +26,6 @@ from hlbench.search import (
     zdensity_band_check,
 )
 from hlbench.treecore import (
-    LevelSet,
     embed_closure,
     extensions,
     lenlex_key,
@@ -77,7 +76,7 @@ class TestEnumeration:
     def test_embeddings_are_valid(self):
         for e in enumerate_embeddings(4, 1):
             validate_embedding(e)
-            assert validate(embed_closure(e, 4)).ok
+            assert validate(embed_closure(e, 4)) == ()
 
     def test_leaf_mode(self):
         got = [e.images[""] for e in enumerate_embeddings(3, 0)]
@@ -249,7 +248,7 @@ class TestSolver:
         lb = last_bit_coloring(5)
         res = brute_force_max(lb, SearchBudget(height=1), "by_levels")
         assert res.best_levels == 4
-        assert res.certificate.levels.as_tuple() == (0, 2, 3, 4)
+        assert res.certificate.levels == (0, 2, 3, 4)
         assert res.certificate.color_witness == (0, 0, 0, 0)
         assert res.certificate.embedding.images[""] == ""
         assert res.certificate.embedding.top_images() == ("0000", "1000")
@@ -302,19 +301,18 @@ class TestVerification:
         missing = [n for n in range(5) if n not in set(cert.levels)]
         if missing:
             # claim an extra level with an arbitrary color bit
-            levels = LevelSet.of(list(cert.levels.as_tuple()) + missing[:1])
-            order = sorted(list(cert.levels.as_tuple()) + missing[:1])
-            bits = dict(zip(cert.levels.as_tuple(), cert.color_witness))
-            witness = tuple(bits.get(n, 0) for n in order)
+            levels = tuple(sorted(cert.levels + tuple(missing[:1])))
+            bits = dict(zip(cert.levels, cert.color_witness))
+            witness = tuple(bits.get(n, 0) for n in levels)
             bad = HLCertificate(cert.mode, cert.embedding, levels, witness)
             ok0 = verify_certificate(c, bad)
-            witness1 = tuple(bits.get(n, 1) for n in order)
+            witness1 = tuple(bits.get(n, 1) for n in levels)
             ok1 = verify_certificate(c, HLCertificate(cert.mode, cert.embedding, levels, witness1))
             assert not (ok0 and ok1)
 
     def test_level_out_of_range(self):
         c, cert = self.make()
-        bad = HLCertificate(cert.mode, cert.embedding, LevelSet.of([99]), (0,))
+        bad = HLCertificate(cert.mode, cert.embedding, (99,), (0,))
         with pytest.raises(RangeError):
             verify_certificate(c, bad)
 
@@ -352,6 +350,19 @@ class TestCertificateJson:
             assert verify_certificate(c, back)
             json.dumps(blob)  # JSON-serialisable as-is
 
+    def test_reversed_levels_pair_with_their_bits(self):
+        # A by_levels witness pairs with its levels by position, in whatever
+        # order the JSON lists them; parsing sorts the pairs together.
+        c = random_coloring(6, 3)
+        cert = search_best(c, SearchBudget(height=1), "by_levels").certificate
+        blob = certificate_to_json(cert)
+        assert len(set(blob["color_witness"])) == 2  # reversing the witness alone would change it
+        blob["levels"].reverse()
+        blob["color_witness"].reverse()
+        back = certificate_from_json(blob)
+        assert back == cert
+        assert verify_certificate(c, back)
+
     def test_schema_keys(self):
         c = random_coloring(5, 1)
         blob = certificate_to_json(search_best(c, SearchBudget(height=1), "uniform").certificate)
@@ -363,6 +374,10 @@ class TestCertificateJson:
         for mutilate in (
             lambda d: d.pop("mode"),
             lambda d: d.update(height=2),
+            # Too high for any leaf image, refused before 2^height is formed.
+            lambda d: d.update(height=2**40),
+            lambda d: d.update(height=10**9),
+            lambda d: d.update(height=-1),
             lambda d: d.update(split_nodes=[]),
             lambda d: d.update(leaf_images=d["leaf_images"][:1]),
             lambda d: d.update(levels="nope"),

@@ -16,7 +16,6 @@ from hlbench.katetov import Ground
 from hlbench.search import SearchBudget
 from hlbench.treecore import (
     D_MAX,
-    LevelSet,
     LevelTree,
     TreeEmbedding,
     branches,
@@ -95,26 +94,11 @@ class TestNodeHelpers:
             assert len(s) < len(t) or (len(s) == len(t) and s < t)
 
 
-class TestLevelSet:
-    def test_basics(self):
-        ls = LevelSet.of([3, 1, 2])
-        assert list(ls) == [1, 2, 3]
-        assert 2 in ls and 5 not in ls
-        assert len(ls) == 3
-        assert ls.as_tuple() == (1, 2, 3)
-
-    def test_set_algebra(self):
-        a, b = LevelSet.of([1, 2]), LevelSet.of([2, 3])
-        assert a.intersection(b).as_tuple() == (2,)
-        assert not a.isdisjoint(b)
-        assert a.isdisjoint(LevelSet.of([9]))
-
-
 class TestLevelTree:
     def test_make_full(self):
         tree = make_full(4)
         assert tree.node_count() == 15
-        assert validate(tree).ok
+        assert validate(tree) == ()
         assert list(tree.all_nodes())[:4] == ["", "0", "1", "00"]
 
     def test_check_depth(self):
@@ -127,26 +111,25 @@ class TestLevelTree:
     def test_from_branch_set_valid(self, tops):
         branch_nodes = frozenset(format(t, "04b") for t in tops)
         tree = LevelTree.from_branch_set(5, branch_nodes)
-        assert validate(tree).ok
+        assert validate(tree) == ()
         assert branches(tree) == branch_nodes
 
     def test_validate_rules(self):
         # pruned: "0" has no extension on the top level
         tree = LevelTree(3, (frozenset({""}), frozenset({"0", "1"}), frozenset({"10"})))
-        report = validate(tree)
-        assert not report.ok and {v.rule for v in report.violations} == {"pruned"}
+        assert {v.rule for v in validate(tree)} == {"pruned"}
         # prefix-closed: "11" present without "1"
         tree = LevelTree(3, (frozenset({""}), frozenset({"1"}), frozenset({"01", "11"})))
-        assert {v.rule for v in validate(tree).violations} == {"prefix-closed"}
+        assert {v.rule for v in validate(tree)} == {"prefix-closed"}
         # root missing
         tree = LevelTree(1, (frozenset(),))
-        assert {v.rule for v in validate(tree).violations} == {"root"}
+        assert {v.rule for v in validate(tree)} == {"root"}
         # node on the wrong level
         tree = LevelTree(2, (frozenset({""}), frozenset({"010"})))
-        assert "node-length" in {v.rule for v in validate(tree).violations}
+        assert "node-length" in {v.rule for v in validate(tree)}
         # shape: levels tuple does not match depth
         tree = LevelTree(3, (frozenset({""}),))
-        assert {v.rule for v in validate(tree).violations} == {"shape"}
+        assert {v.rule for v in validate(tree)} == {"shape"}
 
     def test_branches_requires_valid(self):
         broken = LevelTree(2, (frozenset({""}), frozenset()))
@@ -196,7 +179,7 @@ class TestEmbedding:
 
     def test_embed_closure(self):
         tree = embed_closure(self.good(), 3)
-        assert validate(tree).ok
+        assert validate(tree) == ()
         assert tree.levels[2] == frozenset({"00", "10"})
         assert tree.levels[1] == frozenset({"0", "1"})
 
