@@ -22,36 +22,10 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import GameProtocolError, HlbenchError, ParseError
 from .search import BUDGET_CAP, DEFAULT_BUDGET
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-
-# str() refuses an int of more than sys.get_int_max_str_digits() digits (4300
-# by default, never below 640 unless unlimited), and a summable weight can
-# pass that: the full natset of bound 16384 weighs a 7000-digit fraction.
-_DIGITS = 600
-_CHUNK = 10**_DIGITS
-
-
-def _decimal(n: int) -> str:
-    """The decimal digits of a nonnegative int of any length, _DIGITS per str() call."""
-    chunks = []
-    while n >= _CHUNK:
-        n, low = divmod(n, _CHUNK)
-        chunks.append(f"{low:0{_DIGITS}d}")
-    chunks.append(str(n))
-    return "".join(reversed(chunks))
-
-
-def _frac(f: Fraction) -> str:
-    return f"{_decimal(f.numerator)}/{_decimal(f.denominator)}"
-
 
 def _read(path: str) -> str:
     try:
@@ -308,6 +282,7 @@ def cmd_profile(args) -> int:
     from .ideals import (
         column_profile,
         density_profile,
+        frac_text,
         gridset_from_text,
         interval_count,
         max_antichain_weight,
@@ -342,9 +317,9 @@ def cmd_profile(args) -> int:
             "kind": "natset",
             "bound": nat.bound,
             "size": len(nat.members),
-            "density_dyadic": [_frac(d) for d in density_profile(nat, "dyadic")],
+            "density_dyadic": [frac_text(d) for d in density_profile(nat, "dyadic")],
             "density_natural": [f"{p}/{q}" for p, q in natural_density_pairs(nat)],
-            "summable_weight": _frac(summable_weight(nat)),
+            "summable_weight": frac_text(summable_weight(nat)),
         }
         if args.ell is not None:
             if args.threshold is None:
@@ -375,13 +350,13 @@ def cmd_profile(args) -> int:
             "depth": nodes.depth,
             "size": len(nodes.nodes),
             "minimal_elements": [format_node(s) for s in minimal_elements(nodes).sorted_nodes()],
-            "phi": _frac(phi_value),
-            "max_antichain_weight": _frac(antichain),
+            "phi": frac_text(phi_value),
+            "max_antichain_weight": frac_text(antichain),
             "phi_equals_antichain": phi_value == antichain,
-            "phi_bar_profile": [_frac(v) for v in phi_bar_profile(nodes, nodes.depth)],
+            "phi_bar_profile": [frac_text(v) for v in phi_bar_profile(nodes, nodes.depth)],
         }
         code = 0 if phi_value == antichain else 1
-        lines.append(f"phi = {_frac(phi_value)}")
+        lines.append(f"phi = {frac_text(phi_value)}")
     else:
         raise ParseError(f"unknown input kind {head!r} (want natset/gridset/nodeset)", 1)
     _emit(_report(args, "profile", body), lines, args.verbose)
@@ -391,7 +366,7 @@ def cmd_profile(args) -> int:
 def cmd_game(args) -> int:
     from .colorings import coloring_from_text
     from .game import parse_strategy_id, play, transcript_to_json
-    from .ideals import NatSet, density_profile, summable_weight
+    from .ideals import NatSet, density_profile, frac_text, summable_weight
 
     p1 = parse_strategy_id(args.p1)
     if args.coloring is not None and p1.name != "tree-builder":
@@ -409,8 +384,8 @@ def cmd_game(args) -> int:
     body = {
         "transcript": transcript_to_json(transcript),
         "k_profile": {
-            "density_dyadic": [_frac(d) for d in density_profile(outcome, "dyadic")],
-            "summable_weight": _frac(summable_weight(outcome)),
+            "density_dyadic": [frac_text(d) for d in density_profile(outcome, "dyadic")],
+            "summable_weight": frac_text(summable_weight(outcome)),
         },
     }
     lines = [

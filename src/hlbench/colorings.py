@@ -36,6 +36,12 @@ from .treecore import (
 # Full serialisation lists all 2^D - 1 nodes, so it is capped well below D_MAX.
 SERIALIZE_MAX = 16
 
+# The most work a pairing or levels construction may take on, counted in closed
+# form before anything is built: the strings it lists plus the two-branch trees
+# its check compares (pairing), or plus the slice colors its check reads
+# (levels).  The `levels --max-len 8 --depth 20` construction takes 68 111.
+WORK_CAP = 1 << 20
+
 
 class Coloring:
     """Total {0,1}-coloring of the nodes of 2^{<depth}."""
@@ -292,18 +298,32 @@ def perfect_matchings(strings: Iterable[str]) -> Iterator[Matching]:
     if len(pool) % 2:
         raise ConstructionError(f"cannot match an odd number of strings ({len(pool)})")
 
-    def rec(rest: tuple[str, ...]) -> Iterator[Matching]:
-        if not rest:
-            yield ()
-            return
-        first = rest[0]
-        for i in range(1, len(rest)):
-            partner = rest[i]
-            sub = rest[1:i] + rest[i + 1 :]
-            for tail in rec(sub):
-                yield ((first, partner),) + tail
+    def matchings() -> Iterator[Matching]:
+        # picks[j] ranks pair j's partner among the strings still unmatched
+        # after its first; the picks count up like an odometer, the last fastest.
+        picks = [0] * (len(pool) // 2)
+        while True:
+            rest = pool[::-1]  # unmatched, the least last
+            yield tuple((rest.pop(), rest.pop(-1 - pick)) for pick in picks)
+            j = len(picks) - 1
+            while j >= 0 and picks[j] == len(pool) - 2 * j - 2:
+                picks[j] = 0
+                j -= 1
+            if j < 0:
+                return
+            picks[j] += 1
 
-    return rec(tuple(pool))
+    return matchings()
+
+
+def _matching_count(n: int, cap: int) -> int:
+    """min(cap, (2^n - 1)!!): how many perfect matchings of {0,1}^n a per-level cap keeps."""
+    count = 1
+    for factor in range((1 << n) - 1, 1, -2):
+        count *= factor
+        if count >= cap:
+            return cap
+    return count  # all of (2^n - 1)!!, at most cap since cap >= 1
 
 
 @dataclass(frozen=True)
@@ -342,6 +362,12 @@ def pairing_coloring(base_levels: Iterable[int], per_level_cap: int, depth: int)
             raise RangeError(f"base level {shown(n)} outside [1, {depth})")
     if per_level_cap < 1:
         raise ConstructionError(f"per-level cap {per_level_cap} admits no matchings")
+    # Level n lists 2^n strings and keeps min(cap, (2^n - 1)!!) matchings of
+    # 2^(n-1) pairs; each pair spans 2^(depth-1-n) tops on either side.
+    pool = sum(1 << n for n in lvls)
+    trees = sum(_matching_count(n, per_level_cap) << (n - 1 + 2 * (depth - 1 - n)) for n in lvls)
+    if pool + trees > WORK_CAP:
+        raise RangeError(f"pairing work {pool + trees} (pool of {pool}, {trees} trees) above the cap {WORK_CAP}")
 
     matchings: list[Matching] = []
     matching_levels: list[int] = []
@@ -431,6 +457,13 @@ def residue_splitting(max_len: int, depth: int) -> SplittingAssignment:
     check_depth(depth)
     if max_len < 0 or max_len >= depth:
         raise RangeError(f"max_len {shown(max_len)} outside [0, {depth})")
+    # Level k goes to the string of length-lex rank k mod size, whose floor is
+    # (rank + 1).bit_length(); its check reads the 2^(k - floor + 1) nodes above it.
+    size = (2 << max_len) - 1
+    floors = [(k % size + 1).bit_length() for k in range(depth)]
+    reads = sum(1 << (k - floor + 1) for k, floor in enumerate(floors) if k >= floor)
+    if size + reads > WORK_CAP:
+        raise RangeError(f"levels work {size + reads} (domain of {size}, {reads} slice reads) above the cap {WORK_CAP}")
     domain = tuple(s for n in range(max_len + 1) for s in level_nodes(n))
     return SplittingAssignment(domain, _residue_level_sets([len(t) + 1 for t in domain], depth))
 

@@ -235,6 +235,28 @@ def summable_weight(a: NatSet) -> Fraction:
     return Fraction(*terms[0]) if terms else Fraction(0)
 
 
+# str() refuses an int of more than sys.get_int_max_str_digits() digits (4300
+# by default, never below 640 unless unlimited), and a summable weight can
+# pass that: the full natset of bound 16384 weighs a 7000-digit fraction.
+_DIGITS = 600
+_CHUNK = 10**_DIGITS
+
+
+def decimal_text(n: int) -> str:
+    """The decimal digits of a nonnegative int of any length, _DIGITS per str() call."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def frac_text(f: Fraction) -> str:
+    """A nonnegative Fraction as "p/q", however many digits p and q have."""
+    return f"{decimal_text(f.numerator)}/{decimal_text(f.denominator)}"
+
+
 def interval_count(a: NatSet, ell: int, threshold: int, cmp: str = "ge") -> int:
     """How many length-ell windows inside [0, bound) meet the hit threshold.
 

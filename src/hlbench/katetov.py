@@ -16,7 +16,7 @@ from itertools import chain, repeat
 from typing import Iterator, Mapping
 
 from .errors import MorphismDomainError, NotFoundError, ParseError, RangeError, ShapeError, shown
-from .ideals import NatSet, _ints_below, _prechecked, dyadic_counts, summable_weight
+from .ideals import NatSet, _ints_below, _prechecked, decimal_text, dyadic_counts, frac_text, summable_weight
 from .treecore import (
     ELEMENT_CAP,
     format_node,
@@ -156,6 +156,12 @@ class FiniteIdealPresentation:
 # ---------------------------------------------------------------------------
 
 
+def _number_text(value: int | Fraction) -> str:
+    """str(value) of a nonnegative int or Fraction, however many digits it has."""
+    value = Fraction(value)
+    return decimal_text(value.numerator) if value.denominator == 1 else frac_text(value)
+
+
 @dataclass(frozen=True)
 class SurrogateVerdict:
     ok: bool
@@ -180,7 +186,7 @@ class Surrogate:
                 raise RangeError(f"{self.name} {key} {shown(value)} must be >= 0")
 
     def parameters(self) -> dict[str, str]:
-        return {key: str(getattr(self, f.name)) for key, f in zip(self.keys, fields(self))}
+        return {key: _number_text(getattr(self, f.name)) for key, f in zip(self.keys, fields(self))}
 
     def accepts(self, elements: frozenset, presentation: FiniteIdealPresentation) -> SurrogateVerdict:
         raise NotImplementedError
@@ -212,7 +218,7 @@ class DensityWindowSurrogate(Surrogate):
             return SurrogateVerdict(True, "no constrained window")
         i = scaled.index(top)  # ties name the first window reaching the maximum
         worst = Fraction(counts[i], 1 << (self.floor + i))
-        return SurrogateVerdict(worst <= self.eps, f"max density {worst} at window {self.floor + i}")
+        return SurrogateVerdict(worst <= self.eps, f"max density {_number_text(worst)} at window {self.floor + i}")
 
 
 @dataclass(frozen=True)
@@ -282,7 +288,7 @@ class SummableBoundSurrogate(Surrogate):
         if presentation.ground.kind != "interval":
             raise ShapeError("summable-bound surrogate needs an interval ground")
         weight = summable_weight(NatSet.of(elements, presentation.ground.size))
-        return SurrogateVerdict(weight <= self.max_weight, f"weight {weight}")
+        return SurrogateVerdict(weight <= self.max_weight, f"weight {_number_text(weight)}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from .errors import BudgetError, ParseError, RangeError, ShapeError, shown
 from .treecore import (
     D_MAX,
     LevelTree,
-    TreeEmbedding,
-    arguments,
     compatible,
     embed_closure,
     extensions,
@@ -75,7 +73,7 @@ class SearchBudget:
 @dataclass(frozen=True)
 class HLCertificate:
     mode: str
-    embedding: TreeEmbedding
+    images: tuple[str, ...]  # in argument order, as validate_embedding takes them
     levels: tuple[int, ...]  # ascending; a by_levels witness pairs with it by position
     color_witness: int | tuple[int, ...]
 
@@ -110,12 +108,11 @@ def _region_embeddings(region: str, height: int, depth: int) -> Iterator:
                     yield w, left, right
 
 
-def enumerate_embeddings(depth: int, height: int) -> Iterator[TreeEmbedding]:
-    """All height-h embeddings with tops on level depth-1, in canonical order."""
+def enumerate_embeddings(depth: int, height: int) -> Iterator[tuple[str, ...]]:
+    """All height-h embeddings with tops on level depth-1, in canonical order, as image tuples."""
     _check_fits(depth, height)
-    args = arguments(height)
     for node in _region_embeddings("", height, depth):
-        yield TreeEmbedding(height, dict(zip(args, _bfs(node, height))), depth - 1)
+        yield _bfs(node, height)
 
 
 def enumeration_bound(depth: int, height: int) -> int:
@@ -164,7 +161,7 @@ def _value_lookup(c: Coloring) -> Callable[[str], int]:
     return table.__getitem__
 
 
-def _tie_key(images: list[str]) -> tuple:
+def _tie_key(images: tuple[str, ...]) -> tuple:
     """The tie order of embeddings of one height, given their images in argument order.
 
     The smaller key wins: the split nodes compare first, then the leaves,
@@ -173,11 +170,10 @@ def _tie_key(images: list[str]) -> tuple:
     return tuple(map(lenlex_key, images))
 
 
-def _certificate(value, images: list[str], height: int, depth: int, mode: str) -> tuple[int, HLCertificate]:
+def _certificate(value, images: tuple[str, ...], depth: int, mode: str) -> tuple[int, HLCertificate]:
     """(m, certificate) of the embedding with `images` in argument order, levels and witness by _score."""
-    m, levels, witness = _score(value, images[(1 << height) - 1 :], depth, mode)
-    embedding = TreeEmbedding(height, dict(zip(arguments(height), images)), depth - 1)
-    return m, HLCertificate(mode, embedding, levels, witness)
+    m, levels, witness = _score(value, images[len(images) >> 1 :], depth, mode)
+    return m, HLCertificate(mode, images, levels, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +188,7 @@ def verify_certificate(c: Coloring, cert: HLCertificate) -> bool:
     witness); an intact certificate whose color claims fail returns False.
     """
     _check_mode(cert.mode)
-    closure = embed_closure(cert.embedding, c.depth)
+    closure = embed_closure(cert.images, c.depth)
     for n in cert.levels:
         if not 0 <= n < c.depth:
             raise RangeError(f"certificate level {shown(n)} outside [0, {c.depth})")
@@ -242,7 +238,7 @@ def brute_force_max(c: Coloring, budget: SearchBudget, mode: str) -> SearchResul
         elif m == best[0] and (key := _tie_key(listed)) < best[1]:
             best = (m, key, listed)
     assert best is not None
-    m, cert = _certificate(value, best[2], height, depth, mode)
+    m, cert = _certificate(value, best[2], depth, mode)
     return SearchResult(m, cert, explored, True)
 
 
@@ -446,7 +442,7 @@ def _walk(masks, depth: int, height: int, score, known, exact: bool, allowance: 
             for mask, node in part:
                 # Past the first, every embedding reaching here scores at least
                 # the best so far, so its tie key is always needed.
-                s, key = score(mask), tuple(_bfs(node, height))
+                s, key = score(mask), _bfs(node, height)
                 if best is None or s > best[0] or (s == best[0] and key < best_key):
                     best, best_key, floor = (s, node), key, s
                     if s == target and height == 1:
@@ -485,14 +481,14 @@ class _Replay:
         self._source = None
 
 
-def _bfs(node, height: int) -> list:
+def _bfs(node, height: int) -> tuple:
     """The images of a nested (split, left, right) node in argument order."""
     images: list = []
     level = [node]
     for _ in range(height):
         images += [split for split, _, _ in level]
         level = [half for _, left, right in level for half in (left, right)]
-    return images + level
+    return (*images, *level)
 
 
 def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
@@ -539,7 +535,7 @@ def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
     if best is None:
         raise BudgetError(f"node budget {budget.node_budget} completes no embedding")
     m, node = best
-    scored, cert = _certificate(c.value, list(map(_node, _bfs(node, height))), height, depth, mode)
+    scored, cert = _certificate(c.value, tuple(map(_node, _bfs(node, height))), depth, mode)
     if scored != m:
         raise RuntimeError(f"the level-mask score {m} differs from the certificate's score {scored}")
     return SearchResult(m, cert, explored, complete)
@@ -602,14 +598,14 @@ def zdensity_band_check(inst: ZDensityInstance, selection: Mapping[int, object])
 
 
 def certificate_to_json(cert: HLCertificate) -> dict:
-    h = cert.embedding.height
-    images = [format_node(cert.embedding.images[a]) for a in arguments(h)]
+    images = list(map(format_node, cert.images))
+    first_leaf = len(images) >> 1
     witness = cert.color_witness if cert.mode == "uniform" else list(cert.color_witness)
     return {
         "mode": cert.mode,
-        "height": h,
-        "split_nodes": images[: (1 << h) - 1],
-        "leaf_images": images[(1 << h) - 1 :],
+        "height": len(images).bit_length() - 1,
+        "split_nodes": images[:first_leaf],
+        "leaf_images": images[first_leaf:],
         "levels": list(cert.levels),
         "color_witness": witness,
     }
@@ -629,11 +625,9 @@ def certificate_from_json(obj: dict) -> HLCertificate:
         raise ParseError(f"certificate height {shown(height)} outside [0, {D_MAX})")
     if len(split_nodes) != (1 << height) - 1 or len(leaf_images) != (1 << height):
         raise ParseError("certificate image counts do not match the height")
-    lengths = {len(s) for s in leaf_images}
-    if len(lengths) != 1:
+    if len({len(s) for s in leaf_images}) != 1:
         raise ParseError("leaf images not level-uniform")
-    embedding = TreeEmbedding(height, dict(zip(arguments(height), split_nodes + leaf_images)), lengths.pop())
-    validate_embedding(embedding)
+    images = validate_embedding((*split_nodes, *leaf_images))
     witness: int | tuple[int, ...]
     if mode == "uniform":
         if type(witness_raw) is not int or witness_raw not in (0, 1):
@@ -646,4 +640,4 @@ def certificate_from_json(obj: dict) -> HLCertificate:
             raise ParseError("witness entries must be bits")
         bit_at = dict(zip(levels, witness_raw))
         witness = tuple(bit_at[n] for n in sorted(levels))
-    return HLCertificate(mode, embedding, tuple(sorted(levels)), witness)
+    return HLCertificate(mode, images, tuple(sorted(levels)), witness)

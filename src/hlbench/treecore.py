@@ -234,78 +234,53 @@ def branches(tree: LevelTree) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeEmbedding:
-    """Level-respecting embedding of the full height-h tree 2^{<=h}.
+def embedding_problems(images: tuple[str, ...]) -> list[str]:
+    """Structural problems of an embedding of 2^{<=h}; empty list means valid.
 
-    `images` maps every argument string of length <= height to its image
-    node.  Arguments of length < height land on split nodes, arguments of
-    full length land on the common top level.
+    The embedding is the tuple of its images in argument order: index i holds
+    the image of the argument of length-lex rank i, whose arms are at 2i + 1
+    and 2i + 2.  So a height-h embedding has 2^(h+1) - 1 images, and the last
+    2^h are the tops, which must all lie on one level.
     """
-
-    height: int
-    images: dict[str, str]
-    top_level: int
-
-    def image(self, arg: str) -> str:
-        try:
-            return self.images[arg]
-        except KeyError:
-            raise NotFoundError(f"argument {format_node(arg)!r} not in embedding") from None
-
-    def top_images(self) -> tuple[str, ...]:
-        """Images of the 2^height full-length arguments, in argument order."""
-        return tuple(self.images[a] for a in arguments(self.height)[(1 << self.height) - 1 :])
-
-
-def embedding_problems(e: TreeEmbedding) -> list[str]:
-    """Structural problems of an embedding; empty list means valid."""
-    problems: list[str] = []
-    if e.height < 0:
-        return [f"negative height {e.height}"]
-    if e.top_level < 0:
-        problems.append(f"negative top level {e.top_level}")
-    args = arguments(e.height)
-    if set(e.images) != set(args):
-        problems.append("domain is not exactly the full tree of the stated height")
-        return problems
-    for arg in args:
-        img = e.images[arg]
+    size = len(images)
+    if not size or size & (size + 1):
+        return [f"{size} images, not 2^(h+1) - 1 for any height h"]
+    args = arguments(size.bit_length() - 1)
+    for arg, img in zip(args, images):
         if not is_node(img):
-            problems.append(f"image of {format_node(arg)!r} is not a binary string")
-            return problems
-        if len(arg) == e.height and len(img) != e.top_level:
-            problems.append(f"top argument {format_node(arg)!r} maps to level {len(img)}, not {e.top_level}")
-        if len(img) > e.top_level:
-            problems.append(f"image of {format_node(arg)!r} overshoots the top level")
-    for arg in args[: (1 << e.height) - 1]:
-        parent = e.images[arg]
-        left, right = e.images[arg + "0"], e.images[arg + "1"]
-        if not left.startswith(parent + "0"):
-            problems.append(f"image of {format_node(arg + '0')!r} does not extend its parent's 0-side")
-        if not right.startswith(parent + "1"):
-            problems.append(f"image of {format_node(arg + '1')!r} does not extend its parent's 1-side")
+            return [f"image of {format_node(arg)!r} is not a binary string"]
+    problems: list[str] = []
+    top_level = len(images[size >> 1])
+    for arg, img in zip(args[size >> 1 :], images[size >> 1 :]):
+        if len(img) != top_level:
+            problems.append(f"top argument {format_node(arg)!r} maps to level {len(img)}, not {top_level}")
+    for i in range(size >> 1):
+        parent = images[i]
+        if not images[2 * i + 1].startswith(parent + "0"):
+            problems.append(f"image of {format_node(args[2 * i + 1])!r} does not extend its parent's 0-side")
+        if not images[2 * i + 2].startswith(parent + "1"):
+            problems.append(f"image of {format_node(args[2 * i + 2])!r} does not extend its parent's 1-side")
     return problems
 
 
-def validate_embedding(e: TreeEmbedding) -> TreeEmbedding:
-    problems = embedding_problems(e)
+def validate_embedding(images: tuple[str, ...]) -> tuple[str, ...]:
+    problems = embedding_problems(images)
     if problems:
         raise EmbeddingInvalidError(f"invalid embedding: {problems[0]}", tuple(problems))
-    return e
+    return images
 
 
-def embed_closure(e: TreeEmbedding, depth: int) -> LevelTree:
+def embed_closure(images: tuple[str, ...], depth: int) -> LevelTree:
     """Downward closure of the embedding's top images inside 2^{<depth}.
 
     The result is a valid tree with exactly 2^height branches whose meets
     realise the embedding's split nodes.
     """
     check_depth(depth)
-    validate_embedding(e)
-    if e.top_level != depth - 1:
-        raise ShapeError(f"embedding tops sit at level {e.top_level}, tree wants {depth - 1}")
-    return LevelTree.from_branch_set(depth, e.top_images())
+    tops = validate_embedding(images)[len(images) >> 1 :]
+    if len(tops[0]) != depth - 1:
+        raise ShapeError(f"embedding tops sit at level {len(tops[0])}, tree wants {depth - 1}")
+    return LevelTree.from_branch_set(depth, tops)
 
 
 # ---------------------------------------------------------------------------

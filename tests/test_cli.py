@@ -24,7 +24,16 @@ import hlbench.cli as cli
 from hlbench import __version__
 from hlbench.cli import _json, main
 from hlbench.colorings import coloring_to_text, random_coloring
-from hlbench.ideals import GridSet, NatSet, NodeSet, gridset_to_text, natset_to_text, nodeset_to_text, summable_weight
+from hlbench.ideals import (
+    GridSet,
+    NatSet,
+    NodeSet,
+    frac_text,
+    gridset_to_text,
+    natset_to_text,
+    nodeset_to_text,
+    summable_weight,
+)
 from hlbench.katetov import PARAMS_MAX, SCOPE_SENTENCE, builtin_witness, ideal_to_text, morphism_to_text
 from hlbench.search import BUDGET_CAP
 from hlbench.treecore import ELEMENT_CAP, make_full, tree_to_text
@@ -572,6 +581,33 @@ class TestSubcommands:
         assert code == 0
         assert body["pass"] is True and body["witness"] is None
 
+    def test_katetov_summable_measure_past_the_str_digit_limit(self, tmp_path, capsys):
+        # The weight of 5 000 seeded members of [0, 65536) is a fraction whose
+        # numerator and denominator have more digits than str() converts.
+        members = sorted(random.Random(0).sample(range(65536), 5000))
+        weight = summable_weight(NatSet.of(members, 65536))
+        assert weight.denominator > 10**4300
+        (tmp_path / "src.ideal").write_text(
+            f"ideal v1 ground=interval params=65536\nname fin\ngenerator g {' '.join(map(str, members))}\n")
+        (tmp_path / "tgt.ideal").write_text(
+            "ideal v1 ground=interval params=65536\nname summable\nsurrogate summable-bound weight=1000\n")
+        (tmp_path / "f.morphism").write_text("morphism v1\nformula=identity\n")
+        argv = ["katetov", "--morphism", str(tmp_path / "f.morphism"),
+                "--source", str(tmp_path / "src.ideal"), "--target", str(tmp_path / "tgt.ideal")]
+        code, body, _ = run_json(argv, capsys)
+        assert code == 0
+        assert body["checks"] == [{"generator": "g", "ok": True, "measure": f"weight {frac_text(weight)}"}]
+
+    @pytest.mark.parametrize("argv", [
+        ["levels", "--max-len", "8", "--depth", "20"],
+        ["levels", "--max-len", "4", "--depth", "12"],
+        ["pairing", "--base-levels", "1,2", "--cap", "3", "--depth", "8"],
+    ])
+    def test_constructions_below_the_work_cap_run(self, argv, capsys):
+        code, body, _ = run_json(argv, capsys)
+        assert code == 0
+        assert body["all_pass"] is True
+
 
 def _write_profile_inputs(rng: random.Random) -> None:
     """A seeded natset (bound 4096), gridset (bound 64) and nodeset (depth 12) in the cwd."""
@@ -679,6 +715,19 @@ class TestInputCaps:
         assert proc.stdout == ""
         assert proc.stderr.startswith("hlbench: error: line 1: ")
         assert "outside [1, " in proc.stderr
+
+    @pytest.mark.parametrize("argv, work", [
+        (["levels", "--max-len", "0", "--depth", "40"], "levels work 1099511627775 (domain of 1,"),
+        (["levels", "--max-len", "30", "--depth", "40"], "levels work 36574332943 (domain of 2147483647,"),
+        (["pairing", "--base-levels", "1", "--depth", "40"], "pairing work 75557863725914323419138 (pool of 2,"),
+    ], ids=["levels-0-40", "levels-30-40", "pairing-1-40"])
+    def test_oversized_construction_is_refused_before_work(self, argv, work, tmp_path):
+        # Building or checking any of these takes hours or more memory than the limit.
+        proc = self.run_capped(tmp_path, {}, argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"hlbench: error: {work}")
+        assert proc.stderr.endswith(" above the cap 1048576\n")
 
     def test_full_at_cap_profiles_match_the_reference(self, tmp_path):
         # Every member and every cell: the largest bodies the capped headers allow.

@@ -29,6 +29,7 @@ from hlbench.colorings import (
     residue_splitting,
     zdensity_coloring,
 )
+from hlbench import colorings
 from hlbench.colorings import SplittingAssignment
 from hlbench.errors import ConstructionError, ParseError, RangeError, ShapeError
 from hlbench.treecore import D_MAX, LevelTree, level_nodes, make_full, subtree_at, validate
@@ -256,6 +257,26 @@ class TestPairing:
         with pytest.raises(ConstructionError):
             list(perfect_matchings(["a", "b", "c"]))
 
+    @staticmethod
+    def reference_matchings(rest):
+        """The canonical order by recursion: the least string with each later partner in turn."""
+        if not rest:
+            yield ()
+            return
+        for i in range(1, len(rest)):
+            for tail in TestPairing.reference_matchings(rest[1:i] + rest[i + 1 :]):
+                yield ((rest[0], rest[i]),) + tail
+
+    @pytest.mark.parametrize("size", [0, 2, 4, 6, 8, 10])
+    def test_matchings_match_the_recursive_order(self, size):
+        pool = [format(i, "04b") for i in range(size)]
+        assert list(perfect_matchings(reversed(pool))) == list(self.reference_matchings(tuple(pool)))
+
+    def test_first_matching_of_a_large_pool(self):
+        # 2^11 strings: a recursion one frame per pair would pass Python's limit.
+        pool = list(level_nodes(11))
+        assert next(perfect_matchings(pool)) == tuple(zip(pool[0::2], pool[1::2]))
+
     def test_system_frozen(self):
         coloring, system = pairing_coloring([1, 2], 3, 8)
         assert system.base_levels == (1, 2)
@@ -303,6 +324,68 @@ class TestPairing:
             pairing_coloring([3], 3, 3)
         with pytest.raises(RangeError):
             pairing_coloring([0], 3, 8)
+
+
+class TestWorkCap:
+    """Pairing and levels constructions count their work in closed form and refuse past WORK_CAP."""
+
+    @staticmethod
+    def pairing_work(base_levels, cap, depth):
+        coloring, system = pairing_coloring(base_levels, cap, depth)
+        trees = sum(ch.trees_checked for ch in check_pairing_disjointness(coloring, system))
+        return sum(1 << n for n in set(base_levels)) + trees
+
+    @staticmethod
+    def levels_work(max_len, depth):
+        assignment = residue_splitting(max_len, depth)
+        checks = check_levels_bichromatic(levels_coloring(assignment, depth), assignment)
+        return len(assignment.domain) + sum(1 << (ch.level - len(ch.node)) for ch in checks)
+
+    @given(st.integers(2, 9).flatmap(lambda d: st.tuples(
+        st.just(d), st.sets(st.integers(1, min(d - 1, 3)), min_size=1), st.integers(1, 4))))
+    @settings(max_examples=25, deadline=None)
+    def test_pairing_refused_one_unit_past_its_work(self, shape):
+        depth, base_levels, cap = shape
+        work = self.pairing_work(base_levels, cap, depth)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(colorings, "WORK_CAP", work)
+            pairing_coloring(base_levels, cap, depth)
+            mp.setattr(colorings, "WORK_CAP", work - 1)
+            with pytest.raises(RangeError, match=rf"^pairing work {work} \(pool of "):
+                pairing_coloring(base_levels, cap, depth)
+
+    @given(st.integers(1, 12).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d - 1))))
+    @settings(max_examples=25, deadline=None)
+    def test_levels_refused_one_unit_past_its_work(self, shape):
+        depth, max_len = shape
+        work = self.levels_work(max_len, depth)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(colorings, "WORK_CAP", work)
+            residue_splitting(max_len, depth)
+            mp.setattr(colorings, "WORK_CAP", work - 1)
+            with pytest.raises(RangeError, match=rf"^levels work {work} \(domain of "):
+                residue_splitting(max_len, depth)
+
+    def test_benchmark_shapes_fit(self):
+        assert self.levels_work(8, 20) == 68_111
+        assert self.pairing_work([1, 2], 3, 8) == 10_246
+        assert colorings.WORK_CAP == 1 << 20
+
+    @pytest.mark.parametrize("build", [
+        lambda: residue_splitting(0, 40),
+        lambda: residue_splitting(30, 40),
+        lambda: pairing_coloring([1], 3, 40),
+        lambda: pairing_coloring([21], 1, 22),
+    ])
+    def test_refused_before_anything_is_built(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(RangeError, match=r"above the cap 1048576$"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestLevelsColoring:

@@ -469,6 +469,13 @@ class TestTextFormats:
         p = parse_ideal_text("ideal v1 ground=interval params=8\nsurrogate generator-union max=4\n")
         assert p.surrogate.parameters() == {"max": "4"}
 
+    def test_parameters_past_the_str_digit_limit(self):
+        # str() refuses ints of more than 4300 digits; a stamp writes them all.
+        p = parse_ideal_text("ideal v1 ground=interval params=8\nsurrogate summable-bound weight=1e5000\n")
+        assert p.surrogate.stamp() == "summable-bound weight=1" + "0" * 5000
+        eps = DensityWindowSurrogate(eps=Fraction(1, 10**5000)).parameters()["eps"]
+        assert eps == "1/1" + "0" * 5000
+
     def test_first_bad_parameter_is_reported(self):
         with pytest.raises(ParseError, match=r"line 2: .*'x'"):
             parse_ideal_text("ideal v1 ground=grid params=8\nsurrogate column-bound per_column=x exceptional=y\n")

@@ -26,6 +26,7 @@ from hlbench.search import (
     zdensity_band_check,
 )
 from hlbench.treecore import (
+    arguments,
     embed_closure,
     extensions,
     lenlex_key,
@@ -69,21 +70,34 @@ class TestEnumeration:
     def test_no_duplicates(self):
         seen = set()
         for e in enumerate_embeddings(5, 2):
-            key = tuple(sorted(e.images.items()))
-            assert key not in seen
-            seen.add(key)
+            assert e not in seen
+            seen.add(e)
 
     def test_embeddings_are_valid(self):
         for e in enumerate_embeddings(4, 1):
             validate_embedding(e)
             assert validate(embed_closure(e, 4)) == ()
 
+    @given(st.integers(1, 6).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, min(2, d - 1)))))
+    @settings(max_examples=30, deadline=None)
+    def test_image_tuple_contract(self, shape):
+        # Index i holds the image of the argument of length-lex rank i; its
+        # arms are at 2i + 1 and 2i + 2, and the last 2^h images are the tops.
+        depth, height = shape
+        size = (2 << height) - 1
+        assert arguments(height) == [search._node(i) for i in range(size)]
+        for e in enumerate_embeddings(depth, height):
+            assert type(e) is tuple and len(e) == size
+            for i in range(size >> 1):
+                assert e[2 * i + 1].startswith(e[i] + "0") and e[2 * i + 2].startswith(e[i] + "1")
+            assert {len(top) for top in e[size >> 1 :]} == {depth - 1}
+
     def test_leaf_mode(self):
-        got = [e.images[""] for e in enumerate_embeddings(3, 0)]
-        assert got == ["00", "01", "10", "11"]
+        got = list(enumerate_embeddings(3, 0))
+        assert got == [("00",), ("01",), ("10",), ("11",)]
 
     def test_height_one_order(self):
-        got = [(e.images[""], e.images["0"], e.images["1"]) for e in enumerate_embeddings(3, 1)]
+        got = list(enumerate_embeddings(3, 1))
         assert got == [("", "00", "10"), ("", "00", "11"), ("", "01", "10"), ("", "01", "11"),
                        ("0", "00", "01"), ("1", "10", "11")]
 
@@ -250,8 +264,7 @@ class TestSolver:
         assert res.best_levels == 4
         assert res.certificate.levels == (0, 2, 3, 4)
         assert res.certificate.color_witness == (0, 0, 0, 0)
-        assert res.certificate.embedding.images[""] == ""
-        assert res.certificate.embedding.top_images() == ("0000", "1000")
+        assert res.certificate.images == ("", "0000", "1000")
 
     def test_constant_gets_everything(self):
         c = constant_coloring(5, 1)
@@ -263,7 +276,7 @@ class TestSolver:
         c = constant_coloring(4, 0)
         res = search_best(c, SearchBudget(height=0), "by_levels")
         assert res.best_levels == 4
-        assert res.certificate.embedding.images[""] == "000"
+        assert res.certificate.images == ("000",)
 
     def test_uniform_tie_prefers_color_zero(self):
         lb = last_bit_coloring(5)
@@ -293,7 +306,7 @@ class TestVerification:
         c, cert = self.make()
         flipped = tuple(1 - b for b in cert.color_witness)
         if flipped != cert.color_witness:
-            bad = HLCertificate(cert.mode, cert.embedding, cert.levels, flipped)
+            bad = HLCertificate(cert.mode, cert.images, cert.levels, flipped)
             assert not verify_certificate(c, bad)
 
     def test_rejects_wrong_levels(self):
@@ -304,39 +317,36 @@ class TestVerification:
             levels = tuple(sorted(cert.levels + tuple(missing[:1])))
             bits = dict(zip(cert.levels, cert.color_witness))
             witness = tuple(bits.get(n, 0) for n in levels)
-            bad = HLCertificate(cert.mode, cert.embedding, levels, witness)
+            bad = HLCertificate(cert.mode, cert.images, levels, witness)
             ok0 = verify_certificate(c, bad)
             witness1 = tuple(bits.get(n, 1) for n in levels)
-            ok1 = verify_certificate(c, HLCertificate(cert.mode, cert.embedding, levels, witness1))
+            ok1 = verify_certificate(c, HLCertificate(cert.mode, cert.images, levels, witness1))
             assert not (ok0 and ok1)
 
     def test_level_out_of_range(self):
         c, cert = self.make()
-        bad = HLCertificate(cert.mode, cert.embedding, (99,), (0,))
+        bad = HLCertificate(cert.mode, cert.images, (99,), (0,))
         with pytest.raises(RangeError):
             verify_certificate(c, bad)
 
     def test_witness_shape_errors(self):
         c, cert = self.make()
         with pytest.raises(ValueError):
-            verify_certificate(c, HLCertificate("uniform", cert.embedding, cert.levels, 7))
+            verify_certificate(c, HLCertificate("uniform", cert.images, cert.levels, 7))
         with pytest.raises(ValueError):
-            verify_certificate(c, HLCertificate("by_levels", cert.embedding, cert.levels, (0,) * 99))
+            verify_certificate(c, HLCertificate("by_levels", cert.images, cert.levels, (0,) * 99))
 
     def test_corrupt_embedding_raises(self):
         c, cert = self.make()
-        images = dict(cert.embedding.images)
-        images["0"], images["1"] = images["1"], images["0"]
-        from hlbench.treecore import TreeEmbedding
-
-        bad = HLCertificate(cert.mode, TreeEmbedding(1, images, 4), cert.levels, cert.color_witness)
+        split, left, right = cert.images
+        bad = HLCertificate(cert.mode, (split, right, left), cert.levels, cert.color_witness)
         with pytest.raises(EmbeddingInvalidError):
             verify_certificate(c, bad)
 
     def test_bad_mode(self):
         c, cert = self.make()
         with pytest.raises(ValueError):
-            verify_certificate(c, HLCertificate("chromatic", cert.embedding, cert.levels, 0))
+            verify_certificate(c, HLCertificate("chromatic", cert.images, cert.levels, 0))
 
 
 class TestCertificateJson:

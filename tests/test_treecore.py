@@ -17,7 +17,6 @@ from hlbench.search import SearchBudget
 from hlbench.treecore import (
     D_MAX,
     LevelTree,
-    TreeEmbedding,
     branches,
     check_depth,
     check_node,
@@ -154,28 +153,40 @@ class TestLevelTree:
 
 class TestEmbedding:
     def good(self):
-        return TreeEmbedding(1, {"": "", "0": "00", "1": "10"}, 2)
+        return ("", "00", "10")
 
     def test_validates(self):
-        e = validate_embedding(self.good())
-        assert e.image("0") == "00"
-        assert e.top_images() == ("00", "10")
+        assert validate_embedding(self.good()) == ("", "00", "10")
 
     def test_problem_listing(self):
         # leaves on different levels
-        e = TreeEmbedding(1, {"": "", "0": "0", "1": "10"}, 2)
+        e = ("", "0", "10")
         assert embedding_problems(e)
         with pytest.raises(EmbeddingInvalidError):
             validate_embedding(e)
         # split not the meet of its arms
-        e = TreeEmbedding(1, {"": "1", "0": "00", "1": "10"}, 2)
+        e = ("1", "00", "10")
         assert embedding_problems(e)
         # order-reversed arms
-        e = TreeEmbedding(1, {"": "", "0": "10", "1": "00"}, 2)
+        e = ("", "10", "00")
         assert embedding_problems(e)
         # missing argument
-        e = TreeEmbedding(1, {"": "", "0": "00"}, 2)
+        e = ("", "00")
         assert embedding_problems(e)
+
+    @pytest.mark.parametrize("size", [0, 2, 4, 5, 6])
+    def test_length_not_a_full_tree(self, size):
+        e = ("", "00", "10", "000", "001", "100", "101")[:size]
+        assert embedding_problems(e) == [f"{size} images, not 2^(h+1) - 1 for any height h"]
+        with pytest.raises(EmbeddingInvalidError):
+            validate_embedding(e)
+
+    def test_tops_on_two_levels(self):
+        # Every arm extends its parent's side; only the tops' levels differ.
+        e = ("", "00", "10", "000", "001", "100", "1011")
+        assert embedding_problems(e) == ["top argument '11' maps to level 4, not 3"]
+        with pytest.raises(EmbeddingInvalidError):
+            validate_embedding(e)
 
     def test_embed_closure(self):
         tree = embed_closure(self.good(), 3)
