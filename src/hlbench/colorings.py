@@ -331,7 +331,6 @@ class PairingSystem:
     """Enumerated matchings x_0..x_{T-1} with their disjoint level sets A_{x_i}."""
 
     base_levels: tuple[int, ...]
-    per_level_cap: int
     depth: int
     matchings: tuple[Matching, ...]
     matching_levels: tuple[int, ...]
@@ -391,7 +390,7 @@ def pairing_coloring(base_levels: Iterable[int], per_level_cap: int, depth: int)
             return 0
         return side[i][s[: matching_levels[i]]]
 
-    system = PairingSystem(tuple(lvls), per_level_cap, depth, tuple(matchings), tuple(matching_levels), level_sets)
+    system = PairingSystem(tuple(lvls), depth, tuple(matchings), tuple(matching_levels), level_sets)
     return Coloring.computed(depth, fn), system
 
 

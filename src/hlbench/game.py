@@ -21,7 +21,7 @@ from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from ._rng import SplitMix64
-from .colorings import Coloring, i_set
+from .colorings import WORK_CAP, Coloring, i_set
 from .errors import GameProtocolError, NotFoundError, RangeError, shown
 from .treecore import extensions, format_node
 
@@ -288,11 +288,17 @@ def play(
     ready strategy instances.  Illegal moves raise a protocol error naming
     the strategy and round.  The run stops early with completed=False when
     player I's set covers the whole window or player II declines to pick.
+    A horizon times window above colorings.WORK_CAP is refused with a
+    RangeError before any strategy is built.
     """
     if horizon < 1:
         raise RangeError(f"horizon {shown(horizon)} must be >= 1")
     if not 1 <= window <= WINDOW_MAX:
         raise RangeError(f"window {shown(window)} outside [1, {WINDOW_MAX}]")
+    # A move may fill the window, so a transcript holds up to horizon * window ints.
+    if horizon * window > WORK_CAP:
+        work = f"{shown(horizon * window)} (horizon {shown(horizon)} times window {window})"
+        raise RangeError(f"game work {work} above the cap {WORK_CAP}")
     player_one = _resolve(s1, lambda sid: make_player_one(sid, window, coloring, seed))
     player_two = _resolve(s2, lambda sid: make_player_two(sid, window, seed))
 

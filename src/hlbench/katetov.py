@@ -2,7 +2,9 @@
 
 A presentation fixes a finite ground set, a list of named generators, and a
 parameter-stamped membership surrogate.  A morphism f from presentation I
-(on X) to presentation J (on Y) is a total map Y -> X; the checker pulls
+(on X) to presentation J (on Y) is a total map Y -> X, held as its table:
+a plain mapping from Y to X.  A morphism file gives the table line by line
+or names a formula (`formula_table`) that stands for it.  The checker pulls
 every generator of I back through f and asks J's surrogate whether the
 preimage is small.  Every verdict is about the surrogate at its stated
 parameters and nothing more; reports say so verbatim.
@@ -266,11 +268,9 @@ class GeneratorUnionSurrogate(Surrogate):
                     return True
             return False
 
-        needed = None
-        for j in range(0, self.max_generators + 1):
-            if cover(frozenset(elements), j):
-                needed = j
-                break
+        # A cover never takes a generator twice, so no more than len(gens) are tried.
+        allowances = range(min(self.max_generators, len(gens)) + 1)
+        needed = next((j for j in allowances if cover(frozenset(elements), j)), None)
         if needed is None:
             return SurrogateVerdict(False, f"not covered by any {self.max_generators} generator(s)")
         return SurrogateVerdict(True, f"covered by {needed} generator(s)")
@@ -298,52 +298,33 @@ class SummableBoundSurrogate(Surrogate):
 FORMULAS = ("identity", "column-projection")
 
 
-@dataclass(frozen=True)
-class MorphismSpec:
-    """Total map from the target presentation's ground into the source's."""
+def formula_table(name: str, domain: Ground, codomain: Ground) -> dict:
+    """The table of a named formula map from `domain` (the target's ground) into `codomain`.
 
-    formula: str | None = None
-    table: Mapping | None = None
-
-    def __post_init__(self):
-        if (self.formula is None) == (self.table is None):
-            raise ValueError("exactly one of formula/table must be given")
-        if self.formula is not None and self.formula not in FORMULAS:
-            raise NotFoundError(f"unknown morphism formula {self.formula!r} (have {FORMULAS})")
-
-    def apply(self, y):
-        if self.formula == "identity":
-            return y
-        if self.formula == "column-projection":
-            return y[0]
-        try:
-            return self.table[y]
-        except KeyError:
-            raise MorphismDomainError(f"morphism undefined at {y!r}") from None
+    ShapeError when the grounds do not fit the formula: identity needs equal
+    grounds, column-projection a grid and an interval of the same side.
+    """
+    if name not in FORMULAS:
+        raise NotFoundError(f"unknown morphism formula {name!r} (have {FORMULAS})")
+    shapes = f"{domain.kind}/{domain.size} -> {codomain.kind}/{codomain.size}"
+    if name == "identity":
+        if domain != codomain:
+            raise ShapeError(f"identity needs equal grounds, got {shapes}")
+        return {y: y for y in domain.members()}
+    if (domain.kind, codomain.kind) != ("grid", "interval") or domain.size != codomain.size:
+        raise ShapeError(f"column-projection needs grid/N -> interval/N, got {shapes}")
+    return {y: y[0] for y in domain.members()}
 
 
-def _check_total(f: MorphismSpec, source: FiniteIdealPresentation, target: FiniteIdealPresentation) -> None:
+def _check_total(table: Mapping, source: FiniteIdealPresentation, target: FiniteIdealPresentation) -> None:
     src, tgt = source.ground, target.ground
-    if f.formula == "identity":
-        if (src.kind, src.size) != (tgt.kind, tgt.size):
-            raise ShapeError(
-                f"identity needs equal grounds, got {tgt.kind}/{tgt.size} -> {src.kind}/{src.size}"
-            )
-        return
-    if f.formula == "column-projection":
-        if tgt.kind != "grid" or src.kind != "interval" or tgt.size != src.size:
-            raise ShapeError(
-                f"column-projection needs grid/N -> interval/N, got {tgt.kind}/{tgt.size} -> {src.kind}/{src.size}"
-            )
-        return
-    assert f.table is not None
-    missing = [y for y in tgt.members() if y not in f.table]
+    missing = [y for y in tgt.members() if y not in table]
     if missing:
         raise MorphismDomainError(
             f"morphism undefined at {tgt.format_element(missing[0])} "
             f"({len(missing)} missing element(s) of the target ground)"
         )
-    for y, x in f.table.items():
+    for y, x in table.items():
         if y not in tgt:
             raise MorphismDomainError(f"table key {y!r} outside the target ground")
         if x not in src:
@@ -378,20 +359,21 @@ class MorphismReport:
 
 
 def check_morphism(
-    f: MorphismSpec, source: FiniteIdealPresentation, target: FiniteIdealPresentation
+    table: Mapping, source: FiniteIdealPresentation, target: FiniteIdealPresentation
 ) -> MorphismReport:
-    """Pull every source generator back through f and ask the target surrogate.
+    """Pull every source generator back through the table and ask the target surrogate.
 
-    The report lists one check per generator in presentation order; it
+    The table maps each element of the target's ground to one of the
+    source's; a formula reaches here as its table (`formula_table`).  The
+    report lists one check per generator in presentation order; it
     certifies (or refutes) only the surrogate statement at its parameters.
     """
     if target.surrogate is None:
         raise ValueError(f"target presentation {target.name!r} has no membership surrogate")
-    _check_total(f, source, target)
-    # Once _check_total has passed, a table's keys are exactly the target's elements.
-    graph = f.table.items() if f.table is not None else ((y, f.apply(y)) for y in target.ground.members())
+    _check_total(table, source, target)
+    # Once _check_total has passed, the table's keys are exactly the target's elements.
     fibers: dict = {}  # x -> the target elements y with f(y) = x
-    for y, x in graph:
+    for y, x in table.items():
         fibers.setdefault(x, []).append(y)
     checks: list[GeneratorCheck] = []
     for gen in source.generators:
@@ -416,7 +398,7 @@ def check_morphism(
 @dataclass(frozen=True)
 class BuiltinWitness:
     name: str
-    morphism: MorphismSpec
+    morphism: Mapping  # target ground -> source ground
     source: FiniteIdealPresentation
     target: FiniteIdealPresentation
     note: str
@@ -438,7 +420,7 @@ def _builtin_fin_to_z() -> BuiltinWitness:
     )
     return BuiltinWitness(
         "fin_to_z_identity",
-        MorphismSpec(formula="identity"),
+        formula_table("identity", target.ground, source.ground),
         source,
         target,
         "identity on [0,128); generators are the singletons {8}..{127}",
@@ -464,7 +446,7 @@ def _builtin_summable_to_z() -> BuiltinWitness:
     )
     return BuiltinWitness(
         "summable_to_z_identity",
-        MorphismSpec(formula="identity"),
+        formula_table("identity", target.ground, source.ground),
         source,
         target,
         "identity on [0,256); sparse summable generator samples have window density <= 1/4 past window 4",
@@ -492,7 +474,7 @@ def _builtin_ed_to_finxfin() -> BuiltinWitness:
     )
     return BuiltinWitness(
         "ed_to_finxfin_identity",
-        MorphismSpec(formula="identity"),
+        formula_table("identity", target.ground, source.ground),
         source,
         target,
         "identity on [0,32)^2; a column generator exceeds the bound in one column, graphs in none",
@@ -509,7 +491,7 @@ def _builtin_fin_to_finxfin() -> BuiltinWitness:
     )
     return BuiltinWitness(
         "fin_to_finxfin_projection",
-        MorphismSpec(formula="column-projection"),
+        formula_table("column-projection", target.ground, source.ground),
         source,
         target,
         "column projection [0,32)^2 -> [0,32); a singleton pulls back to one full column",
@@ -524,11 +506,9 @@ def _counterexample_fin_to_z() -> BuiltinWitness:
     [1,2) with density 1 > 1/8, so the check fails naming {64}.
     """
     base = _builtin_fin_to_z()
-    table = {y: y for y in range(128)}
-    table[1] = 64
     return BuiltinWitness(
         "fin_to_z_one_point",
-        MorphismSpec(table=table),
+        {**base.morphism, 1: 64},
         base.source,
         base.target,
         "identity on [0,128) mutated at the single point f(1)=64; fails on generator {64}",
@@ -685,17 +665,19 @@ def _bulk_table(body: list[str], domain: Ground, codomain: Ground) -> dict | Non
     return table if len(table) == len(body) else None
 
 
-def parse_morphism_text(text: str, domain: Ground, codomain: Ground) -> MorphismSpec:
-    """Parse: `morphism v1` then `formula=<name>` or `y -> x` lines.
+def parse_morphism_text(text: str, domain: Ground, codomain: Ground) -> dict:
+    """Parse: `morphism v1` then `formula=<name>` or `y -> x` lines, into the table y -> x.
 
     A table's keys are read against `domain` and its values against
-    `codomain`; `check_morphism` checks the table against the presentations'
+    `codomain`.  A formula reads as its table over the two grounds
+    (`formula_table`), so a formula the grounds do not fit raises ShapeError
+    here.  `check_morphism` checks the table against the presentations'
     grounds, as it checks any table.
     """
     _, body = read_format(text, "morphism v1")
     table = _bulk_table(body, domain, codomain)
     if table is not None:
-        return MorphismSpec(table=table)
+        return table
     formula: str | None = None
     table = {}
     for i, stripped in numbered_body(text):
@@ -720,20 +702,16 @@ def parse_morphism_text(text: str, domain: Ground, codomain: Ground) -> Morphism
             raise ParseError(f"duplicate table entry for {left.strip()!r}", i)
         table[y] = x
     if formula is not None:
-        return MorphismSpec(formula=formula)
+        return formula_table(formula, domain, codomain)
     if not table:
         raise ParseError("morphism has neither formula nor table", 1)
-    return MorphismSpec(table=table)
+    return table
 
 
-def morphism_to_text(f: MorphismSpec, domain: Ground, codomain: Ground) -> str:
+def morphism_to_text(table: Mapping, domain: Ground, codomain: Ground) -> str:
     lines = ["morphism v1"]
-    if f.formula is not None:
-        lines.append(f"formula={f.formula}")
-    else:
-        assert f.table is not None
-        for y in sorted(f.table, key=domain.sort_key):
-            lines.append(f"{domain.format_element(y)} -> {codomain.format_element(f.table[y])}")
+    for y in sorted(table, key=domain.sort_key):
+        lines.append(f"{domain.format_element(y)} -> {codomain.format_element(table[y])}")
     return "\n".join(lines) + "\n"
 
 

@@ -720,7 +720,9 @@ class TestInputCaps:
         (["levels", "--max-len", "0", "--depth", "40"], "levels work 1099511627775 (domain of 1,"),
         (["levels", "--max-len", "30", "--depth", "40"], "levels work 36574332943 (domain of 2147483647,"),
         (["pairing", "--base-levels", "1", "--depth", "40"], "pairing work 75557863725914323419138 (pool of 2,"),
-    ], ids=["levels-0-40", "levels-30-40", "pairing-1-40"])
+        (["game", "--p1", "random-set", "--p2", "min-legal", "--window", "65536", "--horizon", "200"],
+         "game work 13107200 (horizon 200 times window 65536)"),
+    ], ids=["levels-0-40", "levels-30-40", "pairing-1-40", "game-200-65536"])
     def test_oversized_construction_is_refused_before_work(self, argv, work, tmp_path):
         # Building or checking any of these takes hours or more memory than the limit.
         proc = self.run_capped(tmp_path, {}, argv)
@@ -728,6 +730,21 @@ class TestInputCaps:
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"hlbench: error: {work}")
         assert proc.stderr.endswith(" above the cap 1048576\n")
+
+    def test_generator_union_past_the_generator_count_returns_at_once(self, tmp_path):
+        # The target lists one generator and a cover takes each at most once,
+        # so a max of 10^12 is tried no further than 1.
+        files = {
+            "f.morphism": "morphism v1\nformula=identity\n",
+            "s.ideal": "ideal v1 ground=interval params=4\nname fin\ngenerator g 0 1\n",
+            "t.ideal": "ideal v1 ground=interval params=4\nsurrogate generator-union max=1000000000000\n"
+                       "generator c 0\n",
+        }
+        proc = self.run_capped(tmp_path, files, CAP_ARGV["interval"])
+        assert proc.returncode == 1, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["checks"] == [
+            {"generator": "g", "ok": False, "measure": "not covered by any 1000000000000 generator(s)"}]
 
     def test_full_at_cap_profiles_match_the_reference(self, tmp_path):
         # Every member and every cell: the largest bodies the capped headers allow.
@@ -895,6 +912,22 @@ class TestErrorPaths:
         assert code == 2
         assert "psychic" in err
 
+    @pytest.mark.parametrize("target_size, surrogate, message", [
+        (8, "", "identity needs equal grounds, got interval/8 -> interval/4"),
+        (8, "surrogate generator-union\n", "identity needs equal grounds, got interval/8 -> interval/4"),
+        (4, "", "target presentation 'ideal' has no membership surrogate"),
+    ], ids=["both faults", "grounds only", "surrogate only"])
+    def test_formula_grounds_are_checked_before_the_surrogate(self, target_size, surrogate, message, tmp_path,
+                                                              capsys):
+        # A formula becomes its table when the file is read, so its grounds are
+        # checked before the target's surrogate is looked for.
+        (tmp_path / "f.morphism").write_text("morphism v1\nformula=identity\n")
+        (tmp_path / "s.ideal").write_text("ideal v1 ground=interval params=4\n")
+        (tmp_path / "t.ideal").write_text(f"ideal v1 ground=interval params={target_size}\n{surrogate}")
+        argv = ["katetov", "--morphism", str(tmp_path / "f.morphism"),
+                "--source", str(tmp_path / "s.ideal"), "--target", str(tmp_path / "t.ideal")]
+        assert run(argv, capsys) == (2, "", f"hlbench: error: {message}\n")
+
     def test_katetov_needs_some_selection(self, capsys):
         code, _, err = run(["katetov"], capsys)
         assert code == 2
@@ -946,6 +979,9 @@ def _write_katetov_game_inputs(rng: random.Random) -> None:
     `fxf`: grid/24 -> interval/24 under column-bound;
     `union`: nodes/6 -> nodes/6 under generator-union (length-lex pivots);
     `sum`: interval/128 -> interval/128 under summable-bound.
+    Four more through a formula line: `formula=identity` on interval/256
+    (`idint`), grid/12 (`idgrid`) and nodes/5 (`idnodes`), and
+    `formula=column-projection` from grid/16 to interval/16 (`proj`).
     """
 
     def ideal(name, kind, size, surrogate, generators):
@@ -998,6 +1034,34 @@ def _write_katetov_game_inputs(rng: random.Random) -> None:
         lines += [f"{_node_token(format(i, f'0{k}b') if k else '')} 1" for i in range(1 << k) if rng.random() < 0.5]
     Path("g.coloring").write_text("\n".join(lines) + "\n")
 
+    identity, projection = "morphism v1\nformula=identity\n", "morphism v1\nformula=column-projection\n"
+    n = 256
+    gens = [(f"g{i}", [str(m) for m in sorted(rng.sample(range(4, n), 3))]) for i in range(12)]
+    Path("idint.src.ideal").write_text(ideal("fin", "interval", n, None, gens))
+    Path("idint.tgt.ideal").write_text(ideal("density-zero", "interval", n, "dyadic-density eps=1/4 floor=2", ()))
+    Path("idint.morphism").write_text(identity)
+
+    n = 12
+    cells = [f"{c},{r}" for c in range(n) for r in range(n)]
+    gens = [(f"g{i}", rng.sample(cells, 5)) for i in range(8)]
+    Path("idgrid.src.ideal").write_text(ideal("ed", "grid", n, None, gens))
+    Path("idgrid.tgt.ideal").write_text(ideal("finxfin", "grid", n, "column-bound per_column=1 exceptional=1", ()))
+    Path("idgrid.morphism").write_text(identity)
+
+    depth = 5
+    nodes = [format(i, f"0{k}b") if k else "" for k in range(depth) for i in range(1 << k)]
+    gens = [(f"g{i}", [_node_token(s) for s in rng.sample(nodes, 3)]) for i in range(8)]
+    Path("idnodes.src.ideal").write_text(ideal("nodes", "nodes", depth, None, gens))
+    cover = [(f"c{i}", [_node_token(s) for s in rng.sample(nodes, 8)]) for i in range(6)]
+    Path("idnodes.tgt.ideal").write_text(ideal("cover", "nodes", depth, "generator-union max=2", cover))
+    Path("idnodes.morphism").write_text(identity)
+
+    n = 16
+    gens = [(f"g{i}", [str(m) for m in sorted(rng.sample(range(n), rng.randint(1, 2)))]) for i in range(6)]
+    Path("proj.src.ideal").write_text(ideal("fin", "interval", n, None, gens))
+    Path("proj.tgt.ideal").write_text(ideal("finxfin", "grid", n, "column-bound per_column=15 exceptional=1", ()))
+    Path("proj.morphism").write_text(projection)
+
 
 def _morphism_argv(stem: str) -> list[str]:
     return ["katetov", "--morphism", f"{stem}.morphism", "--source", f"{stem}.src.ideal", "--target", f"{stem}.tgt.ideal"]
@@ -1029,6 +1093,14 @@ class TestKatetovGameBytes:
             "d8c05181188e9d5ee5258393e90e27d54491f3de43f082b14a53eea6531922d5"),
         "morphism sum": (_morphism_argv("sum"), 1,
             "7224c91f9e2e692cacccb0480213b5d04590ac5ebd238f5f64e7ce901cf516be"),
+        "formula identity interval": (_morphism_argv("idint"), 0,
+            "d063369d2f2f02b7f99250ba9ff0eb698578217c8ab97894d649d9e92d62e7e5"),
+        "formula identity grid": (_morphism_argv("idgrid"), 1,
+            "c3ff612b25b5529216b4445c1ee15e93bbfa7d378b50d65c443ef62661d9eee3"),
+        "formula identity nodes": (_morphism_argv("idnodes"), 1,
+            "c2ebc5dc695aa81bb4ac1cc8485f4f0f4cd69923b192a0d3e6853cbd25b99f6d"),
+        "formula column-projection": (_morphism_argv("proj"), 1,
+            "26daffa914fe926027a6ceb253b72990ed64b7a8a7eb1362816fa299c5d3cec9"),
         "game initial-segment": (
             ["game", "--p1", "initial-segment", "--p2", "min-legal", "--horizon", "12", "--window", "4096"], 0,
             "a93d916b206fc333804958f516438d27d1901c4f0f2fe05f7e83fea790b5b219"),

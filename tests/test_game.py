@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlbench.colorings import constant_coloring, random_coloring
+from hlbench.colorings import WORK_CAP, constant_coloring, random_coloring
 from hlbench.errors import GameProtocolError, NotFoundError, RangeError
 from hlbench.game import (
     WINDOW_MAX,
@@ -193,6 +193,16 @@ class TestEngine:
             play(1, "empty", "min-legal", 0)
         with pytest.raises(RangeError):
             play(1, "empty", "min-legal", WINDOW_MAX + 1)
+
+    def test_work_cap(self):
+        # horizon * window may equal WORK_CAP; one round more is refused before
+        # any strategy is built, so even an unknown strategy name is not looked up.
+        assert len(play(WORK_CAP // 65536, "empty", "min-legal", 65536).rounds) == 16
+        assert len(play(1, "empty", "min-legal", WINDOW_MAX).rounds) == 1
+        message = "game work 1114112 (horizon 17 times window 65536) above the cap 1048576"
+        for p1 in ("empty", "psychic"):
+            with pytest.raises(RangeError, match=re.escape(message)):
+                play(17, p1, "min-legal", 65536)
 
     def test_cheating_picker_caught(self):
         class Cheat:

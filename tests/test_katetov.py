@@ -1,6 +1,6 @@
-import dataclasses
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from hlbench.errors import (
 )
 from hlbench.ideals import NatSet, density_profile
 from hlbench.katetov import (
+    FORMULAS,
     NODES_GROUND_MAX,
     SCOPE_SENTENCE,
     ColumnBoundSurrogate,
@@ -23,7 +24,6 @@ from hlbench.katetov import (
     Generator,
     GeneratorUnionSurrogate,
     Ground,
-    MorphismSpec,
     SummableBoundSurrogate,
     SurrogateVerdict,
     builtin_names,
@@ -31,6 +31,7 @@ from hlbench.katetov import (
     check_morphism,
     counterexample_names,
     counterexample_witness,
+    formula_table,
     ideal_to_text,
     morphism_to_text,
     parse_ideal_text,
@@ -218,6 +219,26 @@ class TestSurrogates:
         assert not s.accepts(frozenset({5}), p).ok
         assert not GeneratorUnionSurrogate(1).accepts(frozenset({1, 2, 3}), p).ok
 
+    @given(
+        st.lists(st.frozensets(st.integers(0, 5), max_size=4), max_size=4),
+        st.frozensets(st.integers(0, 5), max_size=4),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_generator_union_matches_the_smallest_cover(self, sets, elements, max_generators):
+        # The fewest generators whose union holds the elements, by trying every subset.
+        gens = tuple(Generator(f"g{i}", g) for i, g in enumerate(sets))
+        p = FiniteIdealPresentation("p", Ground("interval", 6), gens)
+        covers = (j for j in range(len(sets) + 1) for combo in combinations(sets, j)
+                  if elements <= frozenset().union(*combo))
+        needed = next(covers, None)
+        for cap in (max_generators, max_generators + 10**12):
+            if needed is not None and needed <= cap:
+                expected = SurrogateVerdict(True, f"covered by {needed} generator(s)")
+            else:
+                expected = SurrogateVerdict(False, f"not covered by any {cap} generator(s)")
+            assert GeneratorUnionSurrogate(cap).accepts(elements, p) == expected
+
     def test_summable_bound(self):
         s = SummableBoundSurrogate(max_weight=Fraction(1, 2))
         p = FiniteIdealPresentation("s", Ground("interval", 8), (), s)
@@ -230,40 +251,74 @@ class TestSurrogates:
 
 
 class TestMorphismSpec:
+    """A morphism is its table, a plain mapping; a formula line is one way to write it."""
+
     def test_exactly_one_backend(self):
-        with pytest.raises(ValueError):
-            MorphismSpec()
-        with pytest.raises(ValueError):
-            MorphismSpec(formula="identity", table={0: 0})
+        # A morphism file gives a formula or a table, never both.
+        g = Ground("interval", 2)
+        with pytest.raises(ParseError, match="line 3: table lines cannot follow a formula line"):
+            parse_morphism_text("morphism v1\nformula=identity\n0 -> 0\n", g, g)
+        with pytest.raises(ParseError, match="line 3: formula line must be the only content"):
+            parse_morphism_text("morphism v1\n0 -> 0\nformula=identity\n", g, g)
 
     def test_unknown_formula(self):
+        g = Ground("interval", 2)
         with pytest.raises(NotFoundError):
-            MorphismSpec(formula="transpose")
+            formula_table("transpose", g, g)
+        with pytest.raises(ParseError, match="line 2: unknown formula 'transpose'"):
+            parse_morphism_text("morphism v1\nformula=transpose\n", g, g)
+
+    def test_formulas_read_as_their_tables(self):
+        line, grid, nodes = Ground("interval", 3), Ground("grid", 2), Ground("nodes", 2)
+        assert formula_table("identity", line, line) == {0: 0, 1: 1, 2: 2}
+        assert formula_table("identity", nodes, nodes) == {"": "", "0": "0", "1": "1"}
+        projection = {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 1}
+        assert formula_table("column-projection", grid, Ground("interval", 2)) == projection
+        for name in FORMULAS:
+            for domain, codomain in ((line, line), (grid, grid), (nodes, nodes), (grid, Ground("interval", 2))):
+                try:
+                    table = formula_table(name, domain, codomain)
+                except ShapeError:
+                    continue
+                assert parse_morphism_text(f"morphism v1\nformula={name}\n", domain, codomain) == table
+                assert list(table) == list(domain.members())
 
     def test_identity_requires_equal_grounds(self):
-        f = MorphismSpec(formula="identity")
-        small = FiniteIdealPresentation("a", Ground("interval", 4), (), DensityWindowSurrogate())
-        big = FiniteIdealPresentation("b", Ground("interval", 8), (), DensityWindowSurrogate())
-        with pytest.raises(ShapeError):
-            check_morphism(f, small, big)
+        formula = "morphism v1\nformula=identity\n"
+        cases = [
+            (Ground("interval", 8), Ground("interval", 4), "interval/8 -> interval/4"),
+            (Ground("grid", 4), Ground("interval", 4), "grid/4 -> interval/4"),
+            (Ground("nodes", 3), Ground("nodes", 2), "nodes/3 -> nodes/2"),
+        ]
+        for domain, codomain, shapes in cases:
+            with pytest.raises(ShapeError, match=f"^identity needs equal grounds, got {re.escape(shapes)}$"):
+                parse_morphism_text(formula, domain, codomain)
 
     def test_column_projection_shape(self):
-        f = MorphismSpec(formula="column-projection")
+        formula = "morphism v1\nformula=column-projection\n"
         grid = FiniteIdealPresentation("g", Ground("grid", 4), (), ColumnBoundSurrogate())
         fin = FiniteIdealPresentation(
             "f", Ground("interval", 4), (Generator("x", frozenset({1})),), DensityWindowSurrogate()
         )
-        with pytest.raises(ShapeError):
-            check_morphism(f, fin, fin)  # interval -> interval is not a projection
-        report = check_morphism(f, fin, grid)
+        cases = [
+            (fin.ground, fin.ground, "interval/4 -> interval/4"),  # interval -> interval is not a projection
+            (Ground("grid", 4), Ground("interval", 5), "grid/4 -> interval/5"),
+            (Ground("grid", 4), Ground("grid", 4), "grid/4 -> grid/4"),
+            (Ground("nodes", 4), Ground("interval", 4), "nodes/4 -> interval/4"),
+        ]
+        for domain, codomain, shapes in cases:
+            message = f"^column-projection needs grid/N -> interval/N, got {re.escape(shapes)}$"
+            with pytest.raises(ShapeError, match=message):
+                parse_morphism_text(formula, domain, codomain)
+        report = check_morphism(parse_morphism_text(formula, grid.ground, fin.ground), fin, grid)
         assert report.checks[0].generator == "x"
 
     def test_table_totality(self):
         src = FiniteIdealPresentation("a", Ground("interval", 3), (), DensityWindowSurrogate())
-        partial = MorphismSpec(table={0: 0, 1: 1})
+        partial = {0: 0, 1: 1}
         with pytest.raises(MorphismDomainError):
             check_morphism(partial, src, src)
-        escapes = MorphismSpec(table={0: 0, 1: 1, 2: 9})
+        escapes = {0: 0, 1: 1, 2: 9}
         with pytest.raises(MorphismDomainError):
             check_morphism(escapes, src, src)
 
@@ -272,7 +327,7 @@ class TestMorphismSpec:
         src = FiniteIdealPresentation("a", g, (Generator("g", frozenset({1})),), DensityWindowSurrogate())
         for table in ({0: 0, 1: 1}, {0: 0, 1: 1, 2: 2}, {0: 2, 1: 2, 2: 2}):
             text = "morphism v1\n" + "".join(f"{y} -> {x}\n" for y, x in table.items())
-            read, built = parse_morphism_text(text, g, g), MorphismSpec(table=table)
+            read, built = parse_morphism_text(text, g, g), table
             try:
                 expected = check_morphism(built, src, src)
             except MorphismDomainError as exc:
@@ -293,21 +348,23 @@ class TestMorphismSpec:
             check_morphism(extra, src, src)
 
     def test_a_replaced_table_is_checked_in_full(self):
-        # A table swapped into a read spec is checked in full.
+        # A read table edited after reading is checked in full, as is one read from a formula.
         g = Ground("interval", 3)
         src = FiniteIdealPresentation("a", g, (Generator("g", frozenset({1})),), DensityWindowSurrogate())
-        read = parse_morphism_text("morphism v1\n0 -> 0\n1 -> 1\n2 -> 0\n", g, g)
-        swapped = dataclasses.replace(read, table={0: 0, 1: 1, 5: 0})
-        with pytest.raises(MorphismDomainError, match=r"undefined at 2"):
-            check_morphism(swapped, src, src)
+        for text in ("morphism v1\n0 -> 0\n1 -> 1\n2 -> 0\n", "morphism v1\nformula=identity\n"):
+            read = parse_morphism_text(text, g, g)
+            del read[2]
+            read[5] = 0
+            with pytest.raises(MorphismDomainError, match=r"undefined at 2"):
+                check_morphism(read, src, src)
 
     def test_bool_keys_and_values_are_not_ground_elements(self):
         g = Ground("interval", 3)
         src = FiniteIdealPresentation("a", g, (Generator("g", frozenset({1})),), DensityWindowSurrogate())
         with pytest.raises(MorphismDomainError, match=r"table key True outside the target ground"):
-            check_morphism(MorphismSpec(table={0: 0, True: 1, 2: 0}), src, src)
+            check_morphism({0: 0, True: 1, 2: 0}, src, src)
         with pytest.raises(MorphismDomainError, match=r"f\(1\) = False lands outside the source ground"):
-            check_morphism(MorphismSpec(table={0: 0, 1: False, 2: 0}), src, src)
+            check_morphism({0: 0, 1: False, 2: 0}, src, src)
         assert True not in g and (0, True) not in Ground("grid", 2)
 
     @pytest.mark.parametrize("kind, size", [("interval", 3), ("grid", 2), ("nodes", 3)])
@@ -345,15 +402,15 @@ class TestMorphismSpec:
 
         for name, table in cases.items():
             if name in ("identity", "subclass key"):
-                assert check_morphism(MorphismSpec(table=table), p, p).passed
+                assert check_morphism(table, p, p).passed
             else:
                 with pytest.raises(MorphismDomainError):
-                    check_morphism(MorphismSpec(table=table), p, p)
+                    check_morphism(table, p, p)
 
     def test_surrogate_required(self):
         src = FiniteIdealPresentation("a", Ground("interval", 3), (), None)
         with pytest.raises(ValueError):
-            check_morphism(MorphismSpec(formula="identity"), src, src)
+            check_morphism(formula_table("identity", src.ground, src.ground), src, src)
 
 
 class TestBuiltins:
@@ -484,18 +541,20 @@ class TestTextFormats:
 
     def test_morphism_round_trips(self):
         domain = codomain = Ground("interval", 4)
-        table = MorphismSpec(table={0: 1, 1: 0, 2: 2, 3: 3})
+        table = {0: 1, 1: 0, 2: 2, 3: 3}
         text = morphism_to_text(table, domain, codomain)
-        assert parse_morphism_text(text, domain, codomain).table == table.table
-        formula = MorphismSpec(formula="identity")
-        text = morphism_to_text(formula, domain, codomain)
-        assert parse_morphism_text(text, domain, codomain).formula == "identity"
+        assert parse_morphism_text(text, domain, codomain) == table
+        # A formula reads as its table, and writes back as that table.
+        identity = parse_morphism_text("morphism v1\nformula=identity\n", domain, codomain)
+        text = morphism_to_text(identity, domain, codomain)
+        assert text == "morphism v1\n0 -> 0\n1 -> 1\n2 -> 2\n3 -> 3\n"
+        assert parse_morphism_text(text, domain, codomain) == identity
 
     def test_nodes_are_listed_in_length_lex_order(self):
         g = Ground("nodes", 3)
         p = FiniteIdealPresentation("p", g, (Generator("a", frozenset({"1", "00", ""})),), None)
         assert ideal_to_text(p).splitlines()[-1] == "generator a - 1 00"
-        f = MorphismSpec(table={"1": "", "00": "0", "": "1"})
+        f = {"1": "", "00": "0", "": "1"}
         assert morphism_to_text(f, g, g).splitlines() == ["morphism v1", "- -> 1", "1 -> -", "00 -> 0"]
 
     def test_morphism_errors(self):

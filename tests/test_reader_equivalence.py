@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlbench.colorings import coloring_from_text
-from hlbench.errors import ParseError
+from hlbench.errors import ParseError, ShapeError
 from hlbench.ideals import GridSet, NatSet, NodeSet, gridset_from_text, natset_from_text, nodeset_from_text
-from hlbench.katetov import FORMULAS, Ground, MorphismSpec, parse_ideal_text, parse_morphism_text
+from hlbench.katetov import FORMULAS, Ground, formula_table, parse_ideal_text, parse_morphism_text
 from hlbench.treecore import (
     D_MAX,
     ELEMENT_CAP,
@@ -164,10 +164,10 @@ def ref_morphism(text, domain, codomain):
             raise ParseError(f"duplicate table entry for {left.strip()!r}", i)
         table[y] = x
     if formula is not None:
-        return MorphismSpec(formula=formula)
+        return formula_table(formula, domain, codomain)
     if not table:
         raise ParseError("morphism has neither formula nor table", 1)
-    return MorphismSpec(table=table)
+    return table
 
 
 def _outcome(parse, text):
@@ -175,6 +175,8 @@ def _outcome(parse, text):
         return "ok", parse(text)
     except ParseError as exc:
         return "error", str(exc), exc.line
+    except ShapeError as exc:  # a formula that the two grounds do not fit
+        return "shape", str(exc)
 
 
 # ---------------------------------------------------------------------------

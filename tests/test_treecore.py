@@ -266,13 +266,15 @@ class TestHugeIntMessages:
             (lambda: zdensity_coloring(HUGE), "n_max <16610-bit int> outside [1, 4]"),
             (lambda: zdensity_coloring(-HUGE), "n_max -<16610-bit int> outside [1, 4]"),
             (lambda: play(-HUGE, "empty", "min-legal", 8), "horizon -<16610-bit int> must be >= 1"),
+            (lambda: play(HUGE, "empty", "min-legal", 8),
+             "game work <16613-bit int> (horizon <16610-bit int> times window 8) above the cap 1048576"),
             (lambda: NatSet(frozenset({HUGE}), 4), "member <16610-bit int> outside [0, 4)"),
             (lambda: GridSet(frozenset({(1, HUGE)}), 4), "cell (1, <16610-bit int>) outside [0, 4)^2"),
             (lambda: SearchBudget(1, node_budget=HUGE), "node_budget <16610-bit int> above the cap 1048576"),
             (lambda: Ground("nodes", HUGE), "nodes ground depth <16610-bit int> exceeds cap 16"),
         ],
-        ids=["check_depth", "zdensity_coloring", "negative n_max", "horizon", "natset member", "gridset cell",
-             "node_budget", "ground size"],
+        ids=["check_depth", "zdensity_coloring", "negative n_max", "horizon", "game work", "natset member",
+             "gridset cell", "node_budget", "ground size"],
     )
     def test_range_error_names_the_width(self, call, message):
         with pytest.raises(RangeError) as err:
