@@ -2,9 +2,10 @@
 
 A coloring assigns 0 or 1 to every node of 2^{<D}.  Two storage backends
 cover the range of instances: a sparse override map with a constant default
-for deep but thin assignments, and a pure function for colorings with a
-closed form.  Both expose the same `value` interface, so the level-set
-operations never care which one they are given.
+for deep but thin assignments, and a pure function of the node's length-lex
+rank for colorings with a closed form.  Both expose the same rank read `at`
+and string read `value`, so the level-set operations never care which one
+they are given.
 """
 
 from __future__ import annotations
@@ -19,18 +20,19 @@ from .treecore import (
     D_MAX,
     LevelTree,
     check_depth,
-    extensions,
     format_node,
     header_int,
     is_node,
     lenlex_key,
     level_nodes,
-    node_index,
+    node_rank,
     numbered_body,
     read_columns,
     read_format,
     read_node,
     read_nodes,
+    rank_node,
+    rank_span,
 )
 
 # Full serialisation lists all 2^D - 1 nodes, so it is capped well below D_MAX.
@@ -44,9 +46,16 @@ WORK_CAP = 1 << 20
 
 
 class Coloring:
-    """Total {0,1}-coloring of the nodes of 2^{<depth}."""
+    """Total {0,1}-coloring of the nodes of 2^{<depth}.
 
-    __slots__ = ("depth", "_overrides", "_default", "_fn")
+    Colors are read by length-lex rank (`treecore.node_rank`): `at(r)` is the
+    color of the node of rank r, unchecked, and `value(s)` is the one string
+    entry point.  A computed coloring's function takes the rank.  A sparse
+    coloring keys its overrides by node string, so its rank read forms the
+    node's string.
+    """
+
+    __slots__ = ("depth", "at", "_overrides", "_default")
 
     def __init__(
         self,
@@ -54,19 +63,23 @@ class Coloring:
         *,
         overrides: dict[str, int] | None = None,
         default: int = 0,
-        fn: Callable[[str], int] | None = None,
+        fn: Callable[[int], int] | None = None,
     ):
         check_depth(depth)
+        assert (overrides is not None) + (fn is not None) == 1
         self.depth = depth
         self._overrides = overrides
         self._default = default
-        self._fn = fn
-        assert (overrides is not None) + (fn is not None) == 1
+        if fn is None:
+            get = overrides.get
+            fn = lambda r: get(rank_node(r), default)  # noqa: E731
+        self.at: Callable[[int], int] = fn
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def computed(cls, depth: int, fn: Callable[[str], int]) -> "Coloring":
+    def computed(cls, depth: int, fn: Callable[[int], int]) -> "Coloring":
+        """A coloring whose function gives the color of the node of each rank."""
         return cls(depth, fn=fn)
 
     @classmethod
@@ -82,18 +95,19 @@ class Coloring:
     # -- queries -------------------------------------------------------------
 
     def value(self, s: str) -> int:
-        n = len(s)
-        if n >= self.depth:
-            raise RangeError(f"node of length {n} outside 2^<{self.depth}")
-        if self._overrides is not None:
-            return self._overrides.get(s, self._default)
-        return self._fn(s)
+        """The color of node `s`; a non-node raises ValueError, a node past the depth RangeError."""
+        if self._overrides is None:
+            return self.at(self._rank(s))
+        if not is_node(s) or len(s) >= self.depth:
+            self._rank(s)  # raises check_node's ValueError or the RangeError
+        return self._overrides.get(s, self._default)  # the rank read would form `s` again
 
-    def _colors_of(self, nodes: Iterable[str]) -> list[int]:
-        """Colors of `nodes` in order, unchecked: the caller has checked that each lies below `depth`."""
-        if self._overrides is not None:
-            return list(map(self._overrides.get, nodes, itertools.repeat(self._default)))
-        return list(map(self._fn, nodes))
+    def _rank(self, s: str) -> int:
+        """The rank of `s`, refused unless it is a node below the depth."""
+        r = node_rank(s)
+        if len(s) >= self.depth:
+            raise RangeError(f"node of length {len(s)} outside 2^<{self.depth}")
+        return r
 
     def count_extensions(self, s: str, level: int, color: int, cap: int | None = None) -> int:
         """Number of extensions of `s` at `level` with the given color.
@@ -101,6 +115,7 @@ class Coloring:
         With `cap`, counting stops early once `cap` hits are seen; the sparse
         backend returns exact counts regardless since they are cheap.
         """
+        r = node_rank(s)
         _check_bit(color)
         if not len(s) <= level < self.depth:
             raise RangeError(f"level {shown(level)} outside [{len(s)}, {self.depth})")
@@ -116,8 +131,8 @@ class Coloring:
                 hits += (1 << (level - len(s))) - listed
             return hits
         hits = 0
-        for t in extensions(s, level):
-            if self._fn(t) == color:
+        for t in rank_span(r, level - len(s)):
+            if self.at(t) == color:
                 hits += 1
                 if cap is not None and hits >= cap:
                     return hits
@@ -136,20 +151,15 @@ def _check_bit(v: int) -> int:
 
 
 def random_coloring(depth: int, seed: int) -> Coloring:
-    """Seeded coloring: node s gets the low bit of stream output rank(s).
+    """Seeded coloring: the node of rank r gets the low bit of stream output r.
 
-    rank is the position of s in length-lex order, so the coloring agrees
-    with drawing one splitmix64 output per node in that order.  Same (depth,
-    seed) always yields the same coloring; the backend is computed, so any
-    depth up to D_MAX works without storing 2^depth - 1 entries.
+    The rank is the node's position in length-lex order, so the coloring
+    agrees with drawing one splitmix64 output per node in that order.  Same
+    (depth, seed) always yields the same coloring; the backend is computed,
+    so any depth up to D_MAX works without storing 2^depth - 1 entries.
     """
     check_depth(depth)
-
-    def fn(s: str) -> int:
-        rank = (1 << len(s)) - 1 + node_index(s)
-        return splitmix64_output(seed, rank) & 1
-
-    return Coloring.computed(depth, fn)
+    return Coloring.computed(depth, lambda r: splitmix64_output(seed, r) & 1)
 
 
 def constant_coloring(depth: int, bit: int) -> Coloring:
@@ -158,7 +168,8 @@ def constant_coloring(depth: int, bit: int) -> Coloring:
 
 def last_bit_coloring(depth: int) -> Coloring:
     """c(s) = last bit of s, 0 at the root."""
-    return Coloring.computed(depth, lambda s: int(s[-1]) if s else 0)
+    # bin(r + 1) ends in the last bit of the node of rank r.
+    return Coloring.computed(depth, lambda r: (r + 1) & 1 if r else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +203,16 @@ def h_set(c: Coloring, p: LevelTree) -> tuple[int, ...]:
 
 def i_set(c: Coloring, s: str) -> tuple[int, ...]:
     """Levels n >= |s|+2 at which s has at most one 0-colored extension, ascending."""
-    if len(s) >= c.depth:
-        raise RangeError(f"node of length {len(s)} outside 2^<{c.depth}")
+    c._rank(s)
     return tuple(n for n in range(len(s) + 2, c.depth) if c.count_extensions(s, n, 0, cap=2) <= 1)
 
 
 def color_trace(c: Coloring, x: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-color partition (K_0, K_1) of the levels along the branch through x, each ascending."""
-    if len(x) >= c.depth:
-        raise RangeError(f"node of length {len(x)} outside 2^<{c.depth}")
+    head = c._rank(x) + 1
     parts: tuple[list[int], list[int]] = ([], [])
     for n in range(len(x) + 1):
-        parts[c.value(x[:n])].append(n)
+        parts[c.at((head >> (len(x) - n)) - 1)].append(n)
     return tuple(parts[0]), tuple(parts[1])
 
 
@@ -380,15 +389,19 @@ def pairing_coloring(base_levels: Iterable[int], per_level_cap: int, depth: int)
 
     level_sets = _residue_level_sets(matching_levels, depth)
 
-    level_to_idx = {k: i for i, ks in enumerate(level_sets) for k in ks}
-    # side[i][u]: 0 if u comes first in its pair of x_i, 1 if second
-    side = [{u: bit for pair in matching for bit, u in enumerate(pair)} for matching in matchings]
+    # by_level[k] = (k - n, side) for k in A_i, x_i being a matching of
+    # {0,1}^n: side maps rank + 1 of u to 0 if u comes first in its pair of
+    # x_i, 1 if second, and a rank-r node's prefix u has rank + 1 (r + 1) >> (k - n).
+    by_level: list = [None] * depth
+    for i, ks in enumerate(level_sets):
+        side = {node_rank(u) + 1: bit for pair in matchings[i] for bit, u in enumerate(pair)}
+        for k in ks:
+            by_level[k] = (k - matching_levels[i], side)
 
-    def fn(s: str) -> int:
-        i = level_to_idx.get(len(s))
-        if i is None:
-            return 0
-        return side[i][s[: matching_levels[i]]]
+    def fn(r: int) -> int:
+        head = r + 1
+        slot = by_level[head.bit_length() - 1]
+        return 0 if slot is None else slot[1][head >> slot[0]]
 
     system = PairingSystem(tuple(lvls), depth, tuple(matchings), tuple(matching_levels), level_sets)
     return Coloring.computed(depth, fn), system
@@ -412,24 +425,33 @@ def check_pairing_disjointness(c: Coloring, system: PairingSystem) -> list[Match
     A two-branch tree p through a matched pair (u, v) is fixed by its tops x
     above u and y above v, and c is constant on level k of p exactly when
     c(x[:k]) == c(y[:k]).  So each branch pair is checked by comparing the
-    two branches' colors on A_{x_i}, without building p.
+    two branches' colors on A_{x_i}, without building p.  Tops are read by
+    rank: the level-k prefix of the top of rank x has rank ((x + 1) >> (top - k)) - 1.
     """
     if c.depth != system.depth:
         raise ShapeError(f"coloring depth {c.depth} != system depth {system.depth}")
     top = system.depth - 1
+    at = c.at
+
+    def colors(x: int) -> list[int]:
+        return [at(((x + 1) >> shift) - 1) for shift in shifts]
+
     out: list[MatchingCheck] = []
     for i, matching in enumerate(system.matchings):
         levels = sorted(system.level_sets[i])
+        if levels and not 0 <= levels[0] <= levels[-1] <= top:
+            raise RangeError(f"level set {i} outside [0, {system.depth})")
+        shifts = [top - k for k in levels]
         trees = 0
         bad: list[tuple[str, str, int]] = []
         for u, v in matching:
-            ys = [(y, [c.value(y[:k]) for k in levels]) for y in extensions(v, top)]
-            for x in extensions(u, top):
-                x_colors = [c.value(x[:k]) for k in levels]
+            ys = [(y, colors(y)) for y in rank_span(node_rank(v), top - len(v))]
+            for x in rank_span(node_rank(u), top - len(u)):
+                x_colors = colors(x)
                 for y, y_colors in ys:
                     for k, a, b in zip(levels, x_colors, y_colors):
                         if a == b:
-                            bad.append((min(x, y), max(x, y), k))
+                            bad.append((rank_node(min(x, y)), rank_node(max(x, y)), k))
                             break
                 trees += len(ys)
         out.append(MatchingCheck(i, system.matching_levels[i], trees, tuple(bad)))
@@ -479,28 +501,28 @@ def levels_coloring(assignment: SplittingAssignment, depth: int) -> Coloring:
         raise ConstructionError("domain and level-set counts differ")
     if len(set(assignment.domain)) != len(assignment.domain):
         raise ConstructionError("domain strings not distinct")
-    level_to_idx: dict[int, int] = {}
-    for i, ks in enumerate(assignment.sets):
-        floor = len(assignment.domain[i]) + 1
+    # by_level[k] = (k - |t|, rank of t + 1) for k in the set of t: a rank-r
+    # node on level k extends t when (r + 1) >> (k - |t|) is rank of t + 1,
+    # and the bit it chose just above t is then bit k - |t| - 1 of r + 1.
+    by_level: list = [None] * depth
+    for t, ks in zip(assignment.domain, assignment.sets):
+        floor = len(t) + 1
+        head = node_rank(t) + 1
         for k in ks:
             if k < floor:
-                raise ConstructionError(f"level {k} assigned to {assignment.domain[i]!r} is below its floor {floor}")
+                raise ConstructionError(f"level {k} assigned to {t!r} is below its floor {floor}")
             if k >= depth:
                 raise ConstructionError(f"assigned level {k} outside [0, {depth})")
-            if k in level_to_idx:
+            if by_level[k] is not None:
                 raise ConstructionError(f"level {k} assigned to two strings")
-            level_to_idx[k] = i
+            by_level[k] = (k - len(t), head)
 
-    domain = assignment.domain
-
-    def fn(s: str) -> int:
-        i = level_to_idx.get(len(s))
-        if i is None:
+    def fn(r: int) -> int:
+        head = r + 1
+        slot = by_level[head.bit_length() - 1]
+        if slot is None or head >> slot[0] != slot[1]:
             return 0
-        t = domain[i]
-        if s.startswith(t):
-            return int(s[len(t)])
-        return 0
+        return (head >> (slot[0] - 1)) & 1
 
     return Coloring.computed(depth, fn)
 
@@ -522,21 +544,20 @@ def check_levels_bichromatic(c: Coloring, assignment: SplittingAssignment) -> li
 
     At each assigned level the extensions through t+0 must all be colored 0
     and those through t+1 all colored 1; both sides are checked exhaustively.
-    The slice's colors are read once, in lexicographic order, so the t+0
-    side is the first half of the list and the t+1 side the second half.
+    Each side is a range of ranks (t+0 and t+1 have ranks 2r + 1 and 2r + 2
+    when t has rank r), and its colors are read once and summed.
     """
-    tails: dict[int, list[str]] = {}  # length -> all strings of that length, lexicographic
+    at = c.at
     out: list[SliceCheck] = []
-    for i, t in enumerate(assignment.domain):
-        for k in sorted(assignment.sets[i]):
+    for t, ks in zip(assignment.domain, assignment.sets):
+        r = node_rank(t)
+        for k in sorted(ks):
             if not len(t) < k < c.depth:
                 raise RangeError(f"level {shown(k)} outside [{len(t) + 1}, {c.depth})")
-            m = k - len(t)
-            if m not in tails:
-                tails[m] = list(level_nodes(m))
-            colors = c._colors_of(map(t.__add__, tails[m]))
-            half = len(colors) // 2
-            out.append(SliceCheck(t, k, colors[:half].count(1), colors[half:].count(0)))
+            e = k - len(t) - 1
+            ones = sum(map(at, rank_span(2 * r + 1, e)))
+            zeros = (1 << e) - sum(map(at, rank_span(2 * r + 2, e)))
+            out.append(SliceCheck(t, k, ones, zeros))
     return out
 
 
@@ -558,9 +579,8 @@ def coloring_to_text(c: Coloring) -> str:
         return "\n".join(lines) + "\n"
     if c.depth > SERIALIZE_MAX:
         raise RangeError(f"depth {c.depth} too large to serialise in full (cap {SERIALIZE_MAX})")
-    for n in range(c.depth):
-        for s in level_nodes(n):
-            lines.append(f"{format_node(s)} {_check_bit(c.value(s))}")
+    nodes = (s for n in range(c.depth) for s in level_nodes(n))  # in rank order
+    lines.extend(f"{format_node(s)} {_check_bit(v)}" for s, v in zip(nodes, map(c.at, itertools.count())))
     return "\n".join(lines) + "\n"
 
 

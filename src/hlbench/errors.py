@@ -19,14 +19,6 @@ class ShapeError(HlbenchError):
     """Two objects that must share a dimension (depth, ground set, top level) do not."""
 
 
-class TreeInvalidError(HlbenchError):
-    """An operation requiring a valid level tree received an invalid one."""
-
-    def __init__(self, message: str, violations: tuple = ()):
-        super().__init__(message)
-        self.violations = violations
-
-
 class EmbeddingInvalidError(HlbenchError):
     """A tree embedding breaks one of its structural invariants."""
 

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 from ._rng import SplitMix64
 from .colorings import WORK_CAP, Coloring, i_set
 from .errors import GameProtocolError, NotFoundError, RangeError, shown
-from .treecore import extensions, format_node
+from .treecore import format_node, node_rank, rank_node, rank_span
 
 WINDOW_MAX = 1 << 20
 
@@ -137,14 +137,9 @@ class TreeBuilderStrategy:
             if pick < len(s) + 1 or self.coloring.count_extensions(s, pick, 0, cap=2) < 2:
                 self.stuck = True
                 return
-            found: list[str] = []
-            for t in extensions(s, pick):
-                if self.coloring.value(t) == 0:
-                    found.append(t)
-                    if len(found) == 2:
-                        break
-            grown[arg + "0"] = found[0]
-            grown[arg + "1"] = found[1]
+            # The first two 0-colored extensions at the pick, in lexicographic order.
+            zeros = (t for t in rank_span(node_rank(s), pick - len(s)) if self.coloring.at(t) == 0)
+            grown[arg + "0"], grown[arg + "1"] = rank_node(next(zeros)), rank_node(next(zeros))
         self.assignments.update(grown)
         self.generation += 1
 

@@ -78,9 +78,6 @@ class NatSet:
     def of(cls, members: Iterable[int], bound: int) -> "NatSet":
         return cls(frozenset(members), bound)
 
-    def complement(self) -> "NatSet":
-        return NatSet(frozenset(range(self.bound)) - self.members, self.bound)
-
     def __contains__(self, m: int) -> bool:
         return m in self.members
 

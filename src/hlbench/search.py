@@ -29,6 +29,8 @@ from .treecore import (
     lenlex_key,
     level_nodes,
     parse_node,
+    rank_node,
+    rank_span,
     validate_embedding,
 )
 
@@ -249,25 +251,15 @@ def brute_force_max(c: Coloring, budget: SearchBudget, mode: str) -> SearchResul
 # embedding built from it and no join raises a score.  A sub-embedding is a
 # pair (mask, node): `node` is a leaf image or a nested (split, left, right).
 #
-# The solver names each node by its length-lex rank, so rank order is the
-# tie order's node order: the root is 0, the children of r are 2r + 1 and
-# 2r + 2, its parent is (r - 1) >> 1 and its level (r + 1).bit_length() - 1.
-# _node(r) is the node of rank r; _span(r, e) lists r's extensions e levels down.
+# The solver names each node by its length-lex rank (treecore.node_rank), so
+# rank order is the tie order's node order, and it reads colors by rank.
 
 
 class _OutOfBudget(Exception):
     """The next unit of work would pass the allowance."""
 
 
-def _node(r: int) -> str:
-    return bin(r + 1)[3:]
-
-
-def _span(r: int, e: int) -> range:
-    return range(((r + 1) << e) - 1, ((r + 2) << e) - 1)
-
-
-def _mask_lookup(value, depth: int) -> Callable[[int], int]:
+def _mask_lookup(read: Callable[[int], int], depth: int) -> Callable[[int], int]:
     # A node's prefix mask holds the bits of the levels up to its own: its
     # parent's plus one color read, computed on first use and cached for one
     # search, so the work tracks the tops reached and each color is read once.
@@ -277,11 +269,21 @@ def _mask_lookup(value, depth: int) -> Callable[[int], int]:
         got = prefix.get(r)
         if got is None:
             n = (r + 1).bit_length() - 1
-            bit = 1 << (depth + n if value(_node(r)) else n)
+            bit = 1 << (depth + n if read(r) else n)
             got = prefix[r] = bit | prefix_mask((r - 1) >> 1) if r else bit
         return got
 
     return prefix_mask
+
+
+def _mask_table(read: Callable[[int], int], depth: int) -> list[int]:
+    # Every node's prefix mask, indexed by rank and filled level by level:
+    # the color reads of _mask_lookup once every top has been reached.
+    table = [1 << depth if read(0) else 1]
+    for n in range(1, depth):
+        zero, one = 1 << n, 1 << (depth + n)
+        table += [table[(r - 1) >> 1] | (one if read(r) else zero) for r in range((1 << n) - 1, (2 << n) - 1)]
+    return table
 
 
 def _scorer(depth: int, by_levels: bool) -> Callable[[int], int]:
@@ -409,7 +411,7 @@ def _walk(masks, depth: int, height: int, score, known, exact: bool, allowance: 
         nonlocal spent
         n = (region + 1).bit_length() - 1
         if k == 0:
-            for top in _span(region, depth - 1 - n):
+            for top in rank_span(region, depth - 1 - n):
                 if spent == allowance:
                     raise _OutOfBudget
                 spent += 1
@@ -418,7 +420,7 @@ def _walk(masks, depth: int, height: int, score, known, exact: bool, allowance: 
                     yield mask, top
             return
         for extra in range(depth - k - n):
-            for w in _span(region, extra):
+            for w in rank_span(region, extra):
                 yield from joins(w, k)
 
     def joins(w: int, k: int) -> Iterator[tuple[int, tuple]]:
@@ -521,11 +523,13 @@ def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
     _check_mode(mode)
     depth, height = c.depth, budget.height
     _check_fits(depth, height)
-    masks = _mask_lookup(c.value, depth)
     score = _scorer(depth, mode == "by_levels")
     known, spent, exact = None, 0, False
     if height and 1 << (depth - 1) <= budget.node_budget:
+        masks = _mask_table(c.at, depth).__getitem__
         known, spent, exact = _dp_max(masks, depth, height, score, budget.node_budget)
+    else:
+        masks = _mask_lookup(c.at, depth)
     best, walked, complete = _walk(masks, depth, height, score, known, exact, 2 * budget.node_budget - spent)
     explored = spent + walked
     if best is None:
@@ -535,7 +539,7 @@ def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
     if best is None:
         raise BudgetError(f"node budget {budget.node_budget} completes no embedding")
     m, node = best
-    scored, cert = _certificate(c.value, tuple(map(_node, _bfs(node, height))), depth, mode)
+    scored, cert = _certificate(c.value, tuple(map(rank_node, _bfs(node, height))), depth, mode)
     if scored != m:
         raise RuntimeError(f"the level-mask score {m} differs from the certificate's score {scored}")
     return SearchResult(m, cert, explored, complete)

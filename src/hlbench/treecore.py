@@ -13,15 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import (
-    EmbeddingInvalidError,
-    NotFoundError,
-    ParseError,
-    RangeError,
-    ShapeError,
-    TreeInvalidError,
-    shown,
-)
+from .errors import EmbeddingInvalidError, ParseError, RangeError, ShapeError, shown
 
 D_MAX = 64
 
@@ -60,19 +52,32 @@ def compatible(s: str, t: str) -> bool:
     return s.startswith(t) or t.startswith(s)
 
 
-def meet(s: str, t: str) -> str:
-    """Longest common prefix."""
-    i = 0
-    for a, b in zip(s, t):
-        if a != b:
-            break
-        i += 1
-    return s[:i]
-
-
 def node_index(s: str) -> int:
     """Rank of a node within its level under lexicographic order."""
     return int(s, 2) if s else 0
+
+
+# A node is also named by its length-lex rank: the root is 0, the children of
+# rank r are 2r + 1 and 2r + 2, its parent is (r - 1) >> 1, and bin(r + 1) is
+# '0b1' followed by the node, so its level is (r + 1).bit_length() - 1 and
+# its ancestor on level n has rank ((r + 1) >> (level - n)) - 1.  Rank order
+# is length-lex order.
+
+
+def node_rank(s: str) -> int:
+    """The length-lex rank of node `s`; a non-node raises check_node's ValueError."""
+    check_node(s)
+    return (1 << len(s)) - 1 + node_index(s)
+
+
+def rank_node(r: int) -> str:
+    """The node of length-lex rank r."""
+    return bin(r + 1)[3:]
+
+
+def rank_span(r: int, e: int) -> range:
+    """The ranks of the extensions of rank r, e levels down, in lexicographic order."""
+    return range(((r + 1) << e) - 1, ((r + 2) << e) - 1)
 
 
 def level_nodes(n: int) -> Iterator[str]:
@@ -144,9 +149,6 @@ class LevelTree:
     def __contains__(self, s: str) -> bool:
         return len(s) < self.depth and s in self.levels[len(s)]
 
-    def node_count(self) -> int:
-        return sum(len(level) for level in self.levels)
-
     def all_nodes(self) -> Iterator[str]:
         """Nodes in length-lex order."""
         for level in self.levels:
@@ -199,34 +201,6 @@ def validate(tree: LevelTree) -> tuple[Violation, ...]:
             if s + "0" not in children and s + "1" not in children:
                 bad.append(Violation("pruned", s, n))
     return tuple(bad)
-
-
-def require_valid(tree: LevelTree) -> LevelTree:
-    violations = validate(tree)
-    if violations:
-        first = violations[0]
-        raise TreeInvalidError(
-            f"invalid tree: rule {first.rule!r} at node {format_node(first.node)!r}"
-            f" (level {first.level}); {len(violations)} violation(s)",
-            violations,
-        )
-    return tree
-
-
-def subtree_at(tree: LevelTree, s: str) -> LevelTree:
-    """All nodes of `tree` compatible with `s`: the branches through `s`."""
-    if s not in tree:
-        raise NotFoundError(f"node {format_node(s)!r} not in tree")
-    return LevelTree(
-        tree.depth,
-        tuple(frozenset(x for x in level if compatible(x, s)) for level in tree.levels),
-    )
-
-
-def branches(tree: LevelTree) -> frozenset[str]:
-    """Top-level nodes of a valid tree; by prunedness they determine it."""
-    require_valid(tree)
-    return tree.levels[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hlbench.colorings import (
     ZDENSITY_N_MAX,
     Coloring,
     MatchingCheck,
+    PairingSystem,
     SliceCheck,
     band_range,
     check_levels_bichromatic,
@@ -32,7 +33,17 @@ from hlbench.colorings import (
 from hlbench import colorings
 from hlbench.colorings import SplittingAssignment
 from hlbench.errors import ConstructionError, ParseError, RangeError, ShapeError
-from hlbench.treecore import D_MAX, LevelTree, level_nodes, make_full, subtree_at, validate
+from hlbench.treecore import (
+    D_MAX,
+    LevelTree,
+    compatible,
+    extensions,
+    level_nodes,
+    make_full,
+    node_rank,
+    rank_node,
+    validate,
+)
 
 
 def all_nodes(depth):
@@ -86,6 +97,157 @@ class TestBackends:
         assert computed.count_extensions("", 5, 0, cap=2) == 2
         sparse = constant_coloring(6, 0)
         assert sparse.count_extensions("", 5, 0, cap=2) == 32
+
+    @given(
+        st.integers(1, 8).flatmap(lambda d: st.tuples(st.just(d), st.sampled_from(all_nodes(d)))),
+        st.integers(0, 2**64 - 1),
+        st.booleans(),
+        st.sampled_from([None, 1, 2, 3]),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_count_extensions_matches_a_per_string_count(self, shape, seed, sparse, cap, data):
+        depth, s = shape
+        level = data.draw(st.integers(len(s), depth - 1))
+        color = data.draw(st.integers(0, 1))
+        c = random_coloring(depth, seed)
+        if sparse:
+            c = Coloring.sparse(depth, {x: c.value(x) for x in all_nodes(depth) if c.value(x) != seed & 1}, seed & 1)
+        want = sum(c.value(x) == color for x in extensions(s, level))
+        if cap is not None and not sparse:
+            want = min(want, cap)
+        assert c.count_extensions(s, level, color, cap) == want
+
+
+    @given(st.integers(1, 8).flatmap(lambda d: st.tuples(st.just(d), st.sampled_from(all_nodes(d)))),
+           st.integers(0, 2**64 - 1), st.booleans())
+    @settings(max_examples=40)
+    def test_color_trace_matches_per_prefix_reads(self, shape, seed, sparse):
+        depth, x = shape
+        c = random_coloring(depth, seed)
+        if sparse:
+            c = Coloring.sparse(depth, {s: c.value(s) for s in all_nodes(depth)})
+        colors = [c.value(x[:n]) for n in range(len(x) + 1)]
+        assert color_trace(c, x) == tuple(tuple(n for n, v in enumerate(colors) if v == bit) for bit in (0, 1))
+
+
+NON_NODES = ["2", "0a", " 1", "1 ", "01\n", "-", "０1", 5, None, b"01"]
+BACKENDS = {
+    "last-bit": lambda: last_bit_coloring(5),
+    "random": lambda: random_coloring(5, 1),
+    "sparse": lambda: Coloring.sparse(5, {"01": 1}),
+    "sparse-default-1": lambda: constant_coloring(5, 1),
+}
+
+
+class TestNodeChecks:
+    """Every string entry point refuses a non-node with check_node's ValueError, on both backends."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("s", NON_NODES)
+    def test_value(self, backend, s):
+        with pytest.raises(ValueError, match="^not a binary string: "):
+            BACKENDS[backend]().value(s)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("s", ["2", "0a", " 1"])
+    def test_count_extensions_i_set_and_color_trace(self, backend, s):
+        c = BACKENDS[backend]()
+        for call in (lambda: c.count_extensions(s, 3, 0), lambda: i_set(c, s), lambda: color_trace(c, s)):
+            with pytest.raises(ValueError, match="^not a binary string: "):
+                call()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_nodes_past_the_depth_stay_range_errors(self, backend):
+        c = BACKENDS[backend]()
+        for call in (lambda: c.value("00000"), lambda: i_set(c, "00000"), lambda: color_trace(c, "00000")):
+            with pytest.raises(RangeError, match=r"^node of length 5 outside 2\^<5$"):
+                call()
+
+
+def _last_bit(s):
+    return int(s[-1]) if s else 0
+
+
+def _levels_reference(assignment):
+    """The levels coloring by node string: on a level k of S_i, the bit a node extending t_i chose just above it."""
+    owner = {k: t for t, ks in zip(assignment.domain, assignment.sets) for k in ks}
+
+    def color(s):
+        t = owner.get(len(s))
+        return int(s[len(t)]) if t is not None and s.startswith(t) else 0
+
+    return color
+
+
+def _pairing_reference(system):
+    """The pairing coloring by node string: on a level of A_i, the side the node's prefix takes in x_i."""
+    owner = {k: i for i, ks in enumerate(system.level_sets) for k in ks}
+    sides = [{u: bit for pair in matching for bit, u in enumerate(pair)} for matching in system.matchings]
+
+    def color(s):
+        i = owner.get(len(s))
+        return 0 if i is None else sides[i][s[: system.matching_levels[i]]]
+
+    return color
+
+
+class TestRankReads:
+    """value(s) is the rank read at node_rank(s), for every constructor and every node up to depth 8."""
+
+    @staticmethod
+    def agree(c, reference=None):
+        for r, s in enumerate(all_nodes(c.depth)):
+            assert node_rank(s) == r
+            assert c.value(s) == c.at(r)
+            if reference is not None:
+                assert c.at(r) == reference(s), s
+
+    @given(st.integers(1, 8), st.integers(0, 2**64 - 1))
+    @settings(max_examples=20)
+    def test_random(self, depth, seed):
+        self.agree(random_coloring(depth, seed), lambda s: splitmix64_output(seed, node_rank(s)) & 1)
+
+    @given(st.integers(1, 8), st.integers(0, 1))
+    @settings(max_examples=10)
+    def test_constant(self, depth, bit):
+        self.agree(constant_coloring(depth, bit), lambda s: bit)
+
+    @given(st.integers(1, 8))
+    @settings(max_examples=8)
+    def test_last_bit(self, depth):
+        self.agree(last_bit_coloring(depth), _last_bit)
+
+    @given(st.integers(1, 8).flatmap(lambda d: st.tuples(st.just(d), st.dictionaries(
+        st.sampled_from(all_nodes(d)), st.integers(0, 1)))))
+    @settings(max_examples=30)
+    def test_sparse_from_text(self, shape):
+        depth, colors = shape
+        body = [f"{s or '-'} {v}" for s, v in colors.items()]
+        c = coloring_from_text("\n".join([f"coloring v1 depth={depth}", *body]) + "\n")
+        self.agree(c, lambda s: colors.get(s, 0))
+
+    @given(st.integers(1, 8).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d - 1))))
+    @settings(max_examples=30)
+    def test_levels(self, shape):
+        depth, max_len = shape
+        assignment = residue_splitting(max_len, depth)
+        self.agree(levels_coloring(assignment, depth), _levels_reference(assignment))
+
+    @given(st.integers(2, 8).flatmap(lambda d: st.tuples(
+        st.just(d), st.sets(st.integers(1, min(d - 1, 3)), min_size=1), st.integers(1, 4))))
+    @settings(max_examples=30, deadline=None)
+    def test_pairing(self, shape):
+        depth, base_levels, cap = shape
+        c, system = pairing_coloring(base_levels, cap, depth)
+        self.agree(c, _pairing_reference(system))
+
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_zdensity(self, n_max):
+        inst = zdensity_coloring(n_max)
+        overrides = {s[:lvl]: bits[j] for n, table in inst.band_tables.items()
+                     for lvl, bits in table.items() for j, s in enumerate(inst.band_branches[n])}
+        self.agree(inst.coloring, lambda s: overrides.get(s, 0))
 
 
 class TestSplitMix:
@@ -151,7 +313,7 @@ class TestLevelOperations:
         # thinning the tree can only add constant levels
         c = random_coloring(5, seed)
         p = make_full(5)
-        q = subtree_at(p, "01")
+        q = LevelTree(5, tuple(frozenset(x for x in level if compatible(x, "01")) for level in p.levels))
         assert set(h_set(c, p)) <= set(h_set(c, q))
 
     def test_i_set_constant_one(self):
@@ -319,6 +481,58 @@ class TestPairing:
         assert got == want
         assert sum(len(ch.violations) for ch in got) == (0 if own_coloring else 6416)
 
+    @staticmethod
+    def reference_check(c, system):
+        """The per-node form: every branch pair through a matched pair, each prefix read through `value`."""
+        top = system.depth - 1
+        out = []
+        for i, matching in enumerate(system.matchings):
+            levels = sorted(system.level_sets[i])
+            trees, bad = 0, []
+            for u, v in matching:
+                for x in extensions(u, top):
+                    for y in extensions(v, top):
+                        trees += 1
+                        k = next((k for k in levels if c.value(x[:k]) == c.value(y[:k])), None)
+                        if k is not None:
+                            bad.append((min(x, y), max(x, y), k))
+            out.append(MatchingCheck(i, system.matching_levels[i], trees, tuple(bad)))
+        return out
+
+    @given(
+        st.integers(2, 7).flatmap(lambda d: st.tuples(
+            st.just(d), st.sets(st.integers(1, min(d - 1, 3)), min_size=1), st.integers(1, 3))),
+        st.sets(st.integers(0, 1 << 7), max_size=20),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_check_matches_per_node_reads(self, shape, flips, sparse):
+        depth, base_levels, cap = shape
+        base, system = pairing_coloring(base_levels, cap, depth)
+        size = (1 << depth) - 1
+        flipped = {r % size for r in flips}  # ranks
+        # The construction's coloring with the drawn nodes flipped, on either backend.
+        if sparse:
+            c = Coloring.sparse(depth, {s: base.at(r) ^ (r in flipped) for r, s in enumerate(all_nodes(depth))})
+        else:
+            c = Coloring.computed(depth, lambda r: base.at(r) ^ (r in flipped))
+        assert check_pairing_disjointness(c, system) == self.reference_check(c, system)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_benchmark_shape_matches_per_node_reads(self, flip):
+        # The benchmark's `pairing --base-levels 1,2 --cap 3 --depth 8`, and the same with every other top flipped.
+        base, system = pairing_coloring([1, 2], 3, 8)
+        c = Coloring.computed(8, lambda r: base.at(r) ^ (flip and r >= 127 and r & 1))
+        checks = check_pairing_disjointness(c, system)
+        assert checks == self.reference_check(c, system)
+        assert all(ch.passed for ch in checks) != flip
+
+    def test_level_outside_the_depth_refused(self):
+        c, system = pairing_coloring([1], 1, 4)
+        bad = PairingSystem(system.base_levels, 4, system.matchings, system.matching_levels, (frozenset({4}),))
+        with pytest.raises(RangeError, match=r"^level set 0 outside \[0, 4\)$"):
+            check_pairing_disjointness(c, bad)
+
     def test_base_level_out_of_range(self):
         with pytest.raises(RangeError):
             pairing_coloring([3], 3, 3)
@@ -410,9 +624,15 @@ class TestLevelsColoring:
 
     @staticmethod
     def reference_check(c, assignment):
-        """The per-node form: each side of each slice counted by `count_extensions`."""
+        """The per-node form: each side of each slice read node by node through `value`."""
+
+        def bad(s, k, color):
+            if not len(s) <= k < c.depth:
+                raise RangeError(f"level {k} outside [{len(s)}, {c.depth})")
+            return sum(c.value(x) != color for x in extensions(s, k))
+
         return [
-            SliceCheck(t, k, c.count_extensions(t + "0", k, 1), c.count_extensions(t + "1", k, 0))
+            SliceCheck(t, k, bad(t + "0", k, 0), bad(t + "1", k, 1))
             for t, ks in zip(assignment.domain, assignment.sets)
             for k in sorted(ks)
         ]
@@ -427,24 +647,32 @@ class TestLevelsColoring:
         depth, max_len = shape
         assignment = residue_splitting(max_len, depth)
         nodes = all_nodes(depth)
-        flipped = {nodes[r % len(nodes)] for r in flips}
+        flipped = {r % len(nodes) for r in flips}  # ranks
         base = levels_coloring(assignment, depth)
         # The coloring with the drawn nodes flipped, on either backend, so bad counts are compared too.
         if sparse:
-            listed = [s for s in nodes if s in flipped or s[:1] == "1"]
-            c = Coloring.sparse(depth, {s: base.value(s) ^ (s in flipped) for s in listed})
+            listed = [r for r, s in enumerate(nodes) if r in flipped or s[:1] == "1"]
+            c = Coloring.sparse(depth, {nodes[r]: base.at(r) ^ (r in flipped) for r in listed})
         else:
-            c = Coloring.computed(depth, lambda s: base.value(s) ^ (s in flipped))
+            c = Coloring.computed(depth, lambda r: base.at(r) ^ (r in flipped))
         checks = check_levels_bichromatic(c, assignment)
         assert checks == self.reference_check(c, assignment)
+
+    def test_benchmark_shape_matches_per_node_reads(self):
+        # The benchmark's `levels --max-len 8 --depth 20`: 67 600 slice reads.
+        assignment = residue_splitting(8, 20)
+        c = levels_coloring(assignment, 20)
+        checks = check_levels_bichromatic(c, assignment)
+        assert checks == self.reference_check(c, assignment)
+        assert len(checks) == 18 and all(ch.passed for ch in checks)
 
     def test_mutated_coloring_counts_bad_nodes(self):
         assignment = residue_splitting(3, 10)
         base = levels_coloring(assignment, 10)
         # Flip the lex-first and lex-last node of every slice: one bad node on each side.
-        flipped = {ch.node + bit * (ch.level - len(ch.node)) for ch in self.reference_check(base, assignment)
-                   for bit in "01"}
-        c = Coloring.computed(10, lambda s: base.value(s) ^ (s in flipped))
+        flipped = {node_rank(ch.node + bit * (ch.level - len(ch.node)))
+                   for ch in self.reference_check(base, assignment) for bit in "01"}
+        c = Coloring.computed(10, lambda r: base.at(r) ^ (r in flipped))
         checks = check_levels_bichromatic(c, assignment)
         assert checks == self.reference_check(c, assignment)
         assert checks and all((ch.zero_side_bad, ch.one_side_bad) == (1, 1) for ch in checks)

@@ -32,6 +32,9 @@ from hlbench.treecore import (
     lenlex_key,
     level_nodes,
     node_index,
+    node_rank,
+    rank_node,
+    rank_span,
     validate,
     validate_embedding,
 )
@@ -85,7 +88,7 @@ class TestEnumeration:
         # arms are at 2i + 1 and 2i + 2, and the last 2^h images are the tops.
         depth, height = shape
         size = (2 << height) - 1
-        assert arguments(height) == [search._node(i) for i in range(size)]
+        assert arguments(height) == [rank_node(i) for i in range(size)]
         for e in enumerate_embeddings(depth, height):
             assert type(e) is tuple and len(e) == size
             for i in range(size >> 1):
@@ -410,42 +413,40 @@ class TestCertificateJson:
                 certificate_from_json(bad)
 
 
-def _rank(s: str) -> int:
-    # The length-lex rank random_coloring draws a node's color with.
-    return (1 << len(s)) - 1 + node_index(s)
-
-
 class TestRanks:
-    """The solver names nodes by length-lex rank; these pin its rank helpers."""
+    """The solver and the colorings name nodes by length-lex rank; these pin the treecore rank helpers."""
 
     NODES = [s for n in range(9) for s in level_nodes(n)]
 
     def test_rank_order_is_lenlex_order(self):
-        assert [search._node(r) for r in range(len(self.NODES))] == sorted(self.NODES, key=lenlex_key)
-        assert sorted(self.NODES, key=_rank) == sorted(self.NODES, key=lenlex_key)
+        assert [rank_node(r) for r in range(len(self.NODES))] == sorted(self.NODES, key=lenlex_key)
+        assert sorted(self.NODES, key=node_rank) == sorted(self.NODES, key=lenlex_key)
 
     @given(st.text(alphabet="01", max_size=63))
     @example("0" * 63)
     @example("1" * 63)
     def test_node_and_rank_round_trip(self, s):
-        r = _rank(s)
-        assert search._node(r) == s
+        r = node_rank(s)
+        assert r == (1 << len(s)) - 1 + node_index(s)
+        assert rank_node(r) == s
         assert (r + 1).bit_length() - 1 == len(s)
-        assert search._node(2 * r + 1) == s + "0" and search._node(2 * r + 2) == s + "1"
+        assert rank_node(2 * r + 1) == s + "0" and rank_node(2 * r + 2) == s + "1"
         if s:
-            assert search._node((r - 1) >> 1) == s[:-1]
+            assert rank_node((r - 1) >> 1) == s[:-1]
+        for n in range(len(s) + 1):
+            assert rank_node(((r + 1) >> (len(s) - n)) - 1) == s[:n]
 
     def test_span_is_extensions(self):
         for s in [s for s in self.NODES if len(s) <= 7]:
             for length in range(len(s), 8):
-                got = [search._node(r) for r in search._span(_rank(s), length - len(s))]
+                got = [rank_node(r) for r in rank_span(node_rank(s), length - len(s))]
                 assert got == list(extensions(s, length))
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1])
     def test_random_coloring_colors_by_rank(self, seed):
         c = random_coloring(9, seed)
         for r in range((1 << 9) - 1):
-            assert c.value(search._node(r)) == splitmix64_output(seed, r) & 1
+            assert c.value(rank_node(r)) == c.at(r) == splitmix64_output(seed, r) & 1
 
 
 class TestZDensityChecks:

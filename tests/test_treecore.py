@@ -3,13 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlbench.colorings import zdensity_coloring
-from hlbench.errors import (
-    EmbeddingInvalidError,
-    NotFoundError,
-    ParseError,
-    RangeError,
-    TreeInvalidError,
-)
+from hlbench.errors import EmbeddingInvalidError, ParseError, RangeError
 from hlbench.game import play
 from hlbench.ideals import GridSet, NatSet
 from hlbench.katetov import Ground
@@ -17,7 +11,6 @@ from hlbench.search import SearchBudget
 from hlbench.treecore import (
     D_MAX,
     LevelTree,
-    branches,
     check_depth,
     check_node,
     compatible,
@@ -29,11 +22,9 @@ from hlbench.treecore import (
     lenlex_key,
     level_nodes,
     make_full,
-    meet,
     node_index,
     parse_node,
     read_columns,
-    subtree_at,
     tree_from_text,
     tree_to_text,
     validate,
@@ -51,13 +42,6 @@ class TestNodeHelpers:
     def test_check_node_rejects(self):
         with pytest.raises(ValueError):
             check_node("2")
-
-    @given(nodes_st, nodes_st)
-    def test_meet_is_longest_common_prefix(self, s, t):
-        m = meet(s, t)
-        assert s.startswith(m) and t.startswith(m)
-        if len(m) < min(len(s), len(t)):
-            assert s[len(m)] != t[len(m)]
 
     @given(nodes_st, nodes_st)
     def test_compatible_iff_prefix(self, s, t):
@@ -96,7 +80,7 @@ class TestNodeHelpers:
 class TestLevelTree:
     def test_make_full(self):
         tree = make_full(4)
-        assert tree.node_count() == 15
+        assert sum(map(len, tree.levels)) == 15
         assert validate(tree) == ()
         assert list(tree.all_nodes())[:4] == ["", "0", "1", "00"]
 
@@ -111,7 +95,7 @@ class TestLevelTree:
         branch_nodes = frozenset(format(t, "04b") for t in tops)
         tree = LevelTree.from_branch_set(5, branch_nodes)
         assert validate(tree) == ()
-        assert branches(tree) == branch_nodes
+        assert tree.levels[-1] == branch_nodes
 
     def test_validate_rules(self):
         # pruned: "0" has no extension on the top level
@@ -129,21 +113,6 @@ class TestLevelTree:
         # shape: levels tuple does not match depth
         tree = LevelTree(3, (frozenset({""}),))
         assert {v.rule for v in validate(tree)} == {"shape"}
-
-    def test_branches_requires_valid(self):
-        broken = LevelTree(2, (frozenset({""}), frozenset()))
-        with pytest.raises(TreeInvalidError):
-            branches(broken)
-
-    def test_subtree_at(self):
-        tree = make_full(4)
-        cone = subtree_at(tree, "10")
-        assert cone.depth == 4
-        assert sorted(cone.levels[2]) == ["10"]
-        assert sorted(cone.levels[3]) == ["100", "101"]
-        assert sorted(cone.levels[0]) == [""]
-        with pytest.raises(NotFoundError):
-            subtree_at(tree, "0000")
 
     def test_contains_and_level(self):
         tree = make_full(3)
