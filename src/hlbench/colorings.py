@@ -203,7 +203,7 @@ def h_set(c: Coloring, p: LevelTree) -> tuple[int, ...]:
 
 def i_set(c: Coloring, s: str) -> tuple[int, ...]:
     """Levels n >= |s|+2 at which s has at most one 0-colored extension, ascending."""
-    c._rank(s)
+    c._rank(s)  # refuses a non-node or a node past the depth
     return tuple(n for n in range(len(s) + 2, c.depth) if c.count_extensions(s, n, 0, cap=2) <= 1)
 
 
@@ -432,10 +432,6 @@ def check_pairing_disjointness(c: Coloring, system: PairingSystem) -> list[Match
         raise ShapeError(f"coloring depth {c.depth} != system depth {system.depth}")
     top = system.depth - 1
     at = c.at
-
-    def colors(x: int) -> list[int]:
-        return [at(((x + 1) >> shift) - 1) for shift in shifts]
-
     out: list[MatchingCheck] = []
     for i, matching in enumerate(system.matchings):
         levels = sorted(system.level_sets[i])
@@ -445,9 +441,9 @@ def check_pairing_disjointness(c: Coloring, system: PairingSystem) -> list[Match
         trees = 0
         bad: list[tuple[str, str, int]] = []
         for u, v in matching:
-            ys = [(y, colors(y)) for y in rank_span(node_rank(v), top - len(v))]
+            ys = [(y, [at(((y + 1) >> s) - 1) for s in shifts]) for y in rank_span(node_rank(v), top - len(v))]
             for x in rank_span(node_rank(u), top - len(u)):
-                x_colors = colors(x)
+                x_colors = [at(((x + 1) >> s) - 1) for s in shifts]
                 for y, y_colors in ys:
                     for k, a, b in zip(levels, x_colors, y_colors):
                         if a == b:
