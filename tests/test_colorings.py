@@ -118,7 +118,6 @@ class TestBackends:
             want = min(want, cap)
         assert c.count_extensions(s, level, color, cap) == want
 
-
     @given(st.integers(1, 8).flatmap(lambda d: st.tuples(st.just(d), st.sampled_from(all_nodes(d)))),
            st.integers(0, 2**64 - 1), st.booleans())
     @settings(max_examples=40)
