@@ -288,7 +288,7 @@ def cmd_profile(args) -> int:
         max_antichain_weight,
         minimal_elements,
         natset_from_text,
-        natural_density_pairs,
+        natural_density_texts,
         nodeset_from_text,
         phi,
         phi_bar_profile,
@@ -318,7 +318,7 @@ def cmd_profile(args) -> int:
             "bound": nat.bound,
             "size": len(nat.members),
             "density_dyadic": [frac_text(d) for d in density_profile(nat, "dyadic")],
-            "density_natural": [f"{p}/{q}" for p, q in natural_density_pairs(nat)],
+            "density_natural": natural_density_texts(nat),
             "summable_weight": frac_text(summable_weight(nat)),
         }
         if args.ell is not None:

@@ -87,6 +87,18 @@ class NatSet:
     def sorted_members(self) -> list[int]:
         return sorted(self.members)
 
+    @cached_property
+    def prefix_counts(self) -> tuple[int, ...]:
+        """counts[n] = the number of members below n, for n in [0, bound].
+
+        Computed once per set and shared by `natural_density_texts` and
+        `interval_count`; not a field, so equality and hashing ignore it.
+        """
+        marks = [0] * self.bound
+        for m in self.members:
+            marks[m] = 1
+        return (0, *itertools.accumulate(marks))
+
 
 @dataclass(frozen=True)
 class GridSet:
@@ -170,27 +182,20 @@ class NodeSet:
 # ---------------------------------------------------------------------------
 
 
-def _prefix_counts(a: NatSet) -> list[int]:
-    """counts[n] = the number of members below n, for n in [0, bound]."""
-    marks = [0] * a.bound
-    for m in a.members:
-        marks[m] = 1
-    return [0, *itertools.accumulate(marks)]
+def natural_density_texts(a: NatSet) -> list[str]:
+    """The natural density profile as reduced "p/q" strings.
 
-
-def natural_density_pairs(a: NatSet) -> list[tuple[int, int]]:
-    """The natural density profile as reduced integer pairs (p, q).
-
-    One pair per n in [1, bound]: h / n reduced, where h counts the members
-    below n, by Euclid's algorithm on the integers themselves.
+    One string per n in [1, bound]: h / n reduced, where h counts the members
+    below n, by Euclid's algorithm on the integers themselves.  Each string
+    is written as soon as its gcd is known, so no pair is kept.
     """
-    pairs = []
-    for n, h in enumerate(_prefix_counts(a)[1:], start=1):
+    texts = []
+    for n, h in enumerate(a.prefix_counts[1:], start=1):
         g, r = n, h
         while r:
             g, r = r, g % r
-        pairs.append((h // g, n // g))
-    return pairs
+        texts.append(f"{h // g}/{n // g}")
+    return texts
 
 
 def density_profile(a: NatSet, mode: str) -> tuple[Fraction, ...]:
@@ -198,7 +203,7 @@ def density_profile(a: NatSet, mode: str) -> tuple[Fraction, ...]:
 
     "dyadic": windows [2^n, 2^(n+1)) for every n with 2^(n+1) <= bound,
     each divided by its width 2^n.  "natural": initial segments [0, n) for
-    n in [1, bound], divided by n (`natural_density_pairs` as Fractions).
+    n in [1, bound], divided by n (`natural_density_texts` as Fractions).
     """
     if mode not in DENSITY_MODES:
         raise ValueError(f"mode {mode!r} not in {DENSITY_MODES}")
@@ -206,7 +211,7 @@ def density_profile(a: NatSet, mode: str) -> tuple[Fraction, ...]:
         raise RangeError(f"bound {a.bound} must be >= 2 for a density profile")
     if mode == "dyadic":
         return tuple(Fraction(count, 1 << n) for n, count in enumerate(dyadic_counts(a)))
-    return tuple(Fraction(p, q) for p, q in natural_density_pairs(a))
+    return tuple(map(Fraction, natural_density_texts(a)))
 
 
 def dyadic_counts(a: NatSet) -> list[int]:
@@ -218,18 +223,31 @@ def dyadic_counts(a: NatSet) -> list[int]:
     return hits[1 : a.bound.bit_length()]
 
 
+# Members summed into one unreduced partial sum before it is reduced.
+_UNREDUCED_RUN = 256
+
+
 def summable_weight(a: NatSet) -> Fraction:
     """Sum of 1/(n+1) over the members, exactly."""
     # Unreduced (numerator, denominator) pairs added pairwise keep the
-    # operands balanced; one Fraction reduces the result at the end.
+    # operands balanced, until each partial sum covers _UNREDUCED_RUN
+    # members.  Reducing a sum costs about the square of its size, and an
+    # unreduced denominator is the product of the terms' m + 1 where a
+    # reduced one divides their lcm.  So a larger set reduces each partial
+    # sum as a Fraction and adds those, and never reduces one unreduced sum
+    # of all its members; a smaller one is one sum, reduced once.
     terms = [(1, m + 1) for m in a.members]
-    while len(terms) > 1:
+    run = 1
+    while len(terms) > 1 and run < _UNREDUCED_RUN:
         pairs = zip(terms[0::2], terms[1::2])
         merged = [(p * s + r * q, q * s) for (p, q), (r, s) in pairs]
         if len(terms) % 2:
             merged.append(terms[-1])
         terms = merged
-    return Fraction(*terms[0]) if terms else Fraction(0)
+        run *= 2
+    if len(terms) < 2:
+        return Fraction(*terms[0]) if terms else Fraction(0)
+    return sum(itertools.starmap(Fraction, terms), Fraction(0))
 
 
 # str() refuses an int of more than sys.get_int_max_str_digits() digits (4300
@@ -267,9 +285,9 @@ def interval_count(a: NatSet, ell: int, threshold: int, cmp: str = "ge") -> int:
     if cmp not in CMP_OPS:
         raise ValueError(f"cmp {cmp!r} not in {CMP_OPS}")
     # Window [m, m + ell) holds counts[m + ell] - counts[m] members, where
-    # counts[k] is the number of members below k: one prefix-sum pass, then
-    # one subtraction and one comparison per window.
-    counts = _prefix_counts(a)
+    # counts[k] is the number of members below k: the set's shared prefix
+    # table, then one subtraction and one comparison per window.
+    counts = a.prefix_counts
     hits = map(operator.sub, counts[ell:], counts)
     return sum(map(operator.ge if cmp == "ge" else operator.gt, hits, itertools.repeat(threshold)))
 

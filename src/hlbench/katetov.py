@@ -176,6 +176,11 @@ class Surrogate:
     Subclasses are dataclasses whose fields are the parameters; `keys` names
     them in the text format, in field order.  Every parameter is a count or
     a bound, so a negative one is refused.
+
+    `accepts(elements, presentation, checked=True)` says that the caller has
+    already checked every element against the presentation's ground, as
+    `check_morphism` has; a surrogate that reads the elements into a checked
+    carrier then does not check them again.
     """
 
     name = "surrogate"
@@ -190,12 +195,22 @@ class Surrogate:
     def parameters(self) -> dict[str, str]:
         return {key: _number_text(getattr(self, f.name)) for key, f in zip(self.keys, fields(self))}
 
-    def accepts(self, elements: frozenset, presentation: FiniteIdealPresentation) -> SurrogateVerdict:
+    def accepts(
+        self, elements: frozenset, presentation: FiniteIdealPresentation, *, checked: bool = False
+    ) -> SurrogateVerdict:
         raise NotImplementedError
 
     def stamp(self) -> str:
         params = " ".join(f"{k}={v}" for k, v in sorted(self.parameters().items()))
         return f"{self.name} {params}" if params else self.name
+
+
+def _interval_natset(name: str, elements, presentation: FiniteIdealPresentation, checked: bool) -> NatSet:
+    """The elements as a NatSet of the interval ground, checked unless the caller has checked them."""
+    if presentation.ground.kind != "interval":
+        raise ShapeError(f"{name} surrogate needs an interval ground")
+    bound = presentation.ground.size
+    return _prechecked(NatSet, members=elements, bound=bound) if checked else NatSet.of(elements, bound)
 
 
 @dataclass(frozen=True)
@@ -207,11 +222,9 @@ class DensityWindowSurrogate(Surrogate):
     eps: Fraction = Fraction(1, 8)
     floor: int = 0
 
-    def accepts(self, elements, presentation):
-        if presentation.ground.kind != "interval":
-            raise ShapeError("dyadic-density surrogate needs an interval ground")
-        bound = presentation.ground.size
-        counts = dyadic_counts(NatSet.of(elements, bound))[self.floor :] if bound >= 2 else []
+    def accepts(self, elements, presentation, *, checked=False):
+        a = _interval_natset(self.name, elements, presentation, checked)
+        counts = dyadic_counts(a)[self.floor :] if a.bound >= 2 else []
         # Window n's density is counts[n - floor] / 2^n; over the common
         # denominator 2^(floor + len(counts)) the densities compare as ints.
         scaled = [count << (len(counts) - i) for i, count in enumerate(counts)]
@@ -232,7 +245,7 @@ class ColumnBoundSurrogate(Surrogate):
     per_column: int = 1
     exceptional: int = 0
 
-    def accepts(self, elements, presentation):
+    def accepts(self, elements, presentation, *, checked=False):
         if presentation.ground.kind != "grid":
             raise ShapeError("column-bound surrogate needs a grid ground")
         counts: dict[int, int] = {}
@@ -253,7 +266,7 @@ class GeneratorUnionSurrogate(Surrogate):
     keys = ("max",)
     max_generators: int = 1
 
-    def accepts(self, elements, presentation):
+    def accepts(self, elements, presentation, *, checked=False):
         gens = [g.elements for g in presentation.generators]
         sort_key = presentation.ground.sort_key
 
@@ -284,10 +297,8 @@ class SummableBoundSurrogate(Surrogate):
     keys = ("weight",)
     max_weight: Fraction = Fraction(1)
 
-    def accepts(self, elements, presentation):
-        if presentation.ground.kind != "interval":
-            raise ShapeError("summable-bound surrogate needs an interval ground")
-        weight = summable_weight(NatSet.of(elements, presentation.ground.size))
+    def accepts(self, elements, presentation, *, checked=False):
+        weight = summable_weight(_interval_natset(self.name, elements, presentation, checked))
         return SurrogateVerdict(weight <= self.max_weight, f"weight {_number_text(weight)}")
 
 
@@ -378,7 +389,7 @@ def check_morphism(
     checks: list[GeneratorCheck] = []
     for gen in source.generators:
         preimage = frozenset(chain.from_iterable(map(fibers.get, gen.elements, repeat(()))))
-        verdict = target.surrogate.accepts(preimage, target)
+        verdict = target.surrogate.accepts(preimage, target, checked=True)
         checks.append(GeneratorCheck(gen.name, verdict.ok, verdict.measure))
     return MorphismReport(
         passed=all(ch.ok for ch in checks),

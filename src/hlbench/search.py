@@ -22,7 +22,6 @@ from .errors import BudgetError, ParseError, RangeError, ShapeError, shown
 from .treecore import (
     D_MAX,
     LevelTree,
-    compatible,
     embed_closure,
     extensions,
     format_node,
@@ -582,11 +581,17 @@ def zdensity_band_check(inst: ZDensityInstance, selection: Mapping[int, object])
             if not 0 <= j < n:
                 raise RangeError(f"branch index {shown(j)} outside [0, {n}) for band {n}")
         picked = [inst.band_branches[n][j] for j in chosen]
+        # q holds the host nodes compatible with a picked branch.  Every
+        # branch of band n has the same length `top`, so a shorter node is
+        # compatible when it is a branch's prefix (the host is prefix-closed,
+        # so each prefix is a host node), and a longer one when it extends one.
+        top = len(picked[0])
+        tops = frozenset(picked)
         q = LevelTree(
             inst.depth,
-            tuple(
-                frozenset(x for x in level if any(compatible(x, s) for s in picked))
-                for level in inst.host.levels
+            (
+                *(frozenset(s[:m] for s in picked) for m in range(top)),
+                *(frozenset(x for x in level if x[:top] in tops) for level in inst.host.levels[top:]),
             ),
         )
         band = band_range(n)

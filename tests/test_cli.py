@@ -610,11 +610,14 @@ class TestSubcommands:
 
 
 def _write_profile_inputs(rng: random.Random) -> None:
-    """A seeded natset (bound 4096), gridset (bound 64) and nodeset (depth 12) in the cwd."""
+    """Seeded natsets (bounds 4096 and 16384), a gridset (bound 64) and a nodeset (depth 12) in the cwd."""
     members = [m for m in range(4096) if rng.random() < 0.25]
     cells = [(c, r) for c in range(64) for r in range(64) if rng.random() < 0.3]
     nodes = [format(i, f"0{n}b") if n else "-" for n in range(12) for i in range(1 << n) if rng.random() < 0.05]
+    # The benchmark's natset size and density, drawn last so the other files keep their bytes.
+    wide = [m for m in range(16384) if rng.random() < 0.25]
     Path("a.natset").write_text("\n".join(["natset v1 bound=4096", *map(str, members)]) + "\n")
+    Path("b.natset").write_text("\n".join(["natset v1 bound=16384", *map(str, wide)]) + "\n")
     Path("e.gridset").write_text("\n".join(["gridset v1 bound=64", *(f"{c} {r}" for c, r in cells)]) + "\n")
     Path("s.nodeset").write_text("\n".join(["nodeset v1 depth=12", *nodes]) + "\n")
 
@@ -627,6 +630,7 @@ class TestProfileBytes:
     # the package version, so a version bump changes them.
     DIGESTS = {
         "a.natset": "b4804c8e73f04b7fb44af98a8e11b5d1bb0adf4d4ef939ccd094b0b4ad4545a9",
+        "b.natset": "1092e2582fe0ad0b5a6fcc739a425024fb446bb610664429d28bfa6b27bda8be",
         "e.gridset": "57fcad362e69b319e44f6ae6a74772d9911f4a519b2c1de1fe0e32c0e6ab698c",
         "s.nodeset": "1b103bc053d4b0ea79da42161844fa1683cb6877de2cd1206181cf7d6fe59a46",
     }
@@ -635,6 +639,7 @@ class TestProfileBytes:
         "argv",
         [
             ["profile", "--input", "a.natset", "--ell", "16", "--threshold", "5"],
+            ["profile", "--input", "b.natset", "--ell", "64", "--threshold", "16"],
             ["profile", "--input", "e.gridset"],
             ["profile", "--input", "s.nodeset"],
         ],

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from hlbench.errors import ParseError, RangeError
 from hlbench.ideals import (
+    _UNREDUCED_RUN,
     GridSet,
     NatSet,
     NodeSet,
@@ -18,7 +20,7 @@ from hlbench.ideals import (
     minimal_elements,
     natset_from_text,
     natset_to_text,
-    natural_density_pairs,
+    natural_density_texts,
     nodeset_from_text,
     nodeset_to_text,
     phi,
@@ -114,6 +116,18 @@ class TestCarriers:
         assert repr(direct) == repr(fresh)
         assert {read: "x"}[direct] == "x"
         assert direct != NodeSet.of(["0", "00", "011", "1"], 5)
+
+    def test_natset_prefix_counts_leave_equality_and_hash(self):
+        direct = NatSet.of([1, 4, 5], 6)
+        read = natset_from_text("natset v1 bound=6\n5\n1\n4\n")
+        before = hash(direct)
+        assert direct.prefix_counts == (0, 0, 1, 1, 1, 2, 3)
+        assert direct.prefix_counts is direct.prefix_counts
+        assert natural_density_texts(direct) == ["0/1", "1/2", "1/3", "1/4", "2/5", "1/2"]
+        assert interval_count(direct, 2, 2) == 1
+        assert direct == read and hash(direct) == hash(read) == before
+        assert repr(direct) == repr(read)
+        assert direct != NatSet.of([1, 4, 5], 7)
 
     def test_sorted_accessors(self):
         assert NatSet.of([3, 1], 8).sorted_members() == [1, 3]
@@ -427,10 +441,19 @@ class TestOnePassEquivalence:
     def test_natural_profile_matches_fraction_sweep(self, a):
         # The report's strings and the Fraction API share one integer kernel.
         want = _ref_natural_strings(a)
-        assert [f"{p}/{q}" for p, q in natural_density_pairs(a)] == want
+        assert natural_density_texts(a) == want
         assert [f"{q.numerator}/{q.denominator}" for q in density_profile(a, "natural")] == want
 
     @given(wide_natsets)
     @settings(max_examples=100)
     def test_summable_weight_matches_sequential_sum(self, a):
+        assert summable_weight(a) == _ref_summable(a)
+
+    @pytest.mark.parametrize(
+        "size",
+        [0, 1, 2, _UNREDUCED_RUN - 1, _UNREDUCED_RUN, _UNREDUCED_RUN + 1, 2 * _UNREDUCED_RUN + 1, 4000],
+    )
+    def test_summable_weight_around_the_unreduced_run(self, size):
+        # Below, at and past one unreduced partial sum, and the profile benchmark's size.
+        a = NatSet.of(random.Random(size).sample(range(16384), size), 16384)
         assert summable_weight(a) == _ref_summable(a)

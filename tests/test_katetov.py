@@ -177,6 +177,26 @@ class TestSurrogates:
             with pytest.raises(RangeError, match=r"^member .* outside \[0, 8\)$"):
                 s.accepts(frozenset({2, bad}), p)
 
+    @given(st.sets(st.integers(min_value=0, max_value=99)))
+    @settings(max_examples=50)
+    def test_checked_elements_give_the_same_verdict(self, members):
+        for s in (DensityWindowSurrogate(Fraction(1, 4), floor=2), SummableBoundSurrogate(Fraction(1, 2))):
+            p = FiniteIdealPresentation("z", Ground("interval", 100), (), s)
+            assert s.accepts(frozenset(members), p, checked=True) == s.accepts(frozenset(members), p)
+
+    @pytest.mark.parametrize("surrogate", [DensityWindowSurrogate(Fraction(1, 4), floor=4), SummableBoundSurrogate()])
+    def test_check_morphism_does_not_check_preimages_again(self, surrogate, monkeypatch):
+        # _check_total has checked every table key, so no preimage is read into a checked NatSet.
+        w = builtin_witness("summable_to_z_identity")
+        target = FiniteIdealPresentation(w.target.name, w.target.ground, w.target.generators, surrogate)
+        want = check_morphism(w.morphism, w.source, target)
+
+        def refuse(*args):
+            raise AssertionError("a preimage was checked again")
+
+        monkeypatch.setattr(NatSet, "__post_init__", refuse)
+        assert check_morphism(w.morphism, w.source, target) == want
+
     def test_density_requires_interval(self):
         p = FiniteIdealPresentation("g", Ground("grid", 4), (), DensityWindowSurrogate())
         with pytest.raises(ShapeError):

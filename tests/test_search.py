@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 
 from hlbench import search
 from hlbench._rng import splitmix64_output
-from hlbench.colorings import constant_coloring, last_bit_coloring, random_coloring, zdensity_coloring
+from hlbench.colorings import (
+    band_range,
+    constant_coloring,
+    h_set,
+    last_bit_coloring,
+    random_coloring,
+    zdensity_coloring,
+)
 from hlbench.errors import BudgetError, EmbeddingInvalidError, ParseError, RangeError
 from hlbench.search import (
     BUDGET_CAP,
@@ -26,7 +34,9 @@ from hlbench.search import (
     zdensity_band_check,
 )
 from hlbench.treecore import (
+    LevelTree,
     arguments,
+    compatible,
     embed_closure,
     extensions,
     lenlex_key,
@@ -461,6 +471,24 @@ class TestZDensityChecks:
         checks = zdensity_band_check(inst, {1: (0,), 2: (0, 1)})
         assert [ch.band for ch in checks] == [1, 2]
         assert all(ch.passed for ch in checks)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+    def test_band_trees_are_the_compatible_host_nodes(self, n_max, monkeypatch):
+        # Reference: q holds every host node compatible with a picked branch.
+        inst = zdensity_coloring(n_max)
+        trees = []
+        monkeypatch.setattr(search, "h_set", lambda c, q: trees.append(q) or h_set(c, q))
+        for n in range(1, n_max + 1):
+            for k in range(1, n + 1):
+                for chosen in combinations(range(n), k):
+                    picked = [inst.band_branches[n][j] for j in chosen]
+                    q = LevelTree(inst.depth, tuple(
+                        frozenset(x for x in level if any(compatible(x, s) for s in picked))
+                        for level in inst.host.levels
+                    ))
+                    (check,) = zdensity_band_check(inst, {n: chosen})
+                    assert trees.pop() == q
+                    assert check.actual == sum(lvl in band_range(n) for lvl in h_set(inst.coloring, q))
 
     def test_bad_selection(self):
         inst = zdensity_coloring(2)
