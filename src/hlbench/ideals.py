@@ -50,6 +50,16 @@ def _plain_ints_below(values, bound: int) -> bool:
     return set(map(type, values)) <= {int} and (not values or (min(values) >= 0 and max(values) < bound))
 
 
+def _member_int(m, bound: int) -> bool:
+    """The carriers' member rule: an int in [0, bound); int subclasses pass, bools do not."""
+    return isinstance(m, int) and not isinstance(m, bool) and 0 <= m < bound
+
+
+def _member_cell(cell, bound: int) -> bool:
+    """The gridset cell rule: a pair of `_member_int` values."""
+    return isinstance(cell, tuple) and len(cell) == 2 and _member_int(cell[0], bound) and _member_int(cell[1], bound)
+
+
 def _prechecked(cls, **fields):
     """A carrier built from fields its text reader has already checked, skipping `__post_init__`."""
     carrier = object.__new__(cls)
@@ -71,7 +81,7 @@ class NatSet:
         if _plain_ints_below(self.members, self.bound):
             return
         for m in self.members:
-            if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m < self.bound:
+            if not _member_int(m, self.bound):
                 raise RangeError(f"member {shown(m)!r} outside [0, {shown(self.bound)})")
 
     @classmethod
@@ -111,12 +121,7 @@ class GridSet:
         if self.bound < 1:
             raise RangeError(f"bound {shown(self.bound)} must be >= 1")
         for cell in self.cells:
-            if (
-                not isinstance(cell, tuple)
-                or len(cell) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in cell)
-                or not all(0 <= v < self.bound for v in cell)
-            ):
+            if not _member_cell(cell, self.bound):
                 raise RangeError(f"cell {shown(cell)!r} outside [0, {shown(self.bound)})^2")
 
     @classmethod

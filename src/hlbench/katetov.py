@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from typing import Iterator, Mapping
 
 from .errors import MorphismDomainError, NotFoundError, ParseError, RangeError, ShapeError, shown
-from .ideals import NatSet, _ints_below, _prechecked, decimal_text, dyadic_counts, frac_text, summable_weight
+from .ideals import GridSet, NatSet, _ints_below, _member_cell, _member_int, _plain_ints_below, _prechecked
+from .ideals import column_profile, decimal_text, dyadic_counts, frac_text, summable_weight
 from .treecore import (
     ELEMENT_CAP,
     format_node,
@@ -66,30 +67,39 @@ class Ground:
         if self.kind == "interval":
             yield from range(self.size)
         elif self.kind == "grid":
-            for col in range(self.size):
-                for row in range(self.size):
-                    yield (col, row)
+            yield from product(range(self.size), repeat=2)  # column by column
         else:
             for n in range(self.size):
                 yield from level_nodes(n)
 
     def __contains__(self, el) -> bool:
-        # Bools are ints to isinstance, but not members, as for NatSet and GridSet.
+        # The member rules of NatSet and GridSet: bools are ints to isinstance, but not members.
         if self.kind == "interval":
-            return isinstance(el, int) and not isinstance(el, bool) and 0 <= el < self.size
+            return _member_int(el, self.size)
         if self.kind == "grid":
-            if not isinstance(el, tuple) or len(el) != 2:
-                return False
-            col, row = el
-            return (
-                isinstance(col, int)
-                and isinstance(row, int)
-                and not isinstance(col, bool)
-                and not isinstance(row, bool)
-                and 0 <= col < self.size
-                and 0 <= row < self.size
-            )
+            return _member_cell(el, self.size)
         return is_node(el) and len(el) < self.size
+
+    def holds(self, values) -> bool:
+        """Whether every value is a member: one bulk test of exact ints (pairs on a grid), else one test each."""
+        flat = values if self.kind == "interval" else None
+        if self.kind == "grid" and set(map(type, values)) <= {tuple} and set(map(len, values)) <= {2}:
+            flat = list(chain.from_iterable(values))
+        return (flat is not None and _plain_ints_below(flat, self.size)) or all(map(self.__contains__, values))
+
+    def check(self, elements) -> frozenset:
+        """The elements as a frozenset, each checked against the ground; RangeError names one outside it."""
+        elements = frozenset(elements)
+        if not self.holds(elements):
+            bad = next(el for el in elements if el not in self)
+            size = shown(self.size)
+            span = {"interval": f"[0, {size})", "grid": f"[0, {size})^2", "nodes": f"{{0,1}}^<{size}"}[self.kind]
+            raise RangeError(f"member {shown(bad)!r} outside {span}")
+        return elements
+
+    @property
+    def member_count(self) -> int:
+        return {"interval": self.size, "grid": self.size * self.size, "nodes": (1 << self.size) - 1}[self.kind]
 
     def parse_element(self, text: str):
         try:
@@ -148,9 +158,7 @@ class FiniteIdealPresentation:
         for gen in self.generators:
             for el in gen.elements:
                 if el not in self.ground:
-                    raise RangeError(
-                        f"generator {gen.name!r} has element outside the ground: {shown(el)!r}"
-                    )
+                    raise RangeError(f"generator {gen.name!r} has element outside the ground: {shown(el)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +185,15 @@ class Surrogate:
     them in the text format, in field order.  Every parameter is a count or
     a bound, so a negative one is refused.
 
-    `accepts(elements, presentation, checked=True)` says that the caller has
-    already checked every element against the presentation's ground, as
-    `check_morphism` has; a surrogate that reads the elements into a checked
-    carrier then does not check them again.
+    `accepts(elements, presentation)`, whoever calls it, checks each element
+    against the presentation's ground once (`Ground.check`; RangeError names
+    one outside it).  A surrogate of one `ground_kind` then reads them as
+    that ground's `ideals` carrier (`carrier`), not checked again.
     """
 
     name = "surrogate"
     keys: tuple[str, ...] = ()
+    ground_kind = ""  # the one ground kind `carrier` reads, set where it is called
 
     def __post_init__(self):
         for key, f in zip(self.keys, fields(self)):
@@ -195,22 +204,23 @@ class Surrogate:
     def parameters(self) -> dict[str, str]:
         return {key: _number_text(getattr(self, f.name)) for key, f in zip(self.keys, fields(self))}
 
-    def accepts(
-        self, elements: frozenset, presentation: FiniteIdealPresentation, *, checked: bool = False
-    ) -> SurrogateVerdict:
+    def accepts(self, elements: frozenset, presentation: FiniteIdealPresentation) -> SurrogateVerdict:
         raise NotImplementedError
+
+    def carrier(self, elements, presentation: FiniteIdealPresentation) -> NatSet | GridSet:
+        """The checked elements as a NatSet or a GridSet; ShapeError on a ground not of `ground_kind`."""
+        ground = presentation.ground
+        if ground.kind != self.ground_kind:
+            needs = {"interval": "an interval", "grid": "a grid"}[self.ground_kind]
+            raise ShapeError(f"{self.name} surrogate needs {needs} ground")
+        elements = ground.check(elements)
+        if ground.kind == "interval":
+            return _prechecked(NatSet, members=elements, bound=ground.size)
+        return _prechecked(GridSet, cells=elements, bound=ground.size)
 
     def stamp(self) -> str:
         params = " ".join(f"{k}={v}" for k, v in sorted(self.parameters().items()))
         return f"{self.name} {params}" if params else self.name
-
-
-def _interval_natset(name: str, elements, presentation: FiniteIdealPresentation, checked: bool) -> NatSet:
-    """The elements as a NatSet of the interval ground, checked unless the caller has checked them."""
-    if presentation.ground.kind != "interval":
-        raise ShapeError(f"{name} surrogate needs an interval ground")
-    bound = presentation.ground.size
-    return _prechecked(NatSet, members=elements, bound=bound) if checked else NatSet.of(elements, bound)
 
 
 @dataclass(frozen=True)
@@ -219,11 +229,12 @@ class DensityWindowSurrogate(Surrogate):
 
     name = "dyadic-density"
     keys = ("eps", "floor")
+    ground_kind = "interval"
     eps: Fraction = Fraction(1, 8)
     floor: int = 0
 
-    def accepts(self, elements, presentation, *, checked=False):
-        a = _interval_natset(self.name, elements, presentation, checked)
+    def accepts(self, elements, presentation):
+        a = self.carrier(elements, presentation)
         counts = dyadic_counts(a)[self.floor :] if a.bound >= 2 else []
         # Window n's density is counts[n - floor] / 2^n; over the common
         # denominator 2^(floor + len(counts)) the densities compare as ints.
@@ -242,17 +253,14 @@ class ColumnBoundSurrogate(Surrogate):
 
     name = "column-bound"
     keys = ("per_column", "exceptional")
+    ground_kind = "grid"
     per_column: int = 1
     exceptional: int = 0
 
-    def accepts(self, elements, presentation, *, checked=False):
-        if presentation.ground.kind != "grid":
-            raise ShapeError("column-bound surrogate needs a grid ground")
-        counts: dict[int, int] = {}
-        for col, _row in elements:
-            counts[col] = counts.get(col, 0) + 1
-        over = sum(1 for v in counts.values() if v > self.per_column)
-        peak = max(counts.values(), default=0)
+    def accepts(self, elements, presentation):
+        counts = column_profile(self.carrier(elements, presentation))
+        over = sum(count > self.per_column for count in counts)
+        peak = max(counts)
         return SurrogateVerdict(
             over <= self.exceptional, f"{over} column(s) above {self.per_column}, peak {peak}"
         )
@@ -266,24 +274,29 @@ class GeneratorUnionSurrogate(Surrogate):
     keys = ("max",)
     max_generators: int = 1
 
-    def accepts(self, elements, presentation, *, checked=False):
+    def accepts(self, elements, presentation):
+        elements = presentation.ground.check(elements)
         gens = [g.elements for g in presentation.generators]
         sort_key = presentation.ground.sort_key
+        # remainder -> the largest allowance known to fail it; every smaller one fails it too.
+        failed: dict[frozenset, int] = {}
 
         def cover(rest: frozenset, allowance: int) -> bool:
             if not rest:
                 return True
-            if allowance == 0:
+            if allowance <= failed.get(rest, -1):
                 return False
-            pivot = min(rest, key=sort_key)
-            for g in gens:
-                if pivot in g and cover(rest - g, allowance - 1):
-                    return True
+            if allowance:
+                pivot = min(rest, key=sort_key)
+                for g in gens:  # a loop, not any(): one frame per generator taken
+                    if pivot in g and cover(rest - g, allowance - 1):
+                        return True
+            failed[rest] = allowance
             return False
 
         # A cover never takes a generator twice, so no more than len(gens) are tried.
         allowances = range(min(self.max_generators, len(gens)) + 1)
-        needed = next((j for j in allowances if cover(frozenset(elements), j)), None)
+        needed = next((j for j in allowances if cover(elements, j)), None)
         if needed is None:
             return SurrogateVerdict(False, f"not covered by any {self.max_generators} generator(s)")
         return SurrogateVerdict(True, f"covered by {needed} generator(s)")
@@ -295,10 +308,11 @@ class SummableBoundSurrogate(Surrogate):
 
     name = "summable-bound"
     keys = ("weight",)
+    ground_kind = "interval"
     max_weight: Fraction = Fraction(1)
 
-    def accepts(self, elements, presentation, *, checked=False):
-        weight = summable_weight(_interval_natset(self.name, elements, presentation, checked))
+    def accepts(self, elements, presentation):
+        weight = summable_weight(self.carrier(elements, presentation))
         return SurrogateVerdict(weight <= self.max_weight, f"weight {_number_text(weight)}")
 
 
@@ -329,6 +343,10 @@ def formula_table(name: str, domain: Ground, codomain: Ground) -> dict:
 
 def _check_total(table: Mapping, source: FiniteIdealPresentation, target: FiniteIdealPresentation) -> None:
     src, tgt = source.ground, target.ground
+    # Distinct keys, each a member and as many as the target has members, are every member.  The
+    # values are read as a view: a set of them would let False stand for 0.
+    if len(table) == tgt.member_count and tgt.holds(table.keys()) and src.holds(table.values()):
+        return
     missing = [y for y in tgt.members() if y not in table]
     if missing:
         raise MorphismDomainError(
@@ -389,7 +407,7 @@ def check_morphism(
     checks: list[GeneratorCheck] = []
     for gen in source.generators:
         preimage = frozenset(chain.from_iterable(map(fibers.get, gen.elements, repeat(()))))
-        verdict = target.surrogate.accepts(preimage, target, checked=True)
+        verdict = target.surrogate.accepts(preimage, target)
         checks.append(GeneratorCheck(gen.name, verdict.ok, verdict.measure))
     return MorphismReport(
         passed=all(ch.ok for ch in checks),
@@ -415,6 +433,10 @@ class BuiltinWitness:
     note: str
 
 
+def _formula_witness(name: str, formula: str, source, target, note: str) -> BuiltinWitness:
+    return BuiltinWitness(name, formula_table(formula, target.ground, source.ground), source, target, note)
+
+
 def _fin_presentation(bound: int, first: int, surrogate: Surrogate | None) -> FiniteIdealPresentation:
     gens = tuple(Generator(f"{{{m}}}", frozenset({m})) for m in range(first, bound))
     return FiniteIdealPresentation("fin", Ground("interval", bound), gens, surrogate)
@@ -426,16 +448,9 @@ def _builtin_fin_to_z() -> BuiltinWitness:
     bound = 128
     surrogate = DensityWindowSurrogate(eps=Fraction(1, 8), floor=0)
     source = _fin_presentation(bound, 8, None)
-    target = FiniteIdealPresentation(
-        "density-zero", Ground("interval", bound), source.generators, surrogate
-    )
-    return BuiltinWitness(
-        "fin_to_z_identity",
-        formula_table("identity", target.ground, source.ground),
-        source,
-        target,
-        "identity on [0,128); generators are the singletons {8}..{127}",
-    )
+    target = FiniteIdealPresentation("density-zero", Ground("interval", bound), source.generators, surrogate)
+    note = "identity on [0,128); generators are the singletons {8}..{127}"
+    return _formula_witness("fin_to_z_identity", "identity", source, target, note)
 
 
 def _builtin_summable_to_z() -> BuiltinWitness:
@@ -455,13 +470,8 @@ def _builtin_summable_to_z() -> BuiltinWitness:
         gens,
         DensityWindowSurrogate(eps=Fraction(1, 4), floor=4),
     )
-    return BuiltinWitness(
-        "summable_to_z_identity",
-        formula_table("identity", target.ground, source.ground),
-        source,
-        target,
-        "identity on [0,256); sparse summable generator samples have window density <= 1/4 past window 4",
-    )
+    note = "identity on [0,256); sparse summable generator samples have window density <= 1/4 past window 4"
+    return _formula_witness("summable_to_z_identity", "identity", source, target, note)
 
 
 def _builtin_ed_to_finxfin() -> BuiltinWitness:
@@ -483,13 +493,8 @@ def _builtin_ed_to_finxfin() -> BuiltinWitness:
         gens,
         ColumnBoundSurrogate(per_column=1, exceptional=1),
     )
-    return BuiltinWitness(
-        "ed_to_finxfin_identity",
-        formula_table("identity", target.ground, source.ground),
-        source,
-        target,
-        "identity on [0,32)^2; a column generator exceeds the bound in one column, graphs in none",
-    )
+    note = "identity on [0,32)^2; a column generator exceeds the bound in one column, graphs in none"
+    return _formula_witness("ed_to_finxfin_identity", "identity", source, target, note)
 
 
 def _builtin_fin_to_finxfin() -> BuiltinWitness:
@@ -500,13 +505,8 @@ def _builtin_fin_to_finxfin() -> BuiltinWitness:
         (),
         ColumnBoundSurrogate(per_column=0, exceptional=1),
     )
-    return BuiltinWitness(
-        "fin_to_finxfin_projection",
-        formula_table("column-projection", target.ground, source.ground),
-        source,
-        target,
-        "column projection [0,32)^2 -> [0,32); a singleton pulls back to one full column",
-    )
+    note = "column projection [0,32)^2 -> [0,32); a singleton pulls back to one full column"
+    return _formula_witness("fin_to_finxfin_projection", "column-projection", source, target, note)
 
 
 def _counterexample_fin_to_z() -> BuiltinWitness:

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterator, Mapping
 
-from .colorings import Coloring, ZDensityInstance, band_range, h_set
+from .colorings import Coloring, ZDensityInstance, band_range
 from .errors import BudgetError, ParseError, RangeError, ShapeError, shown
 from .treecore import (
     D_MAX,
-    LevelTree,
     embed_closure,
     extensions,
     format_node,
@@ -581,21 +580,12 @@ def zdensity_band_check(inst: ZDensityInstance, selection: Mapping[int, object])
             if not 0 <= j < n:
                 raise RangeError(f"branch index {shown(j)} outside [0, {n}) for band {n}")
         picked = [inst.band_branches[n][j] for j in chosen]
-        # q holds the host nodes compatible with a picked branch.  Every
-        # branch of band n has the same length `top`, so a shorter node is
-        # compatible when it is a branch's prefix (the host is prefix-closed,
-        # so each prefix is a host node), and a longer one when it extends one.
-        top = len(picked[0])
-        tops = frozenset(picked)
-        q = LevelTree(
-            inst.depth,
-            (
-                *(frozenset(s[:m] for s in picked) for m in range(top)),
-                *(frozenset(x for x in level if x[:top] in tops) for level in inst.host.levels[top:]),
-            ),
-        )
-        band = band_range(n)
-        actual = sum(lvl in band for lvl in h_set(inst.coloring, q))
+        # q holds the host nodes compatible with a picked branch.  The
+        # branches of band n end on its top level and the host is
+        # prefix-closed, so q's level l inside the band is the set of the
+        # branches' length-l prefixes; only those levels enter the count.
+        value = inst.coloring.value
+        actual = sum(len({value(s[:lvl]) for s in picked}) == 1 for lvl in band_range(n))
         expected = 1 << (n - len(chosen) + 1)
         checks.append(BandCheck(n, chosen, expected, actual))
     return tuple(checks)

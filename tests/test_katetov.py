@@ -1,4 +1,6 @@
+import inspect
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -177,25 +179,44 @@ class TestSurrogates:
             with pytest.raises(RangeError, match=r"^member .* outside \[0, 8\)$"):
                 s.accepts(frozenset({2, bad}), p)
 
-    @given(st.sets(st.integers(min_value=0, max_value=99)))
-    @settings(max_examples=50)
-    def test_checked_elements_give_the_same_verdict(self, members):
-        for s in (DensityWindowSurrogate(Fraction(1, 4), floor=2), SummableBoundSurrogate(Fraction(1, 2))):
-            p = FiniteIdealPresentation("z", Ground("interval", 100), (), s)
-            assert s.accepts(frozenset(members), p, checked=True) == s.accepts(frozenset(members), p)
-
     @pytest.mark.parametrize("surrogate", [DensityWindowSurrogate(Fraction(1, 4), floor=4), SummableBoundSurrogate()])
     def test_check_morphism_does_not_check_preimages_again(self, surrogate, monkeypatch):
-        # _check_total has checked every table key, so no preimage is read into a checked NatSet.
+        # Each preimage passes one ground check, in accepts; its NatSet is then built unchecked.
         w = builtin_witness("summable_to_z_identity")
         target = FiniteIdealPresentation(w.target.name, w.target.ground, w.target.generators, surrogate)
         want = check_morphism(w.morphism, w.source, target)
+        checked = []
+        ground_check = Ground.check
+        monkeypatch.setattr(Ground, "check", lambda g, elements: checked.append(elements) or ground_check(g, elements))
 
         def refuse(*args):
             raise AssertionError("a preimage was checked again")
 
         monkeypatch.setattr(NatSet, "__post_init__", refuse)
         assert check_morphism(w.morphism, w.source, target) == want
+        # The identity pulls each generator back unchanged.
+        assert checked == [gen.elements for gen in w.source.generators]
+
+    @pytest.mark.parametrize("surrogate, ground, outside", [
+        pytest.param(DensityWindowSurrogate(), Ground("interval", 4), r"\[0, 4\)", id="dyadic-density"),
+        pytest.param(SummableBoundSurrogate(), Ground("interval", 4), r"\[0, 4\)", id="summable-bound"),
+        pytest.param(ColumnBoundSurrogate(), Ground("grid", 4), r"\[0, 4\)\^2", id="column-bound"),
+        pytest.param(GeneratorUnionSurrogate(), Ground("interval", 4), r"\[0, 4\)", id="generator-union-interval"),
+        pytest.param(GeneratorUnionSurrogate(), Ground("grid", 4), r"\[0, 4\)\^2", id="generator-union-grid"),
+        pytest.param(GeneratorUnionSurrogate(), Ground("nodes", 3), r"\{0,1\}\^<3", id="generator-union-nodes"),
+    ])
+    def test_direct_calls_refuse_elements_outside_the_ground(self, surrogate, ground, outside):
+        member = next(ground.members())
+        bad = {
+            "interval": (4, 99, -1, True, 1.0, "1", (0, 0)),
+            "grid": ((99, 0), (0, 4), (-1, 0), (True, 0), (0, True), (1.0, 0), (0,), (0, 0, 0), 5, "00"),
+            "nodes": ("000", "2", "0 ", 7, True, ("0",)),
+        }[ground.kind]
+        p = FiniteIdealPresentation("p", ground, (Generator("g", frozenset({member})),), surrogate)
+        assert surrogate.accepts(frozenset({member}), p).ok
+        for el in bad:
+            with pytest.raises(RangeError, match=rf"^member {re.escape(repr(el))} outside {outside}$"):
+                surrogate.accepts(frozenset({member, el}), p)
 
     def test_density_requires_interval(self):
         p = FiniteIdealPresentation("g", Ground("grid", 4), (), DensityWindowSurrogate())
@@ -225,6 +246,24 @@ class TestSurrogates:
         assert s.accepts(ok_set, p).ok
         bad = frozenset({(0, 0), (0, 1), (2, 3), (2, 0)})  # two fat columns
         assert not s.accepts(bad, p).ok
+
+    @staticmethod
+    def reference_column_accepts(s, elements):
+        """ColumnBoundSurrogate.accepts as a dict count over the cells."""
+        counts = {}
+        for col, _row in elements:
+            counts[col] = counts.get(col, 0) + 1
+        over = sum(1 for v in counts.values() if v > s.per_column)
+        peak = max(counts.values(), default=0)
+        return SurrogateVerdict(over <= s.exceptional, f"{over} column(s) above {s.per_column}, peak {peak}")
+
+    @given(st.data(), st.integers(1, 8), st.integers(0, 4), st.integers(0, 4))
+    @settings(max_examples=100)
+    def test_column_bound_equals_the_column_count(self, data, size, per_column, exceptional):
+        cells = data.draw(st.frozensets(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))))
+        s = ColumnBoundSurrogate(per_column, exceptional)
+        p = FiniteIdealPresentation("e", Ground("grid", size), (), s)
+        assert s.accepts(cells, p) == self.reference_column_accepts(s, cells)
 
     def test_generator_union(self):
         gens = (
@@ -258,6 +297,68 @@ class TestSurrogates:
             else:
                 expected = SurrogateVerdict(False, f"not covered by any {cap} generator(s)")
             assert GeneratorUnionSurrogate(cap).accepts(elements, p) == expected
+
+    @staticmethod
+    def reference_union_accepts(s, elements, presentation):
+        """GeneratorUnionSurrogate.accepts as a plain search, repeated for each allowance."""
+        gens = [g.elements for g in presentation.generators]
+
+        def cover(rest, allowance):
+            if not rest:
+                return True
+            if allowance == 0:
+                return False
+            pivot = min(rest, key=presentation.ground.sort_key)
+            return any(pivot in g and cover(rest - g, allowance - 1) for g in gens)
+
+        allowances = range(min(s.max_generators, len(gens)) + 1)
+        needed = next((j for j in allowances if cover(elements, j)), None)
+        if needed is None:
+            return SurrogateVerdict(False, f"not covered by any {s.max_generators} generator(s)")
+        return SurrogateVerdict(True, f"covered by {needed} generator(s)")
+
+    @given(
+        st.sampled_from([Ground("interval", 7), Ground("nodes", 3)]).flatmap(lambda g: st.tuples(
+            st.just(g),
+            st.lists(st.frozensets(st.sampled_from(list(g.members())), max_size=4), max_size=7),
+            st.frozensets(st.sampled_from(list(g.members()))),
+        )),
+        st.integers(0, 8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_generator_union_memo_matches_the_plain_search(self, instance, max_generators):
+        ground, sets, elements = instance
+        gens = tuple(Generator(f"g{i}", g) for i, g in enumerate(sets))
+        s = GeneratorUnionSurrogate(max_generators)
+        p = FiniteIdealPresentation("p", ground, gens, s)
+        assert s.accepts(elements, p) == self.reference_union_accepts(s, elements, p)
+
+    def test_generator_union_of_all_pairs(self):
+        # The pairs of [0, 15) cover its 15 elements with 8 generators, never with 7; without
+        # the memo of failed remainders the search for 7 took close to a minute.
+        k = 15
+        gens = tuple(Generator(f"p{a}_{b}", frozenset({a, b})) for a, b in combinations(range(k), 2))
+        p = FiniteIdealPresentation("pairs", Ground("interval", k), gens)
+        elements = frozenset(range(k))
+        assert GeneratorUnionSurrogate(7).accepts(elements, p) == SurrogateVerdict(
+            False, "not covered by any 7 generator(s)")
+        assert GeneratorUnionSurrogate(8).accepts(elements, p) == SurrogateVerdict(True, "covered by 8 generator(s)")
+
+    def test_generator_union_takes_one_frame_per_generator(self):
+        # A cover by k singletons recurses k deep.  The search must take one
+        # frame per generator taken, so that covers by hundreds of generators
+        # fit the default recursion limit; one that recursed through any()
+        # over a generator expression took three.
+        k = 100
+        gens = tuple(Generator(f"s{a}", frozenset({a})) for a in range(k))
+        p = FiniteIdealPresentation("singletons", Ground("interval", k), gens)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 2 * k)
+        try:
+            verdict = GeneratorUnionSurrogate(k).accepts(frozenset(range(k)), p)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert verdict.measure == f"covered by {k} generator(s)"
 
     def test_summable_bound(self):
         s = SummableBoundSurrogate(max_weight=Fraction(1, 2))

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -473,22 +474,23 @@ class TestZDensityChecks:
         assert all(ch.passed for ch in checks)
 
     @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
-    def test_band_trees_are_the_compatible_host_nodes(self, n_max, monkeypatch):
-        # Reference: q holds every host node compatible with a picked branch.
-        inst = zdensity_coloring(n_max)
-        trees = []
-        monkeypatch.setattr(search, "h_set", lambda c, q: trees.append(q) or h_set(c, q))
-        for n in range(1, n_max + 1):
-            for k in range(1, n + 1):
-                for chosen in combinations(range(n), k):
-                    picked = [inst.band_branches[n][j] for j in chosen]
-                    q = LevelTree(inst.depth, tuple(
-                        frozenset(x for x in level if any(compatible(x, s) for s in picked))
-                        for level in inst.host.levels
-                    ))
-                    (check,) = zdensity_band_check(inst, {n: chosen})
-                    assert trees.pop() == q
-                    assert check.actual == sum(lvl in band_range(n) for lvl in h_set(inst.coloring, q))
+    def test_band_trees_are_the_compatible_host_nodes(self, n_max):
+        # Reference: q holds every host node compatible with a picked branch,
+        # and the check counts the band levels of h_set(c, q).  A seeded
+        # coloring of the same host tells apart counts that the counting
+        # coloring makes equal, such as those of neighbouring levels.
+        base = zdensity_coloring(n_max)
+        for inst in (base, replace(base, coloring=random_coloring(base.depth, n_max))):
+            for n in range(1, n_max + 1):
+                for k in range(1, n + 1):
+                    for chosen in combinations(range(n), k):
+                        picked = [inst.band_branches[n][j] for j in chosen]
+                        q = LevelTree(inst.depth, tuple(
+                            frozenset(x for x in level if any(compatible(x, s) for s in picked))
+                            for level in inst.host.levels
+                        ))
+                        (check,) = zdensity_band_check(inst, {n: chosen})
+                        assert check.actual == sum(lvl in band_range(n) for lvl in h_set(inst.coloring, q))
 
     def test_bad_selection(self):
         inst = zdensity_coloring(2)
