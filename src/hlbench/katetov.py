@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import chain, product, repeat
 from typing import Iterator, Mapping
 
+from .colorings import WORK_CAP
 from .errors import MorphismDomainError, NotFoundError, ParseError, RangeError, ShapeError, shown
 from .ideals import GridSet, NatSet, _ints_below, _member_cell, _member_int, _plain_ints_below, _prechecked
 from .ideals import column_profile, decimal_text, dyadic_counts, frac_text, summable_weight
@@ -268,38 +269,37 @@ class ColumnBoundSurrogate(Surrogate):
 
 @dataclass(frozen=True)
 class GeneratorUnionSurrogate(Surrogate):
-    """Membership = covered by a union of at most max_generators listed generators."""
+    """Membership = covered by a union of at most max_generators listed generators.
+
+    The search goes level by level.  One unit of work is one element of a remainder a
+    generator is subtracted from; past colorings.WORK_CAP units it raises RangeError.
+    """
 
     name = "generator-union"
     keys = ("max",)
     max_generators: int = 1
 
     def accepts(self, elements, presentation):
-        elements = presentation.ground.check(elements)
+        level = {presentation.ground.check(elements)}
         gens = [g.elements for g in presentation.generators]
-        sort_key = presentation.ground.sort_key
-        # remainder -> the largest allowance known to fail it; every smaller one fails it too.
-        failed: dict[frozenset, int] = {}
-
-        def cover(rest: frozenset, allowance: int) -> bool:
-            if not rest:
-                return True
-            if allowance <= failed.get(rest, -1):
-                return False
-            if allowance:
-                pivot = min(rest, key=sort_key)
-                for g in gens:  # a loop, not any(): one frame per generator taken
-                    if pivot in g and cover(rest - g, allowance - 1):
-                        return True
-            failed[rest] = allowance
-            return False
-
+        holding: dict = {}  # pivot -> the generators that hold it, each pivot looked up once
+        seen, work = set(level), 0
         # A cover never takes a generator twice, so no more than len(gens) are tried.
-        allowances = range(min(self.max_generators, len(gens)) + 1)
-        needed = next((j for j in allowances if cover(elements, j)), None)
-        if needed is None:
-            return SurrogateVerdict(False, f"not covered by any {self.max_generators} generator(s)")
-        return SurrogateVerdict(True, f"covered by {needed} generator(s)")
+        most = min(self.max_generators, len(gens))
+        for needed in range(most + 1):
+            if frozenset() in level:
+                return SurrogateVerdict(True, f"covered by {needed} generator(s)")
+            if needed == most:
+                break
+            pivots = {rest: min(rest, key=presentation.ground.sort_key) for rest in level}
+            for pivot in set(pivots.values()).difference(holding):
+                holding[pivot] = [g for g in gens if pivot in g]
+            work += sum(len(rest) * len(holding[pivot]) for rest, pivot in pivots.items())
+            if work > WORK_CAP:
+                raise RangeError(f"generator-union work {work} above the cap {WORK_CAP}")
+            level = {rest - g for rest, pivot in pivots.items() for g in holding[pivot]} - seen
+            seen |= level
+        return SurrogateVerdict(False, f"not covered by any {self.max_generators} generator(s)")
 
 
 @dataclass(frozen=True)

@@ -751,6 +751,34 @@ class TestInputCaps:
         assert report["checks"] == [
             {"generator": "g", "ok": False, "measure": "not covered by any 1000000000000 generator(s)"}]
 
+    @staticmethod
+    def union_files(k, target_generators, max_generators):
+        head = f"ideal v1 ground=interval params={k}\n"
+        return {
+            "f.morphism": "morphism v1\nformula=identity\n",
+            "s.ideal": f"{head}name fin\ngenerator all {' '.join(map(str, range(k)))}\n",
+            "t.ideal": f"{head}name cover\nsurrogate generator-union max={max_generators}\n"
+                       + "".join(f"generator g{i} {' '.join(map(str, g))}\n" for i, g in enumerate(target_generators)),
+        }
+
+    def test_generator_union_covers_by_1100_singletons(self, tmp_path):
+        # A cover 1 100 generators deep: a search recursing once per generator
+        # taken passes Python's default recursion limit.
+        files = self.union_files(1100, [(a,) for a in range(1100)], 1100)
+        proc = self.run_capped(tmp_path, files, CAP_ARGV["interval"])
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["checks"] == [{"generator": "all", "ok": True, "measure": "covered by 1100 generator(s)"}]
+
+    def test_generator_union_past_the_work_cap_is_refused(self, tmp_path):
+        # The 210 pairs of [0, 21) never cover its 21 elements with 10 of them; the
+        # count passes the cap before level 5 (what 5 pairs leave) is formed.
+        files = self.union_files(21, list(itertools.combinations(range(21), 2)), 10)
+        proc = self.run_capped(tmp_path, files, CAP_ARGV["interval"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "hlbench: error: generator-union work 1175960 above the cap 1048576\n"
+
     def test_full_at_cap_profiles_match_the_reference(self, tmp_path):
         # Every member and every cell: the largest bodies the capped headers allow.
         side = self.GRID_SIDE

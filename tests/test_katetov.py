@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlbench.colorings import WORK_CAP
 from hlbench.errors import (
     MorphismDomainError,
     NotFoundError,
@@ -318,7 +319,7 @@ class TestSurrogates:
         return SurrogateVerdict(True, f"covered by {needed} generator(s)")
 
     @given(
-        st.sampled_from([Ground("interval", 7), Ground("nodes", 3)]).flatmap(lambda g: st.tuples(
+        st.sampled_from([Ground("interval", 7), Ground("nodes", 3), Ground("grid", 3)]).flatmap(lambda g: st.tuples(
             st.just(g),
             st.lists(st.frozensets(st.sampled_from(list(g.members())), max_size=4), max_size=7),
             st.frozensets(st.sampled_from(list(g.members()))),
@@ -326,7 +327,7 @@ class TestSurrogates:
         st.integers(0, 8),
     )
     @settings(max_examples=100, deadline=None)
-    def test_generator_union_memo_matches_the_plain_search(self, instance, max_generators):
+    def test_generator_union_matches_the_plain_search(self, instance, max_generators):
         ground, sets, elements = instance
         gens = tuple(Generator(f"g{i}", g) for i, g in enumerate(sets))
         s = GeneratorUnionSurrogate(max_generators)
@@ -334,8 +335,8 @@ class TestSurrogates:
         assert s.accepts(elements, p) == self.reference_union_accepts(s, elements, p)
 
     def test_generator_union_of_all_pairs(self):
-        # The pairs of [0, 15) cover its 15 elements with 8 generators, never with 7; without
-        # the memo of failed remainders the search for 7 took close to a minute.
+        # The pairs of [0, 15) cover its 15 elements with 8 generators, never with 7; a search
+        # that kept no remainder it had seen took close to a minute for 7.
         k = 15
         gens = tuple(Generator(f"p{a}_{b}", frozenset({a, b})) for a, b in combinations(range(k), 2))
         p = FiniteIdealPresentation("pairs", Ground("interval", k), gens)
@@ -344,21 +345,33 @@ class TestSurrogates:
             False, "not covered by any 7 generator(s)")
         assert GeneratorUnionSurrogate(8).accepts(elements, p) == SurrogateVerdict(True, "covered by 8 generator(s)")
 
-    def test_generator_union_takes_one_frame_per_generator(self):
-        # A cover by k singletons recurses k deep.  The search must take one
-        # frame per generator taken, so that covers by hundreds of generators
-        # fit the default recursion limit; one that recursed through any()
-        # over a generator expression took three.
-        k = 100
+    def test_generator_union_does_not_recurse_per_generator(self):
+        # A cover by 1 100 singletons takes 1 100 generators.  A search that
+        # recursed once per generator taken would pass the limit set here.
+        k = 1100
         gens = tuple(Generator(f"s{a}", frozenset({a})) for a in range(k))
         p = FiniteIdealPresentation("singletons", Ground("interval", k), gens)
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(len(inspect.stack(0)) + 2 * k)
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
         try:
             verdict = GeneratorUnionSurrogate(k).accepts(frozenset(range(k)), p)
         finally:
             sys.setrecursionlimit(limit)
         assert verdict.measure == f"covered by {k} generator(s)"
+
+    def test_generator_union_work_cap(self):
+        # k singletons leave one remainder per level, of k, k - 1, ..., 1 elements, so a
+        # full search costs k (k + 1) / 2 units: 1 047 628 for k = 1447, under the cap.
+        # For k = 1448 (1 049 076 in all) the count first passes the cap at 1 048 580, and
+        # the level that would pass it is never formed.
+        def singletons(k):
+            gens = tuple(Generator(f"s{a}", frozenset({a})) for a in range(k))
+            return frozenset(range(k)), FiniteIdealPresentation("singletons", Ground("interval", k), gens)
+
+        assert WORK_CAP == 1 << 20
+        assert GeneratorUnionSurrogate(1447).accepts(*singletons(1447)).measure == "covered by 1447 generator(s)"
+        with pytest.raises(RangeError, match=r"^generator-union work 1048580 above the cap 1048576$"):
+            GeneratorUnionSurrogate(1448).accepts(*singletons(1448))
 
     def test_summable_bound(self):
         s = SummableBoundSurrogate(max_weight=Fraction(1, 2))
