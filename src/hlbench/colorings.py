@@ -580,6 +580,10 @@ def coloring_to_text(c: Coloring) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The color a checked bit token spells: one dict lookup, where int() parses.
+_BITS = {"0": 0, "1": 1}
+
+
 def coloring_from_text(text: str) -> Coloring:
     """Parse a coloring; unlisted nodes default to 0, duplicates are rejected."""
     (value,), body = read_format(text, "coloring v1 depth=<n>")
@@ -588,7 +592,7 @@ def coloring_from_text(text: str) -> Coloring:
     nodes = read_nodes(columns[0], depth) if columns else None
     overrides = {}
     if nodes is not None and set(columns[1]) <= {"0", "1"}:
-        overrides = dict(zip(nodes, map(int, columns[1])))
+        overrides = dict(zip(nodes, map(_BITS.__getitem__, columns[1])))
     if len(overrides) != len(body):
         # A line failed the bulk check, or two lines hold the same node.
         overrides = {}

@@ -169,16 +169,21 @@ class NodeSet:
     def longest_prefixes(self) -> tuple[tuple[str, int], ...]:
         """(s, length of the longest proper prefix of s in the set, or -1) per node s.
 
+        A node s is read as its head int("1" + s, 2), the treecore rank plus
+        one: its proper prefixes are the head's right shifts down to 1 (the
+        root), so none is sliced, and a shift to 0 means none is in the set.
         Computed once per set and shared by `minimal_elements`, `phi` and
         `phi_bar_profile`; not a field, so equality and hashing ignore it.
         """
         nodes = self.nodes
+        heads = [int("1" + s, 2) for s in nodes]
+        present = set(heads)
         out = []
-        for s in nodes:
-            k = len(s) - 1
-            while k >= 0 and s[:k] not in nodes:
-                k -= 1
-            out.append((s, k))
+        for s, h in zip(nodes, heads):
+            h >>= 1
+            while h and h not in present:
+                h >>= 1
+            out.append((s, h.bit_length() - 1))
         return tuple(out)
 
 
@@ -332,24 +337,31 @@ def max_antichain_weight(a: NodeSet) -> Fraction:
 
     Dynamic programme over the prefix closure of `a`: a subtree either
     contributes its root (when the root is in `a`) or the best of its two
-    child subtrees, whichever weighs more.  Always equals phi(a), which the
-    tests pin down; keeping both gives an independent oracle.  Weights are
-    integer numerators over 2^(depth-1).
+    child subtrees, whichever weighs more.  Closure nodes are keyed by their
+    head int("1" + s, 2), the treecore rank plus one: the parent of head h
+    is h >> 1 and the root is 1.  One level at a time from the deepest, each
+    subtree's best is added into its parent's entry, so every closure node
+    is formed once, with no sort and no string built.  Always equals phi(a),
+    which the tests pin down; it reads nothing `phi` reads (not
+    `NodeSet.longest_prefixes`), so it stays an independent oracle.  Weights
+    are integer numerators over 2^(depth-1).
     """
     if not a.nodes:
         return Fraction(0)
     top = a.depth - 1
-    closure: set[str] = set()
+    levels: list[list[int]] = [[] for _ in range(a.depth)]
     for s in a.nodes:
-        for k in range(len(s) + 1):
-            closure.add(s[:k])
-    best: dict[str, int] = {}
-    # Longest first puts every child before its parent, all the DP needs.
-    for s in sorted(closure, key=len, reverse=True):
-        kids = best.get(s + "0", 0) + best.get(s + "1", 0)
-        own = 1 << (top - len(s)) if s in a.nodes else 0
-        best[s] = max(own, kids)
-    return Fraction(best[""], 1 << top)
+        levels[len(s)].append(int("1" + s, 2))
+    below: dict[int, int] = {}  # head -> best weight of its subtree, one level down
+    for n in range(top, -1, -1):
+        here: dict[int, int] = {}
+        for h, weight in below.items():
+            here[h >> 1] = here.get(h >> 1, 0) + weight
+        own = 1 << (top - n)
+        for h in levels[n]:
+            here[h] = max(own, here.get(h, 0))
+        below = here
+    return Fraction(below[1], 1 << top)
 
 
 def phi_bar_profile(a: NodeSet, depth: int | None = None) -> tuple[Fraction, ...]:

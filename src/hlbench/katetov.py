@@ -13,6 +13,7 @@ parameters and nothing more; reports say so verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain, product, repeat
 from typing import Iterator, Mapping
@@ -161,6 +162,20 @@ class FiniteIdealPresentation:
                 if el not in self.ground:
                     raise RangeError(f"generator {gen.name!r} has element outside the ground: {shown(el)!r}")
 
+    @cached_property
+    def holding(self) -> dict:
+        """element -> the element sets of the generators that hold it, in presentation order.
+
+        Built once per presentation, at the cost of the generators' total
+        size, so a lookup costs one dict read however many generators there
+        are; not a field, so equality and hashing ignore it.
+        """
+        index: dict = {}
+        for gen in self.generators:
+            for el in gen.elements:
+                index.setdefault(el, []).append(gen.elements)
+        return index
+
 
 # ---------------------------------------------------------------------------
 # surrogates
@@ -281,23 +296,21 @@ class GeneratorUnionSurrogate(Surrogate):
 
     def accepts(self, elements, presentation):
         level = {presentation.ground.check(elements)}
-        gens = [g.elements for g in presentation.generators]
-        holding: dict = {}  # pivot -> the generators that hold it, each pivot looked up once
+        holding = presentation.holding
         seen, work = set(level), 0
-        # A cover never takes a generator twice, so no more than len(gens) are tried.
-        most = min(self.max_generators, len(gens))
+        # A cover never takes a generator twice, so no more than len(generators) are tried.
+        most = min(self.max_generators, len(presentation.generators))
         for needed in range(most + 1):
             if frozenset() in level:
                 return SurrogateVerdict(True, f"covered by {needed} generator(s)")
             if needed == most:
                 break
-            pivots = {rest: min(rest, key=presentation.ground.sort_key) for rest in level}
-            for pivot in set(pivots.values()).difference(holding):
-                holding[pivot] = [g for g in gens if pivot in g]
-            work += sum(len(rest) * len(holding[pivot]) for rest, pivot in pivots.items())
+            # rest -> the generators that hold its pivot, its first element in listing order
+            covers = {rest: holding.get(min(rest, key=presentation.ground.sort_key), ()) for rest in level}
+            work += sum(len(rest) * len(gens) for rest, gens in covers.items())
             if work > WORK_CAP:
                 raise RangeError(f"generator-union work {work} above the cap {WORK_CAP}")
-            level = {rest - g for rest, pivot in pivots.items() for g in holding[pivot]} - seen
+            level = {rest - g for rest, gens in covers.items() for g in gens} - seen
             seen |= level
         return SurrogateVerdict(False, f"not covered by any {self.max_generators} generator(s)")
 

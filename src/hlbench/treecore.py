@@ -354,16 +354,22 @@ def read_node(token: str, depth: int, line: int) -> str:
     return node
 
 
+# str.translate table deleting the characters of node tokens: '0', '1' and the root's '-'.
+_NODE_CHARS = str.maketrans("", "", "01-")
+
+
 def read_nodes(tokens: list[str], depth: int) -> list[str] | None:
     """Bulk form of `read_node`: the nodes the tokens spell, or None unless all fit below `depth`.
 
-    One character-set check over the joined tokens, with every '-' a whole
-    token, and one length check; '-' counts as one character there, so a
-    root token at depth 1 gets None too.  On None a reader runs its per-line
-    loop, which raises the ParseError naming the first bad line.
+    One character check over the joined tokens, a single C pass that
+    deletes '0', '1' and '-' and leaves nothing exactly when no other
+    character occurs; then every '-' must be a whole token, and one length
+    check, where '-' counts as one character, so a root token at depth 1
+    gets None too.  On None a reader runs its per-line loop, which raises
+    the ParseError naming the first bad line.
     """
     joined = "".join(tokens)
-    if set(joined) <= {"0", "1", "-"} and joined.count("-") == tokens.count("-"):
+    if not joined.translate(_NODE_CHARS) and joined.count("-") == tokens.count("-"):
         if max(map(len, tokens), default=0) < depth:
             return list(map({"-": ROOT}.get, tokens, tokens))
     return None

@@ -27,7 +27,7 @@ from hlbench.ideals import (
     phi_bar_profile,
     summable_weight,
 )
-from hlbench.treecore import level_nodes
+from hlbench.treecore import D_MAX, level_nodes
 
 natsets = st.builds(
     lambda members: NatSet.of(members, 64),
@@ -339,6 +339,10 @@ def _ref_minimal(nodes):
     return {s for s in nodes if not any(s[:k] in nodes for k in range(len(s)))}
 
 
+def _ref_longest_prefixes(nodes):
+    return {(s, max((k for k in range(len(s)) if s[:k] in nodes), default=-1)) for s in nodes}
+
+
 def _ref_phi(nodes):
     return sum((Fraction(1, 1 << len(s)) for s in _ref_minimal(nodes)), Fraction(0))
 
@@ -383,21 +387,37 @@ def _ref_natural_strings(a):
     return out
 
 
+def _bits(n):
+    return st.integers(min_value=0, max_value=(1 << n) - 1).map(lambda i: format(i, f"0{n}b") if n else "")
+
+
 @st.composite
 def deep_nodesets(draw):
     depth = draw(st.integers(min_value=1, max_value=10))
     # Lengths are drawn uniformly, so short nodes (and prefixes) are common.
-    nodes = draw(
-        st.sets(
-            st.integers(min_value=0, max_value=depth - 1).flatmap(
-                lambda n: st.integers(min_value=0, max_value=(1 << n) - 1).map(
-                    lambda i: format(i, f"0{n}b") if n else ""
-                )
-            ),
-            max_size=80,
-        )
-    )
+    nodes = draw(st.sets(st.integers(min_value=0, max_value=depth - 1).flatmap(_bits), max_size=80))
     return NodeSet.of(nodes, depth)
+
+
+@st.composite
+def deepest_nodesets(draw):
+    """Node sets of any depth up to D_MAX, holding prefixes of one another at every length."""
+    depth = draw(st.integers(min_value=1, max_value=D_MAX))
+    tips = draw(st.lists(st.integers(min_value=0, max_value=depth - 1).flatmap(_bits), max_size=40))
+    # Cuts of the tips put chains of prefixes in the set, down to the root.
+    cuts = draw(st.lists(st.integers(min_value=0, max_value=D_MAX), max_size=40)) if tips else []
+    return NodeSet.of({*tips, *(tips[i % len(tips)][:k] for i, k in enumerate(cuts))}, depth)
+
+
+DEEPEST = [
+    NodeSet.of([], D_MAX),
+    NodeSet.of([""], 1),
+    NodeSet.of([""], D_MAX),
+    NodeSet.of(["", "0", "11", "0" * 63, "1" * 63], D_MAX),
+    NodeSet.of(["1" * n for n in range(D_MAX)], D_MAX),
+    NodeSet.of(["0" * 63, "1" * 63, "0" * 62 + "1", "01" * 31 + "0"], D_MAX),
+    NodeSet.of(["0" * n for n in range(1, D_MAX, 2)] + ["1" * 63, "10" * 31 + "1"], D_MAX),
+]
 
 
 wide_natsets = st.integers(min_value=2, max_value=1 << 10).flatmap(
@@ -425,6 +445,30 @@ class TestOnePassEquivalence:
     @settings(max_examples=150)
     def test_max_antichain_weight_matches_fraction_dp(self, a):
         assert max_antichain_weight(a) == _ref_antichain(a)
+
+    @staticmethod
+    def check_deep(a):
+        assert max_antichain_weight(a) == _ref_antichain(a)
+        assert set(a.longest_prefixes) == _ref_longest_prefixes(a.nodes)
+        assert len(a.longest_prefixes) == len(a.nodes)
+        assert minimal_elements(a).nodes == _ref_minimal(a.nodes)
+        assert phi(a) == max_antichain_weight(a)
+
+    @pytest.mark.parametrize("a", DEEPEST, ids=range(len(DEEPEST)))
+    def test_deepest_nodesets_match_the_string_references(self, a):
+        # The empty set, the root alone, the root above nodes of length 63, and chains to 63.
+        self.check_deep(a)
+
+    @given(deepest_nodesets())
+    @settings(max_examples=150, deadline=None)
+    def test_nodesets_to_depth_64_match_the_string_references(self, a):
+        self.check_deep(a)
+
+    def test_max_antichain_weight_reads_no_prefix_table(self):
+        # The oracle checks phi, so it must not read phi's prefix table.
+        a = NodeSet.of(["", "0", "11", "0" * 63, "1" * 63], D_MAX)
+        assert max_antichain_weight(a) == 1
+        assert "longest_prefixes" not in vars(a)
 
     @given(wide_natsets)
     @settings(max_examples=100)

@@ -1,6 +1,7 @@
 import inspect
 import re
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -372,6 +373,32 @@ class TestSurrogates:
         assert GeneratorUnionSurrogate(1447).accepts(*singletons(1447)).measure == "covered by 1447 generator(s)"
         with pytest.raises(RangeError, match=r"^generator-union work 1048580 above the cap 1048576$"):
             GeneratorUnionSurrogate(1448).accepts(*singletons(1448))
+
+    def test_generator_union_holding_index(self):
+        # Each element's generators, in presentation order, with repeats kept; equal
+        # presentations compare equal whether or not one has built its index.
+        gens = (Generator("a", frozenset({1, 2})), Generator("b", frozenset({2})), Generator("c", frozenset({1, 2})))
+        p = FiniteIdealPresentation("p", Ground("interval", 4), gens)
+        q = FiniteIdealPresentation("p", Ground("interval", 4), gens)
+        assert p.holding == {1: [gens[0].elements, gens[2].elements], 2: [g.elements for g in gens]}
+        assert p.holding is p.holding
+        assert p == q and hash(p) == hash(q)
+
+    def test_generator_union_looks_pivots_up_once_per_presentation(self):
+        # 4 096 singleton source generators pulled back onto 4 096 target singletons at
+        # max=1: scanning the target's generators for each pivot took over a second.
+        k = 4096
+        ground = Ground("interval", k)
+        gens = tuple(Generator(f"s{a}", frozenset({a})) for a in range(k))
+        source = FiniteIdealPresentation("fin", ground, gens)
+        target = FiniteIdealPresentation("singletons", ground, gens, GeneratorUnionSurrogate(1))
+        start = time.perf_counter()
+        report = check_morphism(formula_table("identity", ground, ground), source, target)
+        elapsed = time.perf_counter() - start
+        assert report.passed
+        assert [(ch.generator, ch.ok, ch.measure) for ch in report.checks] == [
+            (f"s{a}", True, "covered by 1 generator(s)") for a in range(k)]
+        assert elapsed < 0.5, f"{elapsed:.2f}s"
 
     def test_summable_bound(self):
         s = SummableBoundSurrogate(max_weight=Fraction(1, 2))

@@ -25,6 +25,7 @@ from hlbench.treecore import (
     numbered_body,
     read_format,
     read_node,
+    read_nodes,
     tree_from_text,
     validate,
 )
@@ -422,3 +423,23 @@ def test_reader_built_specs_equal_the_per_line_loop(body):
     text = "\n".join(["morphism v1", *body]) + "\n"
     spec = parse_morphism_text(text, g, g)
     assert spec == ref_morphism(text, g, g)
+
+
+def _set_test_read_nodes(tokens, depth):
+    """`read_nodes` as it checked characters before its one-pass check: a set of the joined tokens."""
+    joined = "".join(tokens)
+    if set(joined) <= {"0", "1", "-"} and joined.count("-") == tokens.count("-"):
+        if max(map(len, tokens), default=0) < depth:
+            return list(map({"-": ""}.get, tokens, tokens))
+    return None
+
+
+# Node characters, ASCII and Unicode digits, spaces, a minus sign and other non-ASCII characters.
+MIXED = st.text(alphabet="01-29 \t\u00a0\u0661\uff10\u2212\u00e9\U0001d7ce", max_size=5)
+
+
+@given(st.lists(st.one_of(st.text(alphabet="01", min_size=1, max_size=6), st.just("-"), MIXED), max_size=8),
+       st.integers(1, 8))
+@settings(max_examples=300)
+def test_read_nodes_accepts_the_tokens_the_set_test_accepted(tokens, depth):
+    assert read_nodes(tokens, depth) == _set_test_read_nodes(tokens, depth)
