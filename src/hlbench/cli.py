@@ -180,10 +180,19 @@ def _search_coloring(args):
 
 
 def cmd_search(args, mode: str) -> int:
-    from .search import SearchBudget, brute_force_max, certificate_to_json, search_best, verify_certificate
+    from .search import (
+        SearchBudget,
+        brute_force_max,
+        certificate_to_json,
+        check_enumerable,
+        search_best,
+        verify_certificate,
+    )
 
     coloring = _search_coloring(args)
     budget = SearchBudget(height=args.height, node_budget=args.budget, workers=args.workers)
+    if args.oracle:
+        check_enumerable(coloring.depth, budget)
     result = search_best(coloring, budget, mode)
     verified = verify_certificate(coloring, result.certificate)
     body = {

@@ -213,18 +213,27 @@ def verify_certificate(c: Coloring, cert: HLCertificate) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def check_enumerable(depth: int, budget: SearchBudget) -> None:
+    """Raise BudgetError when brute_force_max at this depth would pass node_budget.
+
+    The bound is closed-form in (depth, height), so a caller can refuse the
+    oracle before any other work.
+    """
+    bound = enumeration_bound(depth, budget.height)
+    if bound > budget.node_budget:
+        raise BudgetError(f"enumeration bound {bound} exceeds node budget {budget.node_budget}")
+
+
 def brute_force_max(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
     """Exhaustive maximum over every admissible embedding.
 
-    Refuses to start when the enumeration bound exceeds node_budget; this is
-    the reproducible guardrail, there is no timeout.  Ties are broken by the
-    length-lex split-node list, then the leaf list.
+    Refuses to start when check_enumerable does; this is the reproducible
+    guardrail, there is no timeout.  Ties are broken by the length-lex
+    split-node list, then the leaf list.
     """
     _check_mode(mode)
     depth, height = c.depth, budget.height
-    bound = enumeration_bound(depth, height)
-    if bound > budget.node_budget:
-        raise BudgetError(f"enumeration bound {bound} exceeds node budget {budget.node_budget}")
+    check_enumerable(depth, budget)
     value = _value_lookup(c)
     first_leaf = (1 << height) - 1
     best = None  # (m, tie key, images in argument order)

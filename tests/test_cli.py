@@ -8,7 +8,6 @@ import json
 import os
 import random
 import re
-import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cli_cases
 import hlbench
 import hlbench.cli as cli
 from hlbench import __version__
@@ -653,159 +653,47 @@ class TestProfileBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv[2]]
 
 
-def _cap_inputs(cap: int, side: int) -> dict[str, dict[str, str]]:
-    """Per capped header field: files sized at `cap` (a grid side of `side`) with empty bodies."""
-    identity = "morphism v1\nformula=identity\n"
-    surrogate = "surrogate generator-union max=1\n"
-    return {
-        "natset": {"a.natset": f"natset v1 bound={cap}\n"},
-        "gridset": {"a.gridset": f"gridset v1 bound={cap}\n"},
-        "interval": {
-            "f.morphism": identity,
-            "s.ideal": f"ideal v1 ground=interval params={cap}\n",
-            "t.ideal": f"ideal v1 ground=interval params={cap}\n{surrogate}",
-        },
-        "grid": {
-            "f.morphism": identity,
-            "s.ideal": f"ideal v1 ground=grid params={side}\n",
-            "t.ideal": f"ideal v1 ground=grid params={side}\n{surrogate}",
-        },
-    }
+@pytest.fixture
+def cli_command(monkeypatch):
+    """`python -m hlbench.cli`, with the package found by absolute path from any cwd."""
+    paths = [str(Path(hlbench.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
+    return [sys.executable, "-m", "hlbench.cli"]
 
 
-CAP_ARGV = {
-    "natset": ["profile", "--input", "a.natset"],
-    "gridset": ["profile", "--input", "a.gridset"],
-    "interval": ["katetov", "--morphism", "f.morphism", "--source", "s.ideal", "--target", "t.ideal"],
-    "grid": ["katetov", "--morphism", "f.morphism", "--source", "s.ideal", "--target", "t.ideal"],
-}
-
-
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+@pytest.mark.parametrize("case", cli_cases.CASES, ids=[case.name for case in cli_cases.CASES])
+def test_cli_case(case, cli_command, tmp_path):
+    assert cli_cases.run(case, cli_command, tmp_path)[1] == []
 
 
 class TestInputCaps:
-    """Header sizes stop at ELEMENT_CAP elements, refused on line 1 before any allocation."""
+    """Header sizes stop at ELEMENT_CAP elements; the case table runs the at-cap and past-cap headers."""
 
-    GRID_SIDE = PARAMS_MAX["grid"]
-
-    def run_capped(self, tmp_path, files, argv):
-        for name, text in files.items():
-            (tmp_path / name).write_text(text)
-        # The child runs in tmp_path, so it finds the package by absolute path.
-        paths = [str(Path(hlbench.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        return subprocess.run(
-            [sys.executable, "-m", "hlbench.cli", *argv],
-            cwd=tmp_path,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=False,
-            preexec_fn=_limit_address_space,
-        )
-
-    @pytest.mark.parametrize("field", sorted(CAP_ARGV))
-    def test_at_cap_runs(self, field, tmp_path):
-        assert self.GRID_SIDE * self.GRID_SIDE == ELEMENT_CAP == PARAMS_MAX["interval"]
-        proc = self.run_capped(tmp_path, _cap_inputs(ELEMENT_CAP, self.GRID_SIDE)[field], CAP_ARGV[field])
-        assert proc.returncode == 0, proc.stderr
-
-    @pytest.mark.parametrize("field", sorted(CAP_ARGV))
-    def test_one_past_cap_is_refused_on_line_1(self, field, tmp_path):
-        proc = self.run_capped(tmp_path, _cap_inputs(ELEMENT_CAP + 1, self.GRID_SIDE + 1)[field], CAP_ARGV[field])
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("hlbench: error: line 1: ")
-        assert "outside [1, " in proc.stderr
-
-    @pytest.mark.parametrize("argv, work", [
-        (["levels", "--max-len", "0", "--depth", "40"], "levels work 1099511627775 (domain of 1,"),
-        (["levels", "--max-len", "30", "--depth", "40"], "levels work 36574332943 (domain of 2147483647,"),
-        (["pairing", "--base-levels", "1", "--depth", "40"], "pairing work 75557863725914323419138 (pool of 2,"),
-        (["game", "--p1", "random-set", "--p2", "min-legal", "--window", "65536", "--horizon", "200"],
-         "game work 13107200 (horizon 200 times window 65536)"),
-    ], ids=["levels-0-40", "levels-30-40", "pairing-1-40", "game-200-65536"])
-    def test_oversized_construction_is_refused_before_work(self, argv, work, tmp_path):
-        # Building or checking any of these takes hours or more memory than the limit.
-        proc = self.run_capped(tmp_path, {}, argv)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith(f"hlbench: error: {work}")
-        assert proc.stderr.endswith(" above the cap 1048576\n")
-
-    def test_generator_union_past_the_generator_count_returns_at_once(self, tmp_path):
-        # The target lists one generator and a cover takes each at most once,
-        # so a max of 10^12 is tried no further than 1.
-        files = {
-            "f.morphism": "morphism v1\nformula=identity\n",
-            "s.ideal": "ideal v1 ground=interval params=4\nname fin\ngenerator g 0 1\n",
-            "t.ideal": "ideal v1 ground=interval params=4\nsurrogate generator-union max=1000000000000\n"
-                       "generator c 0\n",
-        }
-        proc = self.run_capped(tmp_path, files, CAP_ARGV["interval"])
-        assert proc.returncode == 1, proc.stderr
-        report = json.loads(proc.stdout)
-        assert report["checks"] == [
-            {"generator": "g", "ok": False, "measure": "not covered by any 1000000000000 generator(s)"}]
-
-    @staticmethod
-    def union_files(k, target_generators, max_generators):
-        head = f"ideal v1 ground=interval params={k}\n"
-        return {
-            "f.morphism": "morphism v1\nformula=identity\n",
-            "s.ideal": f"{head}name fin\ngenerator all {' '.join(map(str, range(k)))}\n",
-            "t.ideal": f"{head}name cover\nsurrogate generator-union max={max_generators}\n"
-                       + "".join(f"generator g{i} {' '.join(map(str, g))}\n" for i, g in enumerate(target_generators)),
-        }
-
-    def test_generator_union_covers_by_1100_singletons(self, tmp_path):
-        # A cover 1 100 generators deep: a search recursing once per generator
-        # taken passes Python's default recursion limit.
-        files = self.union_files(1100, [(a,) for a in range(1100)], 1100)
-        proc = self.run_capped(tmp_path, files, CAP_ARGV["interval"])
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
-        assert report["checks"] == [{"generator": "all", "ok": True, "measure": "covered by 1100 generator(s)"}]
-
-    def test_generator_union_past_the_work_cap_is_refused(self, tmp_path):
-        # The 210 pairs of [0, 21) never cover its 21 elements with 10 of them; the
-        # count passes the cap before level 5 (what 5 pairs leave) is formed.
-        files = self.union_files(21, list(itertools.combinations(range(21), 2)), 10)
-        proc = self.run_capped(tmp_path, files, CAP_ARGV["interval"])
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr == "hlbench: error: generator-union work 1175960 above the cap 1048576\n"
-
-    def test_full_at_cap_profiles_match_the_reference(self, tmp_path):
+    def test_full_at_cap_profiles_match_the_reference(self, cli_command, tmp_path):
         # Every member and every cell: the largest bodies the capped headers allow.
-        side = self.GRID_SIDE
+        side = PARAMS_MAX["grid"]
+        assert (cli_cases.ELEMENT_CAP, cli_cases.GRID_SIDE) == (ELEMENT_CAP, side)
+        assert side * side == ELEMENT_CAP == PARAMS_MAX["interval"]
         nat = NatSet.of(range(ELEMENT_CAP), ELEMENT_CAP)
         grid = GridSet.of(((c, r) for c in range(side) for r in range(side)), side)
-        files = {"a.natset": natset_to_text(nat), "a.gridset": gridset_to_text(grid)}
-
-        proc = self.run_capped(tmp_path, files, CAP_ARGV["natset"])
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
         hits, natural = 0, []
         for n in range(1, ELEMENT_CAP + 1):
             hits += (n - 1) in nat.members
             natural.append(_str_frac(Fraction(hits, n)))
         windows = [range(1 << n, 2 << n) for n in range(ELEMENT_CAP.bit_length() - 1)]
-        dyadic = [_str_frac(Fraction(len(nat.members.intersection(w)), len(w))) for w in windows]
-        assert report["size"] == ELEMENT_CAP
-        assert report["density_natural"] == natural
-        assert report["density_dyadic"] == dyadic
-        # The weight is H_65536, a fraction of about 28 000 digits a side.
-        assert report["summable_weight"] == _str_frac(summable_weight(nat))
-
-        proc = self.run_capped(tmp_path, files, CAP_ARGV["gridset"])
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
-        assert report["size"] == ELEMENT_CAP
-        assert report["column_profile"] == [side] * side
+        nat_report = {
+            "size": ELEMENT_CAP,
+            "density_natural": natural,
+            "density_dyadic": [_str_frac(Fraction(len(nat.members.intersection(w)), len(w))) for w in windows],
+            # H_65536, a fraction of about 28 000 digits a side.
+            "summable_weight": _str_frac(summable_weight(nat)),
+        }
+        grid_report = {"size": ELEMENT_CAP, "column_profile": [side] * side}
+        files = {"a.natset": natset_to_text(nat), "a.gridset": gridset_to_text(grid)}
+        for kind, want in (("natset", nat_report), ("gridset", grid_report)):
+            case = cli_cases.Case(f"full-{kind}", f"profile --input a.{kind}", 0, bound=10, files=files,
+                                  stdout=lambda r, want=want: {k: r[k] for k in want} == want)
+            assert cli_cases.run(case, cli_command, tmp_path)[1] == []
 
 
 def _str_frac(q: Fraction) -> str:
@@ -907,30 +795,6 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err.startswith("hlbench: error: ") and named in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["game", "--p1", "initial-segment", "--p2", "min-legal", "--horizon", "16", "--window", "65536"],
-            ["zdensity", "--nmax", "1"],
-        ],
-    )
-    def test_closed_stdout_is_io_error(self, argv):
-        # A large report fails in the write, a small one in the flush.
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "hlbench.cli", *argv],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                text=True,
-                check=False,
-                timeout=120,
-            )
-        finally:
-            os.close(write_end)
-        assert (proc.returncode, proc.stderr) == (2, "hlbench: error: cannot write stdout: Broken pipe\n")
 
     def test_unknown_profile_kind(self, tmp_path, capsys):
         path = tmp_path / "a.blob"
