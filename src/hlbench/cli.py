@@ -314,10 +314,12 @@ def cmd_profile(args) -> int:
         for flag, value in (("--ell", args.ell), *interval_flags):
             if value is not None:
                 raise ParseError(f"{flag} applies only to natset inputs, not {head}")
-    if head == "natset" and args.ell is None:
+    elif head == "natset" and args.ell is None:
         for flag, value in interval_flags:
             if value is not None:
                 raise ParseError(f"{flag} needs --ell")
+    elif head == "natset" and args.threshold is None:
+        raise ParseError("--threshold is required with --ell")
     if args.cmp is None:
         args.cmp = "ge"  # resolved here so that the report states the comparison used
     if head == "natset":
@@ -331,14 +333,11 @@ def cmd_profile(args) -> int:
             "summable_weight": frac_text(summable_weight(nat)),
         }
         if args.ell is not None:
-            if args.threshold is None:
-                raise ParseError("--threshold is required with --ell")
-            count = interval_count(nat, args.ell, args.threshold, args.cmp)
             body["interval"] = {
                 "ell": args.ell,
                 "threshold": args.threshold,
                 "cmp": args.cmp,
-                "count": count,
+                "count": interval_count(nat, args.ell, args.threshold, args.cmp),
             }
         lines.append(f"|A| = {len(nat.members)} in [0, {nat.bound})")
     elif head == "gridset":
@@ -374,21 +373,16 @@ def cmd_profile(args) -> int:
 
 def cmd_game(args) -> int:
     from .colorings import coloring_from_text
-    from .game import parse_strategy_id, play, transcript_to_json
+    from .game import check_game, parse_strategy_id, play, transcript_to_json
     from .ideals import NatSet, density_profile, frac_text, summable_weight
 
     p1 = parse_strategy_id(args.p1)
     if args.coloring is not None and p1.name != "tree-builder":
         raise ParseError(f"--coloring needs --p1 tree-builder, not {p1.name!r}")
+    p2 = parse_strategy_id(args.p2)
+    check_game(args.horizon, p1, p2, args.window)
     coloring = coloring_from_text(_read(args.coloring)) if args.coloring else None
-    transcript = play(
-        args.horizon,
-        p1,
-        parse_strategy_id(args.p2),
-        args.window,
-        coloring=coloring,
-        seed=args.seed,
-    )
+    transcript = play(args.horizon, p1, p2, args.window, coloring=coloring, seed=args.seed)
     outcome = NatSet.of(transcript.outcome, args.window)
     body = {
         "transcript": transcript_to_json(transcript),

@@ -109,34 +109,20 @@ class Coloring:
             raise RangeError(f"node of length {len(s)} outside 2^<{self.depth}")
         return r
 
-    def count_extensions(self, s: str, level: int, color: int, cap: int | None = None) -> int:
-        """Number of extensions of `s` at `level` with the given color.
+    def zero_extensions(self, s: str, level: int) -> tuple[int, ...]:
+        """The ranks of the first two 0-colored extensions of `s` on `level`, in lexicographic order.
 
-        With `cap`, counting stops early once `cap` hits are seen; the sparse
-        backend returns exact counts regardless since they are cheap.
+        Fewer when the level holds fewer.  On a sparse coloring whose default
+        is 1 only an override can be 0-colored, so those are read instead of
+        the level, which may hold up to 2^63 nodes.
         """
         r = node_rank(s)
-        _check_bit(color)
         if not len(s) <= level < self.depth:
             raise RangeError(f"level {shown(level)} outside [{len(s)}, {self.depth})")
-        if self._overrides is not None:
-            hits = 0
-            listed = 0
-            for node, v in self._overrides.items():
-                if len(node) == level and node.startswith(s):
-                    listed += 1
-                    if v == color:
-                        hits += 1
-            if self._default == color:
-                hits += (1 << (level - len(s))) - listed
-            return hits
-        hits = 0
-        for t in rank_span(r, level - len(s)):
-            if self.at(t) == color:
-                hits += 1
-                if cap is not None and hits >= cap:
-                    return hits
-        return hits
+        if self._overrides is not None and self._default == 1:
+            zeros = sorted(t for t, v in self._overrides.items() if v == 0 and len(t) == level and t.startswith(s))
+            return tuple(map(node_rank, zeros[:2]))
+        return tuple(itertools.islice((t for t in rank_span(r, level - len(s)) if self.at(t) == 0), 2))
 
 
 def _check_bit(v: int) -> int:
@@ -204,7 +190,7 @@ def h_set(c: Coloring, p: LevelTree) -> tuple[int, ...]:
 def i_set(c: Coloring, s: str) -> tuple[int, ...]:
     """Levels n >= |s|+2 at which s has at most one 0-colored extension, ascending."""
     c._rank(s)  # refuses a non-node or a node past the depth
-    return tuple(n for n in range(len(s) + 2, c.depth) if c.count_extensions(s, n, 0, cap=2) <= 1)
+    return tuple(n for n in range(len(s) + 2, c.depth) if len(c.zero_extensions(s, n)) <= 1)
 
 
 def color_trace(c: Coloring, x: str) -> tuple[tuple[int, ...], tuple[int, ...]]:

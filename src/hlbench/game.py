@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 from ._rng import SplitMix64
 from .colorings import WORK_CAP, Coloring, i_set
 from .errors import GameProtocolError, NotFoundError, RangeError, shown
-from .treecore import format_node, node_rank, rank_node, rank_span
+from .treecore import format_node, rank_node
 
 WINDOW_MAX = 1 << 20
 
@@ -134,12 +134,11 @@ class TreeBuilderStrategy:
         grown: dict[str, str] = {}
         for arg in self._generation_args():
             s = self.assignments[arg]
-            if pick < len(s) + 1 or self.coloring.count_extensions(s, pick, 0, cap=2) < 2:
+            zeros = self.coloring.zero_extensions(s, pick) if pick > len(s) else ()
+            if len(zeros) < 2:
                 self.stuck = True
                 return
-            # The first two 0-colored extensions at the pick, in lexicographic order.
-            zeros = (t for t in rank_span(node_rank(s), pick - len(s)) if self.coloring.at(t) == 0)
-            grown[arg + "0"], grown[arg + "1"] = rank_node(next(zeros)), rank_node(next(zeros))
+            grown[arg + "0"], grown[arg + "1"] = map(rank_node, zeros)
         self.assignments.update(grown)
         self.generation += 1
 
@@ -229,18 +228,8 @@ def _seed_of(sid: StrategyId, default_seed: int) -> int:
     return default_seed if raw is None else int(raw)
 
 
-def _check_id(sid: StrategyId, names: tuple[str, ...], player: str) -> None:
-    if sid.name not in names:
-        raise NotFoundError(f"unknown {player} strategy {sid.name!r} (have {names})")
-    for key, _ in sid.params:
-        if key != "seed" or sid.name not in _SEEDED:
-            raise ValueError(f"strategy {sid.name!r} takes no parameter {key!r}")
-    if len(sid.params) > 1:
-        raise ValueError(f"strategy {sid.name!r} takes parameter 'seed' once")
-
-
 def make_player_one(sid: StrategyId, window: int, coloring: Coloring | None = None, default_seed: int = 0):
-    _check_id(sid, PLAYER_ONE_NAMES, "player I")
+    """Player I's strategy for an id that check_game accepts."""
     if sid.name == "empty":
         return _Oblivious(sid.name, lambda n: frozenset())
     if sid.name == "initial-segment":  # the doubling initial segment [0, 2^n), window-clipped
@@ -254,7 +243,7 @@ def make_player_one(sid: StrategyId, window: int, coloring: Coloring | None = No
 
 
 def make_player_two(sid: StrategyId, window: int, default_seed: int = 0):
-    _check_id(sid, PLAYER_TWO_NAMES, "player II")
+    """Player II's strategy for an id that check_game accepts."""
     if sid.name == "random-pick":
         return RandomPickStrategy(window, _seed_of(sid, default_seed))
     return MinLegalStrategy(window)  # min-legal and its alias min-legal-increasing
@@ -266,6 +255,33 @@ def _resolve(strategy, maker):
     if isinstance(strategy, StrategyId):
         return maker(strategy)
     return strategy
+
+
+def check_game(horizon: int, s1, s2, window: int) -> None:
+    """Refuse, before any strategy is built or coloring read, a bad horizon, window or strategy id.
+
+    A move may fill the window, so horizon * window is held to colorings.WORK_CAP.
+    A ready strategy instance is not checked.
+    """
+    if horizon < 1:
+        raise RangeError(f"horizon {shown(horizon)} must be >= 1")
+    if not 1 <= window <= WINDOW_MAX:
+        raise RangeError(f"window {shown(window)} outside [1, {WINDOW_MAX}]")
+    if horizon * window > WORK_CAP:
+        work = f"{shown(horizon * window)} (horizon {shown(horizon)} times window {window})"
+        raise RangeError(f"game work {work} above the cap {WORK_CAP}")
+    for strategy, names, player in ((s1, PLAYER_ONE_NAMES, "player I"), (s2, PLAYER_TWO_NAMES, "player II")):
+        sid = parse_strategy_id(strategy) if isinstance(strategy, str) else strategy
+        if not isinstance(sid, StrategyId):
+            continue  # a ready strategy instance
+        if sid.name not in names:
+            raise NotFoundError(f"unknown {player} strategy {sid.name!r} (have {names})")
+        for key, _ in sid.params:
+            if key != "seed" or sid.name not in _SEEDED:
+                raise ValueError(f"strategy {sid.name!r} takes no parameter {key!r}")
+        if len(sid.params) > 1:
+            raise ValueError(f"strategy {sid.name!r} takes parameter 'seed' once")
+        _seed_of(sid, 0)  # refuses a seed that is not an integer
 
 
 def play(
@@ -283,17 +299,9 @@ def play(
     ready strategy instances.  Illegal moves raise a protocol error naming
     the strategy and round.  The run stops early with completed=False when
     player I's set covers the whole window or player II declines to pick.
-    A horizon times window above colorings.WORK_CAP is refused with a
-    RangeError before any strategy is built.
+    What check_game refuses is refused before any strategy is built.
     """
-    if horizon < 1:
-        raise RangeError(f"horizon {shown(horizon)} must be >= 1")
-    if not 1 <= window <= WINDOW_MAX:
-        raise RangeError(f"window {shown(window)} outside [1, {WINDOW_MAX}]")
-    # A move may fill the window, so a transcript holds up to horizon * window ints.
-    if horizon * window > WORK_CAP:
-        work = f"{shown(horizon * window)} (horizon {shown(horizon)} times window {window})"
-        raise RangeError(f"game work {work} above the cap {WORK_CAP}")
+    check_game(horizon, s1, s2, window)
     player_one = _resolve(s1, lambda sid: make_player_one(sid, window, coloring, seed))
     player_two = _resolve(s2, lambda sid: make_player_two(sid, window, seed))
 

@@ -238,9 +238,8 @@ def brute_force_max(c: Coloring, budget: SearchBudget, mode: str) -> SearchResul
     first_leaf = (1 << height) - 1
     best = None  # (m, tie key, images in argument order)
     explored = 0
-    for node in _region_embeddings("", height, depth):
+    for listed in enumerate_embeddings(depth, height):
         explored += 1
-        listed = _bfs(node, height)
         m = _score(value, listed[first_leaf:], depth, mode)[0]
         if best is None or m > best[0]:
             best = (m, _tie_key(listed), listed)

@@ -201,6 +201,16 @@ CASES = [
                        "above the cap 1048576")),
     Case("game-200-65536", "game --p1 random-set --p2 min-legal --window 65536 --horizon 200", 2,
          stderr=_error("game work 13107200 (horizon 200 times window 65536) above the cap 1048576")),
+    # What needs no input file is refused before the file is parsed (profile)
+    # or read (game): here the file is bad or missing too.
+    Case("ell-without-threshold", "profile --input bad.natset --ell 2", 2, bound=2,
+         files={"bad.natset": "natset v1 bound=8\n1\nx\n"}, stderr=_error("--threshold is required with --ell")),
+    Case("game-cap-before-coloring",
+         "game --p1 tree-builder --coloring missing.coloring --p2 min-legal --horizon 200 --window 65536", 2, bound=2,
+         stderr=_error("game work 13107200 (horizon 200 times window 65536) above the cap 1048576")),
+    Case("game-strategy-before-coloring",
+         "game --p1 tree-builder --coloring missing.coloring --p2 psychic --horizon 3 --window 16", 2, bound=2,
+         stderr=_error("unknown player II strategy 'psychic' (have ('min-legal', 'min-legal-increasing', 'random-pick'))")),
     # The oracle's enumeration bound is closed-form, so it is refused before the search.
     Case("oracle-20-2", "search --depth 20 --height 2 --seed 1 --oracle", 2, stderr=ORACLE_REFUSED, bound=2),
     Case("oracle-levels-20-2", "search-levels --depth 20 --height 2 --seed 1 --oracle", 2,

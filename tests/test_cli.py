@@ -609,50 +609,6 @@ class TestSubcommands:
         assert body["all_pass"] is True
 
 
-def _write_profile_inputs(rng: random.Random) -> None:
-    """Seeded natsets (bounds 4096 and 16384), a gridset (bound 64) and a nodeset (depth 12) in the cwd."""
-    members = [m for m in range(4096) if rng.random() < 0.25]
-    cells = [(c, r) for c in range(64) for r in range(64) if rng.random() < 0.3]
-    nodes = [format(i, f"0{n}b") if n else "-" for n in range(12) for i in range(1 << n) if rng.random() < 0.05]
-    # The benchmark's natset size and density, drawn last so the other files keep their bytes.
-    wide = [m for m in range(16384) if rng.random() < 0.25]
-    Path("a.natset").write_text("\n".join(["natset v1 bound=4096", *map(str, members)]) + "\n")
-    Path("b.natset").write_text("\n".join(["natset v1 bound=16384", *map(str, wide)]) + "\n")
-    Path("e.gridset").write_text("\n".join(["gridset v1 bound=64", *(f"{c} {r}" for c, r in cells)]) + "\n")
-    Path("s.nodeset").write_text("\n".join(["nodeset v1 depth=12", *nodes]) + "\n")
-
-
-class TestProfileBytes:
-    """`profile` stdout is byte-identical to the reports of the straightforward statistics."""
-
-    # SHA-256 of stdout, recorded with the per-window, per-tail Fraction
-    # implementations the one-pass statistics replaced.  The report carries
-    # the package version, so a version bump changes them.
-    DIGESTS = {
-        "a.natset": "b4804c8e73f04b7fb44af98a8e11b5d1bb0adf4d4ef939ccd094b0b4ad4545a9",
-        "b.natset": "1092e2582fe0ad0b5a6fcc739a425024fb446bb610664429d28bfa6b27bda8be",
-        "e.gridset": "57fcad362e69b319e44f6ae6a74772d9911f4a519b2c1de1fe0e32c0e6ab698c",
-        "s.nodeset": "1b103bc053d4b0ea79da42161844fa1683cb6877de2cd1206181cf7d6fe59a46",
-    }
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["profile", "--input", "a.natset", "--ell", "16", "--threshold", "5"],
-            ["profile", "--input", "b.natset", "--ell", "64", "--threshold", "16"],
-            ["profile", "--input", "e.gridset"],
-            ["profile", "--input", "s.nodeset"],
-        ],
-    )
-    def test_stdout_digest(self, argv, tmp_path, monkeypatch, capsys):
-        # Relative paths keep the report's `config.input` the same in every run.
-        monkeypatch.chdir(tmp_path)
-        _write_profile_inputs(random.Random(20211))
-        code, out, _ = run(argv, capsys)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv[2]]
-
-
 @pytest.fixture
 def cli_command(monkeypatch):
     """`python -m hlbench.cli`, with the package found by absolute path from any cwd."""
@@ -864,6 +820,74 @@ class TestErrorPaths:
         assert "comma-separated" in err
 
 
+# ---------------------------------------------------------------------------
+# the report writer
+# ---------------------------------------------------------------------------
+
+report_text = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['"', "\\", '\\"', "\x00", "\x1f", "\n\t\r", "\x7f", "é", "\u2028", "\U0001f600", "a/b", ""]),
+)
+report_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**60), 10**60), report_text
+)
+report_values = st.recursive(
+    report_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(report_text, inner, max_size=5),
+        st.lists(st.integers(), max_size=8),
+        st.lists(report_text, max_size=8),
+    ),
+    max_leaves=40,
+)
+
+
+class TestWriter:
+    """`_json` writes exactly `json.dumps(value, sort_keys=True, indent=2)` or raises TypeError."""
+
+    @given(report_values)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{}, [], (), {"a": []}, [[], {}], [True, False, None, 0, -1], [1, True], ["x", 1], [[1, 2], ["a"]],
+         {"b": {"c": (1, "d")}, "a": -(10**30)}, "\u00e9\ud800"],
+    )
+    def test_examples(self, value):
+        assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, Fraction(1, 2), {1, 2}, frozenset(), {1: "a"}, {None: 1}, {("a",): 1}, [1, 2.0], {"a": [Fraction(1)]},
+         ["a", {"b": {3}}], {"a": 1, 2: "b"}, b"bytes"],
+    )
+    def test_other_values_raise(self, value):
+        with pytest.raises(TypeError):
+            _json(value)
+
+
+# ---------------------------------------------------------------------------
+# byte pins: the exit status and stdout of fixed seeded runs
+# ---------------------------------------------------------------------------
+
+
+def _write_profile_inputs(rng: random.Random) -> None:
+    """Seeded natsets (bounds 4096 and 16384), a gridset (bound 64) and a nodeset (depth 12) in the cwd."""
+    members = [m for m in range(4096) if rng.random() < 0.25]
+    cells = [(c, r) for c in range(64) for r in range(64) if rng.random() < 0.3]
+    nodes = [format(i, f"0{n}b") if n else "-" for n in range(12) for i in range(1 << n) if rng.random() < 0.05]
+    # The benchmark's natset size and density, drawn last so the other files keep their bytes.
+    wide = [m for m in range(16384) if rng.random() < 0.25]
+    Path("a.natset").write_text("\n".join(["natset v1 bound=4096", *map(str, members)]) + "\n")
+    Path("b.natset").write_text("\n".join(["natset v1 bound=16384", *map(str, wide)]) + "\n")
+    Path("e.gridset").write_text("\n".join(["gridset v1 bound=64", *(f"{c} {r}" for c, r in cells)]) + "\n")
+    Path("s.nodeset").write_text("\n".join(["nodeset v1 depth=12", *nodes]) + "\n")
+
+
 def _node_token(s: str) -> str:
     return s if s else "-"
 
@@ -964,76 +988,6 @@ def _morphism_argv(stem: str) -> list[str]:
     return ["katetov", "--morphism", f"{stem}.morphism", "--source", f"{stem}.src.ideal", "--target", f"{stem}.tgt.ideal"]
 
 
-class TestKatetovGameBytes:
-    """`katetov` and `game` stdout is byte-identical to the per-variant classes it came from."""
-
-    # SHA-256 of stdout and the exit status, recorded with one hand-written
-    # parser branch and `parameters()` per surrogate, one class per player I
-    # strategy, and one `apply` call per target element per generator.  The
-    # report carries the package version, so a version bump changes them.
-    CASES = {
-        "builtin fin_to_z_identity": (["katetov", "--builtin", "fin_to_z_identity"], 0,
-            "a2cebda77c3b93dd62865ec45bd8bca6dffa061570ea89e82406fd1ac7ba52ca"),
-        "builtin summable_to_z_identity": (["katetov", "--builtin", "summable_to_z_identity"], 0,
-            "07e630c1c119ef5a7f94d6e08e05703d3f31bc48358679a50ea85dcf0181592a"),
-        "builtin ed_to_finxfin_identity": (["katetov", "--builtin", "ed_to_finxfin_identity"], 0,
-            "8407d217e03f23db0df9d5e8bf935cbb08545dbf98fdf352471fc7dc316d79e8"),
-        "builtin fin_to_finxfin_projection": (["katetov", "--builtin", "fin_to_finxfin_projection"], 0,
-            "0e88c1f1dc45db879cedf1ec8f32ab237416dbb0a442e9791c4addb1d9ccdfe7"),
-        "counterexample": (["katetov", "--counterexample", "fin_to_z_one_point"], 1,
-            "b3ca1464358f766f5242a73acb9709a36572d7c202f8ef4fa868ab6816265989"),
-        "morphism z": (_morphism_argv("z"), 0,
-            "7c9f844e8ecf744295866435d4a5d3e0fbf945a74c4b9e26b984d2d988cfa6eb"),
-        "morphism fxf": (_morphism_argv("fxf"), 0,
-            "b986447ca0396062b041d1cbb0a5e109b6bbbac9d969acd131b9b267ed2e569d"),
-        "morphism union": (_morphism_argv("union"), 1,
-            "d8c05181188e9d5ee5258393e90e27d54491f3de43f082b14a53eea6531922d5"),
-        "morphism sum": (_morphism_argv("sum"), 1,
-            "7224c91f9e2e692cacccb0480213b5d04590ac5ebd238f5f64e7ce901cf516be"),
-        "formula identity interval": (_morphism_argv("idint"), 0,
-            "d063369d2f2f02b7f99250ba9ff0eb698578217c8ab97894d649d9e92d62e7e5"),
-        "formula identity grid": (_morphism_argv("idgrid"), 1,
-            "c3ff612b25b5529216b4445c1ee15e93bbfa7d378b50d65c443ef62661d9eee3"),
-        "formula identity nodes": (_morphism_argv("idnodes"), 1,
-            "c2ebc5dc695aa81bb4ac1cc8485f4f0f4cd69923b192a0d3e6853cbd25b99f6d"),
-        "formula column-projection": (_morphism_argv("proj"), 1,
-            "26daffa914fe926027a6ceb253b72990ed64b7a8a7eb1362816fa299c5d3cec9"),
-        "game initial-segment": (
-            ["game", "--p1", "initial-segment", "--p2", "min-legal", "--horizon", "12", "--window", "4096"], 0,
-            "a93d916b206fc333804958f516438d27d1901c4f0f2fe05f7e83fea790b5b219"),
-        "game initial-segment saturates": (
-            ["game", "--p1", "initial-segment", "--p2", "min-legal", "--horizon", "9", "--window", "40"], 0,
-            "699018220b7571fa7cc43b2a00c3f4b2749e464346137f0f1dd7198ca8756879"),
-        "game empty": (
-            ["game", "--p1", "empty", "--p2", "min-legal-increasing", "--horizon", "5", "--window", "64"], 0,
-            "49c87b667dde97328c108c6d06f399b9741d34bfdca1907adfd6b0ebfe6e5c6c"),
-        "game random": (
-            ["game", "--p1", "random-set:seed=41", "--p2", "random-pick:seed=42",
-             "--horizon", "8", "--window", "512"], 0,
-            "a88fb7c1a74f54457845f664d6caf8af4a732d8845a84239ac183ea9f9e24ad2"),
-        "game random default seed": (
-            ["game", "--p1", "random-set", "--p2", "random-pick", "--horizon", "6", "--window", "64", "--seed", "9"], 0,
-            "311c573066d3e4155eed84af1245d027284e83a9ea8b1e42f875cab15eadabb1"),
-        "game tree-builder": (
-            ["game", "--p1", "tree-builder", "--p2", "random-pick:seed=17", "--horizon", "6", "--window", "12",
-             "--coloring", "g.coloring"], 0,
-            "c64a79b4cf6a1346072f170f2861ca7466bdad00f4205d93609719e8aef82d9a"),
-        "game tree-builder stuck": (
-            ["game", "--p1", "tree-builder", "--p2", "min-legal", "--horizon", "4", "--window", "12",
-             "--coloring", "g.coloring"], 0,
-            "aa499ffa11d186a9a05fc575942777b069021b82652d6eaf0e619c82fe25c0a9"),
-    }
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_stdout_digest(self, case, tmp_path, monkeypatch, capsys):
-        # Relative paths keep the report's `config` the same in every run.
-        monkeypatch.chdir(tmp_path)
-        _write_katetov_game_inputs(random.Random(20215))
-        argv, want_code, want_digest = self.CASES[case]
-        code, out, _ = run(argv, capsys)
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, want_digest)
-
-
 def _write_hset_inputs(rng: random.Random) -> None:
     """A seeded coloring of 2^<12, the closure of 6 seeded branches, and commented copies of both."""
     depth = 12
@@ -1051,90 +1005,6 @@ def _write_hset_inputs(rng: random.Random) -> None:
     Path("commented.tree").write_text("\n".join([tree_head, "# closure of the branches", *tree, ""]) + "\n")
 
 
-class TestConstructionBytes:
-    """`hset`, `zdensity`, `pairing` and `levels` stdout and exit status stay byte-identical."""
-
-    # SHA-256 of stdout and the exit status, recorded with the tree-based
-    # pairing check (one two-branch `LevelTree` and one `h_set` call per
-    # branch pair) and the dense coloring backend.  The report carries the
-    # package version, so a version bump changes them.
-    CASES = {
-        "hset plain": (["hset", "--coloring", "plain.coloring", "--tree", "plain.tree"], 0,
-            "e60bee3ecd96b27db82a433e9deb7073e941346509539ae4c2f63a9f50fed9af"),
-        "hset commented": (["hset", "--coloring", "commented.coloring", "--tree", "commented.tree"], 0,
-            "f87c70992be561c93af1969353216bc8f8374641b197b888b4511047c8386a3d"),
-        "zdensity": (["zdensity", "--nmax", "4"], 0,
-            "7c059794dab346563d95b990a18cf76b07120b57da0df01a64e912586c95dcb3"),
-        "pairing 1,2 cap 3 depth 8": (["pairing", "--base-levels", "1,2", "--cap", "3", "--depth", "8"], 0,
-            "f82498bc1512c43051e6a6ec7d8384feab6383e17e5b060b798650c5b4651c31"),
-        "pairing 2,3 cap 2 depth 7": (["pairing", "--base-levels", "2,3", "--cap", "2", "--depth", "7"], 0,
-            "dedb708fb8dd586cdccd8bf1bf9e3dc428d3daec10fd91f9104899c1c9a1e190"),
-        "levels 8 depth 20": (["levels", "--max-len", "8", "--depth", "20"], 0,
-            "918013505ec9387187978238528ad2b60c8ffb8c7540ec22876c43055b43b2cf"),
-        "levels 4 depth 12": (["levels", "--max-len", "4", "--depth", "12"], 0,
-            "e90a373558ce6bee6fbc8fe1f21b209b88cf8f36251a37d03fdc8989fb568f0f"),
-    }
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_stdout_digest(self, case, tmp_path, monkeypatch, capsys):
-        # Relative paths keep the report's `config` the same in every run.
-        monkeypatch.chdir(tmp_path)
-        _write_hset_inputs(random.Random(20217))
-        argv, want_code, want_digest = self.CASES[case]
-        code, out, _ = run(argv, capsys)
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, want_digest)
-
-
-# ---------------------------------------------------------------------------
-# the report writer
-# ---------------------------------------------------------------------------
-
-report_text = st.one_of(
-    st.text(max_size=12),
-    st.sampled_from(['"', "\\", '\\"', "\x00", "\x1f", "\n\t\r", "\x7f", "é", "\u2028", "\U0001f600", "a/b", ""]),
-)
-report_scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(-(10**60), 10**60), report_text
-)
-report_values = st.recursive(
-    report_scalars,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=5),
-        st.lists(inner, max_size=5).map(tuple),
-        st.dictionaries(report_text, inner, max_size=5),
-        st.lists(st.integers(), max_size=8),
-        st.lists(report_text, max_size=8),
-    ),
-    max_leaves=40,
-)
-
-
-class TestWriter:
-    """`_json` writes exactly `json.dumps(value, sort_keys=True, indent=2)` or raises TypeError."""
-
-    @given(report_values)
-    @settings(max_examples=400, deadline=None)
-    def test_matches_json_dumps(self, value):
-        assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
-
-    @pytest.mark.parametrize(
-        "value",
-        [{}, [], (), {"a": []}, [[], {}], [True, False, None, 0, -1], [1, True], ["x", 1], [[1, 2], ["a"]],
-         {"b": {"c": (1, "d")}, "a": -(10**30)}, "\u00e9\ud800"],
-    )
-    def test_examples(self, value):
-        assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
-
-    @pytest.mark.parametrize(
-        "value",
-        [1.5, Fraction(1, 2), {1, 2}, frozenset(), {1: "a"}, {None: 1}, {("a",): 1}, [1, 2.0], {"a": [Fraction(1)]},
-         ["a", {"b": {3}}], {"a": 1, 2: "b"}, b"bytes"],
-    )
-    def test_other_values_raise(self, value):
-        with pytest.raises(TypeError):
-            _json(value)
-
-
 def _write_search_inputs(rng: random.Random) -> None:
     """A seeded coloring of 2^<6 in the cwd, every node listed."""
     lines = [f"{_node_token(format(i, f'0{k}b') if k else '')} {rng.getrandbits(1)}"
@@ -1142,36 +1012,126 @@ def _write_search_inputs(rng: random.Random) -> None:
     Path("s.coloring").write_text("\n".join(["coloring v1 depth=6", *lines]) + "\n")
 
 
-class TestSearchBytes:
-    """`search` and `search-levels` stdout and exit status stay byte-identical."""
+# (id, argv, exit status, SHA-256 of stdout), one row per run.  Every report
+# carries the package version, so a version bump changes every digest.
+BYTE_PINS = [
+    # `profile`: recorded with the per-window, per-tail Fraction
+    # implementations the one-pass statistics replaced.
+    ("profile a.natset", ["profile", "--input", "a.natset", "--ell", "16", "--threshold", "5"], 0,
+        "b4804c8e73f04b7fb44af98a8e11b5d1bb0adf4d4ef939ccd094b0b4ad4545a9"),
+    ("profile b.natset", ["profile", "--input", "b.natset", "--ell", "64", "--threshold", "16"], 0,
+        "1092e2582fe0ad0b5a6fcc739a425024fb446bb610664429d28bfa6b27bda8be"),
+    ("profile e.gridset", ["profile", "--input", "e.gridset"], 0,
+        "57fcad362e69b319e44f6ae6a74772d9911f4a519b2c1de1fe0e32c0e6ab698c"),
+    ("profile s.nodeset", ["profile", "--input", "s.nodeset"], 0,
+        "1b103bc053d4b0ea79da42161844fa1683cb6877de2cd1206181cf7d6fe59a46"),
+    # `katetov` and `game`: recorded with one hand-written parser branch and
+    # `parameters()` per surrogate, one class per player I strategy, and one
+    # `apply` call per target element per generator.
+    ("builtin fin_to_z_identity", ["katetov", "--builtin", "fin_to_z_identity"], 0,
+        "a2cebda77c3b93dd62865ec45bd8bca6dffa061570ea89e82406fd1ac7ba52ca"),
+    ("builtin summable_to_z_identity", ["katetov", "--builtin", "summable_to_z_identity"], 0,
+        "07e630c1c119ef5a7f94d6e08e05703d3f31bc48358679a50ea85dcf0181592a"),
+    ("builtin ed_to_finxfin_identity", ["katetov", "--builtin", "ed_to_finxfin_identity"], 0,
+        "8407d217e03f23db0df9d5e8bf935cbb08545dbf98fdf352471fc7dc316d79e8"),
+    ("builtin fin_to_finxfin_projection", ["katetov", "--builtin", "fin_to_finxfin_projection"], 0,
+        "0e88c1f1dc45db879cedf1ec8f32ab237416dbb0a442e9791c4addb1d9ccdfe7"),
+    ("counterexample", ["katetov", "--counterexample", "fin_to_z_one_point"], 1,
+        "b3ca1464358f766f5242a73acb9709a36572d7c202f8ef4fa868ab6816265989"),
+    ("morphism z", _morphism_argv("z"), 0,
+        "7c9f844e8ecf744295866435d4a5d3e0fbf945a74c4b9e26b984d2d988cfa6eb"),
+    ("morphism fxf", _morphism_argv("fxf"), 0,
+        "b986447ca0396062b041d1cbb0a5e109b6bbbac9d969acd131b9b267ed2e569d"),
+    ("morphism union", _morphism_argv("union"), 1,
+        "d8c05181188e9d5ee5258393e90e27d54491f3de43f082b14a53eea6531922d5"),
+    ("morphism sum", _morphism_argv("sum"), 1,
+        "7224c91f9e2e692cacccb0480213b5d04590ac5ebd238f5f64e7ce901cf516be"),
+    ("formula identity interval", _morphism_argv("idint"), 0,
+        "d063369d2f2f02b7f99250ba9ff0eb698578217c8ab97894d649d9e92d62e7e5"),
+    ("formula identity grid", _morphism_argv("idgrid"), 1,
+        "c3ff612b25b5529216b4445c1ee15e93bbfa7d378b50d65c443ef62661d9eee3"),
+    ("formula identity nodes", _morphism_argv("idnodes"), 1,
+        "c2ebc5dc695aa81bb4ac1cc8485f4f0f4cd69923b192a0d3e6853cbd25b99f6d"),
+    ("formula column-projection", _morphism_argv("proj"), 1,
+        "26daffa914fe926027a6ceb253b72990ed64b7a8a7eb1362816fa299c5d3cec9"),
+    ("game initial-segment",
+        ["game", "--p1", "initial-segment", "--p2", "min-legal", "--horizon", "12", "--window", "4096"], 0,
+        "a93d916b206fc333804958f516438d27d1901c4f0f2fe05f7e83fea790b5b219"),
+    ("game initial-segment saturates",
+        ["game", "--p1", "initial-segment", "--p2", "min-legal", "--horizon", "9", "--window", "40"], 0,
+        "699018220b7571fa7cc43b2a00c3f4b2749e464346137f0f1dd7198ca8756879"),
+    ("game empty",
+        ["game", "--p1", "empty", "--p2", "min-legal-increasing", "--horizon", "5", "--window", "64"], 0,
+        "49c87b667dde97328c108c6d06f399b9741d34bfdca1907adfd6b0ebfe6e5c6c"),
+    ("game random",
+        ["game", "--p1", "random-set:seed=41", "--p2", "random-pick:seed=42",
+         "--horizon", "8", "--window", "512"], 0,
+        "a88fb7c1a74f54457845f664d6caf8af4a732d8845a84239ac183ea9f9e24ad2"),
+    ("game random default seed",
+        ["game", "--p1", "random-set", "--p2", "random-pick", "--horizon", "6", "--window", "64", "--seed", "9"], 0,
+        "311c573066d3e4155eed84af1245d027284e83a9ea8b1e42f875cab15eadabb1"),
+    ("game tree-builder",
+        ["game", "--p1", "tree-builder", "--p2", "random-pick:seed=17", "--horizon", "6", "--window", "12",
+         "--coloring", "g.coloring"], 0,
+        "c64a79b4cf6a1346072f170f2861ca7466bdad00f4205d93609719e8aef82d9a"),
+    ("game tree-builder stuck",
+        ["game", "--p1", "tree-builder", "--p2", "min-legal", "--horizon", "4", "--window", "12",
+         "--coloring", "g.coloring"], 0,
+        "aa499ffa11d186a9a05fc575942777b069021b82652d6eaf0e619c82fe25c0a9"),
+    # `hset`, `zdensity`, `pairing` and `levels`: recorded with the tree-based
+    # pairing check (one two-branch `LevelTree` and one `h_set` call per
+    # branch pair) and the dense coloring backend.
+    ("hset plain", ["hset", "--coloring", "plain.coloring", "--tree", "plain.tree"], 0,
+        "e60bee3ecd96b27db82a433e9deb7073e941346509539ae4c2f63a9f50fed9af"),
+    ("hset commented", ["hset", "--coloring", "commented.coloring", "--tree", "commented.tree"], 0,
+        "f87c70992be561c93af1969353216bc8f8374641b197b888b4511047c8386a3d"),
+    ("zdensity", ["zdensity", "--nmax", "4"], 0,
+        "7c059794dab346563d95b990a18cf76b07120b57da0df01a64e912586c95dcb3"),
+    ("pairing 1,2 cap 3 depth 8", ["pairing", "--base-levels", "1,2", "--cap", "3", "--depth", "8"], 0,
+        "f82498bc1512c43051e6a6ec7d8384feab6383e17e5b060b798650c5b4651c31"),
+    ("pairing 2,3 cap 2 depth 7", ["pairing", "--base-levels", "2,3", "--cap", "2", "--depth", "7"], 0,
+        "dedb708fb8dd586cdccd8bf1bf9e3dc428d3daec10fd91f9104899c1c9a1e190"),
+    ("levels 8 depth 20", ["levels", "--max-len", "8", "--depth", "20"], 0,
+        "918013505ec9387187978238528ad2b60c8ffb8c7540ec22876c43055b43b2cf"),
+    ("levels 4 depth 12", ["levels", "--max-len", "4", "--depth", "12"], 0,
+        "e90a373558ce6bee6fbc8fe1f21b209b88cf8f36251a37d03fdc8989fb568f0f"),
+    # `search` and `search-levels`: recorded with `json.dumps(..., indent=2)`
+    # as the report writer.
+    ("search d5 h2", ["search", "--depth", "5", "--height", "2", "--seed", "3"], 0,
+        "62f205f24ea71886e019c49a23e536b4ce36083f4cb20606e2e382c73d1492a3"),
+    ("search-levels d5 h2", ["search-levels", "--depth", "5", "--height", "2", "--seed", "3"], 0,
+        "cf5ff31b0dcc3742f775787a2b6d24f23a2a5a64043c83719b0325408692772c"),
+    ("search d5 h2 oracle", ["search", "--depth", "5", "--height", "2", "--seed", "8", "--oracle"], 0,
+        "2ad4c984da4f406a03f5bc354d65d8fe487e8a8593779e9894ea76b063aa693f"),
+    ("search-levels d6 h1 oracle", ["search-levels", "--depth", "6", "--height", "1", "--seed", "8", "--oracle"], 0,
+        "4b63d294441019c866f208230d96275e6599b7f2b968c10e7fe2a39c4c260bd6"),
+    ("search coloring h2", ["search", "--height", "2", "--coloring", "s.coloring"], 0,
+        "128936ae737e3dd560a8edf5af8de0eedc76df60b0245795f1a41dbd5c2edf5c"),
+    ("search-levels coloring h1 oracle", ["search-levels", "--height", "1", "--coloring", "s.coloring", "--oracle"], 0,
+        "e6bc562410d24897db22e9448b9861c10f36b3aad5b8ad0028f72bdde85b0d94"),
+    ("search d7 h2 truncated", ["search", "--depth", "7", "--height", "2", "--seed", "1", "--budget", "40"], 1,
+        "d5a4d476588da24f24d19a87d5196eaac30d3584206e3887af67c8a3daa7492f"),
+    ("search d4 h0", ["search", "--depth", "4", "--height", "0", "--seed", "2"], 0,
+        "a0aaad1ca830ddaede00cb4b4a6d7f23a55144f9423f3ea4c61e4b89be3aea29"),
+]
 
-    # SHA-256 of stdout and the exit status, recorded with `json.dumps(...,
-    # indent=2)` as the report writer.  The report carries the package
-    # version, so a version bump changes them.
-    CASES = {
-        "search d5 h2": (["search", "--depth", "5", "--height", "2", "--seed", "3"], 0,
-            "62f205f24ea71886e019c49a23e536b4ce36083f4cb20606e2e382c73d1492a3"),
-        "search-levels d5 h2": (["search-levels", "--depth", "5", "--height", "2", "--seed", "3"], 0,
-            "cf5ff31b0dcc3742f775787a2b6d24f23a2a5a64043c83719b0325408692772c"),
-        "search d5 h2 oracle": (["search", "--depth", "5", "--height", "2", "--seed", "8", "--oracle"], 0,
-            "2ad4c984da4f406a03f5bc354d65d8fe487e8a8593779e9894ea76b063aa693f"),
-        "search-levels d6 h1 oracle": (["search-levels", "--depth", "6", "--height", "1", "--seed", "8", "--oracle"], 0,
-            "4b63d294441019c866f208230d96275e6599b7f2b968c10e7fe2a39c4c260bd6"),
-        "search coloring h2": (["search", "--height", "2", "--coloring", "s.coloring"], 0,
-            "128936ae737e3dd560a8edf5af8de0eedc76df60b0245795f1a41dbd5c2edf5c"),
-        "search-levels coloring h1 oracle": (["search-levels", "--height", "1", "--coloring", "s.coloring", "--oracle"], 0,
-            "e6bc562410d24897db22e9448b9861c10f36b3aad5b8ad0028f72bdde85b0d94"),
-        "search d7 h2 truncated": (["search", "--depth", "7", "--height", "2", "--seed", "1", "--budget", "40"], 1,
-            "d5a4d476588da24f24d19a87d5196eaac30d3584206e3887af67c8a3daa7492f"),
-        "search d4 h0": (["search", "--depth", "4", "--height", "0", "--seed", "2"], 0,
-            "a0aaad1ca830ddaede00cb4b4a6d7f23a55144f9423f3ea4c61e4b89be3aea29"),
-    }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_stdout_digest(self, case, tmp_path, monkeypatch, capsys):
-        # Relative paths keep the report's `config` the same in every run.
-        monkeypatch.chdir(tmp_path)
+@pytest.fixture(scope="module")
+def byte_pin_inputs(tmp_path_factory):
+    """One directory with every pin's input files, each writer drawing from its own seed."""
+    directory = tmp_path_factory.mktemp("byte_pins")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(directory)
+        _write_profile_inputs(random.Random(20211))
+        _write_katetov_game_inputs(random.Random(20215))
+        _write_hset_inputs(random.Random(20217))
         _write_search_inputs(random.Random(20219))
-        argv, want_code, want_digest = self.CASES[case]
-        code, out, _ = run(argv, capsys)
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, want_digest)
+    return directory
+
+
+@pytest.mark.parametrize("argv, status, digest", [pin[1:] for pin in BYTE_PINS], ids=[pin[0] for pin in BYTE_PINS])
+def test_stdout_digest(argv, status, digest, byte_pin_inputs, monkeypatch, capsys):
+    # Relative paths keep the report's `config` the same in every run.
+    monkeypatch.chdir(byte_pin_inputs)
+    code, out, _ = run(argv, capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (status, digest)

@@ -83,40 +83,25 @@ class TestBackends:
         c = random_coloring(depth, seed)
         for s in ("", "0"):
             for level in range(len(s), depth):
-                for color in (0, 1):
-                    want = sum(
-                        1
-                        for t in level_nodes(level)
-                        if t.startswith(s) and c.value(t) == color
-                    )
-                    assert c.count_extensions(s, level, color) == want
-
-    def test_count_extensions_cap(self):
-        # computed backend stops at the cap; cheap backends stay exact
-        computed = last_bit_coloring(6)
-        assert computed.count_extensions("", 5, 0, cap=2) == 2
-        sparse = constant_coloring(6, 0)
-        assert sparse.count_extensions("", 5, 0, cap=2) == 32
+                want = [node_rank(t) for t in level_nodes(level) if t.startswith(s) and c.value(t) == 0]
+                assert c.zero_extensions(s, level) == tuple(want[:2])
 
     @given(
         st.integers(1, 8).flatmap(lambda d: st.tuples(st.just(d), st.sampled_from(all_nodes(d)))),
         st.integers(0, 2**64 - 1),
-        st.booleans(),
-        st.sampled_from([None, 1, 2, 3]),
+        st.sampled_from(["computed", "sparse-default-0", "sparse-default-1"]),
         st.data(),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_count_extensions_matches_a_per_string_count(self, shape, seed, sparse, cap, data):
+    @settings(max_examples=120, deadline=None)
+    def test_count_extensions_matches_a_per_string_count(self, shape, seed, backend, data):
         depth, s = shape
         level = data.draw(st.integers(len(s), depth - 1))
-        color = data.draw(st.integers(0, 1))
         c = random_coloring(depth, seed)
-        if sparse:
-            c = Coloring.sparse(depth, {x: c.value(x) for x in all_nodes(depth) if c.value(x) != seed & 1}, seed & 1)
-        want = sum(c.value(x) == color for x in extensions(s, level))
-        if cap is not None and not sparse:
-            want = min(want, cap)
-        assert c.count_extensions(s, level, color, cap) == want
+        if backend != "computed":
+            default = int(backend[-1])
+            c = Coloring.sparse(depth, {x: c.value(x) for x in all_nodes(depth) if c.value(x) != default}, default)
+        want = [node_rank(x) for x in extensions(s, level) if c.value(x) == 0][:2]
+        assert c.zero_extensions(s, level) == tuple(want)
 
     @given(st.integers(1, 8).flatmap(lambda d: st.tuples(st.just(d), st.sampled_from(all_nodes(d)))),
            st.integers(0, 2**64 - 1), st.booleans())
@@ -150,9 +135,9 @@ class TestNodeChecks:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("s", ["2", "0a", " 1"])
-    def test_count_extensions_i_set_and_color_trace(self, backend, s):
+    def test_zero_extensions_i_set_color_trace(self, backend, s):
         c = BACKENDS[backend]()
-        for call in (lambda: c.count_extensions(s, 3, 0), lambda: i_set(c, s), lambda: color_trace(c, s)):
+        for call in (lambda: c.zero_extensions(s, 3), lambda: i_set(c, s), lambda: color_trace(c, s)):
             with pytest.raises(ValueError, match="^not a binary string: "):
                 call()
 
@@ -162,6 +147,13 @@ class TestNodeChecks:
         for call in (lambda: c.value("00000"), lambda: i_set(c, "00000"), lambda: color_trace(c, "00000")):
             with pytest.raises(RangeError, match=r"^node of length 5 outside 2\^<5$"):
                 call()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_zero_extensions_refuse_a_level_off_the_tree(self, backend):
+        c = BACKENDS[backend]()
+        for level in (1, 5):
+            with pytest.raises(RangeError, match=rf"^level {level} outside \[2, 5\)$"):
+                c.zero_extensions("01", level)
 
 
 def _last_bit(s):
@@ -318,6 +310,8 @@ class TestLevelOperations:
     def test_i_set_constant_one(self):
         c = constant_coloring(6, 1)
         assert i_set(c, "0") == (3, 4, 5)
+        # The default-1 branch reads no level: this one has 2^63 nodes.
+        assert i_set(constant_coloring(64, 1), "") == tuple(range(2, 64))
 
     def test_i_set_constant_zero(self):
         c = constant_coloring(6, 0)

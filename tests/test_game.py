@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlbench.colorings import WORK_CAP, constant_coloring, random_coloring
+from hlbench.colorings import WORK_CAP, Coloring, constant_coloring, random_coloring
 from hlbench.errors import GameProtocolError, NotFoundError, RangeError
 from hlbench.game import (
     WINDOW_MAX,
     GameTranscript,
     StrategyId,
+    TreeBuilderStrategy,
+    check_game,
     parse_strategy_id,
     play,
     transcript_to_json,
@@ -48,6 +50,13 @@ class TestStrategyIds:
             play(2, "psychic", "min-legal", 8)
         with pytest.raises(NotFoundError, match=re.escape(f"unknown player II strategy 'psychic' (have {have_two})")):
             play(2, "empty", "psychic", 8)
+        # Checked before any strategy is built, so before the builder asks for its coloring.
+        with pytest.raises(NotFoundError, match="unknown player II strategy 'psychic'"):
+            check_game(2, "tree-builder", "psychic", 8)
+        with pytest.raises(NotFoundError, match="unknown player II strategy 'psychic'"):
+            play(2, "tree-builder", "psychic", 8)
+        with pytest.raises(ValueError, match="^invalid literal for int"):
+            check_game(2, "tree-builder", "random-pick:seed=x", 8)
 
 
     @pytest.mark.parametrize(
@@ -178,6 +187,15 @@ class TestTreeBuilder:
             move, _ = tree_builder_move(c, history)
             assert tuple(sorted(move)) == r.forbidden
             history.append((r.forbidden, r.pick))
+
+    def test_takes_the_last_two_nodes_of_a_wide_level_at_once(self):
+        # Only the last two of the 2^30 nodes on level 30 are 0-colored; the
+        # builder reads the coloring's two overrides, not the level.
+        left, right = "1" * 29 + "0", "1" * 30
+        builder = TreeBuilderStrategy(None, Coloring.sparse(31, {left: 0, right: 0}, default=1))
+        builder.observe(30)
+        assert builder.assignments == {"": "", "0": left, "1": right}
+        assert not builder.stuck
 
     def test_inconsistent_history_rejected(self):
         c = constant_coloring(8, 0)
