@@ -7,25 +7,33 @@ Exit status: 0 = success/pass, 1 = property failure, 2 = usage or input
 error (argparse uses 2 on its own), including a stdout closed by its reader.
 
 The module level imports only what every subcommand needs: the error types
-`main` catches, and `search`, whose budget defaults the `--budget` help
+`main` catches, and `treecore`, whose budget caps the `--budget` help
 states.  Each handler imports the rest, the library names it calls, at its
-own top, so a command loads only the modules it runs.
+own top, so a command loads only the modules it runs.  `argparse` is
+imported only when an argv goes to the full parser tree, and reports are
+written with the `_json` C module's string encoder, so a valid argv loads
+neither `argparse` nor `json`.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
-import json
 import os
 import sys
+from _json import encode_basestring_ascii as _encode_str  # the function json.encoder names, without json
 from collections.abc import Callable
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import GameProtocolError, HlbenchError, ParseError
-from .search import BUDGET_CAP, DEFAULT_BUDGET
+from .treecore import BUDGET_CAP, DEFAULT_BUDGET
+
+if TYPE_CHECKING:
+    import argparse
+
 
 def _read(path: str) -> str:
     try:
@@ -35,12 +43,12 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _config_of(args: argparse.Namespace) -> dict:
+def _config_of(args: SimpleNamespace) -> dict:
     skip = {"func", "verbose"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _report(args: argparse.Namespace, command: str, body: dict) -> dict:
+def _report(args: SimpleNamespace, command: str, body: dict) -> dict:
     return {
         "tool": "hlbench",
         "version": __version__,
@@ -49,9 +57,6 @@ def _report(args: argparse.Namespace, command: str, body: dict) -> dict:
         "seed": getattr(args, "seed", None),
         **body,
     }
-
-
-_encode_str = json.encoder.encode_basestring_ascii
 
 
 def _json(value, indent: str = "") -> str:
@@ -464,7 +469,7 @@ class Command:
     name: str
     help: str
     options: tuple
-    handler: Callable[[argparse.Namespace], int]
+    handler: Callable[[SimpleNamespace], int]
 
 
 class _OneOf(tuple):
@@ -548,6 +553,8 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level parser with a subparser for each command of `COMMANDS`."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hlbench",
         description="Finite workbench for tree colorings, subtree search, ideal statistics, and games.",
@@ -568,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_exact(command: Command, tokens: list[str]) -> argparse.Namespace | None:
+def _read_exact(command: Command, tokens: list[str]) -> SimpleNamespace | None:
     """The namespace the full tree gives for `[command.name, *tokens]`, or None where `_parse` says.
 
     Its attributes come in the full tree's order: `subcommand` (the
@@ -576,7 +583,7 @@ def _read_exact(command: Command, tokens: list[str]) -> argparse.Namespace | Non
     order, overwritten by the values given, then `func`.
     """
     table = {}  # exact option string -> (dest, add_argument kwargs, group id)
-    args = argparse.Namespace(subcommand=command.name)
+    args = SimpleNamespace(subcommand=command.name)
     for group, option in enumerate((*command.options, _VERBOSE)):
         for flags, kwargs in option if isinstance(option, _OneOf) else (option,):
             dest = kwargs.get("dest", flags[0].lstrip("-").replace("-", "_"))
@@ -611,7 +618,7 @@ def _read_exact(command: Command, tokens: list[str]) -> argparse.Namespace | Non
     return args
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str]) -> SimpleNamespace:
     """`build_parser().parse_args(argv)`, read with no parser when `argv[0]` names a command.
 
     Two paths.  When `argv[0]` names a command of `COMMANDS`, `_read_exact`

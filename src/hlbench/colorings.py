@@ -18,6 +18,7 @@ from ._rng import splitmix64_output
 from .errors import ConstructionError, ParseError, RangeError, ShapeError, shown
 from .treecore import (
     D_MAX,
+    WORK_CAP,
     LevelTree,
     check_depth,
     format_node,
@@ -37,12 +38,6 @@ from .treecore import (
 
 # Full serialisation lists all 2^D - 1 nodes, so it is capped well below D_MAX.
 SERIALIZE_MAX = 16
-
-# The most work a pairing or levels construction may take on, counted in closed
-# form before anything is built: the strings it lists plus the two-branch trees
-# its check compares (pairing), or plus the slice colors its check reads
-# (levels).  The `levels --max-len 8 --depth 20` construction takes 68 111.
-WORK_CAP = 1 << 20
 
 
 class Coloring:

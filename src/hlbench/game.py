@@ -21,9 +21,9 @@ from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from ._rng import SplitMix64
-from .colorings import WORK_CAP, Coloring, i_set
+from .colorings import Coloring, i_set
 from .errors import GameProtocolError, NotFoundError, RangeError, shown
-from .treecore import format_node, rank_node
+from .treecore import WORK_CAP, format_node, rank_node
 
 WINDOW_MAX = 1 << 20
 
@@ -260,7 +260,7 @@ def _resolve(strategy, maker):
 def check_game(horizon: int, s1, s2, window: int) -> None:
     """Refuse, before any strategy is built or coloring read, a bad horizon, window or strategy id.
 
-    A move may fill the window, so horizon * window is held to colorings.WORK_CAP.
+    A move may fill the window, so horizon * window is held to treecore.WORK_CAP.
     A ready strategy instance is not checked.
     """
     if horizon < 1:

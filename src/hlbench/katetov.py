@@ -18,12 +18,12 @@ from fractions import Fraction
 from itertools import chain, product, repeat
 from typing import Iterator, Mapping
 
-from .colorings import WORK_CAP
 from .errors import MorphismDomainError, NotFoundError, ParseError, RangeError, ShapeError, shown
 from .ideals import GridSet, NatSet, _ints_below, _member_cell, _member_int, _plain_ints_below, _prechecked
 from .ideals import column_profile, decimal_text, dyadic_counts, frac_text, summable_weight
 from .treecore import (
     ELEMENT_CAP,
+    WORK_CAP,
     format_node,
     header_int,
     is_node,
@@ -287,7 +287,7 @@ class GeneratorUnionSurrogate(Surrogate):
     """Membership = covered by a union of at most max_generators listed generators.
 
     The search goes level by level.  One unit of work is one element of a remainder a
-    generator is subtracted from; past colorings.WORK_CAP units it raises RangeError.
+    generator is subtracted from; past treecore.WORK_CAP units it raises RangeError.
     """
 
     name = "generator-union"

@@ -20,6 +20,8 @@ from typing import Callable, Iterator, Mapping
 from .colorings import Coloring, ZDensityInstance, band_range
 from .errors import BudgetError, ParseError, RangeError, ShapeError, shown
 from .treecore import (
+    BUDGET_CAP,
+    DEFAULT_BUDGET,
     D_MAX,
     embed_closure,
     extensions,
@@ -33,13 +35,6 @@ from .treecore import (
 )
 
 MODES = ("uniform", "by_levels")
-
-DEFAULT_BUDGET = 1_000_000
-
-# The largest node_budget.  The search's memory grows with its budget: at
-# this cap the depth-40 height-2 search peaks at 422 MiB resident, at four
-# times it at 1.6 GiB (ru_maxrss, Python 3.11).  It is above DEFAULT_BUDGET.
-BUDGET_CAP = 1 << 20
 
 
 def _check_fits(depth: int, height: int) -> None:

@@ -24,6 +24,21 @@ D_MAX = 64
 # 2^16 - 1 nodes.
 ELEMENT_CAP = 1 << 16
 
+# The most work a pairing or levels construction may take on, counted in closed
+# form before anything is built: the strings it lists plus the two-branch trees
+# its check compares (pairing), or plus the slice colors its check reads
+# (levels).  The `levels --max-len 8 --depth 20` construction takes 68 111.
+# A game's horizon times window and a generator-union cover search are held to
+# it too.
+WORK_CAP = 1 << 20
+
+DEFAULT_BUDGET = 1_000_000
+
+# The largest node_budget.  The search's memory grows with its budget: at
+# this cap the depth-40 height-2 search peaks at 422 MiB resident, at four
+# times it at 1.6 GiB (ru_maxrss, Python 3.11).  It is above DEFAULT_BUDGET.
+BUDGET_CAP = 1 << 20
+
 ROOT = ""
 
 # ---------------------------------------------------------------------------

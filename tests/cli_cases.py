@@ -19,6 +19,12 @@ installed console script:
     python3 tests/cli_cases.py hlbench
 
 prints one line per case with its wall time and exits 1 if any case fails.
+From the root of a checkout, without installing:
+
+    PYTHONPATH=src python3 tests/cli_cases.py python3 -m hlbench.cli
+
+Each case runs in a directory of its own, so `main` first makes every
+relative `PYTHONPATH` entry absolute.
 """
 
 from __future__ import annotations
@@ -290,6 +296,9 @@ def main(argv: list[str]) -> int:
     if len(argv) < 2:
         print(f"usage: {argv[0]} COMMAND...  (for example: hlbench, or python3 -m hlbench.cli)", file=sys.stderr)
         return 2
+    if os.environ.get("PYTHONPATH"):
+        entries = os.environ["PYTHONPATH"].split(os.pathsep)
+        os.environ["PYTHONPATH"] = os.pathsep.join(os.path.abspath(e) if e else e for e in entries)
     failed = 0
     for case in CASES:
         with tempfile.TemporaryDirectory() as cwd:

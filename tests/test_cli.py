@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -35,8 +36,7 @@ from hlbench.ideals import (
     summable_weight,
 )
 from hlbench.katetov import PARAMS_MAX, SCOPE_SENTENCE, builtin_witness, ideal_to_text, morphism_to_text
-from hlbench.search import BUDGET_CAP
-from hlbench.treecore import ELEMENT_CAP, make_full, tree_to_text
+from hlbench.treecore import BUDGET_CAP, ELEMENT_CAP, make_full, tree_to_text
 
 RATIONAL = re.compile(r"^\d+/[1-9]\d*$")
 
@@ -114,67 +114,109 @@ class TestEnvelope:
 
 
 # Run in a fresh interpreter: import hlbench.cli, run main(argv) when argv is
-# not null, with stdout captured, and print the exit status and the loaded
-# hlbench modules and the stdlib modules asked about.
+# not null, with stdout captured, and print the exit status, the loaded
+# hlbench modules, the stdlib modules asked about and the captured stdout.
 _LOADED_SCRIPT = """
-import contextlib, io, json, sys
-argv, stdlib = json.loads(sys.argv[1])
+import contextlib, io, sys
+argv, stdlib = eval(sys.argv[1])
 import hlbench.cli
 code = None
+out = io.StringIO()
 if argv is not None:
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(out):
         code = hlbench.cli.main(argv)
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "hlbench"),
-                  sorted(m for m in stdlib if m in sys.modules)]))
+print(repr([code, sorted(m for m in sys.modules if m.split(".")[0] == "hlbench"),
+            sorted(m for m in stdlib if m in sys.modules), out.getvalue()]))
 """
 
-_SHARED_MODULES = ["hlbench", "hlbench._rng", "hlbench.cli", "hlbench.colorings", "hlbench.errors",
-                   "hlbench.search", "hlbench.treecore"]
+_SHARED_MODULES = ["hlbench", "hlbench.cli", "hlbench.errors", "hlbench.treecore"]
+_PARSER_MODULES = ["argparse", "json"]
+_SEARCH_MODULES = ["hlbench._rng", "hlbench.colorings", "hlbench.search"]
 
 
 class TestImports:
     """The module level imports what every subcommand needs; each handler imports the rest."""
 
     @staticmethod
-    def loaded(tmp_path, argv, stdlib=()):
+    def loaded(tmp_path, argv, stdlib=_PARSER_MODULES):
         paths = [str(Path(hlbench.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         # -S: no site module, which on some installs imports pathlib at start-up.
+        # The child reads its argument with eval and prints a repr, since json
+        # would load json into it.
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", _LOADED_SCRIPT, json.dumps([argv, list(stdlib)])],
+            [sys.executable, "-S", "-c", _LOADED_SCRIPT, repr([argv, list(stdlib)])],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60, check=True,
         )
-        return json.loads(proc.stdout)
+        return ast.literal_eval(proc.stdout)
 
     def test_import_loads_only_the_shared_modules(self, tmp_path):
-        code, modules, stdlib = self.loaded(tmp_path, None, ["fractions", "decimal", "pathlib"])
+        code, modules, stdlib, _ = self.loaded(tmp_path, None, ["fractions", "decimal", "pathlib", *_PARSER_MODULES])
         assert modules == _SHARED_MODULES
         assert stdlib == []
 
     def test_search_loads_no_other_library_module(self, tmp_path):
         for command in ("search", "search-levels"):
-            code, modules, stdlib = self.loaded(
-                tmp_path, [command, "--depth", "5", "--height", "2", "--seed", "7"], ["fractions"])
+            code, modules, stdlib, _ = self.loaded(
+                tmp_path, [command, "--depth", "5", "--height", "2", "--seed", "7"], ["fractions", *_PARSER_MODULES])
             assert code == 0
-            assert modules == _SHARED_MODULES
+            assert modules == sorted([*_SHARED_MODULES, *_SEARCH_MODULES])
             assert stdlib == []
+
+    def test_zdensity_loads_search(self, tmp_path):
+        code, modules, stdlib, _ = self.loaded(tmp_path, ["zdensity", "--nmax", "2"])
+        assert code == 0
+        assert modules == sorted([*_SHARED_MODULES, *_SEARCH_MODULES])
+        assert stdlib == []
 
     def test_profile_loads_ideals(self, tmp_path):
         (tmp_path / "a.natset").write_text(natset_to_text(NatSet.of([1, 2, 4, 8], 16)))
-        code, modules, _ = self.loaded(tmp_path, ["profile", "--input", "a.natset"])
+        (tmp_path / "s.nodeset").write_text(nodeset_to_text(NodeSet.of(["0", "01", "1"], 3)))
+        for name in ("a.natset", "s.nodeset"):
+            code, modules, stdlib, _ = self.loaded(tmp_path, ["profile", "--input", name])
+            assert code == 0
+            assert modules == sorted([*_SHARED_MODULES, "hlbench.ideals"])
+            assert stdlib == []
+
+    def test_katetov_morphism_loads_no_search_module(self, tmp_path):
+        w = builtin_witness("fin_to_z_identity")
+        (tmp_path / "s.ideal").write_text(ideal_to_text(w.source))
+        (tmp_path / "t.ideal").write_text(ideal_to_text(w.target))
+        (tmp_path / "f.morphism").write_text(morphism_to_text(w.morphism, w.target.ground, w.source.ground))
+        argv = ["katetov", "--morphism", "f.morphism", "--source", "s.ideal", "--target", "t.ideal"]
+        code, modules, stdlib, _ = self.loaded(tmp_path, argv)
         assert code == 0
-        assert modules == sorted([*_SHARED_MODULES, "hlbench.ideals"])
+        assert modules == sorted([*_SHARED_MODULES, "hlbench.ideals", "hlbench.katetov"])
+        assert stdlib == []
 
     def test_katetov_list_loads_katetov(self, tmp_path):
-        code, modules, _ = self.loaded(tmp_path, ["katetov", "--list"])
+        code, modules, _, _ = self.loaded(tmp_path, ["katetov", "--list"])
         assert code == 0
         assert "hlbench.katetov" in modules and "hlbench.game" not in modules
 
+    def test_hset_loads_colorings_not_search(self, tmp_path):
+        (tmp_path / "c.coloring").write_text(coloring_to_text(random_coloring(4, seed=7)))
+        (tmp_path / "t.tree").write_text(tree_to_text(make_full(4)))
+        code, modules, stdlib, _ = self.loaded(tmp_path, ["hset", "--coloring", "c.coloring", "--tree", "t.tree"])
+        assert code == 0
+        assert modules == sorted([*_SHARED_MODULES, "hlbench._rng", "hlbench.colorings"])
+        assert stdlib == []
+
     def test_game_loads_game(self, tmp_path):
-        code, modules, _ = self.loaded(
+        code, modules, stdlib, _ = self.loaded(
             tmp_path, ["game", "--p1", "initial-segment", "--p2", "min-legal", "--horizon", "4", "--window", "64"])
         assert code == 0
-        assert "hlbench.game" in modules and "hlbench.katetov" not in modules
+        assert modules == sorted([*_SHARED_MODULES, "hlbench._rng", "hlbench.colorings", "hlbench.game",
+                                  "hlbench.ideals"])
+        assert stdlib == []
+
+    def test_declined_argv_loads_argparse_and_prints_the_same_bytes(self, tmp_path):
+        exact = self.loaded(tmp_path, ["search", "--depth", "5", "--height", "2", "--seed", "1"])
+        spelled = self.loaded(tmp_path, ["search", "--depth=5", "--height=2", "--seed=1"])
+        assert exact[2] == [] and "argparse" in spelled[2]
+        assert spelled[0] == exact[0] == 0
+        assert spelled[1] == exact[1]
+        assert spelled[3] == exact[3] != ""
 
 
 def _exit(call, capsys):
@@ -620,6 +662,17 @@ def cli_command(monkeypatch):
 @pytest.mark.parametrize("case", cli_cases.CASES, ids=[case.name for case in cli_cases.CASES])
 def test_cli_case(case, cli_command, tmp_path):
     assert cli_cases.run(case, cli_command, tmp_path)[1] == []
+
+
+def test_case_runner_resolves_a_relative_pythonpath(monkeypatch, capsys):
+    """The runner's own spelling from a checkout root: `PYTHONPATH=src ... python3 -m hlbench.cli`."""
+    src = Path(hlbench.__file__).resolve().parents[1]
+    monkeypatch.chdir(src.parent)
+    monkeypatch.setenv("PYTHONPATH", src.name)
+    monkeypatch.setattr(cli_cases, "CASES", [case for case in cli_cases.CASES if case.name == "katetov-list"])
+    # -S: no site module, so an installed hlbench cannot stand in for the one on the path.
+    assert cli_cases.main(["cli_cases.py", sys.executable, "-S", "-m", "hlbench.cli"]) == 0
+    assert capsys.readouterr().out.endswith("1 of 1 cases pass\n")
 
 
 class TestInputCaps:

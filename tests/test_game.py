@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlbench.colorings import WORK_CAP, Coloring, constant_coloring, random_coloring
+from hlbench.colorings import Coloring, constant_coloring, random_coloring
 from hlbench.errors import GameProtocolError, NotFoundError, RangeError
 from hlbench.game import (
     WINDOW_MAX,
@@ -18,6 +18,7 @@ from hlbench.game import (
     transcript_to_json,
     tree_builder_move,
 )
+from hlbench.treecore import WORK_CAP
 
 
 class TestStrategyIds:

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlbench.colorings import WORK_CAP
 from hlbench.errors import (
     MorphismDomainError,
     NotFoundError,
@@ -42,6 +41,7 @@ from hlbench.katetov import (
     parse_morphism_text,
     report_to_json,
 )
+from hlbench.treecore import WORK_CAP
 
 
 class TestGrounds:

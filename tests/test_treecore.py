@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlbench import colorings, game, katetov, search
 from hlbench.colorings import zdensity_coloring
 from hlbench.errors import EmbeddingInvalidError, ParseError, RangeError
 from hlbench.game import play
@@ -9,7 +10,10 @@ from hlbench.ideals import GridSet, NatSet
 from hlbench.katetov import Ground
 from hlbench.search import SearchBudget
 from hlbench.treecore import (
+    BUDGET_CAP,
+    DEFAULT_BUDGET,
     D_MAX,
+    WORK_CAP,
     LevelTree,
     check_depth,
     check_node,
@@ -32,6 +36,13 @@ from hlbench.treecore import (
 )
 
 nodes_st = st.text(alphabet="01", max_size=8)
+
+
+def test_caps_are_stated_once():
+    # Each module that applies a cap imports treecore's, so every name is one object.
+    assert colorings.WORK_CAP is game.WORK_CAP is katetov.WORK_CAP is WORK_CAP == 1 << 20
+    assert search.DEFAULT_BUDGET is DEFAULT_BUDGET == 1_000_000
+    assert search.BUDGET_CAP is BUDGET_CAP == 1 << 20
 
 
 class TestNodeHelpers:
