@@ -3,6 +3,10 @@
 Reports are machine-first: sorted keys, exact rationals as "p/q" strings,
 tool version, the fully resolved configuration, and the seed (null when the
 command has none).  Human-readable tables go to stderr under --verbose.
+Each handler ends in one call to `_emit`, which writes the envelope, the
+body and, under --verbose, the lines.  `katetov` checks a builtin, a
+counterexample and a morphism file on one path, so under --verbose each
+names its violated generators the same way.
 Exit status: 0 = success/pass, 1 = property failure, 2 = usage or input
 error (argparse uses 2 on its own), including a stdout closed by its reader.
 
@@ -41,22 +45,6 @@ def _read(path: str) -> str:
             return f.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
-
-
-def _config_of(args: SimpleNamespace) -> dict:
-    skip = {"func", "verbose"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
-def _report(args: SimpleNamespace, command: str, body: dict) -> dict:
-    return {
-        "tool": "hlbench",
-        "version": __version__,
-        "command": command,
-        "config": _config_of(args),
-        "seed": getattr(args, "seed", None),
-        **body,
-    }
 
 
 def _json(value, indent: str = "") -> str:
@@ -101,10 +89,18 @@ def _json(value, indent: str = "") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not allowed in a report")
 
 
-def _emit(report: dict, verbose_lines: list[str], verbose: bool) -> None:
-    print(_json(report))
-    if verbose:
-        for line in verbose_lines:
+def _emit(args: SimpleNamespace, command: str, body: dict, lines: list[str]) -> None:
+    """Print the report of `command`, and under --verbose its `lines` on stderr.
+
+    The report is the envelope (tool, version, command, the resolved config
+    and the seed, null when the command has none) with `body`'s keys.
+    """
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "verbose")}
+    seed = getattr(args, "seed", None)
+    print(_json({"tool": "hlbench", "version": __version__, "command": command, "config": config, "seed": seed,
+                 **body}))
+    if args.verbose:
+        for line in lines:
             print(line, file=sys.stderr)
 
 
@@ -121,7 +117,7 @@ def cmd_hset(args) -> int:
     tree = tree_from_text(_read(args.tree))
     levels = list(h_set(coloring, tree))
     body = {"depth": tree.depth, "levels": levels}
-    _emit(_report(args, "hset", body), [f"H = {levels}"], args.verbose)
+    _emit(args, "hset", body, [f"H = {levels}"])
     return 0
 
 
@@ -165,7 +161,7 @@ def cmd_zdensity(args) -> int:
         "pairs_checked": pairs,
         "all_pass": all_pass,
     }
-    _emit(_report(args, "zdensity", body), lines, args.verbose)
+    _emit(args, "zdensity", body, lines)
     return 0 if all_pass else 1
 
 
@@ -220,7 +216,7 @@ def cmd_search(args, mode: str) -> int:
         )
         ok = ok and body["oracle_match"]
         lines.append(f"oracle m* = {oracle.best_levels} match={body['oracle_match']}")
-    _emit(_report(args, f"search[{mode}]", body), lines, args.verbose)
+    _emit(args, f"search[{mode}]", body, lines)
     return 0 if ok else 1
 
 
@@ -253,7 +249,7 @@ def cmd_pairing(args) -> int:
         f"{'PASS' if ch.passed else 'FAIL'}"
         for ch in checks
     ]
-    _emit(_report(args, "pairing", body), lines, args.verbose)
+    _emit(args, "pairing", body, lines)
     return 0 if all_pass else 1
 
 
@@ -288,7 +284,7 @@ def cmd_levels(args) -> int:
     lines = [
         f"t={format_node(ch.node)} level {ch.level}: {'PASS' if ch.passed else 'FAIL'}" for ch in checks
     ]
-    _emit(_report(args, "levels", body), lines, args.verbose)
+    _emit(args, "levels", body, lines)
     return 0 if all_pass else 1
 
 
@@ -329,6 +325,8 @@ def cmd_profile(args) -> int:
         args.cmp = "ge"  # resolved here so that the report states the comparison used
     if head == "natset":
         nat = natset_from_text(text)
+        # Counted before the statistics, so that a bad --ell or --threshold is refused first.
+        count = None if args.ell is None else interval_count(nat, args.ell, args.threshold, args.cmp)
         body = {
             "kind": "natset",
             "bound": nat.bound,
@@ -338,12 +336,7 @@ def cmd_profile(args) -> int:
             "summable_weight": frac_text(summable_weight(nat)),
         }
         if args.ell is not None:
-            body["interval"] = {
-                "ell": args.ell,
-                "threshold": args.threshold,
-                "cmp": args.cmp,
-                "count": interval_count(nat, args.ell, args.threshold, args.cmp),
-            }
+            body["interval"] = {"ell": args.ell, "threshold": args.threshold, "cmp": args.cmp, "count": count}
         lines.append(f"|A| = {len(nat.members)} in [0, {nat.bound})")
     elif head == "gridset":
         grid = gridset_from_text(text)
@@ -372,7 +365,7 @@ def cmd_profile(args) -> int:
         lines.append(f"phi = {frac_text(phi_value)}")
     else:
         raise ParseError(f"unknown input kind {head!r} (want natset/gridset/nodeset)", 1)
-    _emit(_report(args, "profile", body), lines, args.verbose)
+    _emit(args, "profile", body, lines)
     return code
 
 
@@ -400,7 +393,7 @@ def cmd_game(args) -> int:
         f"round {i}: |I|={len(r.forbidden)} k={r.pick}" for i, r in enumerate(transcript.rounds)
     ]
     lines.append(f"K = {sorted(transcript.outcome)}")
-    _emit(_report(args, "game", body), lines, args.verbose)
+    _emit(args, "game", body, lines)
     return 0
 
 
@@ -425,28 +418,23 @@ def cmd_katetov(args) -> int:
         raise ParseError("--source and --target need --morphism")
     if args.list:
         body = {"builtins": list(builtin_names()), "counterexamples": list(counterexample_names())}
-        _emit(_report(args, "katetov", body), [], args.verbose)
+        _emit(args, "katetov", body, [])
         return 0
-    if args.builtin:
-        witness = builtin_witness(args.builtin)
-    elif args.counterexample:
-        witness = counterexample_witness(args.counterexample)
-    else:
-        if not (args.morphism and args.source and args.target):
-            raise ParseError("need --builtin, --counterexample, or --morphism with --source/--target")
+    if args.builtin or args.counterexample:
+        witness = builtin_witness(args.builtin) if args.builtin else counterexample_witness(args.counterexample)
+        table, source, target = witness.morphism, witness.source, witness.target
+        head, prefix = {"witness": witness.name, "note": witness.note}, f"{witness.name}: "
+    elif args.morphism and args.source and args.target:
         source = parse_ideal_text(_read(args.source))
         target = parse_ideal_text(_read(args.target))
-        morphism = parse_morphism_text(_read(args.morphism), target.ground, source.ground)
-        report = check_morphism(morphism, source, target)
-        body = {"witness": None, **report_to_json(report)}
-        _emit(_report(args, "katetov", body), [f"pass = {report.passed}"], args.verbose)
-        return 0 if report.passed else 1
-    report = check_morphism(witness.morphism, witness.source, witness.target)
-    body = {"witness": witness.name, "note": witness.note, **report_to_json(report)}
-    lines = [f"{witness.name}: pass = {report.passed}"]
-    for violation in report.violations:
-        lines.append(f"  violation {violation.generator}: {violation.measure}")
-    _emit(_report(args, "katetov", body), lines, args.verbose)
+        table = parse_morphism_text(_read(args.morphism), target.ground, source.ground)
+        head, prefix = {"witness": None}, ""
+    else:
+        raise ParseError("need --builtin, --counterexample, or --morphism with --source/--target")
+    report = check_morphism(table, source, target)
+    lines = [f"{prefix}pass = {report.passed}"]
+    lines += [f"  violation {violation.generator}: {violation.measure}" for violation in report.violations]
+    _emit(args, "katetov", {**head, **report_to_json(report)}, lines)
     return 0 if report.passed else 1
 
 
@@ -658,10 +646,7 @@ def main(argv: list[str] | None = None) -> int:
     except GameProtocolError as exc:
         print(f"hlbench: protocol error: {exc}", file=sys.stderr)
         return 1
-    except HlbenchError as exc:
-        print(f"hlbench: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (HlbenchError, ValueError) as exc:
         print(f"hlbench: error: {exc}", file=sys.stderr)
         return 2
 

@@ -284,6 +284,16 @@ CASES = [
       for name in BUILTINS),
     *(Case(f"katetov-{name}", f"katetov --counterexample {name}", 1, stdout=lambda r: r["pass"] is False)
       for name in COUNTEREXAMPLES),
+    # Under --verbose a morphism file names each violated generator, as a builtin does.
+    Case("katetov-file-verbose", f"{KATETOV} --verbose", 1, bound=2, files={
+        "s.ideal": "ideal v1 ground=interval params=4\nname fin\ngenerator g0 1\ngenerator g1 2 3\n",
+        "t.ideal": "ideal v1 ground=interval params=4\nname z\nsurrogate dyadic-density eps=1/2 floor=0\n",
+        "f.morphism": IDENTITY,
+    }, stdout=lambda r: r["pass"] is False,
+         stderr="pass = False\n  violation g0: max density 1 at window 0\n  violation g1: max density 1 at window 1\n"),
+    Case("katetov-counterexample-verbose", "katetov --counterexample fin_to_z_one_point --verbose", 1, bound=2,
+         stdout=lambda r: r["pass"] is False,
+         stderr="fin_to_z_one_point: pass = False\n  violation {64}: max density 1 at window 0\n"),
     # A closed stdout exits 2 without a traceback: a large report fails in the
     # write, a small one in the flush.
     Case("closed-stdout-game", GAME, 2, stdout=CLOSED, stderr=_error("cannot write stdout: Broken pipe"), bound=10),

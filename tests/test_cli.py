@@ -66,6 +66,21 @@ def tree_file(tmp_path):
     return str(path)
 
 
+# One argv per subcommand but katetov, whose --verbose lines `cli_cases` pins
+# whole, and the first line it writes on stderr under --verbose.  The files
+# are those of the `coloring_file` and `tree_file` fixtures and a natset.
+_VERBOSE_FIRST_LINES = {
+    "hset": ("hset --coloring c.coloring --tree t.tree", "H = [0, 1]"),
+    "zdensity": ("zdensity --nmax 2", "band 1 J=[0]: expected 2 actual 2 PASS"),
+    "search": ("search --depth 5 --height 2 --seed 1", "m = 4 (explored 111, complete=True)"),
+    "search-levels": ("search-levels --depth 5 --height 2 --seed 1", "m = 4 (explored 623, complete=True)"),
+    "pairing": ("pairing --base-levels 1,2 --cap 3 --depth 8", "matching 0 (level 1): 4096 trees PASS"),
+    "levels": ("levels --max-len 4 --depth 12", "t=1 level 2: PASS"),
+    "profile": ("profile --input a.natset --ell 2 --threshold 1", "|A| = 3 in [0, 8)"),
+    "game": ("game --p1 initial-segment --p2 min-legal --horizon 4 --window 16", "round 0: |I|=1 k=1"),
+}
+
+
 class TestEnvelope:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -94,13 +109,15 @@ class TestEnvelope:
         assert code == 0
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
-    def test_verbose_goes_to_stderr(self, capsys):
-        _, quiet_out, quiet_err = run(["zdensity", "--nmax", "2"], capsys)
-        code, out, err = run(["zdensity", "--nmax", "2", "--verbose"], capsys)
-        assert code == 0
-        assert quiet_err == ""
-        assert "band 1" in err
-        assert json.loads(out) == json.loads(quiet_out)
+    @pytest.mark.parametrize("argv, first", list(_VERBOSE_FIRST_LINES.values()), ids=list(_VERBOSE_FIRST_LINES))
+    def test_verbose_goes_to_stderr(self, argv, first, coloring_file, tree_file, tmp_path, monkeypatch, capsys):
+        """--verbose adds lines on stderr and leaves the exit status and stdout's bytes as they are."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.natset").write_text(natset_to_text(NatSet.of({1, 2, 5}, 8)))
+        quiet_code, quiet_out, quiet_err = run(argv.split(), capsys)
+        code, out, err = run([*argv.split(), "--verbose"], capsys)
+        assert (code, out, quiet_err) == (quiet_code, quiet_out, "")
+        assert err.splitlines()[0] == first
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -779,6 +796,17 @@ class TestErrorPaths:
         code, _, err = run(["profile", "--input", str(path), "--ell", "2"], capsys)
         assert code == 2
         assert "--threshold" in err
+
+    @pytest.mark.parametrize("bound, ell", [(8, 0), (1, 5)])
+    def test_bad_ell_is_refused_before_the_statistics(self, bound, ell, tmp_path, monkeypatch, capsys):
+        def unreachable(nat):
+            raise AssertionError("summable_weight ran before --ell was checked")
+
+        monkeypatch.setattr("hlbench.ideals.summable_weight", unreachable)
+        path = tmp_path / "a.natset"
+        path.write_text(natset_to_text(NatSet.of({0}, bound)))
+        code, out, err = run(["profile", "--input", str(path), "--ell", str(ell), "--threshold", "1"], capsys)
+        assert (code, out, err) == (2, "", f"hlbench: error: ell {ell} outside [1, {bound}]\n")
 
     @pytest.mark.parametrize(
         "kind, flags, named",
