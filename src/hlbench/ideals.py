@@ -21,6 +21,7 @@ from .errors import ParseError, RangeError, shown
 from .treecore import (
     D_MAX,
     ELEMENT_CAP,
+    check_depth,
     check_node,
     format_node,
     header_int,
@@ -145,8 +146,7 @@ class NodeSet:
     depth: int
 
     def __post_init__(self):
-        if not 1 <= self.depth <= D_MAX:
-            raise RangeError(f"depth {shown(self.depth)} outside [1, {D_MAX}]")
+        check_depth(self.depth)
         for s in self.nodes:
             check_node(s)
             if len(s) >= self.depth:
@@ -211,14 +211,12 @@ def natural_density_texts(a: NatSet) -> list[str]:
 def density_profile(a: NatSet, mode: str) -> tuple[Fraction, ...]:
     """Relative density of `a` over a sweep of windows.
 
-    "dyadic": windows [2^n, 2^(n+1)) for every n with 2^(n+1) <= bound,
-    each divided by its width 2^n.  "natural": initial segments [0, n) for
+    "dyadic": windows [2^n, 2^(n+1)) for every n with 2^(n+1) <= bound (none
+    at bound 1), each divided by 2^n.  "natural": initial segments [0, n) for
     n in [1, bound], divided by n (`natural_density_texts` as Fractions).
     """
     if mode not in DENSITY_MODES:
         raise ValueError(f"mode {mode!r} not in {DENSITY_MODES}")
-    if a.bound < 2:
-        raise RangeError(f"bound {a.bound} must be >= 2 for a density profile")
     if mode == "dyadic":
         return tuple(Fraction(count, 1 << n) for n, count in enumerate(dyadic_counts(a)))
     return tuple(map(Fraction, natural_density_texts(a)))

@@ -197,9 +197,10 @@ class SurrogateVerdict:
 class Surrogate:
     """Named membership predicate with explicit parameters.
 
-    Subclasses are dataclasses whose fields are the parameters; `keys` names
-    them in the text format, in field order.  Every parameter is a count or
-    a bound, so a negative one is refused.
+    Subclasses are dataclasses whose fields are the parameters, each named
+    as in the text format (`GeneratorUnionSurrogate(max=...)`,
+    `SummableBoundSurrogate(weight=...)`).  Every parameter is a count or a
+    bound, so a negative one is refused.
 
     `accepts(elements, presentation)`, whoever calls it, checks each element
     against the presentation's ground once (`Ground.check`; RangeError names
@@ -208,17 +209,16 @@ class Surrogate:
     """
 
     name = "surrogate"
-    keys: tuple[str, ...] = ()
     ground_kind = ""  # the one ground kind `carrier` reads, set where it is called
 
     def __post_init__(self):
-        for key, f in zip(self.keys, fields(self)):
+        for f in fields(self):
             value = getattr(self, f.name)
             if value < 0:
-                raise RangeError(f"{self.name} {key} {shown(value)} must be >= 0")
+                raise RangeError(f"{self.name} {f.name} {shown(value)} must be >= 0")
 
     def parameters(self) -> dict[str, str]:
-        return {key: _number_text(getattr(self, f.name)) for key, f in zip(self.keys, fields(self))}
+        return {f.name: _number_text(getattr(self, f.name)) for f in fields(self)}
 
     def accepts(self, elements: frozenset, presentation: FiniteIdealPresentation) -> SurrogateVerdict:
         raise NotImplementedError
@@ -244,14 +244,13 @@ class DensityWindowSurrogate(Surrogate):
     """Every dyadic window [2^n, 2^(n+1)) with n >= floor has density <= eps."""
 
     name = "dyadic-density"
-    keys = ("eps", "floor")
     ground_kind = "interval"
     eps: Fraction = Fraction(1, 8)
     floor: int = 0
 
     def accepts(self, elements, presentation):
         a = self.carrier(elements, presentation)
-        counts = dyadic_counts(a)[self.floor :] if a.bound >= 2 else []
+        counts = dyadic_counts(a)[self.floor :]
         # Window n's density is counts[n - floor] / 2^n; over the common
         # denominator 2^(floor + len(counts)) the densities compare as ints.
         scaled = [count << (len(counts) - i) for i, count in enumerate(counts)]
@@ -268,7 +267,6 @@ class ColumnBoundSurrogate(Surrogate):
     """Per-column count <= per_column except in at most `exceptional` columns."""
 
     name = "column-bound"
-    keys = ("per_column", "exceptional")
     ground_kind = "grid"
     per_column: int = 1
     exceptional: int = 0
@@ -284,22 +282,21 @@ class ColumnBoundSurrogate(Surrogate):
 
 @dataclass(frozen=True)
 class GeneratorUnionSurrogate(Surrogate):
-    """Membership = covered by a union of at most max_generators listed generators.
+    """Membership = covered by a union of at most `max` listed generators.
 
     The search goes level by level.  One unit of work is one element of a remainder a
     generator is subtracted from; past treecore.WORK_CAP units it raises RangeError.
     """
 
     name = "generator-union"
-    keys = ("max",)
-    max_generators: int = 1
+    max: int = 1
 
     def accepts(self, elements, presentation):
         level = {presentation.ground.check(elements)}
         holding = presentation.holding
         seen, work = set(level), 0
         # A cover never takes a generator twice, so no more than len(generators) are tried.
-        most = min(self.max_generators, len(presentation.generators))
+        most = min(self.max, len(presentation.generators))
         for needed in range(most + 1):
             if frozenset() in level:
                 return SurrogateVerdict(True, f"covered by {needed} generator(s)")
@@ -312,21 +309,20 @@ class GeneratorUnionSurrogate(Surrogate):
                 raise RangeError(f"generator-union work {work} above the cap {WORK_CAP}")
             level = {rest - g for rest, gens in covers.items() for g in gens} - seen
             seen |= level
-        return SurrogateVerdict(False, f"not covered by any {self.max_generators} generator(s)")
+        return SurrogateVerdict(False, f"not covered by any {self.max} generator(s)")
 
 
 @dataclass(frozen=True)
 class SummableBoundSurrogate(Surrogate):
-    """Total weight sum(1/(n+1)) at most max_weight."""
+    """Total weight sum(1/(n+1)) at most `weight`."""
 
     name = "summable-bound"
-    keys = ("weight",)
     ground_kind = "interval"
-    max_weight: Fraction = Fraction(1)
+    weight: Fraction = Fraction(1)
 
     def accepts(self, elements, presentation):
-        weight = summable_weight(self.carrier(elements, presentation))
-        return SurrogateVerdict(weight <= self.max_weight, f"weight {_number_text(weight)}")
+        total = summable_weight(self.carrier(elements, presentation))
+        return SurrogateVerdict(total <= self.weight, f"weight {_number_text(total)}")
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +603,10 @@ def _parse_surrogate(tokens: list[str], line: int) -> Surrogate:
         raise ParseError(f"unknown surrogate {name!r}", line)
     given = {}  # field name -> value; an omitted key keeps the field's default
     try:
-        for key, f in zip(cls.keys, fields(cls)):
-            if key in params:
+        for f in fields(cls):
+            if f.name in params:
                 parse = _parse_fraction if isinstance(f.default, Fraction) else int
-                given[f.name] = parse(params.pop(key))
+                given[f.name] = parse(params.pop(f.name))
     except ValueError as exc:
         raise ParseError(str(exc), line) from None
     if params:

@@ -294,6 +294,31 @@ CASES = [
     Case("katetov-counterexample-verbose", "katetov --counterexample fin_to_z_one_point --verbose", 1, bound=2,
          stdout=lambda r: r["pass"] is False,
          stderr="fin_to_z_one_point: pass = False\n  violation {64}: max density 1 at window 0\n"),
+    # The smallest values the range checks accept all run.  A bound-1 natset
+    # has no dyadic window and one initial segment.
+    Case("natset-bound-1", "profile --input a.natset", 0, bound=2, files={"a.natset": "natset v1 bound=1\n0\n"},
+         stdout=lambda r: (r["density_dyadic"], r["density_natural"], r["summable_weight"]) == ([], ["1/1"], "1/1")),
+    Case("natset-bound-1-empty", "profile --input a.natset", 0, bound=2, files={"a.natset": "natset v1 bound=1\n"},
+         stdout=lambda r: (r["density_dyadic"], r["density_natural"], r["summable_weight"]) == ([], ["0/1"], "0/1")),
+    *(Case(f"game-window-1-{p1.split()[0]}", f"game --p1 {p1} --p2 min-legal --horizon 2 --window 1", 0, bound=2,
+           files={"c.coloring": "coloring v1 depth=2\n0 1\n"}, stdout=lambda r: r["k_profile"]["density_dyadic"] == [])
+      for p1 in ("empty", "initial-segment", "random-set", "tree-builder --coloring c.coloring")),
+    Case("gridset-bound-1", "profile --input a.gridset", 0, bound=2, files={"a.gridset": "gridset v1 bound=1\n0 0\n"},
+         stdout=lambda r: r["column_profile"] == [1]),
+    Case("nodeset-depth-1", "profile --input a.nodeset", 0, bound=2, files={"a.nodeset": "nodeset v1 depth=1\n-\n"},
+         stdout=lambda r: r["minimal_elements"] == ["-"] and r["phi_equals_antichain"] is True),
+    Case("hset-depth-1", "hset --coloring c.coloring --tree p.tree", 0, bound=2,
+         files={"c.coloring": "coloring v1 depth=1\n", "p.tree": "tree v1 depth=1\n-\n"},
+         stdout=lambda r: r["levels"] == [0]),
+    Case("zdensity-1", "zdensity --nmax 1", 0, bound=2, stdout=lambda r: r["all_pass"] is True),
+    Case("levels-0-1", "levels --max-len 0 --depth 1", 0, bound=2,
+         stdout=lambda r: r["all_pass"] is True and r["domain_size"] == 1),
+    Case("pairing-1-2-1", "pairing --base-levels 1 --depth 2 --cap 1", 0, bound=2,
+         stdout=lambda r: r["all_pass"] is True and r["trees_checked"] == 1),
+    Case("search-1-0", "search --depth 1 --height 0 --seed 0", 0, bound=2,
+         stdout=lambda r: r["verified"] is True and r["m"] == 1),
+    Case("game-1-1048576", "game --p1 empty --p2 min-legal --horizon 1 --window 1048576", 0, bound=2,
+         stdout=lambda r: r["transcript"]["flags"]["completed"] is True),
     # A closed stdout exits 2 without a traceback: a large report fails in the
     # write, a small one in the flush.
     Case("closed-stdout-game", GAME, 2, stdout=CLOSED, stderr=_error("cannot write stdout: Broken pipe"), bound=10),

@@ -157,8 +157,9 @@ class TestDensity:
     def test_mode_and_bound_validation(self):
         with pytest.raises(ValueError):
             density_profile(NatSet.of([], 8), "harmonic")
-        with pytest.raises(RangeError):
-            density_profile(NatSet.of([], 1), "dyadic")
+        # Bound 1 has no dyadic window and one initial segment.
+        assert density_profile(NatSet.of([0], 1), "dyadic") == ()
+        assert density_profile(NatSet.of([0], 1), "natural") == (Fraction(1),)
 
     @given(natsets)
     @settings(max_examples=50)
@@ -420,7 +421,7 @@ DEEPEST = [
 ]
 
 
-wide_natsets = st.integers(min_value=2, max_value=1 << 10).flatmap(
+wide_natsets = st.integers(min_value=1, max_value=1 << 10).flatmap(
     lambda bound: st.sets(st.integers(min_value=0, max_value=bound - 1), max_size=400).map(
         lambda members: NatSet.of(members, bound)
     )
@@ -471,11 +472,15 @@ class TestOnePassEquivalence:
         assert "longest_prefixes" not in vars(a)
 
     @given(wide_natsets)
+    @example(NatSet.of([], 1))
+    @example(NatSet.of([0], 1))
     @settings(max_examples=100)
     def test_dyadic_profile_matches_windowed_count(self, a):
         assert density_profile(a, "dyadic") == _ref_dyadic(a)
 
     @given(wide_natsets)
+    @example(NatSet.of([], 1))
+    @example(NatSet.of([0], 1))
     @example(NatSet.of([], 2))
     @example(NatSet.of([0, 1], 2))
     @example(NatSet.of([1], 2))

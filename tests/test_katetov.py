@@ -140,7 +140,7 @@ class TestSurrogates:
     def reference_density_accepts(s, elements, presentation):
         """The Fraction-profile form of DensityWindowSurrogate.accepts on an interval ground."""
         bound = presentation.ground.size
-        profile = density_profile(NatSet.of(elements, bound), "dyadic")[s.floor :] if bound >= 2 else ()
+        profile = density_profile(NatSet.of(elements, bound), "dyadic")[s.floor :]
         worst = max(profile, default=0)
         if worst == 0:
             return SurrogateVerdict(True, "no constrained window")
@@ -272,7 +272,7 @@ class TestSurrogates:
             Generator("a", frozenset({1, 2})),
             Generator("b", frozenset({3})),
         )
-        s = GeneratorUnionSurrogate(max_generators=2)
+        s = GeneratorUnionSurrogate(max=2)
         p = FiniteIdealPresentation("fin", Ground("interval", 8), gens, s)
         assert s.accepts(frozenset({1, 2, 3}), p).ok
         assert s.accepts(frozenset({3}), p).ok
@@ -313,10 +313,10 @@ class TestSurrogates:
             pivot = min(rest, key=presentation.ground.sort_key)
             return any(pivot in g and cover(rest - g, allowance - 1) for g in gens)
 
-        allowances = range(min(s.max_generators, len(gens)) + 1)
+        allowances = range(min(s.max, len(gens)) + 1)
         needed = next((j for j in allowances if cover(elements, j)), None)
         if needed is None:
-            return SurrogateVerdict(False, f"not covered by any {s.max_generators} generator(s)")
+            return SurrogateVerdict(False, f"not covered by any {s.max} generator(s)")
         return SurrogateVerdict(True, f"covered by {needed} generator(s)")
 
     @given(
@@ -401,7 +401,7 @@ class TestSurrogates:
         assert elapsed < 0.5, f"{elapsed:.2f}s"
 
     def test_summable_bound(self):
-        s = SummableBoundSurrogate(max_weight=Fraction(1, 2))
+        s = SummableBoundSurrogate(weight=Fraction(1, 2))
         p = FiniteIdealPresentation("s", Ground("interval", 8), (), s)
         assert s.accepts(frozenset({3}), p).ok  # 1/4
         assert not s.accepts(frozenset({0}), p).ok  # 1/1
@@ -651,8 +651,8 @@ class TestTextFormats:
             (DensityWindowSurrogate, "floor", -3, "dyadic-density floor=-3"),
             (ColumnBoundSurrogate, "per_column", -1, "column-bound per_column=-1"),
             (ColumnBoundSurrogate, "exceptional", -2, "column-bound exceptional=-2"),
-            (GeneratorUnionSurrogate, "max_generators", -1, "generator-union max=-1"),
-            (SummableBoundSurrogate, "max_weight", Fraction(-1, 2), "summable-bound weight=-1/2"),
+            (GeneratorUnionSurrogate, "max", -1, "generator-union max=-1"),
+            (SummableBoundSurrogate, "weight", Fraction(-1, 2), "summable-bound weight=-1/2"),
         ],
     )
     def test_negative_parameters_refused(self, cls, field, value, line):
@@ -682,7 +682,7 @@ class TestTextFormats:
         p = parse_ideal_text("ideal v1 ground=grid params=8\nsurrogate column-bound exceptional=3\n")
         assert p.surrogate == ColumnBoundSurrogate(per_column=1, exceptional=3)
         p = parse_ideal_text("ideal v1 ground=interval params=8\nsurrogate summable-bound weight=3/2\n")
-        assert p.surrogate == SummableBoundSurrogate(max_weight=Fraction(3, 2))
+        assert p.surrogate == SummableBoundSurrogate(weight=Fraction(3, 2))
         assert p.surrogate.stamp() == "summable-bound weight=3/2"
         p = parse_ideal_text("ideal v1 ground=interval params=8\nsurrogate generator-union max=4\n")
         assert p.surrogate.parameters() == {"max": "4"}
