@@ -1,0 +1,143 @@
+"""Mutation gate: every one-line mutant listed in MUTANTS must be killed by its named tests.
+
+A mutant is one source line of `src/hlbench` replaced by another.  The gate
+first runs the union of the named tests on an unmodified copy of `src/`,
+which must pass.  Then, for each mutant, it copies `src/` and `tests/` to a
+fresh directory, applies the one replacement and runs that mutant's tests
+there with `pytest -x -q`.  A mutant is killed when pytest reports a
+failed test (exit status 1).  The gate exits 1 when a line is not found
+exactly once, the unmodified run fails, or a mutant is not killed: its
+tests pass, or pytest exits with any other status (an unknown test id, a
+mutant that breaks collection).  Stdlib only; it is not a `test_*` file, so the tier-1 suite does not
+collect it.  From the root of a checkout:
+
+    python3 .github/mutants.py
+
+prints one line per mutant with its wall time.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file under src/hlbench, exact source line without its indentation, replacement, test ids that must fail)
+MUTANTS = [
+    # Node numbering: length-lex ranks count from 1, the children of r are 2r and 2r + 1.
+    ("search.py", "splits = range(start, 1 << (depth - height))  # the ranks above level depth - height",
+     "splits = range(start, (1 << (depth - height)) - 1)  # the ranks above level depth - height",
+     ["tests/test_search.py::TestSolver::test_matches_oracle_h2",
+      "tests/test_search.py::TestSolver::test_matches_recorded[d4-h3-uniform-b1000000]"]),
+    ("search.py", "got = prefix[r] = bit | prefix_mask(r >> 1) if r > 1 else bit",
+     "got = prefix[r] = bit | prefix_mask(r >> 1) if r > 2 else bit",
+     ["tests/test_search.py::TestBudget::test_budget_too_small_for_any_embedding[uniform]",
+      "tests/test_search.py::TestBudget::test_search_best_incomplete_under_budget"]),
+    ("search.py", "table += [table[r >> 1] | (one if read(r) else zero) for r in range(1 << n, 2 << n)]",
+     "table += [table[(r - 1) >> 1] | (one if read(r) else zero) for r in range(1 << n, 2 << n)]",
+     ["tests/test_search.py::TestSolver::test_matches_recorded[d4-h1-uniform-b1000000]",
+      "tests/test_search.py::TestSolver::test_matches_oracle_h1"]),
+    ("search.py", "rights = _Replay(halves(2 * w + 1, k - 1))",
+     "rights = _Replay(halves(2 * w + 2, k - 1))",
+     ["tests/test_search.py::TestBudget::test_search_best_incomplete_under_budget",
+      "tests/test_search.py::TestSolver::test_matches_oracle_h1"]),
+    ("search.py", "(cut, lo), (_, hi) = region(2 * r, n + 1), region(2 * r + 1, n + 1)",
+     "(cut, lo), (_, hi) = region(2 * r + 1, n + 1), region(2 * r + 2, n + 1)",
+     ["tests/test_search.py::TestBudget::test_walk_cross_checks_the_dp",
+      "tests/test_search.py::TestSolver::test_matches_oracle_h1"]),
+    ("treecore.py", "return range(r << e, (r + 1) << e)",
+     "return range((r << e) - 1, ((r + 1) << e) - 1)",
+     ["tests/test_search.py::TestRanks::test_span_is_extensions",
+      "tests/test_search.py::TestSolver::test_matches_oracle_h1"]),
+    ("colorings.py", "x_colors = [at(x >> s) for s in shifts]",
+     "x_colors = [at((x >> s) - 1) for s in shifts]",
+     ["tests/test_colorings.py::TestPairing::test_small_disjointness",
+      "tests/test_colorings.py::TestPairing::test_check_matches_per_node_reads"]),
+    ("colorings.py", "if slot is None or r >> slot[0] != slot[1]:",
+     "if slot is None or (r + 1) >> slot[0] != slot[1]:",
+     ["tests/test_colorings.py::TestRankReads::test_levels",
+      "tests/test_colorings.py::TestLevelsColoring::test_bichromatic"]),
+    ("colorings.py", "zeros = (1 << e) - sum(map(at, rank_span(2 * r + 1, e)))",
+     "zeros = (1 << e) - sum(map(at, rank_span(2 * r + 2, e)))",
+     ["tests/test_colorings.py::TestLevelsColoring::test_mutated_coloring_counts_bad_nodes",
+      "tests/test_colorings.py::TestLevelsColoring::test_bichromatic_check_matches_per_node_counts"]),
+    ("colorings.py", "parts[c.at(r >> (len(x) - n))].append(n)",
+     "parts[c.at((r >> (len(x) - n)) - 1)].append(n)",
+     ["tests/test_colorings.py::TestBackends::test_color_trace_matches_per_prefix_reads"]),
+    ("_rng.py", "z = (seed + k * _GAMMA) & _MASK",
+     "z = (seed + (k + 1) * _GAMMA) & _MASK",
+     ["tests/test_colorings.py::TestSplitMix::test_published_outputs",
+      "tests/test_search.py::TestSolver::test_matches_recorded[d4-h0-uniform-b1000000]"]),
+    ("colorings.py", "return Coloring.computed(depth, lambda r: r & 1 if r > 1 else 0)",
+     "return Coloring.computed(depth, lambda r: r & 1 if r else 0)",
+     ["tests/test_colorings.py::TestRankReads::test_last_bit",
+      "tests/test_search.py::TestSolver::test_last_bit_frozen"]),
+]
+
+
+def mutate(text: str, line: str, replacement: str) -> str:
+    """`text` with its one line that reads `line`, indentation aside, replaced; ValueError unless exactly one."""
+    lines = text.splitlines(keepends=True)
+    hits = [i for i, s in enumerate(lines) if s.strip() == line]
+    if len(hits) != 1:
+        raise ValueError(f"{len(hits)} lines read {line!r}, want exactly 1")
+    (i,) = hits
+    indent = lines[i][: len(lines[i]) - len(lines[i].lstrip())]
+    lines[i] = f"{indent}{replacement}\n"
+    return "".join(lines)
+
+
+def run_tests(work: Path, tests: list[str]) -> subprocess.CompletedProcess:
+    """pytest -x -q over `tests` in `work`, importing hlbench from work/src."""
+    env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=work, env=env, capture_output=True, text=True, check=False)
+
+
+def copy_tree(work: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, work / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", work)
+
+
+def main() -> int:
+    failed = 0
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        copy_tree(work)
+        selection = sorted({test for *_, tests in MUTANTS for test in tests})
+        proc = run_tests(work, selection)
+        print(f"unmutated: {'pass' if proc.returncode == 0 else 'FAIL'} ({len(selection)} tests)", flush=True)
+        if proc.returncode != 0:
+            print(proc.stdout[-2000:], proc.stderr[-2000:], sep="\n")
+            return 1
+    for number, (name, line, replacement, tests) in enumerate(MUTANTS, 1):
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            copy_tree(work)
+            path = work / "src" / "hlbench" / name
+            try:
+                path.write_text(mutate(path.read_text(), line, replacement))
+            except ValueError as exc:
+                print(f"mutant {number} ({name}): {exc}", flush=True)
+                failed += 1
+                continue
+            began = time.perf_counter()
+            status = run_tests(work, tests).returncode
+            verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"pytest exit {status}")
+            failed += status != 1
+            print(f"mutant {number} ({name}): {verdict} in {time.perf_counter() - began:.1f} s: {replacement}",
+                  flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,10 +2,11 @@
 
 The recurrence and mixing constants are the standard splitmix64 ones:
 state advances by 0x9E3779B97F4A7C15 per output, and each output is the
-state mixed by two xor-shift-multiply rounds.  `splitmix64_output` jumps
-straight to any output of a stream; `SplitMix64` draws them in order.  Every
-consumer draws from its own stream, so seeds are reproducible across
-platforms and runs.
+state mixed by two xor-shift-multiply rounds.  Outputs count from 1, output
+k being the state after k advances, so `random_coloring` gives the node of
+rank r output r.  `splitmix64_output` jumps straight to any output of a
+stream; `SplitMix64` draws them in order.  Every consumer draws from its own
+stream, so seeds are reproducible across platforms and runs.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ _MIX2 = 0x94D049BB133111EB
 
 
 def splitmix64_output(seed: int, k: int) -> int:
-    """Output k (from 0) of the stream seeded with `seed`, by direct state jump."""
-    z = (seed + (k + 1) * _GAMMA) & _MASK
+    """Output k (from 1) of the stream seeded with `seed`, by direct state jump."""
+    z = (seed + k * _GAMMA) & _MASK
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
@@ -35,7 +36,7 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self._drawn += 1
-        return splitmix64_output(self._seed, self._drawn - 1)
+        return splitmix64_output(self._seed, self._drawn)
 
     def next_bit(self) -> int:
         return self.next_u64() & 1

@@ -43,11 +43,11 @@ SERIALIZE_MAX = 16
 class Coloring:
     """Total {0,1}-coloring of the nodes of 2^{<depth}.
 
-    Colors are read by length-lex rank (`treecore.node_rank`): `at(r)` is the
-    color of the node of rank r, unchecked, and `value(s)` is the one string
-    entry point.  A computed coloring's function takes the rank.  A sparse
-    coloring keys its overrides by node string, so its rank read forms the
-    node's string.
+    Colors are read by length-lex rank (`treecore.node_rank`, the root 1):
+    `at(r)` is the color of the node of rank r, unchecked, and `value(s)` is
+    the one string entry point.  A computed coloring's function takes that
+    rank.  A sparse coloring keys its overrides by node string, so its rank
+    read forms the node's string.
     """
 
     __slots__ = ("depth", "at", "_overrides", "_default")
@@ -74,7 +74,7 @@ class Coloring:
 
     @classmethod
     def computed(cls, depth: int, fn: Callable[[int], int]) -> "Coloring":
-        """A coloring whose function gives the color of the node of each rank."""
+        """A coloring whose function gives the color of the node of each rank, the root's being 1."""
         return cls(depth, fn=fn)
 
     @classmethod
@@ -149,8 +149,8 @@ def constant_coloring(depth: int, bit: int) -> Coloring:
 
 def last_bit_coloring(depth: int) -> Coloring:
     """c(s) = last bit of s, 0 at the root."""
-    # bin(r + 1) ends in the last bit of the node of rank r.
-    return Coloring.computed(depth, lambda r: (r + 1) & 1 if r else 0)
+    # bin(r) ends in the last bit of the node of rank r.
+    return Coloring.computed(depth, lambda r: r & 1 if r > 1 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +190,10 @@ def i_set(c: Coloring, s: str) -> tuple[int, ...]:
 
 def color_trace(c: Coloring, x: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-color partition (K_0, K_1) of the levels along the branch through x, each ascending."""
-    head = c._rank(x) + 1
+    r = c._rank(x)
     parts: tuple[list[int], list[int]] = ([], [])
     for n in range(len(x) + 1):
-        parts[c.at((head >> (len(x) - n)) - 1)].append(n)
+        parts[c.at(r >> (len(x) - n))].append(n)
     return tuple(parts[0]), tuple(parts[1])
 
 
@@ -371,18 +371,17 @@ def pairing_coloring(base_levels: Iterable[int], per_level_cap: int, depth: int)
     level_sets = _residue_level_sets(matching_levels, depth)
 
     # by_level[k] = (k - n, side) for k in A_i, x_i being a matching of
-    # {0,1}^n: side maps rank + 1 of u to 0 if u comes first in its pair of
-    # x_i, 1 if second, and a rank-r node's prefix u has rank + 1 (r + 1) >> (k - n).
+    # {0,1}^n: side maps the rank of u to 0 if u comes first in its pair of
+    # x_i, 1 if second, and a rank-r node's prefix u has rank r >> (k - n).
     by_level: list = [None] * depth
     for i, ks in enumerate(level_sets):
-        side = {node_rank(u) + 1: bit for pair in matchings[i] for bit, u in enumerate(pair)}
+        side = {node_rank(u): bit for pair in matchings[i] for bit, u in enumerate(pair)}
         for k in ks:
             by_level[k] = (k - matching_levels[i], side)
 
     def fn(r: int) -> int:
-        head = r + 1
-        slot = by_level[head.bit_length() - 1]
-        return 0 if slot is None else slot[1][head >> slot[0]]
+        slot = by_level[r.bit_length() - 1]
+        return 0 if slot is None else slot[1][r >> slot[0]]
 
     system = PairingSystem(tuple(lvls), depth, tuple(matchings), tuple(matching_levels), level_sets)
     return Coloring.computed(depth, fn), system
@@ -407,7 +406,7 @@ def check_pairing_disjointness(c: Coloring, system: PairingSystem) -> list[Match
     above u and y above v, and c is constant on level k of p exactly when
     c(x[:k]) == c(y[:k]).  So each branch pair is checked by comparing the
     two branches' colors on A_{x_i}, without building p.  Tops are read by
-    rank: the level-k prefix of the top of rank x has rank ((x + 1) >> (top - k)) - 1.
+    rank: the level-k prefix of the top of rank x has rank x >> (top - k).
     """
     if c.depth != system.depth:
         raise ShapeError(f"coloring depth {c.depth} != system depth {system.depth}")
@@ -422,9 +421,9 @@ def check_pairing_disjointness(c: Coloring, system: PairingSystem) -> list[Match
         trees = 0
         bad: list[tuple[str, str, int]] = []
         for u, v in matching:
-            ys = [(y, [at(((y + 1) >> s) - 1) for s in shifts]) for y in rank_span(node_rank(v), top - len(v))]
+            ys = [(y, [at(y >> s) for s in shifts]) for y in rank_span(node_rank(v), top - len(v))]
             for x in rank_span(node_rank(u), top - len(u)):
-                x_colors = [at(((x + 1) >> s) - 1) for s in shifts]
+                x_colors = [at(x >> s) for s in shifts]
                 for y, y_colors in ys:
                     for k, a, b in zip(levels, x_colors, y_colors):
                         if a == b:
@@ -455,8 +454,8 @@ def residue_splitting(max_len: int, depth: int) -> SplittingAssignment:
     check_depth(depth)
     if max_len < 0 or max_len >= depth:
         raise RangeError(f"max_len {shown(max_len)} outside [0, {depth})")
-    # Level k goes to the string of length-lex rank k mod size, whose floor is
-    # (rank + 1).bit_length(); its check reads the 2^(k - floor + 1) nodes above it.
+    # Level k goes to the string of length-lex rank k mod size + 1, whose floor
+    # is that rank's bit_length(); its check reads the 2^(k - floor + 1) nodes above it.
     size = (2 << max_len) - 1
     floors = [(k % size + 1).bit_length() for k in range(depth)]
     reads = sum(1 << (k - floor + 1) for k, floor in enumerate(floors) if k >= floor)
@@ -478,13 +477,13 @@ def levels_coloring(assignment: SplittingAssignment, depth: int) -> Coloring:
         raise ConstructionError("domain and level-set counts differ")
     if len(set(assignment.domain)) != len(assignment.domain):
         raise ConstructionError("domain strings not distinct")
-    # by_level[k] = (k - |t|, rank of t + 1) for k in the set of t: a rank-r
-    # node on level k extends t when (r + 1) >> (k - |t|) is rank of t + 1,
-    # and the bit it chose just above t is then bit k - |t| - 1 of r + 1.
+    # by_level[k] = (k - |t|, rank of t) for k in the set of t: a rank-r node
+    # on level k extends t when r >> (k - |t|) is the rank of t, and the bit
+    # it chose just above t is then bit k - |t| - 1 of r.
     by_level: list = [None] * depth
     for t, ks in zip(assignment.domain, assignment.sets):
         floor = len(t) + 1
-        head = node_rank(t) + 1
+        rank = node_rank(t)
         for k in ks:
             if k < floor:
                 raise ConstructionError(f"level {k} assigned to {t!r} is below its floor {floor}")
@@ -492,14 +491,13 @@ def levels_coloring(assignment: SplittingAssignment, depth: int) -> Coloring:
                 raise ConstructionError(f"assigned level {k} outside [0, {depth})")
             if by_level[k] is not None:
                 raise ConstructionError(f"level {k} assigned to two strings")
-            by_level[k] = (k - len(t), head)
+            by_level[k] = (k - len(t), rank)
 
     def fn(r: int) -> int:
-        head = r + 1
-        slot = by_level[head.bit_length() - 1]
-        if slot is None or head >> slot[0] != slot[1]:
+        slot = by_level[r.bit_length() - 1]
+        if slot is None or r >> slot[0] != slot[1]:
             return 0
-        return (head >> (slot[0] - 1)) & 1
+        return (r >> (slot[0] - 1)) & 1
 
     return Coloring.computed(depth, fn)
 
@@ -521,7 +519,7 @@ def check_levels_bichromatic(c: Coloring, assignment: SplittingAssignment) -> li
 
     At each assigned level the extensions through t+0 must all be colored 0
     and those through t+1 all colored 1; both sides are checked exhaustively.
-    Each side is a range of ranks (t+0 and t+1 have ranks 2r + 1 and 2r + 2
+    Each side is a range of ranks (t+0 and t+1 have ranks 2r and 2r + 1
     when t has rank r), and its colors are read once and summed.
     """
     at = c.at
@@ -532,8 +530,8 @@ def check_levels_bichromatic(c: Coloring, assignment: SplittingAssignment) -> li
             if not len(t) < k < c.depth:
                 raise RangeError(f"level {shown(k)} outside [{len(t) + 1}, {c.depth})")
             e = k - len(t) - 1
-            ones = sum(map(at, rank_span(2 * r + 1, e)))
-            zeros = (1 << e) - sum(map(at, rank_span(2 * r + 2, e)))
+            ones = sum(map(at, rank_span(2 * r, e)))
+            zeros = (1 << e) - sum(map(at, rank_span(2 * r + 1, e)))
             out.append(SliceCheck(t, k, ones, zeros))
     return out
 
@@ -557,7 +555,7 @@ def coloring_to_text(c: Coloring) -> str:
     if c.depth > SERIALIZE_MAX:
         raise RangeError(f"depth {c.depth} too large to serialise in full (cap {SERIALIZE_MAX})")
     nodes = (s for n in range(c.depth) for s in level_nodes(n))  # in rank order
-    lines.extend(f"{format_node(s)} {_check_bit(v)}" for s, v in zip(nodes, map(c.at, itertools.count())))
+    lines.extend(f"{format_node(s)} {_check_bit(v)}" for s, v in zip(nodes, map(c.at, itertools.count(1))))
     return "\n".join(lines) + "\n"
 
 

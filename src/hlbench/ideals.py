@@ -169,17 +169,17 @@ class NodeSet:
     def longest_prefixes(self) -> tuple[tuple[str, int], ...]:
         """(s, length of the longest proper prefix of s in the set, or -1) per node s.
 
-        A node s is read as its head int("1" + s, 2), the treecore rank plus
-        one: its proper prefixes are the head's right shifts down to 1 (the
-        root), so none is sliced, and a shift to 0 means none is in the set.
+        A node s is read as its treecore rank int("1" + s, 2): its proper
+        prefixes are the rank's right shifts down to 1 (the root), so none is
+        sliced, and a shift to 0 means none is in the set.
         Computed once per set and shared by `minimal_elements`, `phi` and
         `phi_bar_profile`; not a field, so equality and hashing ignore it.
         """
         nodes = self.nodes
-        heads = [int("1" + s, 2) for s in nodes]
-        present = set(heads)
+        ranks = [int("1" + s, 2) for s in nodes]
+        present = set(ranks)
         out = []
-        for s, h in zip(nodes, heads):
+        for s, h in zip(nodes, ranks):
             h >>= 1
             while h and h not in present:
                 h >>= 1
@@ -336,10 +336,10 @@ def max_antichain_weight(a: NodeSet) -> Fraction:
     Dynamic programme over the prefix closure of `a`: a subtree either
     contributes its root (when the root is in `a`) or the best of its two
     child subtrees, whichever weighs more.  Closure nodes are keyed by their
-    head int("1" + s, 2), the treecore rank plus one: the parent of head h
-    is h >> 1 and the root is 1.  One level at a time from the deepest, each
-    subtree's best is added into its parent's entry, so every closure node
-    is formed once, with no sort and no string built.  Always equals phi(a),
+    treecore rank int("1" + s, 2): the parent of rank h is h >> 1 and the
+    root is 1.  One level at a time from the deepest, each subtree's best is
+    added into its parent's entry, so every closure node is formed once,
+    with no sort and no string built.  Always equals phi(a),
     which the tests pin down; it reads nothing `phi` reads (not
     `NodeSet.longest_prefixes`), so it stays an independent oracle.  Weights
     are integer numerators over 2^(depth-1).
@@ -350,7 +350,7 @@ def max_antichain_weight(a: NodeSet) -> Fraction:
     levels: list[list[int]] = [[] for _ in range(a.depth)]
     for s in a.nodes:
         levels[len(s)].append(int("1" + s, 2))
-    below: dict[int, int] = {}  # head -> best weight of its subtree, one level down
+    below: dict[int, int] = {}  # rank -> best weight of its subtree, one level down
     for n in range(top, -1, -1):
         here: dict[int, int] = {}
         for h, weight in below.items():

@@ -269,21 +269,21 @@ def _mask_lookup(read: Callable[[int], int], depth: int) -> Callable[[int], int]
     def prefix_mask(r: int) -> int:
         got = prefix.get(r)
         if got is None:
-            n = (r + 1).bit_length() - 1
+            n = r.bit_length() - 1
             bit = 1 << (depth + n if read(r) else n)
-            got = prefix[r] = bit | prefix_mask((r - 1) >> 1) if r else bit
+            got = prefix[r] = bit | prefix_mask(r >> 1) if r > 1 else bit
         return got
 
     return prefix_mask
 
 
 def _mask_table(read: Callable[[int], int], depth: int) -> list[int]:
-    # Every node's prefix mask, indexed by rank and filled level by level:
-    # the color reads of _mask_lookup once every top has been reached.
-    table = [1 << depth if read(0) else 1]
+    # Every node's prefix mask, indexed by rank (index 0 unused) and filled level
+    # by level: the color reads of _mask_lookup once every top has been reached.
+    table = [0, 1 << depth if read(1) else 1]
     for n in range(1, depth):
         zero, one = 1 << n, 1 << (depth + n)
-        table += [table[(r - 1) >> 1] | (one if read(r) else zero) for r in range((1 << n) - 1, (2 << n) - 1)]
+        table += [table[r >> 1] | (one if read(r) else zero) for r in range(1 << n, 2 << n)]
     return table
 
 
@@ -305,9 +305,9 @@ def _dp_max(masks, depth: int, height: int, score, allowance: int):
     """The maximum score m over height >= 1 embeddings, by dynamic programming.
 
     A(r, k) holds the maximal masks of the height-k sub-embeddings above
-    region r, on level n: those of A(2r+1, k) and A(2r+2, k) and, when a
-    split at r fits (n <= depth-k-1), every a & b with a in A(2r+1, k-1)
-    and b in A(2r+2, k-1); A(top, 0) is the top's mask.  AND is monotone,
+    region r, on level n: those of A(2r, k) and A(2r+1, k) and, when a
+    split at r fits (n <= depth-k-1), every a & b with a in A(2r, k-1)
+    and b in A(2r+1, k-1); A(top, 0) is the top's mask.  AND is monotone,
     so a mask contained in another adds nothing; distinct top masks never
     contain one another.  A mask scoring below the best full-height product
     so far is dropped, since no embedding built from it reaches that score;
@@ -353,9 +353,9 @@ def _dp_max(masks, depth: int, height: int, score, allowance: int):
         if n == depth - 2:
             # The children are tops: A(top, 0) is the top's own mask.
             pay(2)
-            cut, lo, hi = -1, [{masks(2 * r + 1): 2 * r + 1}], [{masks(2 * r + 2): 2 * r + 2}]
+            cut, lo, hi = -1, [{masks(2 * r): 2 * r}], [{masks(2 * r + 1): 2 * r + 1}]
         else:
-            (cut, lo), (_, hi) = region(2 * r + 1, n + 1), region(2 * r + 2, n + 1)
+            (cut, lo), (_, hi) = region(2 * r, n + 1), region(2 * r + 1, n + 1)
         floor = -1 if best is None else best[0]
         sets = []
         for k in range(min(height, depth - 1 - n) + 1):
@@ -379,7 +379,7 @@ def _dp_max(masks, depth: int, height: int, score, allowance: int):
         return floor, sets
 
     try:
-        region(0, 0)
+        region(1, 0)
     except _OutOfBudget:
         return best, spent, False
     return best, spent, True
@@ -410,7 +410,7 @@ def _walk(masks, depth: int, height: int, score, known, exact: bool, allowance: 
         # Sub-embeddings above `region` scoring at least the floor, in the
         # order of _region_embeddings.
         nonlocal spent
-        n = (region + 1).bit_length() - 1
+        n = region.bit_length() - 1
         if k == 0:
             for top in rank_span(region, depth - 1 - n):
                 if spent == allowance:
@@ -426,8 +426,8 @@ def _walk(masks, depth: int, height: int, score, known, exact: bool, allowance: 
 
     def joins(w: int, k: int) -> Iterator[tuple[int, tuple]]:
         nonlocal spent
-        rights = _Replay(halves(2 * w + 2, k - 1))
-        for lmask, left in halves(2 * w + 1, k - 1):
+        rights = _Replay(halves(2 * w + 1, k - 1))
+        for lmask, left in halves(2 * w, k - 1):
             for rmask, right in rights:
                 if spent == allowance:
                     raise _OutOfBudget
@@ -436,9 +436,9 @@ def _walk(masks, depth: int, height: int, score, known, exact: bool, allowance: 
                 if score(mask) >= floor:
                     yield mask, (w, left, right)
 
-    start = known[1][0] if exact else 0
-    splits = range(start, (1 << (depth - height)) - 1)  # the ranks above level depth - height
-    partitions = [halves(0, 0)] if height == 0 else (joins(w, height) for w in splits)
+    start = known[1][0] if exact else 1
+    splits = range(start, 1 << (depth - height))  # the ranks above level depth - height
+    partitions = [halves(1, 0)] if height == 0 else (joins(w, height) for w in splits)
     best = best_key = None
     try:
         for part in partitions:

@@ -67,32 +67,25 @@ def compatible(s: str, t: str) -> bool:
     return s.startswith(t) or t.startswith(s)
 
 
-def node_index(s: str) -> int:
-    """Rank of a node within its level under lexicographic order."""
-    return int(s, 2) if s else 0
-
-
-# A node is also named by its length-lex rank: the root is 0, the children of
-# rank r are 2r + 1 and 2r + 2, its parent is (r - 1) >> 1, and bin(r + 1) is
-# '0b1' followed by the node, so its level is (r + 1).bit_length() - 1 and
-# its ancestor on level n has rank ((r + 1) >> (level - n)) - 1.  Rank order
-# is length-lex order.
+# A node is also named by its length-lex rank, counted from 1: int("1" + s, 2).
+# The root is 1, the children of rank r are 2r and 2r + 1, its parent is
+# r >> 1, its level is r.bit_length() - 1, and its ancestor on level n is
+# r >> (level - n).  Rank order is length-lex order.
 
 
 def node_rank(s: str) -> int:
-    """The length-lex rank of node `s`; a non-node raises check_node's ValueError."""
-    check_node(s)
-    return (1 << len(s)) - 1 + node_index(s)
+    """The length-lex rank of node `s`, from 1; a non-node raises check_node's ValueError."""
+    return int("1" + check_node(s), 2)
 
 
 def rank_node(r: int) -> str:
     """The node of length-lex rank r."""
-    return bin(r + 1)[3:]
+    return bin(r)[3:]
 
 
 def rank_span(r: int, e: int) -> range:
     """The ranks of the extensions of rank r, e levels down, in lexicographic order."""
-    return range(((r + 1) << e) - 1, ((r + 2) << e) - 1)
+    return range(r << e, (r + 1) << e)
 
 
 def level_nodes(n: int) -> Iterator[str]:
@@ -227,9 +220,9 @@ def embedding_problems(images: tuple[str, ...]) -> list[str]:
     """Structural problems of an embedding of 2^{<=h}; empty list means valid.
 
     The embedding is the tuple of its images in argument order: index i holds
-    the image of the argument of length-lex rank i, whose arms are at 2i + 1
-    and 2i + 2.  So a height-h embedding has 2^(h+1) - 1 images, and the last
-    2^h are the tops, which must all lie on one level.
+    the image of the argument of length-lex rank i + 1, whose arms are at
+    2i + 1 and 2i + 2.  So a height-h embedding has 2^(h+1) - 1 images, and
+    the last 2^h are the tops, which must all lie on one level.
     """
     size = len(images)
     if not size or size & (size + 1):
@@ -310,23 +303,22 @@ def _body_lines(lines: list[str], text: str) -> list[str]:
     return [s for s in body if s[0] != "#"] if "#" in text else body
 
 
-def numbered_body(text: str) -> list[tuple[int, str]]:
+def numbered_body(text: str) -> Iterator[tuple[int, str]]:
     """The body lines `read_format` returns, each paired with its 1-based line number in `text`.
 
-    The error path of the readers: it is built only when a bulk check fails
-    and a per-line loop must name the first bad line.  It walks the stripped
-    lines alongside `_body_lines`, so it keeps exactly the lines that rule
-    keeps: a dropped line is blank or starts with '#', which no kept line does.
+    The error path of the readers, walked only when a bulk check fails and a
+    per-line loop must name the first bad line; the pairs are yielded, so a
+    loop that stops there forms no more.  It walks the stripped lines
+    alongside `_body_lines`, so it keeps exactly the lines that rule keeps: a
+    dropped line is blank or starts with '#', which no kept line does.
     """
     lines = text.splitlines()
     kept = iter(_body_lines(lines, text))
     want = next(kept, None)
-    numbered = []
     for i, s in enumerate(map(str.strip, lines[1:]), start=2):
         if s == want:
-            numbered.append((i, s))
+            yield i, s
             want = next(kept, None)
-    return numbered
 
 
 def read_columns(body: list[str], width: int) -> list[list[str]] | None:

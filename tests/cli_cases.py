@@ -259,6 +259,11 @@ CASES = [
     Case("gridset-line-7", "profile --input a.gridset", 2,
          files={"a.gridset": "gridset v1 bound=8\n# cells\n0 0\n\n1 1\n  # more cells\n2 x\n3 3\n"},
          stderr=_error("line 7: expected '<col> <row>', got '2 x'")),
+    # A 20 MB body whose line 3 repeats line 2: the per-line pass stops there
+    # without pairing all ten million lines with their numbers first.
+    Case("natset-long-duplicate", "profile --input a.natset", 2, bound=10,
+         files={"a.natset": "natset v1 bound=8\n" + "1\n" * 10_000_000},
+         stderr=_error("line 3: duplicate member 1")),
     Case("morphism-line-7", KATETOV, 2, files={
         "s.ideal": "ideal v1 ground=interval params=4\nname a\ngenerator g 1\n",
         "t.ideal": "ideal v1 ground=interval params=4\nname b\nsurrogate generator-union max=1\ngenerator g 1\n",

@@ -188,7 +188,7 @@ class TestRankReads:
 
     @staticmethod
     def agree(c, reference=None):
-        for r, s in enumerate(all_nodes(c.depth)):
+        for r, s in enumerate(all_nodes(c.depth), 1):
             assert node_rank(s) == r
             assert c.value(s) == c.at(r)
             if reference is not None:
@@ -246,7 +246,7 @@ class TestSplitMix:
     @settings(max_examples=25)
     def test_jump_equals_sequential(self, seed):
         rng = SplitMix64(seed)
-        assert [rng.next_u64() for _ in range(50)] == [splitmix64_output(seed, k) for k in range(50)]
+        assert [rng.next_u64() for _ in range(50)] == [splitmix64_output(seed, k) for k in range(1, 51)]
 
     def test_published_outputs(self):
         # The first outputs of the reference splitmix64 for seeds 0 and 1234567,
@@ -256,7 +256,7 @@ class TestSplitMix:
             (1234567, [0x599ED017FB08FC85, 0x2C73F08458540FA5, 0x883EBCE5A3F27C77]),
         ):
             rng = SplitMix64(seed)
-            assert [rng.next_u64() for _ in range(3)] == want == [splitmix64_output(seed, k) for k in range(3)]
+            assert [rng.next_u64() for _ in range(3)] == want == [splitmix64_output(seed, k) for k in range(1, 4)]
 
     def test_below_range(self):
         rng = SplitMix64(9)
@@ -503,10 +503,10 @@ class TestPairing:
         depth, base_levels, cap = shape
         base, system = pairing_coloring(base_levels, cap, depth)
         size = (1 << depth) - 1
-        flipped = {r % size for r in flips}  # ranks
+        flipped = {r % size + 1 for r in flips}  # ranks
         # The construction's coloring with the drawn nodes flipped, on either backend.
         if sparse:
-            c = Coloring.sparse(depth, {s: base.at(r) ^ (r in flipped) for r, s in enumerate(all_nodes(depth))})
+            c = Coloring.sparse(depth, {s: base.at(r) ^ (r in flipped) for r, s in enumerate(all_nodes(depth), 1)})
         else:
             c = Coloring.computed(depth, lambda r: base.at(r) ^ (r in flipped))
         assert check_pairing_disjointness(c, system) == self.reference_check(c, system)
@@ -515,7 +515,7 @@ class TestPairing:
     def test_benchmark_shape_matches_per_node_reads(self, flip):
         # The benchmark's `pairing --base-levels 1,2 --cap 3 --depth 8`, and the same with every other top flipped.
         base, system = pairing_coloring([1, 2], 3, 8)
-        c = Coloring.computed(8, lambda r: base.at(r) ^ (flip and r >= 127 and r & 1))
+        c = Coloring.computed(8, lambda r: base.at(r) ^ (flip and r >= 128 and r & 1))
         checks = check_pairing_disjointness(c, system)
         assert checks == self.reference_check(c, system)
         assert all(ch.passed for ch in checks) != flip
@@ -640,12 +640,12 @@ class TestLevelsColoring:
         depth, max_len = shape
         assignment = residue_splitting(max_len, depth)
         nodes = all_nodes(depth)
-        flipped = {r % len(nodes) for r in flips}  # ranks
+        flipped = {r % len(nodes) + 1 for r in flips}  # ranks
         base = levels_coloring(assignment, depth)
         # The coloring with the drawn nodes flipped, on either backend, so bad counts are compared too.
         if sparse:
-            listed = [r for r, s in enumerate(nodes) if r in flipped or s[:1] == "1"]
-            c = Coloring.sparse(depth, {nodes[r]: base.at(r) ^ (r in flipped) for r in listed})
+            c = Coloring.sparse(depth, {s: base.at(r) ^ (r in flipped)
+                                        for r, s in enumerate(nodes, 1) if r in flipped or s[:1] == "1"})
         else:
             c = Coloring.computed(depth, lambda r: base.at(r) ^ (r in flipped))
         checks = check_levels_bichromatic(c, assignment)

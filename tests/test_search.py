@@ -40,7 +40,6 @@ from hlbench.treecore import (
     extensions,
     lenlex_key,
     level_nodes,
-    node_index,
     node_rank,
     rank_node,
     rank_span,
@@ -93,11 +92,11 @@ class TestEnumeration:
     @given(st.integers(1, 6).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, min(2, d - 1)))))
     @settings(max_examples=30, deadline=None)
     def test_image_tuple_contract(self, shape):
-        # Index i holds the image of the argument of length-lex rank i; its
+        # Index i holds the image of the argument of length-lex rank i + 1; its
         # arms are at 2i + 1 and 2i + 2, and the last 2^h images are the tops.
         depth, height = shape
         size = (2 << height) - 1
-        assert arguments(height) == [rank_node(i) for i in range(size)]
+        assert arguments(height) == [rank_node(r) for r in range(1, size + 1)]
         for e in enumerate_embeddings(depth, height):
             assert type(e) is tuple and len(e) == size
             for i in range(size >> 1):
@@ -413,7 +412,7 @@ class TestRanks:
     NODES = [s for n in range(9) for s in level_nodes(n)]
 
     def test_rank_order_is_lenlex_order(self):
-        assert [rank_node(r) for r in range(len(self.NODES))] == sorted(self.NODES, key=lenlex_key)
+        assert [rank_node(r) for r in range(1, len(self.NODES) + 1)] == sorted(self.NODES, key=lenlex_key)
         assert sorted(self.NODES, key=node_rank) == sorted(self.NODES, key=lenlex_key)
 
     @given(st.text(alphabet="01", max_size=63))
@@ -421,14 +420,14 @@ class TestRanks:
     @example("1" * 63)
     def test_node_and_rank_round_trip(self, s):
         r = node_rank(s)
-        assert r == (1 << len(s)) - 1 + node_index(s)
+        assert r == (1 << len(s)) + int(s or "0", 2)
         assert rank_node(r) == s
-        assert (r + 1).bit_length() - 1 == len(s)
-        assert rank_node(2 * r + 1) == s + "0" and rank_node(2 * r + 2) == s + "1"
+        assert r.bit_length() - 1 == len(s)
+        assert rank_node(2 * r) == s + "0" and rank_node(2 * r + 1) == s + "1"
         if s:
-            assert rank_node((r - 1) >> 1) == s[:-1]
+            assert rank_node(r >> 1) == s[:-1]
         for n in range(len(s) + 1):
-            assert rank_node(((r + 1) >> (len(s) - n)) - 1) == s[:n]
+            assert rank_node(r >> (len(s) - n)) == s[:n]
 
     def test_span_is_extensions(self):
         for s in [s for s in self.NODES if len(s) <= 7]:
@@ -439,7 +438,7 @@ class TestRanks:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1])
     def test_random_coloring_colors_by_rank(self, seed):
         c = random_coloring(9, seed)
-        for r in range((1 << 9) - 1):
+        for r in range(1, 1 << 9):
             assert c.value(rank_node(r)) == c.at(r) == splitmix64_output(seed, r) & 1
 
 

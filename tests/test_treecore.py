@@ -26,7 +26,6 @@ from hlbench.treecore import (
     lenlex_key,
     level_nodes,
     make_full,
-    node_index,
     parse_node,
     read_columns,
     tree_from_text,
@@ -65,10 +64,6 @@ class TestNodeHelpers:
     @given(st.integers(min_value=0, max_value=6))
     def test_level_count(self, n):
         assert sum(1 for _ in level_nodes(n)) == 1 << n
-
-    def test_node_index(self):
-        assert node_index("") == 0
-        assert node_index("101") == 5
 
     @given(nodes_st)
     def test_format_parse_round_trip(self, s):
