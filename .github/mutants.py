@@ -43,14 +43,24 @@ MUTANTS = [
      "table += [table[(r - 1) >> 1] | (one if read(r) else zero) for r in range(1 << n, 2 << n)]",
      ["tests/test_search.py::TestSolver::test_matches_recorded[d4-h1-uniform-b1000000]",
       "tests/test_search.py::TestSolver::test_matches_oracle_h1"]),
-    ("search.py", "rights = _Replay(halves(2 * w + 1, k - 1))",
-     "rights = _Replay(halves(2 * w + 2, k - 1))",
+    ("search.py",
+     "groups = (_Replay(pairs(w, halves(2 * w, k - 1), _Replay(halves(2 * w + 1, k - 1)), k, False))",
+     "groups = (_Replay(pairs(w, halves(2 * w, k - 1), _Replay(halves(2 * w + 2, k - 1)), k, False))",
      ["tests/test_search.py::TestBudget::test_search_best_incomplete_under_budget",
-      "tests/test_search.py::TestSolver::test_matches_oracle_h1"]),
+      "tests/test_search.py::TestSolver::test_matches_oracle_h2"]),
     ("search.py", "(cut, lo), (_, hi) = region(2 * r, n + 1), region(2 * r + 1, n + 1)",
      "(cut, lo), (_, hi) = region(2 * r + 1, n + 1), region(2 * r + 2, n + 1)",
      ["tests/test_search.py::TestBudget::test_walk_cross_checks_the_dp",
       "tests/test_search.py::TestSolver::test_matches_oracle_h1"]),
+    # Tie order: the halves' levels interleave left first, and a find raises the floor past its score.
+    ("search.py", "for left, right in ((left, right) for left in lefts for right in rights):",
+     "for left, right in ((left, right) for right in rights for left in lefts):",
+     ["tests/test_search.py::TestTieOrder::test_stream_is_the_enumeration_in_tie_order[5-2]",
+      "tests/test_search.py::TestTieOrder::test_exact_walk_ends_at_its_first_m_embedding[2-uniform]"]),
+    ("search.py", "raise_floor(best[0] + 1)",
+     "raise_floor(best[0])",
+     ["tests/test_search.py::TestTieOrder::test_walk_without_the_dp_matches_the_oracle",
+      "tests/test_search.py::TestSolver::test_matches_recorded[d4-h0-uniform-b1000000]"]),
     ("treecore.py", "return range(r << e, (r + 1) << e)",
      "return range((r << e) - 1, ((r + 1) << e) - 1)",
      ["tests/test_search.py::TestRanks::test_span_is_extensions",

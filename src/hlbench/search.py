@@ -14,7 +14,7 @@ counts the largest level family monochromatic in one shared color, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, islice
 from typing import Callable, Iterator, Mapping
 
 from .colorings import Coloring, ZDensityInstance, band_range
@@ -385,84 +385,126 @@ def _dp_max(masks, depth: int, height: int, score, allowance: int):
     return best, spent, True
 
 
-def _walk(masks, depth: int, height: int, score, known, exact: bool, allowance: int):
-    """Depth-first walk for the tie-first best embedding.
+def _tie_order(masks, depth: int, height: int, score, start: int, allowance: int):
+    """The embeddings of height `height` scoring at least a floor, lazily and in tie order.
 
-    Partitions (the embeddings sharing a first split; height 0 is one
-    partition of all tops) come in rank order of the split, the tie order's
-    first key.  Halves scoring below the floor are dropped.  When the DP's
-    (m, node) is `known` and `exact`, the floor is m, the walk starts at
-    that node's partition and ends with it; at height 1 a partition yields
-    in tie order, so its first m-embedding ends the walk.  Otherwise every
-    partition is walked, and the floor is the best score found so far,
-    starting from the score of `known` when the DP gave one.  A unit is a
-    top looked at or a mask product; the walk stops rather than pass
+    Returns (stream, raise_floor, units).  `stream` yields (mask, node) pairs,
+    `node` nested as (split, left, right) over leaf ranks, in the order of
+    _tie_key: partitions (the embeddings sharing a first split; height 0 is
+    one partition of all tops) come in rank order of the split from `start`
+    on, and within a partition the split nodes come level by level, the left
+    and right halves' images on each level interleaved, then the leaves.
+    raise_floor(f) sets the floor, -1 at first, for every embedding and half
+    formed after it; a half scoring below the floor is dropped, since no
+    embedding built from it reaches the floor.  units() is the work spent: a
+    unit is a top looked at or a pair formed, of two halves' masks or of two
+    groups of halves.  The stream raises _OutOfBudget rather than pass
     `allowance` units.
 
-    Returns (best, units spent, complete), best being (score, node) or None.
-    Ties go to the smaller tuple of image ranks, the order of _tie_key.
+    A group is the halves above one region that share their images on the
+    levels above some level, listed as the non-empty groups one level down,
+    or as (mask, node) pairs on the leaves' level; a _Replay records it
+    wherever it is listed more than once.  Pairing two groups lists the
+    pairs of their children, left child first, so the two halves' levels
+    interleave.
     """
-    target = known[0] if exact else None
-    floor = -1 if known is None else known[0]
+    floor = -1
     spent = 0
 
-    def halves(region: int, k: int) -> Iterator[tuple[int, object]]:
-        # Sub-embeddings above `region` scoring at least the floor, in the
-        # order of _region_embeddings.
+    def raise_floor(f: int) -> None:
+        nonlocal floor
+        floor = f
+
+    def tops(region: int) -> Iterator[tuple[int, int]]:
         nonlocal spent
-        n = region.bit_length() - 1
+        for top in rank_span(region, depth - region.bit_length()):
+            if spent == allowance:
+                raise _OutOfBudget
+            spent += 1
+            mask = masks(top)
+            if score(mask) >= floor:
+                yield mask, top
+
+    def halves(region: int, k: int) -> Iterator:
+        # The height-k halves above `region`: its tops, or its non-empty
+        # groups by split in rank order.  A pairing draws its left halves
+        # once, and replays its right halves for each left one.
         if k == 0:
-            for top in rank_span(region, depth - 1 - n):
-                if spent == allowance:
-                    raise _OutOfBudget
-                spent += 1
-                mask = masks(top)
-                if score(mask) >= floor:
-                    yield mask, top
-            return
-        for extra in range(depth - k - n):
-            for w in rank_span(region, extra):
-                yield from joins(w, k)
+            return tops(region)
+        n = region.bit_length() - 1
+        groups = (_Replay(pairs(w, halves(2 * w, k - 1), _Replay(halves(2 * w + 1, k - 1)), k, False))
+                  for extra in range(depth - k - n) for w in rank_span(region, extra))
+        return filter(None, groups)
 
-    def joins(w: int, k: int) -> Iterator[tuple[int, tuple]]:
+    def pairs(w: int, lefts, rights, k: int, flat: bool) -> Iterator:
+        # The height-k embeddings split at w, their halves from the groups
+        # `lefts` and `rights`: as (mask, node) pairs when `flat` or k is 1,
+        # else as the non-empty groups one level down.
         nonlocal spent
-        rights = _Replay(halves(2 * w + 1, k - 1))
-        for lmask, left in halves(2 * w, k - 1):
-            for rmask, right in rights:
-                if spent == allowance:
-                    raise _OutOfBudget
-                spent += 1
-                mask = lmask & rmask
-                if score(mask) >= floor:
-                    yield mask, (w, left, right)
+        if k == 1:
+            for lmask, left in lefts:
+                for rmask, right in rights:
+                    if spent == allowance:
+                        raise _OutOfBudget
+                    spent += 1
+                    mask = lmask & rmask
+                    if score(mask) >= floor:
+                        yield mask, (w, left, right)
+            return
+        # Left child first, then right: the two halves' levels interleave.
+        for left, right in ((left, right) for left in lefts for right in rights):
+            if spent == allowance:
+                raise _OutOfBudget
+            spent += 1
+            if flat:
+                yield from pairs(w, left, right, k - 1, True)
+            elif group := _Replay(pairs(w, left, right, k - 1, False)):
+                yield group
 
-    start = known[1][0] if exact else 1
-    splits = range(start, 1 << (depth - height))  # the ranks above level depth - height
-    partitions = [halves(1, 0)] if height == 0 else (joins(w, height) for w in splits)
-    best = best_key = None
+    if height == 0:
+        stream = tops(1)
+    else:
+        splits = range(start, 1 << (depth - height))  # the ranks above level depth - height
+        stream = chain.from_iterable(
+            pairs(w, halves(2 * w, height - 1), _Replay(halves(2 * w + 1, height - 1)), height, True) for w in splits
+        )
+    return stream, raise_floor, lambda: spent
+
+
+def _walk(masks, depth: int, height: int, score, known, exact: bool, allowance: int):
+    """The tie-first best embedding, by a walk over _tie_order.
+
+    When the DP's (m, node) is `known` and `exact`, the floor is m and the
+    walk starts at that node's partition, the first that holds an
+    m-embedding, and ends at its first embedding.  Otherwise the walk starts
+    at the first partition with the score of `known` as its floor (-1 when
+    the DP gave none), and raises the floor to best + 1 after each
+    embedding it finds, so an embedding reaching the floor is the tie-first
+    of its score.  The walk stops rather than pass `allowance` units.
+
+    Returns (best, units spent, complete), best being (score, node) or None.
+    """
+    stream, raise_floor, units = _tie_order(masks, depth, height, score, known[1][0] if exact else 1, allowance)
+    if known is not None:
+        raise_floor(known[0])
+    best = None
     try:
-        for part in partitions:
-            for mask, node in part:
-                # Past the first, every embedding reaching here scores at least
-                # the best so far, so its tie key is always needed.
-                s, key = score(mask), _bfs(node, height)
-                if best is None or s > best[0] or (s == best[0] and key < best_key):
-                    best, best_key, floor = (s, node), key, s
-                    if s == target and height == 1:
-                        break
-            if best is not None and best[0] == target:
+        for mask, node in stream:
+            best = (score(mask), node)
+            if exact:
                 break
+            raise_floor(best[0] + 1)
     except _OutOfBudget:
-        return best, spent, False
-    return best, spent, True
+        return best, units(), False
+    return best, units(), True
 
 
 class _Replay:
-    """Iterate a generator once while recording it; later passes replay the record.
+    """Draw from a generator on demand while recording it; every pass replays the record first.
 
-    Only the items a pass has consumed are held, so a budget that stops the
-    first pass also bounds the memory.  Callers never start a pass before the
-    previous one has run to the end.
+    Only the items drawn are held, so a budget that stops the source also
+    bounds the memory.  Passes may overlap: each replays what the others have
+    drawn before it draws more.
     """
 
     __slots__ = ("_source", "_items")
@@ -474,14 +516,37 @@ class _Replay:
     def __iter__(self) -> Iterator:
         if self._source is None:
             return iter(self._items)
-        return self._record()
+        return self._pass()
 
-    def _record(self) -> Iterator:
-        items = self._items
-        for item in self._source:
-            items.append(item)
-            yield item
+    def __bool__(self) -> bool:
+        """True when the source yields an item, the first being drawn if need be."""
+        return bool(self._items) or self._draw()
+
+    def _draw(self) -> bool:
+        for item in self._source or ():
+            self._items.append(item)
+            return True
         self._source = None
+        return False
+
+    def _pass(self) -> Iterator:
+        items, i = self._items, 0
+        while True:
+            if i < len(items):
+                yield from islice(items, i, None)
+                i = len(items)
+            source = self._source
+            if source is None:
+                return
+            for item in source:
+                items.append(item)
+                yield item
+                i += 1
+                if i < len(items):
+                    break  # another pass drew meanwhile
+            else:
+                self._source = None
+                return
 
 
 def _bfs(node, height: int) -> tuple:
@@ -498,20 +563,22 @@ def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
     """The certificate brute_force_max picks, found in two phases.
 
     For height >= 1, a dynamic program over level masks (_dp_max) first
-    finds the maximum m and the first partition holding it; a walk over
-    that partition (_walk) then finds the tie-first m-embedding, scoring
-    embeddings by ANDing level masks and dropping halves below m.  If the
-    walk finds none it raises, which cross-checks the DP.  When the DP does
-    not fit the budget, or at height 0, the walk visits every partition in
-    length-lex order with the best score so far as its floor, starting from
-    the best embedding the DP found before it gave up.  Ties go by _tie_key,
-    as in brute_force_max, and the certificate's levels and witness come
-    from _score on its leaves; a score other than the mask score m raises,
-    which cross-checks the level masks.
+    finds the maximum m and the first partition holding it; a walk from
+    that partition (_walk) then takes the embeddings in tie order
+    (_tie_order), scoring them by ANDing level masks and dropping halves
+    below m, and its first m-embedding is the certificate.  If the walk
+    finds none, or first one scoring other than m, it raises, which
+    cross-checks the DP.  When the DP does not fit the budget, or at height
+    0, the walk visits every partition in tie order, starting from the
+    score of the best embedding the DP found before it gave up and raising
+    its floor to best + 1 after each find.  Ties go by _tie_key, as in
+    brute_force_max, and the certificate's levels and witness come from
+    _score on its leaves; a score other than the mask score m raises, which
+    cross-checks the level masks.
 
     node_budget bounds the whole search.  `explored` counts the units of
     work done: the DP's masks formed or re-scored and containment tests,
-    then the walk's tops looked at and mask products.  The DP runs only
+    then the walk's tops looked at and pairs formed.  The DP runs only
     when the 2^(depth-1) tops fit node_budget and gives up before its units
     would pass node_budget; the walk stops before `explored` would pass
     2 * node_budget, so explored <= 2 * node_budget always.  `complete` is
@@ -533,9 +600,10 @@ def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
         masks = _mask_lookup(c.at, depth)
     best, walked, complete = _walk(masks, depth, height, score, known, exact, 2 * budget.node_budget - spent)
     explored = spent + walked
+    if exact and complete and (best is None or best[0] != known[0]):
+        found = "no such embedding" if best is None else f"first an embedding scoring {best[0]}"
+        raise RuntimeError(f"the level-mask DP gives m = {known[0]} but the walk finds {found}")
     if best is None:
-        if complete and exact:
-            raise RuntimeError(f"the level-mask DP gives m = {known[0]} but the walk finds no such embedding")
         best = known
     if best is None:
         raise BudgetError(f"node budget {budget.node_budget} completes no embedding")

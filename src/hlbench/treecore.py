@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import EmbeddingInvalidError, ParseError, RangeError, ShapeError, shown
@@ -35,7 +36,7 @@ WORK_CAP = 1 << 20
 DEFAULT_BUDGET = 1_000_000
 
 # The largest node_budget.  The search's memory grows with its budget: at
-# this cap the depth-40 height-2 search peaks at 422 MiB resident, at four
+# this cap the depth-40 height-2 search peaks at 423 MiB resident, at four
 # times it at 1.6 GiB (ru_maxrss, Python 3.11).  It is above DEFAULT_BUDGET.
 BUDGET_CAP = 1 << 20
 
@@ -188,10 +189,44 @@ def validate(tree: LevelTree) -> tuple[Violation, ...]:
     Rules: "shape" (level list inconsistent with depth, or depth out of range),
     "node-length" (a member sits at the wrong level), "root" (level 0 is not
     exactly the empty string), "prefix-closed" (a node's parent is missing),
-    "pruned" (a non-top node has no extension on the next level).
+    "pruned" (a non-top node has no extension on the next level).  A bulk
+    pass of set operations checks a valid tree; the per-node rules run only
+    when it fails, to name each violation.
     """
     if not 1 <= tree.depth <= D_MAX or len(tree.levels) != tree.depth:
         return (Violation("shape", ROOT, 0),)
+    if _levels_hold(tree.levels):
+        return ()
+    return _node_violations(tree)
+
+
+# str.translate table deleting '0' and '1', and a node's parent s[:-1].
+_BITS = str.maketrans("", "", "01")
+_PARENT = itemgetter(slice(None, -1))
+
+
+def _levels_hold(levels: tuple[frozenset[str], ...]) -> bool:
+    """The bulk pass of `validate`: True when every rule holds, by set operations level by level.
+
+    Level 0 is {""}, each level n holds {0,1} strings of length n only, and
+    the parents of level n are exactly level n - 1: prefix-closed one way,
+    pruned the other.
+    """
+    if levels[0] != {ROOT}:
+        return False
+    for n in range(1, len(levels)):
+        level = levels[n]
+        try:
+            joined = "".join(level)
+        except TypeError:  # a member that is not a string
+            return False
+        if joined.translate(_BITS) or set(map(len, level)) - {n} or set(map(_PARENT, level)) != levels[n - 1]:
+            return False
+    return True
+
+
+def _node_violations(tree: LevelTree) -> tuple[Violation, ...]:
+    """The per-node rules of `validate`, each violation naming its node, in rule order."""
     bad: list[Violation] = []
     for n, level in enumerate(tree.levels):
         for s in sorted(level):

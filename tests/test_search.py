@@ -288,6 +288,59 @@ class TestSolver:
             assert certificate_to_json(one.certificate) == certificate_to_json(four.certificate)
 
 
+def _walk_inputs(c, height: int, mode: str):
+    """(masks, score, DP result, DP units) of search_best's walk on coloring `c`."""
+    score = search._scorer(c.depth, mode == "by_levels")
+    masks = search._mask_table(c.at, c.depth).__getitem__
+    known, spent, exact = search._dp_max(masks, c.depth, height, score, BUDGET_CAP)
+    assert exact
+    return masks, score, known, spent
+
+
+class TestTieOrder:
+    """The walk takes each partition's embeddings in tie order, so its first at the floor is the certificate."""
+
+    @pytest.mark.parametrize("depth, height", ORACLE_SHAPES)
+    def test_stream_is_the_enumeration_in_tie_order(self, depth, height):
+        c = random_coloring(depth, depth + height)
+        score = search._scorer(depth, False)
+        masks = search._mask_table(c.at, depth).__getitem__
+        stream, _, units = search._tie_order(masks, depth, height, score, 1, BUDGET_CAP)
+        got = [tuple(map(rank_node, search._bfs(node, height))) for _, node in stream]
+        assert got == sorted(enumerate_embeddings(depth, height), key=search._tie_key)
+        assert units() <= BUDGET_CAP
+
+    @pytest.mark.parametrize("mode", ["uniform", "by_levels"])
+    @pytest.mark.parametrize("height", [2, 3])
+    def test_exact_walk_ends_at_its_first_m_embedding(self, height, mode):
+        # The exact walk's last unit is the product that forms its m-embedding:
+        # one unit less, and it finds nothing.
+        for seed in range(12):
+            c = random_coloring(5, seed)
+            masks, score, known, _ = _walk_inputs(c, height, mode)
+            best, spent, complete = search._walk(masks, 5, height, score, known, True, BUDGET_CAP)
+            assert complete and best[0] == known[0]
+            assert search._walk(masks, 5, height, score, known, True, spent) == (best, spent, True)
+            assert search._walk(masks, 5, height, score, known, True, spent - 1) == (None, spent - 1, False)
+            images = tuple(map(rank_node, search._bfs(best[1], height)))
+            assert images == brute_force_max(c, SearchBudget(height=height), mode).certificate.images
+
+    @given(st.sampled_from(ORACLE_SHAPES), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_walk_without_the_dp_matches_the_oracle(self, shape, seed):
+        # The floor rises to best + 1 after each find, so the walk keeps the
+        # tie-first embedding of the best score.
+        depth, height = shape
+        c = random_coloring(depth, seed)
+        for mode in ("uniform", "by_levels"):
+            score = search._scorer(depth, mode == "by_levels")
+            masks = search._mask_table(c.at, depth).__getitem__
+            best, _, complete = search._walk(masks, depth, height, score, None, False, BUDGET_CAP)
+            oracle = brute_force_max(c, SearchBudget(height=height), mode)
+            assert complete and best[0] == oracle.best_levels
+            assert tuple(map(rank_node, search._bfs(best[1], height))) == oracle.certificate.images
+
+
 class TestVerification:
     def make(self, seed=0):
         c = random_coloring(5, seed)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlbench import colorings, game, katetov, search
+from hlbench import colorings, game, katetov, search, treecore
 from hlbench.colorings import zdensity_coloring
 from hlbench.errors import EmbeddingInvalidError, ParseError, RangeError
 from hlbench.game import play
@@ -119,6 +119,23 @@ class TestLevelTree:
         # shape: levels tuple does not match depth
         tree = LevelTree(3, (frozenset({""}),))
         assert {v.rule for v in validate(tree)} == {"shape"}
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bulk_pass_agrees_with_the_per_node_rules(self, data):
+        # A valid tree, then up to three members removed or added, each added
+        # one a string over "01a" of any length up to the depth.
+        depth = data.draw(st.integers(1, 5))
+        tops = data.draw(st.sets(st.text("01", min_size=depth - 1, max_size=depth - 1), min_size=1, max_size=6))
+        levels = [set(level) for level in LevelTree.from_branch_set(depth, tops).levels]
+        for _ in range(data.draw(st.integers(0, 3))):
+            level = levels[data.draw(st.integers(0, depth - 1))]
+            if level and data.draw(st.booleans()):
+                level.discard(data.draw(st.sampled_from(sorted(level))))
+            else:
+                level.add(data.draw(st.text("01a", max_size=depth)))
+        tree = LevelTree(depth, tuple(map(frozenset, levels)))
+        assert validate(tree) == treecore._node_violations(tree)
 
     def test_contains_and_level(self):
         tree = make_full(3)
