@@ -35,8 +35,8 @@ MUTANTS = [
      "splits = range(start, (1 << (depth - height)) - 1)  # the ranks above level depth - height",
      ["tests/test_search.py::TestSolver::test_matches_oracle_h2",
       "tests/test_search.py::TestSolver::test_matches_recorded[d4-h3-uniform-b1000000]"]),
-    ("search.py", "got = prefix[r] = bit | prefix_mask(r >> 1) if r > 1 else bit",
-     "got = prefix[r] = bit | prefix_mask(r >> 1) if r > 2 else bit",
+    ("search.py", "return bit | prefix_mask(r >> 1) if r > 1 else bit",
+     "return bit | prefix_mask(r >> 1) if r > 2 else bit",
      ["tests/test_search.py::TestBudget::test_budget_too_small_for_any_embedding[uniform]",
       "tests/test_search.py::TestBudget::test_search_best_incomplete_under_budget"]),
     ("search.py", "table += [table[r >> 1] | (one if read(r) else zero) for r in range(1 << n, 2 << n)]",
@@ -52,6 +52,15 @@ MUTANTS = [
      "(cut, lo), (_, hi) = region(2 * r + 1, n + 1), region(2 * r + 2, n + 1)",
      ["tests/test_search.py::TestBudget::test_walk_cross_checks_the_dp",
       "tests/test_search.py::TestSolver::test_matches_oracle_h1"]),
+    # Replays: every pass copies the tee buffer from its head, and an empty group is false.
+    ("search.py", "return self._head.__copy__()",
+     "return self._head",
+     ["tests/test_search.py::TestReplay::test_interleaved_passes",
+      "tests/test_search.py::TestSolver::test_matches_oracle_h2"]),
+    ("search.py", "return next(self._head.__copy__(), None) is not None",
+     "return True",
+     ["tests/test_search.py::TestReplay::test_bool_draws_at_most_one_item",
+      "tests/test_search.py::TestSolver::test_matches_recorded[d5-h2-uniform-b1000000]"]),
     # Tie order: the halves' levels interleave left first, and a find raises the floor past its score.
     ("search.py", "for left, right in ((left, right) for left in lefts for right in rights):",
      "for left, right in ((left, right) for right in rights for left in lefts):",

@@ -14,7 +14,8 @@ counts the largest level family monochromatic in one shared color, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from functools import cache
+from itertools import chain, compress, tee
 from typing import Callable, Iterator, Mapping
 
 from .colorings import Coloring, ZDensityInstance, band_range
@@ -264,15 +265,11 @@ def _mask_lookup(read: Callable[[int], int], depth: int) -> Callable[[int], int]
     # A node's prefix mask holds the bits of the levels up to its own: its
     # parent's plus one color read, computed on first use and cached for one
     # search, so the work tracks the tops reached and each color is read once.
-    prefix: dict[int, int] = {}
-
+    @cache
     def prefix_mask(r: int) -> int:
-        got = prefix.get(r)
-        if got is None:
-            n = r.bit_length() - 1
-            bit = 1 << (depth + n if read(r) else n)
-            got = prefix[r] = bit | prefix_mask(r >> 1) if r > 1 else bit
-        return got
+        n = r.bit_length() - 1
+        bit = 1 << (depth + n if read(r) else n)
+        return bit | prefix_mask(r >> 1) if r > 1 else bit
 
     return prefix_mask
 
@@ -404,9 +401,9 @@ def _tie_order(masks, depth: int, height: int, score, start: int, allowance: int
     A group is the halves above one region that share their images on the
     levels above some level, listed as the non-empty groups one level down,
     or as (mask, node) pairs on the leaves' level; a _Replay records it
-    wherever it is listed more than once.  Pairing two groups lists the
-    pairs of their children, left child first, so the two halves' levels
-    interleave.
+    wherever it is listed more than once, as one itertools.tee buffer that
+    every pass copies.  Pairing two groups lists the pairs of their
+    children, left child first, so the two halves' levels interleave.
     """
     floor = -1
     spent = 0
@@ -500,53 +497,24 @@ def _walk(masks, depth: int, height: int, score, known, exact: bool, allowance: 
 
 
 class _Replay:
-    """Draw from a generator on demand while recording it; every pass replays the record first.
+    """A generator recorded on demand as one itertools.tee buffer; every pass copies it from the start.
 
-    Only the items drawn are held, so a budget that stops the source also
-    bounds the memory.  Passes may overlap: each replays what the others have
-    drawn before it draws more.
+    The buffer's head never advances, so a pass replays what earlier passes
+    drew and draws the rest, each item from the source once.  Only the items
+    drawn are held, so a budget that stops the source also bounds the memory.
     """
 
-    __slots__ = ("_source", "_items")
+    __slots__ = ("_head",)
 
     def __init__(self, source: Iterator):
-        self._source = source
-        self._items: list = []
+        (self._head,) = tee(source, 1)
 
     def __iter__(self) -> Iterator:
-        if self._source is None:
-            return iter(self._items)
-        return self._pass()
+        return self._head.__copy__()
 
     def __bool__(self) -> bool:
-        """True when the source yields an item, the first being drawn if need be."""
-        return bool(self._items) or self._draw()
-
-    def _draw(self) -> bool:
-        for item in self._source or ():
-            self._items.append(item)
-            return True
-        self._source = None
-        return False
-
-    def _pass(self) -> Iterator:
-        items, i = self._items, 0
-        while True:
-            if i < len(items):
-                yield from islice(items, i, None)
-                i = len(items)
-            source = self._source
-            if source is None:
-                return
-            for item in source:
-                items.append(item)
-                yield item
-                i += 1
-                if i < len(items):
-                    break  # another pass drew meanwhile
-            else:
-                self._source = None
-                return
+        """True when the source yields an item, the first being drawn if need be; no item is None."""
+        return next(self._head.__copy__(), None) is not None
 
 
 def _bfs(node, height: int) -> tuple:

@@ -234,6 +234,8 @@ class TestSolver:
 
     @given(st.sampled_from(ORACLE_SHAPES), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
+    @example((13, 0), 0)  # above depth 12 the oracle reads colors from the coloring itself
+    @example((13, 0), 1)
     def test_matches_oracle_all_shapes(self, shape, seed):
         depth, height = shape
         c = random_coloring(depth, seed)
@@ -314,14 +316,18 @@ class TestTieOrder:
     @pytest.mark.parametrize("height", [2, 3])
     def test_exact_walk_ends_at_its_first_m_embedding(self, height, mode):
         # The exact walk's last unit is the product that forms its m-embedding:
-        # one unit less, and it finds nothing.
+        # one unit less, and it finds nothing.  On the first seed every smaller
+        # allowance stops it too, whichever of _tie_order's budget checks the
+        # allowance runs out at.
         for seed in range(12):
             c = random_coloring(5, seed)
             masks, score, known, _ = _walk_inputs(c, height, mode)
             best, spent, complete = search._walk(masks, 5, height, score, known, True, BUDGET_CAP)
             assert complete and best[0] == known[0]
             assert search._walk(masks, 5, height, score, known, True, spent) == (best, spent, True)
-            assert search._walk(masks, 5, height, score, known, True, spent - 1) == (None, spent - 1, False)
+            for allowance in range(spent) if seed == 0 else [spent - 1]:
+                got = search._walk(masks, 5, height, score, known, True, allowance)
+                assert got == (None, allowance, False)
             images = tuple(map(rank_node, search._bfs(best[1], height)))
             assert images == brute_force_max(c, SearchBudget(height=height), mode).certificate.images
 
@@ -339,6 +345,40 @@ class TestTieOrder:
             oracle = brute_force_max(c, SearchBudget(height=height), mode)
             assert complete and best[0] == oracle.best_levels
             assert tuple(map(rank_node, search._bfs(best[1], height))) == oracle.certificate.images
+
+
+class TestReplay:
+    """A _Replay draws each item from its source once and gives every pass the whole source."""
+
+    @staticmethod
+    def counted(items, drawn: list):
+        for item in items:
+            drawn.append(item)
+            yield item
+
+    def test_interleaved_passes(self):
+        drawn: list = []
+        replay = search._Replay(self.counted(range(1, 6), drawn))
+        first, second = iter(replay), iter(replay)
+        got = [(a, next(second)) for a in first]
+        assert got == [(i, i) for i in range(1, 6)]
+        assert next(second, None) is None
+        assert drawn == [1, 2, 3, 4, 5]
+
+    def test_bool_draws_at_most_one_item(self):
+        drawn: list = []
+        replay = search._Replay(self.counted("ab", drawn))
+        assert replay and replay
+        assert drawn == ["a"]
+        assert list(replay) == ["a", "b"] and drawn == ["a", "b"]
+        assert not search._Replay(self.counted([], drawn))
+
+    def test_pass_after_the_source_is_exhausted_replays_everything(self):
+        drawn: list = []
+        replay = search._Replay(self.counted(range(3), drawn))
+        assert list(replay) == list(replay) == [0, 1, 2]
+        assert list(replay) == [0, 1, 2] and bool(replay)
+        assert drawn == [0, 1, 2]
 
 
 class TestVerification:

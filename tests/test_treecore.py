@@ -15,6 +15,7 @@ from hlbench.treecore import (
     D_MAX,
     WORK_CAP,
     LevelTree,
+    Violation,
     check_depth,
     check_node,
     compatible,
@@ -116,6 +117,9 @@ class TestLevelTree:
         # node on the wrong level
         tree = LevelTree(2, (frozenset({""}), frozenset({"010"})))
         assert "node-length" in {v.rule for v in validate(tree)}
+        # a member that is not a string: one node-length violation, no other rule
+        tree = LevelTree(2, (frozenset({""}), frozenset({"0", 7})))
+        assert validate(tree) == (Violation("node-length", "7", 1),)
         # shape: levels tuple does not match depth
         tree = LevelTree(3, (frozenset({""}),))
         assert {v.rule for v in validate(tree)} == {"shape"}
@@ -124,16 +128,16 @@ class TestLevelTree:
     @settings(max_examples=200, deadline=None)
     def test_bulk_pass_agrees_with_the_per_node_rules(self, data):
         # A valid tree, then up to three members removed or added, each added
-        # one a string over "01a" of any length up to the depth.
+        # one a string over "01a" of any length up to the depth, or an int.
         depth = data.draw(st.integers(1, 5))
         tops = data.draw(st.sets(st.text("01", min_size=depth - 1, max_size=depth - 1), min_size=1, max_size=6))
         levels = [set(level) for level in LevelTree.from_branch_set(depth, tops).levels]
         for _ in range(data.draw(st.integers(0, 3))):
             level = levels[data.draw(st.integers(0, depth - 1))]
             if level and data.draw(st.booleans()):
-                level.discard(data.draw(st.sampled_from(sorted(level))))
+                level.discard(data.draw(st.sampled_from(sorted(level, key=repr))))
             else:
-                level.add(data.draw(st.text("01a", max_size=depth)))
+                level.add(data.draw(st.text("01a", max_size=depth) | st.integers(0, 9)))
         tree = LevelTree(depth, tuple(map(frozenset, levels)))
         assert validate(tree) == treecore._node_violations(tree)
 
