@@ -1,14 +1,16 @@
-"""Mutation gate: every one-line mutant listed in MUTANTS must be killed by its named tests.
+"""Mutation gate: every one-line mutant listed in MUTANTS must be killed by each of its named tests.
 
 A mutant is one source line of `src/hlbench` replaced by another.  The gate
 first runs the union of the named tests on an unmodified copy of `src/`,
 which must pass.  Then, for each mutant, it copies `src/` and `tests/` to a
 fresh directory, applies the one replacement and runs that mutant's tests
-there with `pytest -x -q`.  A mutant is killed when pytest reports a
-failed test (exit status 1).  The gate exits 1 when a line is not found
-exactly once, the unmodified run fails, or a mutant is not killed: its
-tests pass, or pytest exits with any other status (an unknown test id, a
-mutant that breaks collection).  Stdlib only; it is not a `test_*` file, so the tier-1 suite does not
+there with `pytest -q -rf`.  A mutant is killed when pytest reports failed
+tests (exit status 1) and each named test is among them, so a test that no
+longer kills its mutant shows even when another named test still does.
+The gate exits 1 when a line is not found exactly once, the unmodified run
+fails, or a mutant is not killed: a named test passes, or pytest exits with
+any other status (an unknown test id, a mutant that breaks collection).
+Stdlib only; it is not a `test_*` file, so the tier-1 suite does not
 collect it.  From the root of a checkout:
 
     python3 .github/mutants.py
@@ -97,6 +99,26 @@ MUTANTS = [
      "return Coloring.computed(depth, lambda r: r & 1 if r else 0)",
      ["tests/test_colorings.py::TestRankReads::test_last_bit",
       "tests/test_search.py::TestSolver::test_last_bit_frozen"]),
+    # Readers: the body follows the header, drops '#' lines, and is numbered from line 2.
+    ("treecore.py", "body = list(filter(None, map(str.strip, itertools.islice(lines, 1, None))))",
+     "body = list(filter(None, map(str.strip, itertools.islice(lines, 0, None))))",
+     ["tests/test_reader_equivalence.py::test_numbered_body_pairs_the_body_with_its_line_numbers",
+      "tests/test_formats.py::test_long_body_reads_as_listed[nodeset]",
+      "tests/test_formats.py::test_long_body_reads_as_listed[ideal]"]),
+    ("treecore.py", 'body = [s for s in body if s[0] != "#"]',
+     'body = [s for s in body if s != "#"]',
+     ["tests/test_reader_equivalence.py::test_numbered_body_pairs_the_body_with_its_line_numbers",
+      "tests/test_formats.py::test_comments_and_blank_lines_are_ignored[natset]",
+      "tests/test_formats.py::test_rejection_message_and_line[natset-word-after noise]"]),
+    ("treecore.py",
+     "for i, s in enumerate(map(str.strip, itertools.islice(text.splitlines(), 1, None)), start=2):",
+     "for i, s in enumerate(map(str.strip, itertools.islice(text.splitlines(), 1, None)), start=1):",
+     ["tests/test_reader_equivalence.py::test_numbered_body_pairs_the_body_with_its_line_numbers",
+      "tests/test_formats.py::test_body_errors_report_their_own_line[natset]"]),
+    ("ideals.py", "return values if not values or (min(values) >= 0 and max(values) < bound) else None",
+     "return values if not values or (min(values) >= 0 and max(values) <= bound) else None",
+     ["tests/test_formats.py::test_rejection_message_and_line[natset-above-alone]",
+      "tests/test_formats.py::test_rejection_message_and_line[gridset-column above-after a long body]"]),
 ]
 
 
@@ -113,10 +135,15 @@ def mutate(text: str, line: str, replacement: str) -> str:
 
 
 def run_tests(work: Path, tests: list[str]) -> subprocess.CompletedProcess:
-    """pytest -x -q over `tests` in `work`, importing hlbench from work/src."""
+    """pytest -q -rf over `tests` in `work`, importing hlbench from work/src."""
     env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    command = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests]
     return subprocess.run(command, cwd=work, env=env, capture_output=True, text=True, check=False)
+
+
+def failed_ids(stdout: str) -> set[str]:
+    """The node ids on the `FAILED <id>[ - <message>]` lines of pytest's short summary."""
+    return {line[len("FAILED "):].split(" - ")[0] for line in stdout.splitlines() if line.startswith("FAILED ")}
 
 
 def copy_tree(work: Path) -> None:
@@ -149,9 +176,13 @@ def main() -> int:
                 failed += 1
                 continue
             began = time.perf_counter()
-            status = run_tests(work, tests).returncode
-            verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"pytest exit {status}")
-            failed += status != 1
+            proc = run_tests(work, tests)
+            survivors = sorted(set(tests) - failed_ids(proc.stdout))
+            if proc.returncode not in (0, 1):
+                verdict = f"pytest exit {proc.returncode}"
+            else:
+                verdict = f"SURVIVED {', '.join(survivors)}" if survivors else "killed"
+            failed += verdict != "killed"
             print(f"mutant {number} ({name}): {verdict} in {time.perf_counter() - began:.1f} s: {replacement}",
                   flush=True)
     print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f} s")

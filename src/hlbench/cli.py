@@ -649,6 +649,9 @@ def main(argv: list[str] | None = None) -> int:
     except (HlbenchError, ValueError) as exc:
         print(f"hlbench: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("hlbench: error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -239,15 +239,10 @@ def zdensity_coloring(n_max: int) -> ZDensityInstance:
         raise RangeError(f"n_max {shown(n_max)} outside [1, {ZDENSITY_N_MAX}]")
     depth = (1 << (n_max + 1)) + 1
 
-    split_levels = {1 << n for n in range(2, n_max + 1)}
-    levels: list[frozenset[str]] = [frozenset({""})]
-    for m in range(depth - 1):
-        current = levels[m]
-        nxt = {s + "0" for s in current}
-        if m in split_levels:
-            nxt.add(min(current) + "1")
-        levels.append(frozenset(nxt))
-    host = LevelTree(depth, tuple(levels))
+    # The all-zeros branch, and one branch leaving it at each split level m = 2^n.
+    zeros = "0" * (depth - 1)
+    tops = [zeros] + [zeros[:m] + "1" + zeros[m + 1 :] for m in (1 << n for n in range(2, n_max + 1))]
+    host = LevelTree.from_branch_set(depth, tops)
 
     overrides: dict[str, int] = {}
     band_branches: dict[int, tuple[str, ...]] = {}
@@ -575,7 +570,7 @@ def coloring_from_text(text: str) -> Coloring:
     if len(overrides) != len(body):
         # A line failed the bulk check, or two lines hold the same node.
         overrides = {}
-        for i, line in numbered_body(text):
+        for i, line in numbered_body(text, body):
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(f"expected '<node> <bit>', got {line!r}", i)

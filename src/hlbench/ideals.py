@@ -414,7 +414,7 @@ def natset_from_text(text: str) -> NatSet:
     if len(members) != len(body):
         # A token failed the bulk check, or two lines hold the same member.
         seen: set[int] = set()
-        for i, token in numbered_body(text):
+        for i, token in numbered_body(text, body):
             try:
                 m = int(token)
             except ValueError:
@@ -445,7 +445,7 @@ def gridset_from_text(text: str) -> GridSet:
     if len(cells) != n:
         # A line failed the bulk check, or two lines hold the same cell.
         seen: set[tuple[int, int]] = set()
-        for i, token in numbered_body(text):
+        for i, token in numbered_body(text, body):
             parts = token.split()
             if len(parts) != 2:
                 raise ParseError(f"expected '<col> <row>', got {token!r}", i)
@@ -476,7 +476,7 @@ def nodeset_from_text(text: str) -> NodeSet:
     if len(nodes) != len(body):
         # A line failed the bulk check, or two lines hold the same node.
         seen: set[str] = set()
-        for i, token in numbered_body(text):
+        for i, token in numbered_body(text, body):
             s = read_node(token, depth, i)
             if s in seen:
                 raise ParseError(f"duplicate node {token!r}", i)

@@ -619,7 +619,7 @@ def _parse_surrogate(tokens: list[str], line: int) -> Surrogate:
 
 def parse_ideal_text(text: str) -> FiniteIdealPresentation:
     """Parse: `ideal v1 ground=<kind> params=<size>` then name/surrogate/generator lines."""
-    (kind, size), _ = read_format(text, "ideal v1 ground=<kind> params=<size>")
+    (kind, size), body = read_format(text, "ideal v1 ground=<kind> params=<size>")
     try:
         ground = Ground(kind, header_int(size, "params", PARAMS_MAX.get(kind)))
     except (ValueError, RangeError) as exc:
@@ -628,7 +628,7 @@ def parse_ideal_text(text: str) -> FiniteIdealPresentation:
     surrogate: Surrogate | None = None
     generators: list[Generator] = []
     seen_names: set[str] = set()
-    for i, line in numbered_body(text):
+    for i, line in numbered_body(text, body):
         tokens = line.split()
         if tokens[0] == "name":
             if len(tokens) != 2:
@@ -700,7 +700,7 @@ def parse_morphism_text(text: str, domain: Ground, codomain: Ground) -> dict:
         return table
     formula: str | None = None
     table = {}
-    for i, stripped in numbered_body(text):
+    for i, stripped in numbered_body(text, body):
         if stripped.startswith("formula="):
             if formula is not None or table:
                 raise ParseError("formula line must be the only content", i)

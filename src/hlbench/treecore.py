@@ -322,8 +322,8 @@ def read_format(text: str, header: str) -> tuple[list[str], list[str]]:
     file's first line must have the same kind, version tag and field names
     in the same order; the values are returned in that order.  The body is
     the list of stripped lines after the header, with blank lines and
-    whole-line '#' comments dropped.  It carries no line numbers: a reader
-    whose bulk check fails walks `numbered_body(text)` to name the bad line.
+    whole-line '#' comments dropped: the body rule, stated once.  It carries
+    no line numbers; `numbered_body(text, body)` pairs its lines with them.
     """
     lines = text.splitlines()
     if not lines:
@@ -332,28 +332,25 @@ def read_format(text: str, header: str) -> tuple[list[str], list[str]]:
     names = [field.partition("=")[0] + "=" for field in want[2:]]
     if len(got) != len(want) or got[:2] != want[:2] or not all(map(str.startswith, got[2:], names)):
         raise ParseError(f"expected header {header!r}, got {lines[0]!r}", 1)
-    return [value[len(name) :] for value, name in zip(got[2:], names)], _body_lines(lines, text)
+    body = list(filter(None, map(str.strip, itertools.islice(lines, 1, None))))
+    if "#" in text:
+        body = [s for s in body if s[0] != "#"]
+    return [value[len(name) :] for value, name in zip(got[2:], names)], body
 
 
-def _body_lines(lines: list[str], text: str) -> list[str]:
-    """The body rule, stated once: the lines after the header, stripped, without blanks and '#' lines."""
-    body = list(filter(None, map(str.strip, lines[1:])))
-    return [s for s in body if s[0] != "#"] if "#" in text else body
+def numbered_body(text: str, body: list[str]) -> Iterator[tuple[int, str]]:
+    """`body`, as `read_format` returned it for `text`, each line paired with its 1-based line number.
 
-
-def numbered_body(text: str) -> Iterator[tuple[int, str]]:
-    """The body lines `read_format` returns, each paired with its 1-based line number in `text`.
-
-    The error path of the readers, walked only when a bulk check fails and a
-    per-line loop must name the first bad line; the pairs are yielded, so a
-    loop that stops there forms no more.  It walks the stripped lines
-    alongside `_body_lines`, so it keeps exactly the lines that rule keeps: a
-    dropped line is blank or starts with '#', which no kept line does.
+    The per-line loops walk it: the ideal reader and a formula morphism file
+    always, the other readers only when a bulk check fails, to name the bad
+    line.  The pairs are yielded, so a loop that stops there forms no more.
+    It walks the stripped lines of `text` alongside `body`: a line
+    `read_format` dropped is blank or starts with '#', which no body line
+    does, so each body line meets its own.
     """
-    lines = text.splitlines()
-    kept = iter(_body_lines(lines, text))
+    kept = iter(body)
     want = next(kept, None)
-    for i, s in enumerate(map(str.strip, lines[1:]), start=2):
+    for i, s in enumerate(map(str.strip, itertools.islice(text.splitlines(), 1, None)), start=2):
         if s == want:
             yield i, s
             want = next(kept, None)
@@ -427,7 +424,7 @@ def tree_from_text(text: str) -> LevelTree:
     nodes = read_nodes(body, depth)
     if nodes is None:
         # A line failed the bulk check (or is the root at depth 1): read line by line.
-        nodes = [read_node(token, depth, i) for i, token in numbered_body(text)]
+        nodes = [read_node(token, depth, i) for i, token in numbered_body(text, body)]
     levels: list[set[str]] = [set() for _ in range(depth)]
     for node in nodes:
         levels[len(node)].add(node)

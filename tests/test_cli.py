@@ -746,6 +746,15 @@ class TestErrorPaths:
             code, out, err = run(["profile", "--input", path], capsys)
             assert (code, out, err) == (2, "", f"hlbench: error: cannot read {path}: {reason}\n")
 
+    def test_memory_error_is_one_line(self, tmp_path, monkeypatch, capsys):
+        def out_of_memory(text):
+            raise MemoryError
+
+        monkeypatch.setattr("hlbench.ideals.natset_from_text", out_of_memory)
+        path = tmp_path / "a.natset"
+        path.write_text("natset v1 bound=4\n1\n")
+        assert run(["profile", "--input", str(path)], capsys) == (2, "", "hlbench: error: out of memory\n")
+
     def test_depth_contradicts_coloring(self, coloring_file, capsys):
         argv = ["search", "--height", "1", "--coloring", coloring_file, "--depth", "9"]
         code, _, err = run(argv, capsys)

@@ -402,15 +402,17 @@ def test_grid_and_node_tables_the_bulk_path_refuses(grounds, body):
 
 def test_numbered_body_pairs_the_body_with_its_line_numbers():
     text = "natset v1 bound=9\n\n 3 \n# four\n\t5\n  #\n6\n"
-    assert list(numbered_body(text)) == [(3, "3"), (5, "5"), (7, "6")]
-    assert read_format(text, "natset v1 bound=<n>")[1] == ["3", "5", "6"]
+    _, body = read_format(text, "natset v1 bound=<n>")
+    assert body == ["3", "5", "6"]
+    assert list(numbered_body(text, body)) == [(3, "3"), (5, "5"), (7, "6")]
 
 
 @given(st.lists(st.one_of(NOISE, st.sampled_from(["3", " 3", "3 #", "a b", "x#"])), max_size=12))
 def test_numbered_body_keeps_the_lines_read_format_keeps(lines):
     text = "\n".join(["natset v1 bound=9", *lines])
-    assert list(numbered_body(text)) == _numbered(text)
-    assert [s for _, s in numbered_body(text)] == read_format(text, "natset v1 bound=<n>")[1]
+    _, body = read_format(text, "natset v1 bound=<n>")
+    assert list(numbered_body(text, body)) == _numbered(text)
+    assert [s for _, s in numbered_body(text, body)] == body
 
 
 @pytest.mark.parametrize(
