@@ -4,7 +4,9 @@ A mutant is one source line of `src/hlbench` replaced by another.  The gate
 first runs the union of the named tests on an unmodified copy of `src/`,
 which must pass.  Then, for each mutant, it copies `src/` and `tests/` to a
 fresh directory, applies the one replacement and runs that mutant's tests
-there with `pytest -q -rf`.  A mutant is killed when pytest reports failed
+there with `pytest -q -rf`, loading the `hypothesis_noshrink` plugin
+beside this script: a failing example is reported as found, without the
+shrink phase, which the gate does not need.  A mutant is killed when pytest reports failed
 tests (exit status 1) and each named test is among them, so a test that no
 longer kills its mutant shows even when another named test still does.
 The gate exits 1 when a line is not found exactly once, the unmodified run
@@ -119,6 +121,20 @@ MUTANTS = [
      "return values if not values or (min(values) >= 0 and max(values) <= bound) else None",
      ["tests/test_formats.py::test_rejection_message_and_line[natset-above-alone]",
       "tests/test_formats.py::test_rejection_message_and_line[gridset-column above-after a long body]"]),
+    # Certificates: verification reads the tops' prefixes on each certified level,
+    # wants the tops on the last level, and takes plain-int bits only.
+    ("search.py", "for s in {t[:n] for t in tops}:",
+     "for s in {t[: n + 1] for t in tops}:",
+     ["tests/test_search.py::TestVerification::test_reads_the_closure_levels[1]",
+      "tests/test_search.py::TestVerification::test_reads_the_closure_levels[2]"]),
+    ("search.py", "if len(tops[0]) != c.depth - 1:",
+     "if len(tops[0]) > c.depth - 1:",
+     ["tests/test_search.py::TestVerification::test_tops_off_the_last_level"]),
+    ("search.py", "if not all(type(b) is int and b in (0, 1) for b in bits):",
+     "if not all(b in (0, 1) for b in bits):",
+     ["tests/test_search.py::TestVerification::test_witness_bits_are_plain_ints[uniform-True]",
+      "tests/test_search.py::TestVerification::test_witness_bits_are_plain_ints[by_levels-bits]",
+      "tests/test_search.py::TestCertificateJson::test_malformed_rejected"]),
 ]
 
 
@@ -135,9 +151,11 @@ def mutate(text: str, line: str, replacement: str) -> str:
 
 
 def run_tests(work: Path, tests: list[str]) -> subprocess.CompletedProcess:
-    """pytest -q -rf over `tests` in `work`, importing hlbench from work/src."""
-    env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    command = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests]
+    """pytest -q -rf over `tests` in `work`, importing hlbench from work/src, hypothesis without shrinking."""
+    path = os.pathsep.join([str(work / "src"), str(Path(__file__).resolve().parent)])
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    plugins = ["-p", "no:cacheprovider", "-p", "hypothesis_noshrink"]
+    command = [sys.executable, "-m", "pytest", "-q", "-rf", *plugins, *tests]
     return subprocess.run(command, cwd=work, env=env, capture_output=True, text=True, check=False)
 
 

@@ -359,9 +359,6 @@ def pairing_coloring(base_levels: Iterable[int], per_level_cap: int, depth: int)
         for matching in itertools.islice(perfect_matchings(level_nodes(n)), per_level_cap):
             matchings.append(matching)
             matching_levels.append(n)
-    total = len(matchings)
-    if total == 0:
-        raise ConstructionError("no matchings enumerated")
 
     level_sets = _residue_level_sets(matching_levels, depth)
 

@@ -24,7 +24,6 @@ from .treecore import (
     BUDGET_CAP,
     DEFAULT_BUDGET,
     D_MAX,
-    embed_closure,
     extensions,
     format_node,
     lenlex_key,
@@ -91,14 +90,14 @@ def _region_embeddings(region: str, height: int, depth: int) -> Iterator:
     # Canonical embeddings whose image set lies above `region`, as nested
     # (split, left, right) nodes with a leaf image at height 0; each split
     # is the meet of the leaf images below it.  A split's right halves are
-    # listed once and replayed for every left half.
+    # listed once, in a plain list, and replayed for every left half.
     if height == 0:
         yield from extensions(region, depth - 1)
         return
     for extra in range(depth - height - len(region)):
         for suffix in level_nodes(extra):
             w = region + suffix
-            rights = _Replay(_region_embeddings(w + "1", height - 1, depth))
+            rights = list(_region_embeddings(w + "1", height - 1, depth))
             for left in _region_embeddings(w + "0", height - 1, depth):
                 for right in rights:
                     yield w, left, right
@@ -177,28 +176,34 @@ def _certificate(value, images: tuple[str, ...], depth: int, mode: str) -> tuple
 # ---------------------------------------------------------------------------
 
 
+def _check_witness(mode: str, witness, count: int) -> None:
+    """Refuse a witness other than one plain-int 0/1 bit (uniform) or a tuple of `count` such bits (by_levels)."""
+    bits = (witness,) if mode == "uniform" else witness
+    if mode == "by_levels" and (type(witness) is not tuple or len(witness) != count):
+        raise ValueError("by_levels witness must be a tuple of bits aligned with the levels")
+    if not all(type(b) is int and b in (0, 1) for b in bits):
+        raise ValueError(f"{mode} witness bits must be plain ints 0 or 1, got {shown(witness)!r}")
+
+
 def verify_certificate(c: Coloring, cert: HLCertificate) -> bool:
     """Re-check a certificate against the coloring from scratch.
 
     Structural defects raise (invalid embedding, wrong top level, ill-typed
     witness); an intact certificate whose color claims fail returns False.
+    The closure of the tops holds on level n exactly their length-n
+    prefixes, so those are the nodes read on each certified level.
     """
     _check_mode(cert.mode)
-    closure = embed_closure(cert.images, c.depth)
+    tops = validate_embedding(cert.images)[len(cert.images) >> 1 :]
+    if len(tops[0]) != c.depth - 1:
+        raise ShapeError(f"embedding tops sit at level {len(tops[0])}, tree wants {c.depth - 1}")
     for n in cert.levels:
         if not 0 <= n < c.depth:
             raise RangeError(f"certificate level {shown(n)} outside [0, {c.depth})")
-    if cert.mode == "uniform":
-        if cert.color_witness not in (0, 1):
-            raise ValueError(f"uniform witness must be a bit, got {cert.color_witness!r}")
-        want = [cert.color_witness] * len(cert.levels)
-    else:
-        witness = cert.color_witness
-        if not isinstance(witness, tuple) or len(witness) != len(cert.levels):
-            raise ValueError("by_levels witness must align with the level set")
-        want = list(witness)
+    _check_witness(cert.mode, cert.color_witness, len(cert.levels))
+    want = (cert.color_witness,) * len(cert.levels) if cert.mode == "uniform" else cert.color_witness
     for n, expected in zip(cert.levels, want):
-        for s in closure.levels[n]:
+        for s in {t[:n] for t in tops}:
             if c.value(s) != expected:
                 return False
     return True
@@ -499,6 +504,9 @@ def _walk(masks, depth: int, height: int, score, known, exact: bool, allowance: 
 class _Replay:
     """A generator recorded on demand as one itertools.tee buffer; every pass copies it from the start.
 
+    The solver's alone: the string oracle (_region_embeddings) replays its
+    right halves from a plain list, so the two share no replay code.
+
     The buffer's head never advances, so a pass replays what earlier passes
     drew and draws the rest, each item from the source once.  Only the items
     drawn are held, so a budget that stops the source also bounds the memory.
@@ -663,19 +671,13 @@ def certificate_from_json(obj: dict) -> HLCertificate:
         raise ParseError(f"certificate height {shown(height)} outside [0, {D_MAX})")
     if len(split_nodes) != (1 << height) - 1 or len(leaf_images) != (1 << height):
         raise ParseError("certificate image counts do not match the height")
-    if len({len(s) for s in leaf_images}) != 1:
-        raise ParseError("leaf images not level-uniform")
     images = validate_embedding((*split_nodes, *leaf_images))
-    witness: int | tuple[int, ...]
-    if mode == "uniform":
-        if type(witness_raw) is not int or witness_raw not in (0, 1):
-            raise ParseError("uniform witness must be 0 or 1")
-        witness = witness_raw
-    else:
-        if not isinstance(witness_raw, list) or len(witness_raw) != len(levels):
-            raise ParseError("by_levels witness must align with levels")
-        if any(type(b) is not int or b not in (0, 1) for b in witness_raw):
-            raise ParseError("witness entries must be bits")
-        bit_at = dict(zip(levels, witness_raw))
+    witness = tuple(witness_raw) if isinstance(witness_raw, list) else witness_raw
+    try:
+        _check_witness(mode, witness, len(levels))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    if mode == "by_levels":
+        bit_at = dict(zip(levels, witness))
         witness = tuple(bit_at[n] for n in sorted(levels))
     return HLCertificate(mode, images, tuple(sorted(levels)), witness)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .errors import EmbeddingInvalidError, ParseError, RangeError, ShapeError, shown
+from .errors import EmbeddingInvalidError, ParseError, RangeError, shown
 
 D_MAX = 64
 
@@ -288,19 +288,6 @@ def validate_embedding(images: tuple[str, ...]) -> tuple[str, ...]:
     if problems:
         raise EmbeddingInvalidError(f"invalid embedding: {problems[0]}", tuple(problems))
     return images
-
-
-def embed_closure(images: tuple[str, ...], depth: int) -> LevelTree:
-    """Downward closure of the embedding's top images inside 2^{<depth}.
-
-    The result is a valid tree with exactly 2^height branches whose meets
-    realise the embedding's split nodes.
-    """
-    check_depth(depth)
-    tops = validate_embedding(images)[len(images) >> 1 :]
-    if len(tops[0]) != depth - 1:
-        raise ShapeError(f"embedding tops sit at level {len(tops[0])}, tree wants {depth - 1}")
-    return LevelTree.from_branch_set(depth, tops)
 
 
 # ---------------------------------------------------------------------------

@@ -532,6 +532,18 @@ class TestPairing:
         with pytest.raises(RangeError):
             pairing_coloring([0], 3, 8)
 
+    def test_no_base_levels_or_no_matchings_refused(self):
+        with pytest.raises(ConstructionError, match="^no base levels given$"):
+            pairing_coloring([], 3, 8)
+        with pytest.raises(ConstructionError, match="^per-level cap 0 admits no matchings$"):
+            pairing_coloring([1], 0, 8)
+
+    def test_coloring_of_another_depth_refused(self):
+        _, system = pairing_coloring([1], 1, 4)
+        for depth in (3, 5):
+            with pytest.raises(ShapeError, match=f"^coloring depth {depth} != system depth 4$"):
+                check_pairing_disjointness(random_coloring(depth, 0), system)
+
 
 class TestWorkCap:
     """Pairing and levels constructions count their work in closed form and refuse past WORK_CAP."""
@@ -688,6 +700,26 @@ class TestLevelsColoring:
         bad = SplittingAssignment(("01",), (frozenset({2}),))
         with pytest.raises(ConstructionError):
             levels_coloring(bad, 6)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (SplittingAssignment(("0", "1"), (frozenset({3}),)), "domain and level-set counts differ"),
+            (SplittingAssignment(("0",), (frozenset({3}), frozenset({4}))), "domain and level-set counts differ"),
+            (SplittingAssignment(("0", "0"), (frozenset({3}), frozenset({4}))), "domain strings not distinct"),
+            (SplittingAssignment(("0",), (frozenset({6}),)), "assigned level 6 outside [0, 6)"),
+            (SplittingAssignment(("1",), (frozenset({3, 9}),)), "assigned level 9 outside [0, 6)"),
+        ],
+    )
+    def test_malformed_assignment_refused(self, bad, message):
+        with pytest.raises(ConstructionError) as err:
+            levels_coloring(bad, 6)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("max_len", [-1, 6, 7])
+    def test_residue_max_len_outside_the_depth_refused(self, max_len):
+        with pytest.raises(RangeError, match=rf"^max_len {max_len} outside \[0, 6\)$"):
+            residue_splitting(max_len, 6)
 
 
 class TestColoringText:

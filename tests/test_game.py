@@ -101,6 +101,13 @@ class TestFrozenTraces:
         assert not t.flags.completed
         assert len(t.rounds) < 10
 
+    def test_min_legal_stops_when_every_pick_above_the_last_is_forbidden(self):
+        # Player I forbids everything above 0: min-legal picks 0, then finds no pick and declines.
+        above = frozenset(range(1, 8))
+        t = play(4, _FixedMoves(above, above, above, above), "min-legal", 8)
+        assert not t.flags.completed
+        assert [(r.forbidden, r.pick) for r in t.rounds] == [(tuple(range(1, 8)), 0)]
+
     def test_pick_exhaustion_stops(self):
         # min-legal climbs past the window edge; the run ends, no error
         t = play(6, "random-set:seed=3", "random-pick:seed=5", 8)
@@ -236,6 +243,21 @@ class TestEngine:
         with pytest.raises(GameProtocolError) as err:
             play(3, "initial-segment", Cheat(), 8)
         assert err.value.strategy == "cheat"
+
+    @pytest.mark.parametrize("pick", [8, -1, 2.0])
+    def test_pick_outside_the_window_caught(self, pick):
+        class Stray:
+            name = "stray"
+
+            def move(self, n, forbidden):
+                return pick if n == 1 else 0
+
+            def observe(self, pick):
+                pass
+
+        with pytest.raises(GameProtocolError, match=re.escape(f"pick {pick!r} not inside [0, 8)")) as err:
+            play(3, "empty", Stray(), 8)
+        assert (err.value.strategy, err.value.round_index) == ("stray", 1)
 
     def test_oversized_move_caught(self):
         class Wild:

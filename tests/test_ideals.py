@@ -75,6 +75,9 @@ class TestCarriers:
             (lambda: GridSet([[0, 1]], 4), "cell [0, 1] outside [0, 4)^2"),
             (lambda: GridSet.of([(True, 0)], 4), "cell (True, 0) outside [0, 4)^2"),
             (lambda: GridSet.of([(0, 4)], 4), "cell (0, 4) outside [0, 4)^2"),
+            (lambda: GridSet.of([], 0), "bound 0 must be >= 1"),
+            (lambda: GridSet.of([(1, 2)], 4).column(4), "column 4 outside [0, 4)"),
+            (lambda: GridSet.of([(1, 2)], 4).column(-1), "column -1 outside [0, 4)"),
         ],
     )
     def test_rejection_messages(self, build, message):

@@ -633,6 +633,24 @@ class TestTextFormats:
         with pytest.raises(ParseError, match="line 2"):
             parse_ideal_text("ideal v1 ground=interval params=4\ngenerator a 9\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("ideal v1 ground=interval params=8\nname a\nsurrogate\n", "line 3: surrogate line needs a name"),
+            ("ideal v1 ground=interval params=8\nsurrogate dyadic-density eps\n",
+             "line 2: bad surrogate parameter 'eps'"),
+            ("ideal v1 ground=interval params=8\n\nsurrogate dyadic-density =1/4\n",
+             "line 3: bad surrogate parameter '=1/4'"),
+            ("ideal v1 ground=tree params=8\n",
+             "line 1: ground kind must be one of ('interval', 'grid', 'nodes'), got 'tree'"),
+            ("ideal v1 ground=nodes params=17\n", "line 1: nodes ground depth 17 exceeds cap 16"),
+        ],
+    )
+    def test_refusals_name_their_line(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_ideal_text(text)
+        assert str(err.value) == message
+
     def test_surrogate_parsing(self):
         text = "ideal v1 ground=interval params=8\nsurrogate dyadic-density eps=1/4 floor=1\n"
         p = parse_ideal_text(text)

@@ -18,7 +18,7 @@ from hlbench.colorings import (
     random_coloring,
     zdensity_coloring,
 )
-from hlbench.errors import BudgetError, EmbeddingInvalidError, ParseError, RangeError
+from hlbench.errors import BudgetError, EmbeddingInvalidError, ParseError, RangeError, ShapeError
 from hlbench.search import (
     BUDGET_CAP,
     HLCertificate,
@@ -36,7 +36,6 @@ from hlbench.treecore import (
     LevelTree,
     arguments,
     compatible,
-    embed_closure,
     extensions,
     lenlex_key,
     level_nodes,
@@ -87,7 +86,7 @@ class TestEnumeration:
     def test_embeddings_are_valid(self):
         for e in enumerate_embeddings(4, 1):
             validate_embedding(e)
-            assert validate(embed_closure(e, 4)) == ()
+            assert validate(LevelTree.from_branch_set(4, e[len(e) >> 1 :])) == ()
 
     @given(st.integers(1, 6).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, min(2, d - 1)))))
     @settings(max_examples=30, deadline=None)
@@ -437,6 +436,36 @@ class TestVerification:
         with pytest.raises(ValueError):
             verify_certificate(c, HLCertificate("chromatic", cert.images, cert.levels, 0))
 
+    def test_tops_off_the_last_level(self):
+        # A depth-4 certificate read against a depth-5 coloring: its tops sit one level short.
+        cert = brute_force_max(random_coloring(4, 0), SearchBudget(height=1), "uniform").certificate
+        with pytest.raises(ShapeError, match="^embedding tops sit at level 3, tree wants 4$"):
+            verify_certificate(random_coloring(5, 0), cert)
+
+    @pytest.mark.parametrize("mode, witness", [("uniform", True), ("uniform", 1.0), ("by_levels", "bits")])
+    def test_witness_bits_are_plain_ints(self, mode, witness):
+        # A True or 1.0 compares equal to the bit 1, and is still refused, as the JSON reader refuses it.
+        c, cert = self.make()
+        if mode == "by_levels":
+            witness = tuple(map(bool, cert.color_witness))
+        with pytest.raises(ValueError, match=f"^{mode} witness bits must be plain ints 0 or 1"):
+            verify_certificate(c, HLCertificate(mode, cert.images, cert.levels, witness))
+        plain = tuple(map(int, witness)) if mode == "by_levels" else int(witness)
+        verify_certificate(c, HLCertificate(mode, cert.images, cert.levels, plain))
+
+    @pytest.mark.parametrize("height", [0, 1, 2])
+    def test_reads_the_closure_levels(self, height):
+        # One certified level at a time, each bit: the verdict is whether the
+        # coloring is constant at that bit on the closure's level, the tree of
+        # the tops' prefixes built in full.
+        c = random_coloring(5, height)
+        for images in enumerate_embeddings(5, height):
+            closure = LevelTree.from_branch_set(5, images[len(images) >> 1 :])
+            for n in range(5):
+                for bit in (0, 1):
+                    want = all(c.value(s) == bit for s in closure.levels[n])
+                    assert verify_certificate(c, HLCertificate("by_levels", images, (n,), (bit,))) == want
+
 
 class TestCertificateJson:
     def test_round_trip(self):
@@ -498,6 +527,22 @@ class TestCertificateJson:
             with pytest.raises(ParseError):
                 certificate_from_json(bad)
 
+    def test_by_levels_witness_not_aligned_with_its_levels(self):
+        c = random_coloring(5, 1)
+        blob = certificate_to_json(search_best(c, SearchBudget(height=1), "by_levels").certificate)
+        for witness in ([0], [0, 1, 1], 0):
+            bad = {**blob, "levels": [0, 1], "color_witness": witness}
+            with pytest.raises(ParseError, match="^by_levels witness must be a tuple of bits aligned with the levels$"):
+                certificate_from_json(bad)
+
+    def test_leaves_on_two_levels(self):
+        # The embedding's own check refuses it, as it refuses every other structural defect.
+        c = random_coloring(5, 1)
+        blob = certificate_to_json(search_best(c, SearchBudget(height=1), "uniform").certificate)
+        bad = {**blob, "leaf_images": [blob["leaf_images"][0], blob["leaf_images"][1][:-1]]}
+        with pytest.raises(EmbeddingInvalidError, match="^invalid embedding: top argument '1' maps to level 3, not 4$"):
+            certificate_from_json(bad)
+
 
 class TestRanks:
     """The solver and the colorings name nodes by length-lex rank; these pin the treecore rank helpers."""
@@ -536,6 +581,10 @@ class TestRanks:
 
 
 class TestZDensityChecks:
+    def test_empty_selection_refused(self):
+        with pytest.raises(ValueError, match="^empty selection$"):
+            zdensity_band_check(zdensity_coloring(2), {})
+
     def test_identity_small(self):
         inst = zdensity_coloring(2)
         for selection, expected in (({1: (0,)}, 2), ({2: (0,)}, 4), ({2: (0, 1)}, 2)):

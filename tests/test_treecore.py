@@ -19,7 +19,6 @@ from hlbench.treecore import (
     check_depth,
     check_node,
     compatible,
-    embed_closure,
     embedding_problems,
     extensions,
     format_node,
@@ -145,6 +144,14 @@ class TestLevelTree:
         tree = make_full(3)
         assert "01" in tree and "010" not in tree
         assert tree.level(1) == frozenset({"0", "1"})
+        for n in (-1, 3):
+            with pytest.raises(RangeError, match=rf"^level {n} outside \[0, 3\)$"):
+                tree.level(n)
+
+    @pytest.mark.parametrize("top", ["0", "0000", "01a", 11])
+    def test_from_branch_set_refuses_a_node_off_the_top_level(self, top):
+        with pytest.raises(ValueError, match=f"^not a top-level node: {top!r}$"):
+            LevelTree.from_branch_set(4, ["010", top])
 
 
 class TestEmbedding:
@@ -184,17 +191,12 @@ class TestEmbedding:
         with pytest.raises(EmbeddingInvalidError):
             validate_embedding(e)
 
-    def test_embed_closure(self):
-        tree = embed_closure(self.good(), 3)
-        assert validate(tree) == ()
-        assert tree.levels[2] == frozenset({"00", "10"})
-        assert tree.levels[1] == frozenset({"0", "1"})
-
-    def test_embed_closure_wrong_top(self):
-        from hlbench.errors import ShapeError
-
-        with pytest.raises(ShapeError):
-            embed_closure(self.good(), 4)
+    @pytest.mark.parametrize("image", [None, 0, b"0"])
+    def test_image_not_a_string(self, image):
+        e = ("", image, "10")
+        assert embedding_problems(e) == ["image of '0' is not a binary string"]
+        with pytest.raises(EmbeddingInvalidError, match="^invalid embedding: image of '0' is not a binary string$"):
+            validate_embedding(e)
 
 
 class TestTreeText:
