@@ -43,8 +43,8 @@ MUTANTS = [
      "return bit | prefix_mask(r >> 1) if r > 2 else bit",
      ["tests/test_search.py::TestBudget::test_budget_too_small_for_any_embedding[uniform]",
       "tests/test_search.py::TestBudget::test_search_best_incomplete_under_budget"]),
-    ("search.py", "table += [table[r >> 1] | (one if read(r) else zero) for r in range(1 << n, 2 << n)]",
-     "table += [table[(r - 1) >> 1] | (one if read(r) else zero) for r in range(1 << n, 2 << n)]",
+    ("search.py", "table += [table[r >> 1] | (one if read[r] else zero) for r in range(1 << n, 2 << n)]",
+     "table += [table[(r - 1) >> 1] | (one if read[r] else zero) for r in range(1 << n, 2 << n)]",
      ["tests/test_search.py::TestSolver::test_matches_recorded[d4-h1-uniform-b1000000]",
       "tests/test_search.py::TestSolver::test_matches_oracle_h1"]),
     ("search.py",
@@ -52,10 +52,15 @@ MUTANTS = [
      "groups = (_Replay(pairs(w, halves(2 * w, k - 1), _Replay(halves(2 * w + 2, k - 1)), k, False))",
      ["tests/test_search.py::TestBudget::test_search_best_incomplete_under_budget",
       "tests/test_search.py::TestSolver::test_matches_oracle_h2"]),
-    ("search.py", "(cut, lo), (_, hi) = region(2 * r, n + 1), region(2 * r + 1, n + 1)",
-     "(cut, lo), (_, hi) = region(2 * r + 1, n + 1), region(2 * r + 2, n + 1)",
+    ("search.py", "cut, lo, hi = -1, [{masks(2 * r): 2 * r}], [{masks(2 * r + 1): 2 * r + 1}]",
+     "cut, lo, hi = -1, [{masks(2 * r + 1): 2 * r + 1}], [{masks(2 * r + 2): 2 * r + 2}]",
      ["tests/test_search.py::TestBudget::test_walk_cross_checks_the_dp",
       "tests/test_search.py::TestSolver::test_matches_oracle_h1"]),
+    # The DP's budget: a product set is paid for before it is formed, and only past the allowance refused.
+    ("search.py", "if spent + len(a) * len(b) > allowance:",
+     "if spent + len(a) * len(b) >= allowance:",
+     ["tests/test_search.py::TestBudget::test_dp_finishes_on_exactly_its_units[2-uniform]",
+      "tests/test_search.py::TestBudget::test_dp_finishes_on_exactly_its_units[1-by_levels]"]),
     # Replays: every pass copies the tee buffer from its head, and an empty group is false.
     ("search.py", "return self._head.__copy__()",
      "return self._head",
@@ -93,6 +98,11 @@ MUTANTS = [
     ("colorings.py", "parts[c.at(r >> (len(x) - n))].append(n)",
      "parts[c.at((r >> (len(x) - n)) - 1)].append(n)",
      ["tests/test_colorings.py::TestBackends::test_color_trace_matches_per_prefix_reads"]),
+    # The lane kernel: lane i of a chunk holds output first + i in its low 64 bits.
+    ("_rng.py", "keep = (1 << (lanes << 7)) - 1",
+     "keep = (1 << (lanes << 6)) - 1",
+     ["tests/test_colorings.py::TestSplitMix::test_low_bits_match_the_scalar_outputs[1-0]",
+      "tests/test_search.py::TestSolver::test_matches_recorded[d4-h1-uniform-b1000000]"]),
     ("_rng.py", "z = (seed + k * _GAMMA) & _MASK",
      "z = (seed + (k + 1) * _GAMMA) & _MASK",
      ["tests/test_colorings.py::TestSplitMix::test_published_outputs",
@@ -123,8 +133,8 @@ MUTANTS = [
       "tests/test_formats.py::test_rejection_message_and_line[gridset-column above-after a long body]"]),
     # Certificates: verification reads the tops' prefixes on each certified level,
     # wants the tops on the last level, and takes plain-int bits only.
-    ("search.py", "for s in {t[:n] for t in tops}:",
-     "for s in {t[: n + 1] for t in tops}:",
+    ("search.py", "for r in {t >> (c.depth - 1 - n) for t in ranks}:",
+     "for r in {t >> (c.depth - 2 - n) for t in ranks}:",
      ["tests/test_search.py::TestVerification::test_reads_the_closure_levels[1]",
       "tests/test_search.py::TestVerification::test_reads_the_closure_levels[2]"]),
     ("search.py", "if len(tops[0]) != c.depth - 1:",

@@ -3,9 +3,9 @@
 A coloring assigns 0 or 1 to every node of 2^{<D}.  Two storage backends
 cover the range of instances: a sparse override map with a constant default
 for deep but thin assignments, and a pure function of the node's length-lex
-rank for colorings with a closed form.  Both expose the same rank read `at`
-and string read `value`, so the level-set operations never care which one
-they are given.
+rank for colorings with a closed form.  Both expose the same rank read `at`,
+bulk rank read `colors` and string read `value`, so the level-set operations
+never care which one they are given.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ._rng import splitmix64_output
+from ._rng import splitmix64_low_bits, splitmix64_output
 from .errors import ConstructionError, ParseError, RangeError, ShapeError, shown
 from .treecore import (
     D_MAX,
@@ -44,13 +44,16 @@ class Coloring:
     """Total {0,1}-coloring of the nodes of 2^{<depth}.
 
     Colors are read by length-lex rank (`treecore.node_rank`, the root 1):
-    `at(r)` is the color of the node of rank r, unchecked, and `value(s)` is
-    the one string entry point.  A computed coloring's function takes that
-    rank.  A sparse coloring keys its overrides by node string, so its rank
-    read forms the node's string.
+    `at(r)` is the color of the node of rank r, unchecked; `colors(lo, hi)` is
+    the bulk read, the colors of ranks lo .. hi - 1 as one byte 0/1 each,
+    also unchecked; and `value(s)` is the one string entry point.  A computed
+    coloring's function takes that rank, and its bulk read is
+    `bytes(map(at, range(lo, hi)))` unless the constructor gives a faster one
+    that agrees with it.  A sparse coloring keys its overrides by node string,
+    so its rank read forms the node's string.
     """
 
-    __slots__ = ("depth", "at", "_overrides", "_default")
+    __slots__ = ("depth", "at", "colors", "_overrides", "_default")
 
     def __init__(
         self,
@@ -59,6 +62,7 @@ class Coloring:
         overrides: dict[str, int] | None = None,
         default: int = 0,
         fn: Callable[[int], int] | None = None,
+        colors: Callable[[int, int], bytes] | None = None,
     ):
         check_depth(depth)
         assert (overrides is not None) + (fn is not None) == 1
@@ -68,14 +72,23 @@ class Coloring:
         if fn is None:
             get = overrides.get
             fn = lambda r: get(rank_node(r), default)  # noqa: E731
+        if colors is None:
+            colors = lambda lo, hi: bytes(map(fn, range(lo, hi)))  # noqa: E731
         self.at: Callable[[int], int] = fn
+        self.colors: Callable[[int, int], bytes] = colors
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def computed(cls, depth: int, fn: Callable[[int], int]) -> "Coloring":
-        """A coloring whose function gives the color of the node of each rank, the root's being 1."""
-        return cls(depth, fn=fn)
+    def computed(
+        cls, depth: int, fn: Callable[[int], int], colors: Callable[[int, int], bytes] | None = None
+    ) -> "Coloring":
+        """A coloring whose function gives the color of the node of each rank, the root's being 1.
+
+        `colors(lo, hi)`, when given, is a bulk read that must equal
+        `bytes(map(fn, range(lo, hi)))`.
+        """
+        return cls(depth, fn=fn, colors=colors)
 
     @classmethod
     def sparse(cls, depth: int, overrides: Mapping[str, int], default: int = 0) -> "Coloring":
@@ -137,10 +150,13 @@ def random_coloring(depth: int, seed: int) -> Coloring:
     The rank is the node's position in length-lex order, so the coloring
     agrees with drawing one splitmix64 output per node in that order.  Same
     (depth, seed) always yields the same coloring; the backend is computed,
-    so any depth up to D_MAX works without storing 2^depth - 1 entries.
+    so any depth up to D_MAX works without storing 2^depth - 1 entries.  The
+    bulk read runs the lane kernel `splitmix64_low_bits` over the ranks.
     """
     check_depth(depth)
-    return Coloring.computed(depth, lambda r: splitmix64_output(seed, r) & 1)
+    return Coloring.computed(
+        depth, lambda r: splitmix64_output(seed, r) & 1, lambda lo, hi: splitmix64_low_bits(seed, lo, hi - lo)
+    )
 
 
 def constant_coloring(depth: int, bit: int) -> Coloring:

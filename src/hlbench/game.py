@@ -17,7 +17,7 @@ tree and plays the empty set from then on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Callable, Iterable, Sequence
 
 from ._rng import SplitMix64
@@ -236,7 +236,7 @@ def make_player_one(sid: StrategyId, window: int, coloring: Coloring | None = No
         return _Oblivious(sid.name, lambda n: frozenset(range(min(1 << n, window))))
     if sid.name == "random-set":  # each window element independently with probability 1/2
         rng = SplitMix64(_seed_of(sid, default_seed))
-        return _Oblivious(sid.name, lambda n: frozenset(m for m in range(window) if rng.next_bit()))
+        return _Oblivious(sid.name, lambda n: frozenset(compress(range(window), rng.low_bits(window))))
     if coloring is None:  # tree-builder
         raise ValueError("tree-builder strategy needs a coloring")
     return TreeBuilderStrategy(window, coloring)

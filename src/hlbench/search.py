@@ -28,6 +28,7 @@ from .treecore import (
     format_node,
     lenlex_key,
     level_nodes,
+    node_rank,
     parse_node,
     rank_node,
     rank_span,
@@ -127,14 +128,19 @@ def enumeration_bound(depth: int, height: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _score(value: Callable[[str], int], tops: list[str], depth: int, mode: str):
-    """(m, levels, witness) for the maximal admissible level set of one embedding."""
+def _score(at: Callable[[int], int], tops: list[int], depth: int, mode: str):
+    """(m, levels, witness) for the maximal admissible level set of one embedding, its tops given by rank.
+
+    The prefix on level n of the top of rank t has rank t >> (depth - 1 - n).
+    """
     levels: list[int] = []  # the levels on which every top's prefix has one color
     bits: list[int] = []  # that color, per level
+    first, rest = tops[0], tops[1:]
     for n in range(depth):
-        col = value(tops[0][:n])
-        for t in tops[1:]:
-            if value(t[:n]) != col:
+        shift = depth - 1 - n
+        col = at(first >> shift)
+        for t in rest:
+            if at(t >> shift) != col:
                 break
         else:
             levels.append(n)
@@ -147,13 +153,14 @@ def _score(value: Callable[[str], int], tops: list[str], depth: int, mode: str):
     return len(mono), mono, col
 
 
-def _value_lookup(c: Coloring) -> Callable[[str], int]:
-    # Enumeration only ever fits small depths; a flat table keeps the hot
-    # scoring loops away from backend dispatch.
+def _value_lookup(c: Coloring) -> Callable[[int], int]:
+    # Enumeration only ever fits small depths; a flat table by rank keeps the
+    # hot scoring loops away from backend dispatch.  It is filled through the
+    # scalar `at`, never the bulk `colors` the solver's masks come from, so
+    # the oracle checks the bulk read too.
     if c.depth > 12:
-        return c.value
-    table = {s: c.value(s) for n in range(c.depth) for s in level_nodes(n)}
-    return table.__getitem__
+        return c.at
+    return [0, *map(c.at, range(1, 1 << c.depth))].__getitem__  # index 0 unused
 
 
 def _tie_key(images: tuple[str, ...]) -> tuple:
@@ -165,15 +172,21 @@ def _tie_key(images: tuple[str, ...]) -> tuple:
     return tuple(map(lenlex_key, images))
 
 
-def _certificate(value, images: tuple[str, ...], depth: int, mode: str) -> tuple[int, HLCertificate]:
-    """(m, certificate) of the embedding with `images` in argument order, levels and witness by _score."""
-    m, levels, witness = _score(value, images[len(images) >> 1 :], depth, mode)
-    return m, HLCertificate(mode, images, levels, witness)
+def _certificate(at, ranks: tuple[int, ...], depth: int, mode: str) -> tuple[int, HLCertificate]:
+    """(m, certificate) of the embedding whose images have `ranks` in argument order, levels and witness by _score."""
+    m, levels, witness = _score(at, ranks[len(ranks) >> 1 :], depth, mode)
+    return m, HLCertificate(mode, tuple(map(rank_node, ranks)), levels, witness)
 
 
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
+
+
+def _check_levels(levels) -> None:
+    """Refuse certificate levels that are not plain ints, or that repeat."""
+    if any(type(n) is not int for n in levels) or len(set(levels)) != len(levels):
+        raise ValueError("certificate levels must be plain ints, each listed once")
 
 
 def _check_witness(mode: str, witness, count: int) -> None:
@@ -188,23 +201,27 @@ def _check_witness(mode: str, witness, count: int) -> None:
 def verify_certificate(c: Coloring, cert: HLCertificate) -> bool:
     """Re-check a certificate against the coloring from scratch.
 
-    Structural defects raise (invalid embedding, wrong top level, ill-typed
+    Structural defects raise (invalid embedding, wrong top level, levels
+    that are not distinct plain ints or lie off the tree, ill-typed
     witness); an intact certificate whose color claims fail returns False.
     The closure of the tops holds on level n exactly their length-n
-    prefixes, so those are the nodes read on each certified level.
+    prefixes, so those are the nodes read on each certified level, by rank
+    through the scalar `c.at`.
     """
     _check_mode(cert.mode)
     tops = validate_embedding(cert.images)[len(cert.images) >> 1 :]
     if len(tops[0]) != c.depth - 1:
         raise ShapeError(f"embedding tops sit at level {len(tops[0])}, tree wants {c.depth - 1}")
+    _check_levels(cert.levels)
     for n in cert.levels:
         if not 0 <= n < c.depth:
             raise RangeError(f"certificate level {shown(n)} outside [0, {c.depth})")
     _check_witness(cert.mode, cert.color_witness, len(cert.levels))
     want = (cert.color_witness,) * len(cert.levels) if cert.mode == "uniform" else cert.color_witness
+    ranks = list(map(node_rank, tops))
     for n, expected in zip(cert.levels, want):
-        for s in {t[:n] for t in tops}:
-            if c.value(s) != expected:
+        for r in {t >> (c.depth - 1 - n) for t in ranks}:
+            if c.at(r) != expected:
                 return False
     return True
 
@@ -235,19 +252,20 @@ def brute_force_max(c: Coloring, budget: SearchBudget, mode: str) -> SearchResul
     _check_mode(mode)
     depth, height = c.depth, budget.height
     check_enumerable(depth, budget)
-    value = _value_lookup(c)
+    at = _value_lookup(c)
+    rank_of = {s: r for r, s in enumerate(level_nodes(depth - 1), 1 << (depth - 1))}.__getitem__  # a top's rank
     first_leaf = (1 << height) - 1
     best = None  # (m, tie key, images in argument order)
     explored = 0
     for listed in enumerate_embeddings(depth, height):
         explored += 1
-        m = _score(value, listed[first_leaf:], depth, mode)[0]
+        m = _score(at, list(map(rank_of, listed[first_leaf:])), depth, mode)[0]
         if best is None or m > best[0]:
             best = (m, _tie_key(listed), listed)
         elif m == best[0] and (key := _tie_key(listed)) < best[1]:
             best = (m, key, listed)
     assert best is not None
-    m, cert = _certificate(value, best[2], depth, mode)
+    m, cert = _certificate(at, tuple(map(node_rank, best[2])), depth, mode)
     return SearchResult(m, cert, explored, True)
 
 
@@ -279,13 +297,15 @@ def _mask_lookup(read: Callable[[int], int], depth: int) -> Callable[[int], int]
     return prefix_mask
 
 
-def _mask_table(read: Callable[[int], int], depth: int) -> list[int]:
+def _mask_table(colors: Callable[[int, int], bytes], depth: int) -> list[int]:
     # Every node's prefix mask, indexed by rank (index 0 unused) and filled level
-    # by level: the color reads of _mask_lookup once every top has been reached.
-    table = [0, 1 << depth if read(1) else 1]
+    # by level from one bulk read of the 2^depth - 1 colors: the color reads of
+    # _mask_lookup once every top has been reached.
+    read = b"\x00" + colors(1, 1 << depth)  # by rank
+    table = [0, 1 << depth if read[1] else 1]
     for n in range(1, depth):
         zero, one = 1 << n, 1 << (depth + n)
-        table += [table[r >> 1] | (one if read(r) else zero) for r in range(1 << n, 2 << n)]
+        table += [table[r >> 1] | (one if read[r] else zero) for r in range(1 << n, 2 << n)]
     return table
 
 
@@ -325,66 +345,73 @@ def _dp_max(masks, depth: int, height: int, score, allowance: int):
     """
     best = None
     spent = 0
-
-    def pay(units: int) -> None:
-        nonlocal spent
-        if spent + units > allowance:
-            raise _OutOfBudget
-        spent += units
-
-    def maximal(cand: dict) -> dict:
-        nonlocal spent
-        kept: dict = {}
-        tests = spent
-        for mask in sorted(cand, key=int.bit_count, reverse=True):
-            tests += len(kept)
-            if tests > allowance:
-                raise _OutOfBudget
-            for other in kept:
-                if mask & other == mask:
-                    break
-            else:
-                kept[mask] = cand[mask]
-        spent = tests
-        return kept
-
-    def region(r: int, n: int) -> tuple[int, list[dict]]:
-        # (the floor the sets were cut at, [A(r, k) as {mask: node} for k in
-        # 0 .. min(height - 1, depth - 1 - n)]), n being r's level
-        nonlocal best
-        if n == depth - 2:
-            # The children are tops: A(top, 0) is the top's own mask.
-            pay(2)
-            cut, lo, hi = -1, [{masks(2 * r): 2 * r}], [{masks(2 * r + 1): 2 * r + 1}]
-        else:
-            (cut, lo), (_, hi) = region(2 * r, n + 1), region(2 * r + 1, n + 1)
-        floor = -1 if best is None else best[0]
-        sets = []
-        for k in range(min(height, depth - 1 - n) + 1):
-            cand = {**lo[k], **hi[k]} if k < len(lo) else {}
-            if floor > cut and cand:
-                # The floor rose since the sets below were cut.
-                pay(len(cand))
-                cand = {mask: node for mask, node in cand.items() if score(mask) >= floor}
-            if k:
-                a, b = lo[k - 1], hi[k - 1]
-                pay(len(a) * len(b))
-                if k == height:
-                    top = max(map(score, [x & y for x in a for y in b]), default=-1)
-                    if top > floor or (top == floor >= 0 and r < best[1][0]):
-                        x, y = next((x, y) for x in a for y in b if score(x & y) == top)
-                        best = (top, (r, a[x], b[y]))
-                    break
-                cand.update({mask: (r, a[x], b[y]) for x in a for y in b if score(mask := x & y) >= floor})
-                cand = maximal(cand) if len(cand) > 1 else cand
-            sets.append(cand)
-        return floor, sets
-
+    # For each region r done whose parent is not: (the floor its sets were cut
+    # at, [A(r, k) as {mask: node} for k in 0 .. min(height - 1, depth - 1 - n)]),
+    # n being r's level.  The regions on levels 0 .. depth - 2 come in
+    # post-order, children before parents and left before right: from a left
+    # child to the deepest leftmost region below its sibling, from a right
+    # child to its parent, so a region's children are the last two entries.
+    stack: list[tuple[int, list[dict]]] = []
+    r = 1 << (depth - 2)
     try:
-        region(1, 0)
+        while True:
+            n = r.bit_length() - 1
+            if n == depth - 2:
+                # The children are tops: A(top, 0) is the top's own mask.
+                if spent + 2 > allowance:
+                    raise _OutOfBudget
+                spent += 2
+                cut, lo, hi = -1, [{masks(2 * r): 2 * r}], [{masks(2 * r + 1): 2 * r + 1}]
+            else:
+                hi = stack.pop()[1]
+                cut, lo = stack.pop()
+            floor = -1 if best is None else best[0]
+            sets = []
+            for k in range(min(height, depth - 1 - n) + 1):
+                cand = {**lo[k], **hi[k]} if k < len(lo) else {}
+                if floor > cut and cand:
+                    # The floor rose since the sets below were cut.
+                    if spent + len(cand) > allowance:
+                        raise _OutOfBudget
+                    spent += len(cand)
+                    cand = {mask: node for mask, node in cand.items() if score(mask) >= floor}
+                if k:
+                    a, b = lo[k - 1], hi[k - 1]
+                    if spent + len(a) * len(b) > allowance:
+                        raise _OutOfBudget
+                    spent += len(a) * len(b)
+                    if k == height:
+                        scores = [score(x & y) for x in a for y in b]
+                        top = max(scores, default=-1)
+                        if top > floor or (top == floor >= 0 and r < best[1][0]):
+                            x, y = divmod(scores.index(top), len(b))  # the first product at the top
+                            best = (top, (r, [*a.values()][x], [*b.values()][y]))
+                        break
+                    cand.update({mask: (r, a[x], b[y]) for x in a for y in b if score(mask := x & y) >= floor})
+                    if len(cand) > 1:
+                        cand, spent = _maximal(cand, spent, allowance)
+                sets.append(cand)
+            stack.append((floor, sets))
+            if r == 1:
+                return best, spent, True
+            r = r >> 1 if r & 1 else (r + 1) << (depth - 2 - n)
     except _OutOfBudget:
         return best, spent, False
-    return best, spent, True
+
+
+def _maximal(cand: dict, spent: int, allowance: int) -> tuple[dict, int]:
+    """(the inclusion-maximal masks of `cand` with their nodes, spent plus one unit per containment test)."""
+    kept: dict = {}
+    for mask in sorted(cand, key=int.bit_count, reverse=True):
+        spent += len(kept)
+        if spent > allowance:
+            raise _OutOfBudget
+        for other in kept:
+            if mask & other == mask:
+                break
+        else:
+            kept[mask] = cand[mask]
+    return kept, spent
 
 
 def _tie_order(masks, depth: int, height: int, score, start: int, allowance: int):
@@ -570,7 +597,7 @@ def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
     score = _scorer(depth, mode == "by_levels")
     known, spent, exact = None, 0, False
     if height and 1 << (depth - 1) <= budget.node_budget:
-        masks = _mask_table(c.at, depth).__getitem__
+        masks = _mask_table(c.colors, depth).__getitem__
         known, spent, exact = _dp_max(masks, depth, height, score, budget.node_budget)
     else:
         masks = _mask_lookup(c.at, depth)
@@ -584,7 +611,7 @@ def search_best(c: Coloring, budget: SearchBudget, mode: str) -> SearchResult:
     if best is None:
         raise BudgetError(f"node budget {budget.node_budget} completes no embedding")
     m, node = best
-    scored, cert = _certificate(c.value, tuple(map(rank_node, _bfs(node, height))), depth, mode)
+    scored, cert = _certificate(c.at, _bfs(node, height), depth, mode)
     if scored != m:
         raise RuntimeError(f"the level-mask score {m} differs from the certificate's score {scored}")
     return SearchResult(m, cert, explored, complete)
@@ -665,8 +692,12 @@ def certificate_from_json(obj: dict) -> HLCertificate:
         leaf_images = [parse_node(s) for s in obj["leaf_images"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from None
-    if any(type(n) is not int for n in [height, *levels]) or len(set(levels)) != len(levels):
-        raise ParseError("certificate height and levels must be plain ints, the levels distinct")
+    if type(height) is not int:
+        raise ParseError("certificate height must be a plain int")
+    try:
+        _check_levels(levels)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     if not 0 <= height < D_MAX:
         raise ParseError(f"certificate height {shown(height)} outside [0, {D_MAX})")
     if len(split_nodes) != (1 << height) - 1 or len(leaf_images) != (1 << height):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlbench._rng import SplitMix64, splitmix64_output
+from hlbench import _rng
+from hlbench._rng import SplitMix64, splitmix64_low_bits, splitmix64_output
 from hlbench.colorings import (
     SERIALIZE_MAX,
     ZDENSITY_N_MAX,
@@ -184,7 +185,8 @@ def _pairing_reference(system):
 
 
 class TestRankReads:
-    """value(s) is the rank read at node_rank(s), for every constructor and every node up to depth 8."""
+    """value(s) is the rank read at node_rank(s), and colors(lo, hi) the rank reads of lo .. hi - 1,
+    for every constructor and every node up to depth 8."""
 
     @staticmethod
     def agree(c, reference=None):
@@ -193,6 +195,9 @@ class TestRankReads:
             assert c.value(s) == c.at(r)
             if reference is not None:
                 assert c.at(r) == reference(s), s
+        end = 1 << c.depth
+        for lo, hi in ((1, end), (end >> 1, end), (2, min(5, end)), (3, 3)):
+            assert c.colors(lo, hi) == bytes(map(c.at, range(lo, hi))), (lo, hi)
 
     @given(st.integers(1, 8), st.integers(0, 2**64 - 1))
     @settings(max_examples=20)
@@ -261,6 +266,24 @@ class TestSplitMix:
     def test_below_range(self):
         rng = SplitMix64(9)
         assert all(0 <= rng.below(7) < 7 for _ in range(100))
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, -1, -(2**70) - 3, 2**64, 2**64 + 5, 2**100 + 7])
+    @pytest.mark.parametrize("start", [1, 2**40 + 3])
+    def test_low_bits_match_the_scalar_outputs(self, seed, start):
+        # Seeds outside [0, 2^64) reduce as the scalar jump reduces them; the
+        # counts cover no output, one, a chunk and one either side, and several chunks.
+        chunk = _rng._CHUNK
+        for count in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
+            want = bytes(splitmix64_output(seed, k) & 1 for k in range(start, start + count))
+            assert splitmix64_low_bits(seed, start, count) == want, count
+
+    @pytest.mark.parametrize("n", [0, 1, 5, _rng._CHUNK + 1])
+    def test_low_bits_continue_the_stream(self, n):
+        # low_bits(n) draws what n next_bit() calls draw, and leaves the stream where they leave it.
+        bulk, scalar = SplitMix64(-7), SplitMix64(-7)
+        bulk.next_u64(), scalar.next_u64()
+        assert bulk.low_bits(n) == bytes(scalar.next_bit() for _ in range(n))
+        assert [bulk.next_u64() for _ in range(3)] == [scalar.next_u64() for _ in range(3)]
 
 
 class TestRandomColoring:

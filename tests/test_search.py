@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hlbench import search
 from hlbench._rng import splitmix64_output
 from hlbench.colorings import (
+    Coloring,
     band_range,
     constant_coloring,
     h_set,
@@ -56,6 +57,8 @@ from hlbench.treecore import (
 # string-keyed solver before it named nodes by rank: depth 40, height 2,
 # budget 4096 (a walk only, over tops read on first use) and depth 12,
 # height 2, budget 2048 (the tops exactly fill the budget, and the DP gives up).
+LEVELS_MESSAGE = "certificate levels must be plain ints, each listed once"
+
 GOLDEN = json.loads(Path(__file__).with_name("search_golden.json").read_text())
 
 # Every shape of depth 3-6 whose oracle enumerates at most 20 000 embeddings
@@ -183,6 +186,17 @@ class TestBudget:
                     full = search_best(c, SearchBudget(height=height), mode)
                     assert certificate_to_json(res.certificate) == certificate_to_json(full.certificate)
 
+    @pytest.mark.parametrize("mode", ["uniform", "by_levels"])
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    def test_dp_finishes_on_exactly_its_units(self, height, mode):
+        # The DP's last unit pays for the root's top products: an allowance of
+        # exactly the units a finished DP spends finishes it, one less does not.
+        for seed in range(4):
+            masks, score, known, units = _walk_inputs(random_coloring(6, seed), height, mode)
+            assert search._dp_max(masks, 6, height, score, units) == (known, units, True)
+            _, spent, finished = search._dp_max(masks, 6, height, score, units - 1)
+            assert not finished and spent <= units - 1
+
     def test_walk_cross_checks_the_dp(self, monkeypatch):
         dp_max = search._dp_max
 
@@ -206,6 +220,15 @@ class TestBudget:
         monkeypatch.setattr(search, "_scorer", overstated)
         with pytest.raises(RuntimeError, match="differs from the certificate's score"):
             search_best(random_coloring(5, 3), SearchBudget(height=height), mode)
+
+    @pytest.mark.parametrize("mode", ["uniform", "by_levels"])
+    def test_certificate_reads_apart_from_the_bulk_read(self, mode):
+        # The masks come from the bulk read `colors`, the certificate's score from
+        # the scalar `at`: a bulk read that disagrees with `at` is caught.
+        base = random_coloring(5, 3)
+        c = Coloring.computed(5, base.at, lambda lo, hi: bytes(hi - lo))
+        with pytest.raises(RuntimeError, match="differs from the certificate's score"):
+            search_best(c, SearchBudget(height=2), mode)
 
 
 class TestSolver:
@@ -292,7 +315,7 @@ class TestSolver:
 def _walk_inputs(c, height: int, mode: str):
     """(masks, score, DP result, DP units) of search_best's walk on coloring `c`."""
     score = search._scorer(c.depth, mode == "by_levels")
-    masks = search._mask_table(c.at, c.depth).__getitem__
+    masks = search._mask_table(c.colors, c.depth).__getitem__
     known, spent, exact = search._dp_max(masks, c.depth, height, score, BUDGET_CAP)
     assert exact
     return masks, score, known, spent
@@ -305,7 +328,7 @@ class TestTieOrder:
     def test_stream_is_the_enumeration_in_tie_order(self, depth, height):
         c = random_coloring(depth, depth + height)
         score = search._scorer(depth, False)
-        masks = search._mask_table(c.at, depth).__getitem__
+        masks = search._mask_table(c.colors, depth).__getitem__
         stream, _, units = search._tie_order(masks, depth, height, score, 1, BUDGET_CAP)
         got = [tuple(map(rank_node, search._bfs(node, height))) for _, node in stream]
         assert got == sorted(enumerate_embeddings(depth, height), key=search._tie_key)
@@ -339,7 +362,7 @@ class TestTieOrder:
         c = random_coloring(depth, seed)
         for mode in ("uniform", "by_levels"):
             score = search._scorer(depth, mode == "by_levels")
-            masks = search._mask_table(c.at, depth).__getitem__
+            masks = search._mask_table(c.colors, depth).__getitem__
             best, _, complete = search._walk(masks, depth, height, score, None, False, BUDGET_CAP)
             oracle = brute_force_max(c, SearchBudget(height=height), mode)
             assert complete and best[0] == oracle.best_levels
@@ -453,6 +476,16 @@ class TestVerification:
         plain = tuple(map(int, witness)) if mode == "by_levels" else int(witness)
         verify_certificate(c, HLCertificate(mode, cert.images, cert.levels, plain))
 
+    @pytest.mark.parametrize("levels", [(0, 0), (True,), (1.0,)])
+    def test_levels_are_distinct_plain_ints(self, levels):
+        # A repeated level, a bool and a float are refused by the one level rule
+        # the JSON reader also applies, before any level is read.
+        c, cert = self.make()
+        bad = HLCertificate("by_levels", cert.images, levels, (0,) * len(levels))
+        with pytest.raises(ValueError, match=f"^{LEVELS_MESSAGE}$") as caught:
+            verify_certificate(c, bad)
+        assert type(caught.value) is ValueError
+
     @pytest.mark.parametrize("height", [0, 1, 2])
     def test_reads_the_closure_levels(self, height):
         # One certified level at a time, each bit: the verdict is whether the
@@ -526,6 +559,14 @@ class TestCertificateJson:
             mutilate(bad)
             with pytest.raises(ParseError):
                 certificate_from_json(bad)
+
+    @pytest.mark.parametrize("levels", [[0, 0], [True], [1.0]])
+    def test_levels_refused_with_the_verification_message(self, levels):
+        c = random_coloring(5, 1)
+        blob = certificate_to_json(search_best(c, SearchBudget(height=1), "by_levels").certificate)
+        bad = {**blob, "levels": levels, "color_witness": [0] * len(levels)}
+        with pytest.raises(ParseError, match=f"^{LEVELS_MESSAGE}$"):
+            certificate_from_json(bad)
 
     def test_by_levels_witness_not_aligned_with_its_levels(self):
         c = random_coloring(5, 1)
