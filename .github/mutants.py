@@ -61,6 +61,43 @@ MUTANTS = [
      "if spent + len(a) * len(b) >= allowance:",
      ["tests/test_search.py::TestBudget::test_dp_finishes_on_exactly_its_units[2-uniform]",
       "tests/test_search.py::TestBudget::test_dp_finishes_on_exactly_its_units[1-by_levels]"]),
+    # The DP's sets: a region on level n forms A(r, k) for k >= height - n, the
+    # ones an ancestor reads; one more drops a read set, one fewer forms an unread one.
+    ("search.py", "ranges = [range(max(0, height - n), min(height, depth - 1 - n) + 1) for n in range(depth - 1)]",
+     "ranges = [range(max(0, height - n + 1), min(height, depth - 1 - n) + 1) for n in range(depth - 1)]",
+     ["tests/test_search.py::TestSolver::test_matches_oracle_h1",
+      "tests/test_search.py::TestTieOrder::test_exact_walk_ends_at_its_first_m_embedding[2-uniform]"]),
+    ("search.py", "ranges = [range(max(0, height - n), min(height, depth - 1 - n) + 1) for n in range(depth - 1)]",
+     "ranges = [range(max(0, height - n - 1), min(height, depth - 1 - n) + 1) for n in range(depth - 1)]",
+     ["tests/test_search.py::TestSolver::test_matches_recorded[d5-h2-uniform-b1000000]",
+      "tests/test_search.py::TestSolver::test_matches_recorded[d4-h1-by_levels-b1000000]"]),
+    # The DP's cuts: only inclusion-maximal masks are kept, largest first; a
+    # risen floor re-cuts the merged sets; masks at the floor are kept; and
+    # of two partitions at the best, the one of lower rank wins.
+    ("search.py", "if mask & other == mask:",
+     "if mask & other == other:",
+     ["tests/test_search.py::TestSolver::test_matches_recorded[d5-h2-uniform-b1000000]",
+      "tests/test_search.py::TestSolver::test_matches_recorded[d6-h3-by_levels-b1000000]"]),
+    ("search.py", "for mask in sorted(cand, key=int.bit_count, reverse=True):",
+     "for mask in sorted(cand, key=int.bit_count):",
+     ["tests/test_search.py::TestSolver::test_matches_recorded[d5-h2-by_levels-b1000000]",
+      "tests/test_search.py::TestSolver::test_matches_recorded[d12-h2-uniform-b2048]"]),
+    ("search.py", "if floor > cut and cand:",
+     "if False:",
+     ["tests/test_search.py::TestSolver::test_matches_recorded[d5-h2-uniform-b1000000]",
+      "tests/test_search.py::TestSolver::test_matches_recorded[d7-h1-uniform-b1000000]"]),
+    ("search.py", "cand = {mask: node for mask, node in cand.items() if score(mask) >= floor}",
+     "cand = {mask: node for mask, node in cand.items() if score(mask) > floor}",
+     ["tests/test_search.py::TestSolver::test_matches_recorded[d5-h1-by_levels-b1000000]",
+      "tests/test_search.py::TestTieOrder::test_exact_walk_ends_at_its_first_m_embedding[2-uniform]"]),
+    ("search.py", "cand.update({mask: (r, a[x], b[y]) for x in a for y in b if score(mask := x & y) >= floor})",
+     "cand.update({mask: (r, a[x], b[y]) for x in a for y in b if score(mask := x & y) > floor})",
+     ["tests/test_search.py::TestSolver::test_matches_recorded[d6-h2-uniform-b1000000]",
+      "tests/test_search.py::TestTieOrder::test_exact_walk_ends_at_its_first_m_embedding[3-uniform]"]),
+    ("search.py", "if top > floor or (top == floor >= 0 and r < best[1][0]):",
+     "if top > floor:",
+     ["tests/test_search.py::TestSolver::test_matches_recorded[d5-h2-by_levels-b1000000]",
+      "tests/test_search.py::TestTieOrder::test_exact_walk_ends_at_its_first_m_embedding[2-by_levels]"]),
     # Replays: every pass copies the tee buffer from its head, and an empty group is false.
     ("search.py", "return self._head.__copy__()",
      "return self._head",
@@ -131,6 +168,19 @@ MUTANTS = [
      "return values if not values or (min(values) >= 0 and max(values) <= bound) else None",
      ["tests/test_formats.py::test_rejection_message_and_line[natset-above-alone]",
       "tests/test_formats.py::test_rejection_message_and_line[gridset-column above-after a long body]"]),
+    # Readers: a body longer than its header allows distinct entries skips the bulk check.
+    ("ideals.py", "members = frozenset(_ints_below(body, bound) or ()) if len(body) <= bound else frozenset()",
+     "members = frozenset(_ints_below(body, bound) or ()) if len(body) <= bound + 1 else frozenset()",
+     ["tests/test_reader_equivalence.py::test_an_over_long_body_skips_the_bulk_check[natset-duplicate]"]),
+    ("ideals.py", "members = frozenset(_ints_below(body, bound) or ()) if len(body) <= bound else frozenset()",
+     "members = frozenset(_ints_below(body, bound) or ()) if len(body) < bound else frozenset()",
+     ["tests/test_reader_equivalence.py::test_a_full_body_takes_the_bulk_check[natset]"]),
+    ("ideals.py", "columns = read_columns(body, 2) if n <= bound * bound else None",
+     "columns = read_columns(body, 2) if n <= bound * bound + 1 else None",
+     ["tests/test_reader_equivalence.py::test_an_over_long_body_skips_the_bulk_check[gridset-duplicate]"]),
+    ("ideals.py", "columns = read_columns(body, 2) if n <= bound * bound else None",
+     "columns = read_columns(body, 2) if n < bound * bound else None",
+     ["tests/test_reader_equivalence.py::test_a_full_body_takes_the_bulk_check[gridset]"]),
     # Certificates: verification reads the tops' prefixes on each certified level,
     # wants the tops on the last level, and takes plain-int bits only.
     ("search.py", "for r in {t >> (c.depth - 1 - n) for t in ranks}:",

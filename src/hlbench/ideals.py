@@ -410,7 +410,9 @@ def natset_from_text(text: str) -> NatSet:
     """Parse `natset v1 bound=<N>` followed by one integer per line."""
     (value,), body = read_format(text, "natset v1 bound=<n>")
     bound = header_int(value, "bound", ELEMENT_CAP)
-    members = frozenset(_ints_below(body, bound) or ())
+    # A body of more than `bound` lines holds a bad or repeated member, so it
+    # goes straight to the per-line loop.
+    members = frozenset(_ints_below(body, bound) or ()) if len(body) <= bound else frozenset()
     if len(members) != len(body):
         # A token failed the bulk check, or two lines hold the same member.
         seen: set[int] = set()
@@ -439,7 +441,9 @@ def gridset_from_text(text: str) -> GridSet:
     (value,), body = read_format(text, "gridset v1 bound=<n>")
     bound = header_int(value, "bound", ELEMENT_CAP)
     n = len(body)
-    columns = read_columns(body, 2)
+    # A body of more than bound² lines holds a bad or repeated cell, so it goes
+    # straight to the per-line loop.
+    columns = read_columns(body, 2) if n <= bound * bound else None
     values = _ints_below(columns[0] + columns[1], bound) if columns else None
     cells = frozenset(zip(values[:n], values[n:])) if values else frozenset()
     if len(cells) != n:

@@ -329,7 +329,10 @@ def _dp_max(masks, depth: int, height: int, score, allowance: int):
     A(r, k) holds the maximal masks of the height-k sub-embeddings above
     region r, on level n: those of A(2r, k) and A(2r+1, k) and, when a
     split at r fits (n <= depth-k-1), every a & b with a in A(2r, k-1)
-    and b in A(2r+1, k-1); A(top, 0) is the top's mask.  AND is monotone,
+    and b in A(2r+1, k-1); A(top, 0) is the top's mask.  A region forms
+    its height-k set only for k >= height - its level: a parent merges its
+    children's sets of its own heights and pairs those one lower, so no
+    ancestor reads the others, and their slots stay empty.  AND is monotone,
     so a mask contained in another adds nothing; distinct top masks never
     contain one another.  A mask scoring below the best full-height product
     so far is dropped, since no embedding built from it reaches that score;
@@ -347,11 +350,14 @@ def _dp_max(masks, depth: int, height: int, score, allowance: int):
     spent = 0
     # For each region r done whose parent is not: (the floor its sets were cut
     # at, [A(r, k) as {mask: node} for k in 0 .. min(height - 1, depth - 1 - n)]),
-    # n being r's level.  The regions on levels 0 .. depth - 2 come in
-    # post-order, children before parents and left before right: from a left
-    # child to the deepest leftmost region below its sibling, from a right
-    # child to its parent, so a region's children are the last two entries.
+    # n being r's level, the sets for k < height - n empty.  The regions on
+    # levels 0 .. depth - 2 come in post-order, children before parents and
+    # left before right: from a left child to the deepest leftmost region
+    # below its sibling, from a right child to its parent, so a region's
+    # children are the last two entries.
     stack: list[tuple[int, list[dict]]] = []
+    # The heights k of the sets a region on level n forms.
+    ranges = [range(max(0, height - n), min(height, depth - 1 - n) + 1) for n in range(depth - 1)]
     r = 1 << (depth - 2)
     try:
         while True:
@@ -366,8 +372,9 @@ def _dp_max(masks, depth: int, height: int, score, allowance: int):
                 hi = stack.pop()[1]
                 cut, lo = stack.pop()
             floor = -1 if best is None else best[0]
-            sets = []
-            for k in range(min(height, depth - 1 - n) + 1):
+            ks = ranges[n]
+            sets = [{}] * ks.start  # the empty slots below height - n
+            for k in ks:
                 cand = {**lo[k], **hi[k]} if k < len(lo) else {}
                 if floor > cut and cand:
                     # The floor rose since the sets below were cut.

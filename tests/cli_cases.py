@@ -264,6 +264,10 @@ CASES = [
     Case("natset-long-duplicate", "profile --input a.natset", 2, bound=10,
          files={"a.natset": "natset v1 bound=8\n" + "1\n" * 10_000_000},
          stderr=_error("line 3: duplicate member 1")),
+    # A body longer than bound² lines goes straight to the per-line pass.
+    Case("gridset-long-duplicate", "profile --input a.gridset", 2,
+         files={"a.gridset": "gridset v1 bound=8\n" + "1 1\n" * 1_000_000},
+         stderr=_error("line 3: duplicate cell (1, 1)")),
     Case("morphism-line-7", KATETOV, 2, files={
         "s.ideal": "ideal v1 ground=interval params=4\nname a\ngenerator g 1\n",
         "t.ideal": "ideal v1 ground=interval params=4\nname b\nsurrogate generator-union max=1\ngenerator g 1\n",

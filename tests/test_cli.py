@@ -72,8 +72,8 @@ def tree_file(tmp_path):
 _VERBOSE_FIRST_LINES = {
     "hset": ("hset --coloring c.coloring --tree t.tree", "H = [0, 1]"),
     "zdensity": ("zdensity --nmax 2", "band 1 J=[0]: expected 2 actual 2 PASS"),
-    "search": ("search --depth 5 --height 2 --seed 1", "m = 4 (explored 111, complete=True)"),
-    "search-levels": ("search-levels --depth 5 --height 2 --seed 1", "m = 4 (explored 440, complete=True)"),
+    "search": ("search --depth 5 --height 2 --seed 1", "m = 4 (explored 96, complete=True)"),
+    "search-levels": ("search-levels --depth 5 --height 2 --seed 1", "m = 4 (explored 387, complete=True)"),
     "pairing": ("pairing --base-levels 1,2 --cap 3 --depth 8", "matching 0 (level 1): 4096 trees PASS"),
     "levels": ("levels --max-len 4 --depth 12", "t=1 level 2: PASS"),
     "profile": ("profile --input a.natset --ell 2 --threshold 1", "|A| = 3 in [0, 8)"),
@@ -1187,17 +1187,18 @@ BYTE_PINS = [
         "e90a373558ce6bee6fbc8fe1f21b209b88cf8f36251a37d03fdc8989fb568f0f"),
     # `search` and `search-levels`: recorded with `json.dumps(..., indent=2)`
     # as the report writer; the height-2 complete runs' `explored` re-recorded
-    # for the tie-order walk, every other byte unchanged.
+    # for the tie-order walk and again for the DP that forms only the sets an
+    # ancestor reads, every other byte unchanged.
     ("search d5 h2", ["search", "--depth", "5", "--height", "2", "--seed", "3"], 0,
-        "02f79f7d1bbd1248789dda4d904de0900e61f4c122d71f212133d596c35b195a"),
+        "23ca4c8631d9ab9004714b958996c3276426191a8907cce17ae2486a47eec2a7"),
     ("search-levels d5 h2", ["search-levels", "--depth", "5", "--height", "2", "--seed", "3"], 0,
-        "fd594e6a6d30c0d8f072130aab5800a202664a11da1a7d54604fc5592bdc2bab"),
+        "a05b585e84f70853c5e2f8b3a58b4d60ffba5128deba60982cac661c529eec81"),
     ("search d5 h2 oracle", ["search", "--depth", "5", "--height", "2", "--seed", "8", "--oracle"], 0,
-        "708264bb557b7cc695013b3305af1f1479d33cabd503830426d3b7ddf282b81d"),
+        "738e5f8ad229d700f8d4f3a4b7420b3997c63922a7032426bd587ed1b0085f73"),
     ("search-levels d6 h1 oracle", ["search-levels", "--depth", "6", "--height", "1", "--seed", "8", "--oracle"], 0,
         "4b63d294441019c866f208230d96275e6599b7f2b968c10e7fe2a39c4c260bd6"),
     ("search coloring h2", ["search", "--height", "2", "--coloring", "s.coloring"], 0,
-        "23d0499db2302eb2828fd307a6144ac5bef0011cc149b9f58ddab8307c0d376c"),
+        "042bdcca79663afb2177705ab2da9ee9122395b6833ba183710abba47a5f3a4a"),
     ("search-levels coloring h1 oracle", ["search-levels", "--height", "1", "--coloring", "s.coloring", "--oracle"], 0,
         "e6bc562410d24897db22e9448b9861c10f36b3aad5b8ad0028f72bdde85b0d94"),
     ("search d7 h2 truncated", ["search", "--depth", "7", "--height", "2", "--seed", "1", "--budget", "40"], 1,

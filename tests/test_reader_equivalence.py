@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlbench import ideals
 from hlbench.colorings import coloring_from_text
 from hlbench.errors import ParseError, ShapeError
 from hlbench.ideals import GridSet, NatSet, NodeSet, gridset_from_text, natset_from_text, nodeset_from_text
@@ -413,6 +414,48 @@ def test_numbered_body_keeps_the_lines_read_format_keeps(lines):
     _, body = read_format(text, "natset v1 bound=<n>")
     assert list(numbered_body(text, body)) == _numbered(text)
     assert [s for _, s in numbered_body(text, body)] == body
+
+
+# A natset body of more than `bound` lines, or a gridset body of more than
+# bound² lines, holds a bad or repeated line: it goes straight to the per-line loop.
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("natset v1 bound=2\n0\n1\n0\n", "line 4: duplicate member 0"),
+        ("natset v1 bound=1\n0\n# c\nx\n", "line 4: not an integer: 'x'"),
+        ("gridset v1 bound=1\n0 0\n0 0\n", "line 3: duplicate cell (0, 0)"),
+        ("gridset v1 bound=1\n\n0 0\n1 0\n", "line 4: cell (1, 0) outside [0, 1)^2"),
+    ],
+    ids=["natset-duplicate", "natset-word", "gridset-duplicate", "gridset-outside"],
+)
+def test_an_over_long_body_skips_the_bulk_check(monkeypatch, text, error):
+    def bulk(*args):
+        raise AssertionError("the bulk check ran on a body longer than its header allows")
+
+    monkeypatch.setattr(ideals, "_ints_below", bulk)
+    monkeypatch.setattr(ideals, "read_columns", bulk)
+    reader = natset_from_text if text.startswith("natset") else gridset_from_text
+    with pytest.raises(ParseError) as exc:
+        reader(text)
+    assert str(exc.value) == error
+
+
+@pytest.mark.parametrize(
+    "text, read",
+    [
+        ("natset v1 bound=2\n1\n0\n", NatSet.of({0, 1}, 2)),
+        ("gridset v1 bound=2\n0 0\n0 1\n1 0\n1 1\n", GridSet.of({(0, 0), (0, 1), (1, 0), (1, 1)}, 2)),
+    ],
+    ids=["natset", "gridset"],
+)
+def test_a_full_body_takes_the_bulk_check(monkeypatch, text, read):
+    # A body with as many lines as the header allows distinct entries may be valid.
+    calls = []
+    ints_below = ideals._ints_below
+    monkeypatch.setattr(ideals, "_ints_below", lambda *args: calls.append(args) or ints_below(*args))
+    reader = natset_from_text if text.startswith("natset") else gridset_from_text
+    assert reader(text) == read
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -53,7 +53,8 @@ from hlbench.treecore import (
 # small for the DP.  m and the certificate of every node_budget 1_000_000
 # case come from the per-partition solver before the DP; `explored`, and
 # every field of the budget 37, 500 and 2000 cases, from search_best with
-# its one global budget.  The last four cases, in both modes, come from the
+# its one global budget, as it stood when the DP stopped forming the sets
+# no ancestor reads.  The last four cases, in both modes, come from the
 # string-keyed solver before it named nodes by rank: depth 40, height 2,
 # budget 4096 (a walk only, over tops read on first use) and depth 12,
 # height 2, budget 2048 (the tops exactly fill the budget, and the DP gives up).
