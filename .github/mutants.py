@@ -181,12 +181,30 @@ MUTANTS = [
     ("ideals.py", "columns = read_columns(body, 2) if n <= bound * bound else None",
      "columns = read_columns(body, 2) if n < bound * bound else None",
      ["tests/test_reader_equivalence.py::test_a_full_body_takes_the_bulk_check[gridset]"]),
+    # Morphism tables: a body longer than the domain's member count skips the bulk check.
+    ("katetov.py", "table = _bulk_table(body, domain, codomain) if len(body) <= domain.member_count else None",
+     "table = _bulk_table(body, domain, codomain) if len(body) <= domain.member_count + 1 else None",
+     ["tests/test_reader_equivalence.py::test_an_over_long_morphism_table_skips_the_bulk_check[duplicate]",
+      "tests/test_reader_equivalence.py::test_an_over_long_morphism_table_skips_the_bulk_check[outside]"]),
+    ("katetov.py", "table = _bulk_table(body, domain, codomain) if len(body) <= domain.member_count else None",
+     "table = _bulk_table(body, domain, codomain) if len(body) < domain.member_count else None",
+     ["tests/test_reader_equivalence.py::test_a_full_morphism_table_takes_the_bulk_check"]),
+    # The certificate's score reads a prefix only when it differs from the previous top's.
+    ("search.py", "if p != prev:",
+     "if p == prev:",
+     ["tests/test_search.py::TestScore::test_reads_each_distinct_prefix_once",
+      "tests/test_search.py::TestScore::test_same_result_for_any_order_of_tops[2-uniform]",
+      "tests/test_search.py::TestSolver::test_matches_recorded[d5-h2-uniform-b1000000]"]),
     # Certificates: verification reads the tops' prefixes on each certified level,
-    # wants the tops on the last level, and takes plain-int bits only.
-    ("search.py", "for r in {t >> (c.depth - 1 - n) for t in ranks}:",
-     "for r in {t >> (c.depth - 2 - n) for t in ranks}:",
+    # each distinct one once, wants the tops on the last level, and takes plain-int bits only.
+    ("search.py", "shift, prev = c.depth - 1 - n, 0  # no node has rank 0",
+     "shift, prev = c.depth - 2 - n, 0  # no node has rank 0",
      ["tests/test_search.py::TestVerification::test_reads_the_closure_levels[1]",
       "tests/test_search.py::TestVerification::test_reads_the_closure_levels[2]"]),
+    ("search.py", "if r != prev:",
+     "if r == prev:",
+     ["tests/test_search.py::TestVerification::test_refuses_a_wrong_color_on_a_shared_prefix",
+      "tests/test_search.py::TestVerification::test_reads_the_closure_levels[1]"]),
     ("search.py", "if len(tops[0]) != c.depth - 1:",
      "if len(tops[0]) > c.depth - 1:",
      ["tests/test_search.py::TestVerification::test_tops_off_the_last_level"]),
@@ -195,6 +213,17 @@ MUTANTS = [
      ["tests/test_search.py::TestVerification::test_witness_bits_are_plain_ints[uniform-True]",
       "tests/test_search.py::TestVerification::test_witness_bits_are_plain_ints[by_levels-bits]",
       "tests/test_search.py::TestCertificateJson::test_malformed_rejected"]),
+    # An embedding problem names the argument at index j by its length-lex rank j + 1.
+    ("treecore.py", """problems.append(f"image of {_argument_name(2 * i + 1)!r} does not extend its parent's 0-side")""",
+     """problems.append(f"image of {_argument_name(2 * i)!r} does not extend its parent's 0-side")""",
+     ["tests/test_treecore.py::TestEmbedding::test_arms_off_their_parents_side[leaves swapped]",
+      "tests/test_treecore.py::TestEmbedding::test_arms_off_their_parents_side[root arms swapped]"]),
+    # The report writer: a bool is written by its own entry, not as the int it is.
+    ("cli.py", 'bool: ("false", "true").__getitem__,',
+     "bool: int.__repr__,",
+     ["tests/test_cli.py::TestWriter::test_examples[value5]",
+      "tests/test_cli.py::TestWriter::test_examples[value12]",
+      "tests/test_cli.py::TestWriter::test_examples[value22]"]),
 ]
 
 

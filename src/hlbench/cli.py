@@ -47,22 +47,33 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+# The writer of each scalar type a report holds, by exact type: a bool is not
+# written as the int it is, and None has a type of its own.
+_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _json(value, indent: str = "") -> str:
     """The bytes of `json.dumps(value, sort_keys=True, indent=2)`, nested `indent` deep.
 
     Reports hold only str-keyed dicts, lists, tuples, str, int, bool and None;
     anything else (a float, a Fraction, a set, a non-str key) raises TypeError
-    rather than being written some other way.  A flat list of str or of int is
-    written with one join, which is most of a large report.
+    rather than being written some other way.  A value whose exact type is in
+    `_SCALARS` is written by its entry, a scalar entry of a dict or list
+    without a call of `_json`, and a list of one such type with one join,
+    which is most of a large report.  Subclasses (an IntEnum member, a str
+    subclass, a namedtuple, an OrderedDict) take the isinstance tests, as
+    `json.dumps` writes them.
     """
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
     if isinstance(value, str):
         return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if isinstance(value, int):
         return int.__repr__(value)
     inner = indent + "  "
@@ -71,12 +82,15 @@ def _json(value, indent: str = "") -> str:
         if not value:
             return "[]"
         kinds = set(map(type, value))
-        if kinds == {str}:
-            body = sep.join(map(_encode_str, value))
-        elif kinds == {int}:
-            body = sep.join(map(int.__repr__, value))
-        else:
-            body = sep.join([_json(v, inner) for v in value])
+        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if write is not None:
+            return f"[\n{inner}{sep.join(map(write, value))}\n{indent}]"
+        parts = []
+        for v in value:
+            write = _SCALARS.get(type(v))
+            parts.append(_json(v, inner) if write is None else write(v))
+        body = sep.join(parts)
+        del parts  # so the entries, the body and the text returned are never all alive at once
         return f"[\n{inner}{body}\n{indent}]"
     if isinstance(value, dict):
         if not value:
@@ -84,7 +98,13 @@ def _json(value, indent: str = "") -> str:
         bad = [k for k in value if not isinstance(k, str)]
         if bad:
             raise TypeError(f"report key {bad[0]!r} is not a str")
-        body = sep.join([f"{_encode_str(k)}: {_json(value[k], inner)}" for k in sorted(value)])
+        parts = []
+        for k in sorted(value):
+            v = value[k]
+            write = _SCALARS.get(type(v))
+            parts.append(f"{_encode_str(k)}: {_json(v, inner) if write is None else write(v)}")
+        body = sep.join(parts)
+        del parts
         return f"{{\n{inner}{body}\n{indent}}}"
     raise TypeError(f"Object of type {type(value).__name__} is not allowed in a report")
 
@@ -463,7 +483,8 @@ class _OneOf(tuple):
 
 
 def _opt(*flags: str, **kwargs) -> tuple:
-    """The arguments of one `add_argument` call."""
+    """The arguments of one `add_argument` call, `dest` stated as argparse would form it."""
+    kwargs.setdefault("dest", flags[0].lstrip("-").replace("-", "_"))
     return flags, kwargs
 
 
@@ -572,7 +593,7 @@ def _read_exact(command: Command, tokens: list[str]) -> SimpleNamespace | None:
     args = SimpleNamespace(subcommand=command.name)
     for group, option in enumerate((*command.options, _VERBOSE)):
         for flags, kwargs in option if isinstance(option, _OneOf) else (option,):
-            dest = kwargs.get("dest", flags[0].lstrip("-").replace("-", "_"))
+            dest = kwargs["dest"]
             table[flags[0]] = dest, kwargs, group
             setattr(args, dest, False if kwargs.get("action") == "store_true" else kwargs.get("default"))
     args.func = command.handler

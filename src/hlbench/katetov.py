@@ -695,7 +695,9 @@ def parse_morphism_text(text: str, domain: Ground, codomain: Ground) -> dict:
     grounds, as it checks any table.
     """
     _, body = read_format(text, "morphism v1")
-    table = _bulk_table(body, domain, codomain)
+    # A table's keys are distinct members of `domain`, so a longer body holds a
+    # bad or repeated key, which the per-line walk names.
+    table = _bulk_table(body, domain, codomain) if len(body) <= domain.member_count else None
     if table is not None:
         return table
     formula: str | None = None

@@ -132,16 +132,23 @@ def _score(at: Callable[[int], int], tops: list[int], depth: int, mode: str):
     """(m, levels, witness) for the maximal admissible level set of one embedding, its tops given by rank.
 
     The prefix on level n of the top of rank t has rank t >> (depth - 1 - n).
+    A prefix equal to the previous top's is the same node, so its color is
+    not read again; in argument order equal prefixes are adjacent, so each
+    distinct prefix is read once.  The result is the same for any order.
     """
     levels: list[int] = []  # the levels on which every top's prefix has one color
     bits: list[int] = []  # that color, per level
     first, rest = tops[0], tops[1:]
     for n in range(depth):
         shift = depth - 1 - n
-        col = at(first >> shift)
+        prev = first >> shift
+        col = at(prev)
         for t in rest:
-            if at(t >> shift) != col:
-                break
+            p = t >> shift
+            if p != prev:
+                if at(p) != col:
+                    break
+                prev = p
         else:
             levels.append(n)
             bits.append(col)
@@ -206,7 +213,9 @@ def verify_certificate(c: Coloring, cert: HLCertificate) -> bool:
     witness); an intact certificate whose color claims fail returns False.
     The closure of the tops holds on level n exactly their length-n
     prefixes, so those are the nodes read on each certified level, by rank
-    through the scalar `c.at`.
+    through the scalar `c.at`.  A valid embedding's tops are in
+    lexicographic order, so equal prefixes are adjacent: each level's ranks
+    are walked in that order and each distinct prefix is read once.
     """
     _check_mode(cert.mode)
     tops = validate_embedding(cert.images)[len(cert.images) >> 1 :]
@@ -218,11 +227,15 @@ def verify_certificate(c: Coloring, cert: HLCertificate) -> bool:
             raise RangeError(f"certificate level {shown(n)} outside [0, {c.depth})")
     _check_witness(cert.mode, cert.color_witness, len(cert.levels))
     want = (cert.color_witness,) * len(cert.levels) if cert.mode == "uniform" else cert.color_witness
-    ranks = list(map(node_rank, tops))
+    ranks, at = list(map(node_rank, tops)), c.at
     for n, expected in zip(cert.levels, want):
-        for r in {t >> (c.depth - 1 - n) for t in ranks}:
-            if c.at(r) != expected:
-                return False
+        shift, prev = c.depth - 1 - n, 0  # no node has rank 0
+        for t in ranks:
+            r = t >> shift
+            if r != prev:
+                if at(r) != expected:
+                    return False
+                prev = r
     return True
 
 

@@ -254,32 +254,38 @@ def _node_violations(tree: LevelTree) -> tuple[Violation, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _argument_name(i: int) -> str:
+    """The text form of the argument at index i of an embedding: the node of length-lex rank i + 1."""
+    return format_node(rank_node(i + 1))
+
+
 def embedding_problems(images: tuple[str, ...]) -> list[str]:
     """Structural problems of an embedding of 2^{<=h}; empty list means valid.
 
     The embedding is the tuple of its images in argument order: index i holds
     the image of the argument of length-lex rank i + 1, whose arms are at
     2i + 1 and 2i + 2.  So a height-h embedding has 2^(h+1) - 1 images, and
-    the last 2^h are the tops, which must all lie on one level.
+    the last 2^h are the tops, which must all lie on one level.  An
+    argument's name (its node in `arguments(h)`) is formed only to word a
+    problem.
     """
     size = len(images)
     if not size or size & (size + 1):
         return [f"{size} images, not 2^(h+1) - 1 for any height h"]
-    args = arguments(size.bit_length() - 1)
-    for arg, img in zip(args, images):
-        if not is_node(img):
-            return [f"image of {format_node(arg)!r} is not a binary string"]
-    problems: list[str] = []
+    if not all(map(is_node, images)):
+        return [f"image of {_argument_name([*map(is_node, images)].index(False))!r} is not a binary string"]
     top_level = len(images[size >> 1])
-    for arg, img in zip(args[size >> 1 :], images[size >> 1 :]):
-        if len(img) != top_level:
-            problems.append(f"top argument {format_node(arg)!r} maps to level {len(img)}, not {top_level}")
+    problems = [
+        f"top argument {_argument_name(i)!r} maps to level {len(images[i])}, not {top_level}"
+        for i in range(size >> 1, size)
+        if len(images[i]) != top_level
+    ]
     for i in range(size >> 1):
         parent = images[i]
         if not images[2 * i + 1].startswith(parent + "0"):
-            problems.append(f"image of {format_node(args[2 * i + 1])!r} does not extend its parent's 0-side")
+            problems.append(f"image of {_argument_name(2 * i + 1)!r} does not extend its parent's 0-side")
         if not images[2 * i + 2].startswith(parent + "1"):
-            problems.append(f"image of {format_node(args[2 * i + 2])!r} does not extend its parent's 1-side")
+            problems.append(f"image of {_argument_name(2 * i + 2)!r} does not extend its parent's 1-side")
     return problems
 
 

@@ -268,6 +268,13 @@ CASES = [
     Case("gridset-long-duplicate", "profile --input a.gridset", 2,
          files={"a.gridset": "gridset v1 bound=8\n" + "1 1\n" * 1_000_000},
          stderr=_error("line 3: duplicate cell (1, 1)")),
+    # A table of more lines than its key ground has members goes straight to
+    # the per-line pass, which names line 3.
+    Case("morphism-long-duplicate", KATETOV, 2, files={
+        "s.ideal": "ideal v1 ground=interval params=4\nname a\ngenerator g 1\n",
+        "t.ideal": "ideal v1 ground=interval params=4\nname b\ngenerator g 1\n",
+        "f.morphism": "morphism v1\n" + "0 -> 0\n" * 1_000_000,
+    }, stderr=_error("line 3: duplicate table entry for '0'")),
     Case("morphism-line-7", KATETOV, 2, files={
         "s.ideal": "ideal v1 ground=interval params=4\nname a\ngenerator g 1\n",
         "t.ideal": "ideal v1 ground=interval params=4\nname b\nsurrogate generator-union max=1\ngenerator g 1\n",

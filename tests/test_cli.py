@@ -1,7 +1,9 @@
 import argparse
 import ast
+import collections
 import contextlib
 import dataclasses
+import enum
 import hashlib
 import io
 import itertools
@@ -466,7 +468,7 @@ class TestParser:
                     assert flags[0] not in seen
                     seen.add(flags[0])
                     if "action" in kwargs:
-                        assert kwargs["action"] == "store_true" and set(kwargs) <= {"action", "help"}, flags
+                        assert kwargs["action"] == "store_true" and set(kwargs) <= {"action", "dest", "help"}, flags
                     else:
                         assert set(kwargs) <= {"type", "default", "required", "dest", "choices", "help"}, flags
                         assert kwargs.get("type", int) is int, flags
@@ -942,10 +944,21 @@ class TestWriter:
     def test_matches_json_dumps(self, value):
         assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
 
+    class _Level(enum.IntEnum):
+        TOP = 3
+
+    class _Name(str):
+        pass
+
+    _Pair = collections.namedtuple("_Pair", "node color")
+
+    # The subclasses are not keys of the writer's type table; they are written as json.dumps writes them.
     @pytest.mark.parametrize(
         "value",
         [{}, [], (), {"a": []}, [[], {}], [True, False, None, 0, -1], [1, True], ["x", 1], [[1, 2], ["a"]],
-         {"b": {"c": (1, "d")}, "a": -(10**30)}, "\u00e9\ud800"],
+         {"b": {"c": (1, "d")}, "a": -(10**30)}, "\u00e9\ud800", [None, None], [False, True],
+         _Level.TOP, [_Level.TOP, 1], {"a": _Level.TOP}, _Name("x\u00e9"), [_Name("a"), "b"], {_Name("k"): _Name("v")},
+         _Pair("01", 1), [_Pair("0", 0)], collections.OrderedDict([("b", 1), ("a", [True])]), {"a": [1, True, None]}],
     )
     def test_examples(self, value):
         assert _json(value) == json.dumps(value, sort_keys=True, indent=2)

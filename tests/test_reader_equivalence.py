@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlbench import ideals
+from hlbench import ideals, katetov
 from hlbench.colorings import coloring_from_text
 from hlbench.errors import ParseError, ShapeError
 from hlbench.ideals import GridSet, NatSet, NodeSet, gridset_from_text, natset_from_text, nodeset_from_text
@@ -455,6 +455,36 @@ def test_a_full_body_takes_the_bulk_check(monkeypatch, text, read):
     monkeypatch.setattr(ideals, "_ints_below", lambda *args: calls.append(args) or ints_below(*args))
     reader = natset_from_text if text.startswith("natset") else gridset_from_text
     assert reader(text) == read
+    assert len(calls) == 1
+
+
+# A morphism table's keys are distinct members of its domain, so a body of
+# more lines than the domain has members goes straight to the per-line loop.
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        (["0 -> 0", "0 -> 1", "1 -> 1"], "line 3: duplicate table entry for '0'"),
+        (["0 -> 0", "1 -> 1", "# c", "2 -> 0"], "line 5: element '2' outside the interval ground of size 2"),
+    ],
+    ids=["duplicate", "outside"],
+)
+def test_an_over_long_morphism_table_skips_the_bulk_check(monkeypatch, body, error):
+    def bulk(*args):
+        raise AssertionError("the bulk check ran on a table longer than its domain")
+
+    monkeypatch.setattr(katetov, "_bulk_table", bulk)
+    g = Ground("interval", 2)
+    with pytest.raises(ParseError) as exc:
+        parse_morphism_text("\n".join(["morphism v1", *body]) + "\n", g, Ground("interval", 3))
+    assert str(exc.value) == error
+
+
+def test_a_full_morphism_table_takes_the_bulk_check(monkeypatch):
+    calls = []
+    bulk_table = katetov._bulk_table
+    monkeypatch.setattr(katetov, "_bulk_table", lambda *args: calls.append(args) or bulk_table(*args))
+    text = "morphism v1\n0 -> 2\n1 -> 0\n"
+    assert parse_morphism_text(text, Ground("interval", 2), Ground("interval", 3)) == {0: 2, 1: 0}
     assert len(calls) == 1
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -230,6 +231,42 @@ class TestBudget:
         c = Coloring.computed(5, base.at, lambda lo, hi: bytes(hi - lo))
         with pytest.raises(RuntimeError, match="differs from the certificate's score"):
             search_best(c, SearchBudget(height=2), mode)
+
+
+def _score_by_level_sets(at, tops, depth, mode):
+    """`search._score` stated level by level: a level counts when its set of prefix colors has one member."""
+    levels = [n for n in range(depth) if len({at(t >> (depth - 1 - n)) for t in tops}) == 1]
+    bits = [at(tops[0] >> (depth - 1 - n)) for n in levels]
+    if mode == "by_levels":
+        return len(levels), tuple(levels), tuple(bits)
+    col = 0 if 2 * bits.count(0) >= len(bits) else 1
+    mono = tuple(n for n, b in zip(levels, bits) if b == col)
+    return len(mono), mono, col
+
+
+class TestScore:
+    @pytest.mark.parametrize("mode", ["uniform", "by_levels"])
+    @pytest.mark.parametrize("height", [1, 2])
+    def test_same_result_for_any_order_of_tops(self, mode, height):
+        # `_score` skips a prefix equal to the previous top's; the result is the
+        # level-set rule's in argument order, reversed and shuffled alike.
+        c = random_coloring(5, height)
+        rng = random.Random(height)
+        for images in enumerate_embeddings(5, height):
+            tops = list(map(node_rank, images[len(images) >> 1 :]))
+            want = _score_by_level_sets(c.at, tops, 5, mode)
+            shuffled = rng.sample(tops, len(tops))
+            for order in (tops, tops[::-1], shuffled):
+                assert search._score(c.at, order, 5, mode) == want
+
+    def test_reads_each_distinct_prefix_once(self):
+        # In argument order equal prefixes are adjacent, so a level whose tops
+        # share one prefix reads it once.
+        c = constant_coloring(5, 0)
+        reads = []
+        images = ("01", "0100", "0111")  # the tops share the prefixes on levels 0-2
+        search._score(lambda r: reads.append(r) or c.at(r), list(map(node_rank, images[1:])), 5, "by_levels")
+        assert reads == [1, 2, 5, node_rank("010"), node_rank("011"), node_rank("0100"), node_rank("0111")]
 
 
 class TestSolver:
@@ -486,6 +523,16 @@ class TestVerification:
         with pytest.raises(ValueError, match=f"^{LEVELS_MESSAGE}$") as caught:
             verify_certificate(c, bad)
         assert type(caught.value) is ValueError
+
+    def test_refuses_a_wrong_color_on_a_shared_prefix(self):
+        # On levels 0-2 both tops have the one prefix, read once: the bit
+        # opposite to its color is refused, its own color accepted.
+        c = random_coloring(5, 0)
+        images = ("01", "0100", "0111")
+        for n in range(3):
+            bit = c.value(images[0][:n])
+            assert verify_certificate(c, HLCertificate("by_levels", images, (n,), (bit,)))
+            assert not verify_certificate(c, HLCertificate("by_levels", images, (n,), (1 - bit,)))
 
     @pytest.mark.parametrize("height", [0, 1, 2])
     def test_reads_the_closure_levels(self, height):

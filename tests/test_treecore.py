@@ -191,6 +191,20 @@ class TestEmbedding:
         with pytest.raises(EmbeddingInvalidError):
             validate_embedding(e)
 
+    @pytest.mark.parametrize(
+        "e, problems",
+        [
+            (("", "00", "10", "001", "000", "100", "101"),
+             ["image of '00' does not extend its parent's 0-side", "image of '01' does not extend its parent's 1-side"]),
+            (("", "10", "00", "100", "101", "000", "001"),
+             ["image of '0' does not extend its parent's 0-side", "image of '1' does not extend its parent's 1-side"]),
+        ],
+        ids=["leaves swapped", "root arms swapped"],
+    )
+    def test_arms_off_their_parents_side(self, e, problems):
+        # Each problem names the argument whose image is off its side, by its place in the length-lex order.
+        assert embedding_problems(e) == problems
+
     @pytest.mark.parametrize("image", [None, 0, b"0"])
     def test_image_not_a_string(self, image):
         e = ("", image, "10")
